@@ -46,7 +46,7 @@ def _apply(spec: GridSpec, key: str, value: str, lineno: int) -> GridSpec:
             if not lams:
                 raise ValueError("empty lambda list")
             return replace(spec, lambdas=lams)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     raise ConfigError(f"line {lineno}: unknown key {key!r}")
 

@@ -1,16 +1,22 @@
 """Classical number and polynomial families over exact rationals.
 
-Each family is computed from its defining generating function through the
-EGF machinery in :mod:`binomsums.exact_core`; the test suite cross-checks
-every one of them against an independent recurrence or enumeration oracle.
+The Stirling numbers of both kinds are read from integer triangles grown
+by their row recurrences; the test suite checks them against their
+generating functions (log(1+t))^k/k! and (e^t-1)^k/k!, expanded through
+:class:`binomsums.exact_core.EgfSeries`, and against enumeration.  The
+Bernoulli, Euler, Apostol and Frobenius-Euler families are computed from
+their defining generating functions through that EGF machinery and
+cross-checked against independent recurrences or closed forms.
 """
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Callable
 
 from .exact_core import EgfSeries, Poly, Scalar, _frac
 
@@ -43,41 +49,59 @@ class FamilyTag(Enum):
 # ---------------------------------------------------------------------------
 # Stirling numbers
 
-@lru_cache(maxsize=None)
-def _expm1_pow(v: int, order: int) -> EgfSeries:
-    """(e^t - 1)^v truncated at the given order."""
-    base = EgfSeries([0] + [1] * order)
-    return base.pow(v)
+class _Triangle:
+    """Rows 0..N of an integer triangle given by a row recurrence.
+
+    Rows are only ever appended, so a row once built never changes; the
+    table grows under a lock only as far as the largest row requested.
+    """
+
+    def __init__(self, next_row: Callable[[list[int], int], list[int]]):
+        self._next_row = next_row
+        self._lock = threading.Lock()
+        self._rows: list[list[int]] = [[1]]
+
+    def row(self, n: int) -> list[int]:
+        rows = self._rows
+        if n >= len(rows):
+            with self._lock:
+                while len(rows) <= n:
+                    rows.append(self._next_row(rows[-1], len(rows) - 1))
+        return rows[n]
+
+
+def _stirling1_next(row: list[int], n: int) -> list[int]:
+    """Row n+1 from row n: s(n+1,k) = s(n,k-1) - n s(n,k)."""
+    return [a - n * c for a, c in zip([0] + row, row + [0])]
+
+
+def _stirling2_next(row: list[int], n: int) -> list[int]:
+    """Row n+1 from row n: S(n+1,k) = S(n,k-1) + k S(n,k)."""
+    return [a + k * c for k, (a, c) in enumerate(zip([0] + row, row + [0]))]
+
+
+_STIRLING1 = _Triangle(_stirling1_next)
+_STIRLING2 = _Triangle(_stirling2_next)
 
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, v: int) -> Fraction:
-    """Stirling numbers of the second kind, from (e^t-1)^v / v!."""
+    """Stirling numbers of the second kind S(n,v)."""
     if n < 0 or v < 0:
         raise ValueError("indices must be >= 0")
     if v > n:
         return Fraction(0)
-    return _expm1_pow(v, n).coeffs[n] / factorial(v)
-
-
-@lru_cache(maxsize=None)
-def _log1p_pow(k: int, order: int) -> EgfSeries:
-    """(log(1+t))^k truncated at the given order."""
-    # log(1+t) = sum (-1)^{n-1} (n-1)! t^n/n!
-    coeffs = [Fraction(0)] + [
-        Fraction((-1) ** (n - 1) * factorial(n - 1)) for n in range(1, order + 1)
-    ]
-    return EgfSeries(coeffs).pow(k)
+    return Fraction(_STIRLING2.row(n)[v])
 
 
 @lru_cache(maxsize=None)
 def stirling1(n: int, k: int) -> Fraction:
-    """Signed Stirling numbers of the first kind, from (log(1+t))^k / k!."""
+    """Signed Stirling numbers of the first kind s(n,k)."""
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     if k > n:
         return Fraction(0)
-    return _log1p_pow(k, n).coeffs[n] / factorial(k)
+    return Fraction(_STIRLING1.row(n)[k])
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,18 @@ __all__ = [
     "pochhammer",
     "falling_factorial",
     "gamma_half",
-    "egf_product",
-    "egf_reciprocal",
     "poly_integral01",
 ]
 
 
 def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """The exact rational of an int or Fraction; anything else, floats
+    above all, is refused rather than converted to a binary fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
 class Poly:
@@ -338,14 +342,6 @@ def gamma_half(a: Scalar) -> GammaHalfValue:
                 r /= Fraction(1, 2) - i
         return GammaHalfValue(r, 1)
     raise ValueError(f"gamma_half needs an integer or half-integer, got {a}")
-
-
-def egf_product(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    return a * b
-
-
-def egf_reciprocal(a: EgfSeries) -> EgfSeries:
-    return a.reciprocal()
 
 
 def poly_integral01(p: Poly) -> Fraction:

@@ -3,6 +3,11 @@
 Covers the polynomial itself, its raw (un-normalized) summation form, the
 Riemann/p-adic linear functionals, closed-form power sums, and the
 binomial-square polynomial family with the Euler operator.
+
+``p_poly`` is assembled from ``y6`` values; ``raw_sum_poly`` expands its
+defining sum on its own, as integer coefficients over the single
+denominator b^n for lam = a/b, so the audit's bridge between the two forms
+compares independent routes.
 """
 
 from __future__ import annotations
@@ -48,13 +53,25 @@ def raw_sum_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
 
     Equals n! times p_poly (the two defining forms differ by that factor).
     """
+    if m < 0 or n < 0 or p < 0:
+        raise ValueError("indices must be >= 0")
     lam = _frac(lam)
-    acc = Poly()
-    lam_j = Fraction(1)
+    a, b = lam.numerator, lam.denominator
+    # b^n times the sum: term j has the integer weight C(n,j)^p a^j b^(n-j)
+    # and (x+j)^m = sum_i C(m,i) j^(m-i) x^i.
+    binom_m = [comb(m, i) for i in range(m + 1)]
+    coeffs = [0] * (m + 1)
+    binom = a_j = 1
+    den = b_rest = b**n
     for j in range(n + 1):
-        acc = acc + Fraction(comb(n, j)) ** p * lam_j * Poly([j, 1]) ** m
-        lam_j *= lam
-    return acc
+        term = binom**p * a_j * b_rest
+        for i in range(m, -1, -1):  # term = weight * j^(m-i)
+            coeffs[i] += binom_m[i] * term
+            term *= j
+        binom = binom * (n - j) // (j + 1)
+        a_j *= a
+        b_rest //= b
+    return Poly([Fraction(c, den) for c in coeffs])
 
 
 def volkenborn(q: Poly) -> Fraction:

@@ -1,7 +1,11 @@
 """The central binomial-power-sum family and Golombek's B(n,k).
 
-All values are exact; hot paths (the grid audits) are memoized by value,
-which is pure caching and safe under concurrent readers.
+All values are exact.  For lam = a/b, ``y6`` sums the integer
+n! b^n y6(m,n;lam,p) = sum_k C(n,k)^p k^m a^k b^(n-k) and divides once at
+the end; ``y6_egf`` builds the same numbers through series arithmetic, as
+an independent route.  ``y6`` is memoized by value (the grid audits repeat
+most of their calls), which is pure caching and safe under concurrent
+readers.
 """
 
 from __future__ import annotations
@@ -54,19 +58,22 @@ class RationalFunction:
         return out
 
 
-@lru_cache(maxsize=None)
+# typed: a float equal to a cached rational must not hit that entry
+@lru_cache(maxsize=None, typed=True)
 def y6(m: int, n: int, lam: Fraction, p: int) -> Fraction:
     """(1/n!) sum_k C(n,k)^p k^m lam^k with 0^0 = 1."""
     if m < 0 or n < 0 or p < 0:
         raise ValueError("indices must be >= 0")
     lam = _frac(lam)
-    total = Fraction(0)
-    lam_k = Fraction(1)
+    a, b = lam.numerator, lam.denominator
+    # Horner in b: after step k, total = sum_{i<=k} C(n,i)^p i^m a^i b^(k-i).
+    total = 0
+    binom = a_k = 1
     for k in range(n + 1):
-        km = 1 if m == 0 else k**m
-        total += Fraction(comb(n, k)) ** p * km * lam_k
-        lam_k *= lam
-    return total / factorial(n)
+        total = total * b + binom**p * k**m * a_k
+        binom = binom * (n - k) // (k + 1)
+        a_k *= a
+    return Fraction(total, factorial(n) * b**n)
 
 
 def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
@@ -133,7 +140,8 @@ def b_ogf(d: int) -> RationalFunction:
 def moment(m: int, p: int, n: int) -> Fraction:
     """Moment sum sum_k C(n,k)^p k^m; integer-valued."""
     value = factorial(n) * y6(m, n, Fraction(1), p)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"moment({m}, {p}, {n}) = {value} is not an integer")
     return value
 
 

@@ -232,6 +232,12 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 2
         capsys.readouterr()
 
+    def test_run_zero_denominator_lambda_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("m_max = 2\nlambdas = 1/2, 1/0\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "error: line 2: bad value for lambdas" in capsys.readouterr().err
+
     def test_seq_csv(self, capsys):
         assert cli.main(["seq", "franel", "--range", "0..4"]) == 0
         out = capsys.readouterr().out.strip().splitlines()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomsums import classic_numbers
 from binomsums.classic_numbers import (
     FamilyTag,
     apostol_bernoulli,
@@ -28,7 +32,7 @@ from binomsums.classic_numbers import (
     y1,
     y_seq,
 )
-from binomsums.exact_core import Poly
+from binomsums.exact_core import EgfSeries, Poly
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -53,7 +57,83 @@ def falling_product(n: int) -> Poly:
     return acc
 
 
+def expm1_pow(v: int, order: int) -> EgfSeries:
+    """(e^t - 1)^v truncated at the given order."""
+    base = EgfSeries([0] + [1] * order)
+    return base.pow(v)
+
+
+def log1p_pow(k: int, order: int) -> EgfSeries:
+    """(log(1+t))^k truncated at the given order."""
+    # log(1+t) = sum (-1)^{n-1} (n-1)! t^n/n!
+    coeffs = [Fraction(0)] + [
+        Fraction((-1) ** (n - 1) * factorial(n - 1)) for n in range(1, order + 1)
+    ]
+    return EgfSeries(coeffs).pow(k)
+
+
+def stirling_tables() -> dict[int, tuple[list[Fraction], list[Fraction]]]:
+    """Rows 0..60 of both kinds, read through the public functions."""
+    return {
+        n: ([stirling1(n, k) for k in range(n + 1)],
+            [stirling2(n, k) for k in range(n + 1)])
+        for n in range(61)
+    }
+
+
 class TestStirling:
+    def test_generating_functions(self):
+        # s(n,k) and S(n,k) are n! [t^n] of (log(1+t))^k/k! and (e^t-1)^k/k!
+        order = 20
+        for k in range(order + 1):
+            first = log1p_pow(k, order).coeffs
+            second = expm1_pow(k, order).coeffs
+            for n in range(order + 1):
+                assert stirling1(n, k) == first[n] / factorial(k)
+                assert stirling2(n, k) == second[n] / factorial(k)
+
+    def test_tables_built_by_concurrent_first_touch(self, monkeypatch):
+        def reset():
+            for name, next_row in (
+                ("_STIRLING1", classic_numbers._stirling1_next),
+                ("_STIRLING2", classic_numbers._stirling2_next),
+            ):
+                monkeypatch.setattr(
+                    classic_numbers, name, classic_numbers._Triangle(next_row)
+                )
+            stirling1.cache_clear()
+            stirling2.cache_clear()
+
+        def touch(start, ns):
+            start.wait(timeout=60)
+            return {n: (stirling1(n, n // 2), stirling2(n, n // 3)) for n in ns}
+
+        reset()
+        serial = stirling_tables()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(50):
+                    reset()
+                    start = threading.Barrier(4)
+                    # thread i first touches rows i, i+4, ..., so the
+                    # tables grow under all four threads at once
+                    futures = [
+                        pool.submit(touch, start, range(i, 61, 4))
+                        for i in range(4)
+                    ]
+                    touched = {}
+                    for future in futures:
+                        touched.update(future.result(timeout=60))
+                    assert touched == {
+                        n: (serial[n][0][n // 2], serial[n][1][n // 3])
+                        for n in range(61)
+                    }
+                    assert stirling_tables() == serial
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_second_kind_vs_enumeration(self):
         for n in range(8):
             for k in range(n + 2):
@@ -71,6 +151,8 @@ class TestStirling:
         st.integers(min_value=1, max_value=10),
     )
     def test_second_kind_recurrence(self, n, k):
+        # the table is built by this recurrence, so this is a consistency
+        # check only; test_generating_functions is the independent oracle
         assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(
             n - 1, k - 1
         )

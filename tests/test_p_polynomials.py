@@ -15,7 +15,7 @@ from binomsums.classic_numbers import (
     euler_number0,
     euler_poly,
 )
-from binomsums.exact_core import Poly
+from binomsums.exact_core import Poly, _frac
 from binomsums.p_polynomials import (
     euler_operator,
     fermionic,
@@ -40,6 +40,48 @@ def brute_sum_poly_value(
     for j in range(n + 1):
         total += Fraction(comb(n, j)) ** p * lam**j * (x + j) ** m
     return total
+
+
+# Lambdas with negative numerators, zero and denominators up to 2^64.
+exact_lambdas = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-5, max_value=5),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**64), max_value=2**64),
+        st.integers(min_value=1, max_value=2**64),
+    ),
+)
+
+
+def reference_raw_sum_poly(m: int, n: int, lam: Fraction, p: int) -> Poly:
+    """The former Poly-power kernel, kept verbatim as the oracle of the
+    integer-over-common-denominator one."""
+    lam = _frac(lam)
+    acc = Poly()
+    lam_j = Fraction(1)
+    for j in range(n + 1):
+        acc = acc + Fraction(comb(n, j)) ** p * lam_j * Poly([j, 1]) ** m
+        lam_j *= lam
+    return acc
+
+
+class TestRawSumPoly:
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=25),
+        exact_lambdas,
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=150)
+    def test_matches_poly_power_reference(self, m, n, lam, p):
+        poly = raw_sum_poly(m, n, lam, p)
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        assert poly == reference_raw_sum_poly(m, n, lam, p)
+
+    def test_float_lambda_rejected(self):
+        with pytest.raises(TypeError):
+            raw_sum_poly(1, 3, 0.1, 1)
 
 
 class TestPPoly:

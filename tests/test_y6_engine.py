@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomsums.exact_core import Poly
+from binomsums import y6_engine
+from binomsums.exact_core import Poly, _frac
 from binomsums.y6_engine import (
     RationalFunction,
     b_ogf,
@@ -33,7 +34,54 @@ def brute_y6(m: int, n: int, lam: Fraction, p: int) -> Fraction:
     return total / factorial(n)
 
 
+# Lambdas with negative numerators, zero and denominators up to 2^64.
+exact_lambdas = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-5, max_value=5),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**64), max_value=2**64),
+        st.integers(min_value=1, max_value=2**64),
+    ),
+)
+
+
+def reference_y6(m: int, n: int, lam: Fraction, p: int) -> Fraction:
+    """The former Fraction-loop kernel, kept verbatim as the oracle of the
+    integer-over-common-denominator one."""
+    if m < 0 or n < 0 or p < 0:
+        raise ValueError("indices must be >= 0")
+    lam = _frac(lam)
+    total = Fraction(0)
+    lam_k = Fraction(1)
+    for k in range(n + 1):
+        km = 1 if m == 0 else k**m
+        total += Fraction(comb(n, k)) ** p * km * lam_k
+        lam_k *= lam
+    return total / factorial(n)
+
+
 class TestY6:
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=25),
+        exact_lambdas,
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=200)
+    def test_matches_fraction_loop_reference(self, m, n, lam, p):
+        value = y6(m, n, lam, p)
+        assert type(value) is Fraction
+        assert value == reference_y6(m, n, lam, p)
+
+    def test_float_lambda_rejected(self):
+        with pytest.raises(TypeError):
+            y6(1, 3, 0.1, 1)
+        # an equal exact value already in the cache does not let it through
+        y6(0, 2, Fraction(1, 2), 1)
+        with pytest.raises(TypeError):
+            y6(0, 2, 0.5, 1)
+
     @given(
         st.integers(min_value=0, max_value=8),
         st.integers(min_value=0, max_value=8),
@@ -125,6 +173,20 @@ class TestMomentsAndFranel:
                 for m in range(6):
                     value = moment(m, p, n)
                     assert value.denominator == 1
+
+    def test_non_integer_moment_raises(self, monkeypatch):
+        # the check must not be an assert, which -O strips
+        monkeypatch.setattr(y6_engine, "y6", lambda m, n, lam, p: Fraction(1, 3))
+        with pytest.raises(ArithmeticError):
+            moment(1, 2, 2)
+
+    def test_franel3_recurrence(self):
+        # (n+1)^2 f(n+1) = (7n^2+7n+2) f(n) + 8n^2 f(n-1)   (Franel 1894)
+        f = {n: franel(3, 0, n, 1) for n in range(201)}
+        f[-1] = 0
+        for n in range(200):
+            lhs = (n + 1) ** 2 * f[n + 1]
+            assert lhs == (7 * n * n + 7 * n + 2) * f[n] + 8 * n * n * f[n - 1]
 
     def test_franel_rows(self):
         assert [franel(3, 0, n, Fraction(1)) for n in range(5)] == [
