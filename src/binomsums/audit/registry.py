@@ -92,11 +92,6 @@ F1 = Fraction(1)
 FM1 = Fraction(-1)
 
 
-def pow0(base, e: int):
-    """base**e with the 0^0 = 1 convention."""
-    return 1 if e == 0 else base**e
-
-
 def lagrange_poly(points: list[tuple[Fraction, Fraction]]) -> Poly:
     """Interpolating polynomial through distinct-abscissa points."""
     acc = Poly()
@@ -115,7 +110,7 @@ def direct_power_sum(m: int, upper: int, lam: Fraction) -> Fraction:
     total = Fraction(0)
     lj = Fraction(1)
     for j in range(upper):
-        total += lj * pow0(Fraction(j), m)
+        total += lj * Fraction(j) ** m
         lj *= lam
     return total
 
@@ -175,7 +170,7 @@ def _golombek_entries() -> list[IdentityEntry]:
             return Fraction(lhs), rhs.pow(k).coeffs[d]
         # second sequence family: sums from k=1 of squared binomials
         m, n = pt["m"], pt["n"]
-        lhs = Fraction(sum(comb(n, k) ** 2 * pow0(k, m) for k in range(1, n + 1)))
+        lhs = Fraction(sum(comb(n, k) ** 2 * k**m for k in range(1, n + 1)))
         closed = {
             0: Fraction(comb(2 * n, n) - 1),
             1: Fraction(n * comb(2 * n - 1, n)),
@@ -245,7 +240,7 @@ def _bnk_entries() -> list[IdentityEntry]:
 
     def boyadzhiev(pt):
         k, n = pt["n"], pt["m"]
-        lhs = Poly([comb(k, j) * pow0(j, n) for j in range(k + 1)])
+        lhs = Poly([comb(k, j) * j**n for j in range(k + 1)])
         rhs = Poly()
         for j in range(min(n, k) + 1):
             rhs = rhs + (
@@ -276,7 +271,7 @@ def _bnk_entries() -> list[IdentityEntry]:
             printed=lambda pt: (
                 sum(
                     (
-                        Fraction((-1) ** j * comb(pt["n"], j) * pow0(j, pt["m"]))
+                        Fraction((-1) ** j * comb(pt["n"], j) * j ** pt["m"])
                         for j in range(pt["n"] + 1)
                     ),
                     Fraction(0),
@@ -462,7 +457,7 @@ def _y6_entries() -> list[IdentityEntry]:
         rhs = sum(
             (
                 Fraction((-1) ** k * comb(m, k))
-                * pow0(Fraction(n), m - k)
+                * Fraction(n) ** (m - k)
                 * franel(p, k, n, F1)
                 for k in range(m + 1)
             ),
@@ -759,7 +754,7 @@ def _p_poly_entries() -> list[IdentityEntry]:
             total += (
                 Fraction(comb(n, j)) ** p
                 * lj
-                * (pow0(Fraction(1 + j), e) - pow0(Fraction(j), e))
+                * (Fraction(1 + j) ** e - Fraction(j) ** e)
             )
             lj *= lam
         total /= m + 1
@@ -830,7 +825,7 @@ def _p_poly_entries() -> list[IdentityEntry]:
         lj = Fraction(1)
         for j in range(n + 1):
             inner = sum(
-                (comb(m, l) * pow0(Fraction(j), l) for l in range(m)), Fraction(0)
+                (comb(m, l) * Fraction(j) ** l for l in range(m)), Fraction(0)
             )
             rhs += Fraction(comb(n, j)) ** p * lj * inner
             lj *= lam
@@ -849,7 +844,7 @@ def _p_poly_entries() -> list[IdentityEntry]:
         lj = Fraction(1)
         for j in range(n + 1):
             inner = sum(
-                (comb(m + 1, l) * pow0(Fraction(j), l) for l in range(m + 1)),
+                (comb(m + 1, l) * Fraction(j) ** l for l in range(m + 1)),
                 Fraction(0),
             )
             rhs += Fraction(comb(n, j)) ** p * lj * inner
@@ -956,7 +951,7 @@ def _p_poly_entries() -> list[IdentityEntry]:
     def mf_printed(pt):
         m, n, x0, u = pt["m"], pt["n"], pt["x0"], pt["lam"]
         lhs = sum(
-            (u**j * pow0(x0 + j, m) for j in range(n)), Fraction(0)
+            (u**j * (x0 + j) ** m for j in range(n)), Fraction(0)
         )
         h = frobenius_euler(m, 1 / u)
         rhs = (u**n * h(x0 + n) - h(x0 + n)) / (u - 1)
@@ -965,7 +960,7 @@ def _p_poly_entries() -> list[IdentityEntry]:
     def mf_corrected(pt):
         m, n, x0, u = pt["m"], pt["n"], pt["x0"], pt["lam"]
         lhs = sum(
-            (u**j * pow0(x0 + j, m) for j in range(n)), Fraction(0)
+            (u**j * (x0 + j) ** m for j in range(n)), Fraction(0)
         )
         return lhs, mirimanoff_frobenius_sum(m, n, x0, u)
 

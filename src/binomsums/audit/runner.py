@@ -96,9 +96,12 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
             skipped.append({"point": _fmt_point(pt), "reason": reason})
         else:
             active.append(pt)
+    if not points:
+        raise ConfigError(f"{entry.id}: grid is empty")
     if not active:
         raise ConfigError(
-            f"{entry.id}: grid is empty after skipping singular points"
+            f"{entry.id}: every grid point is singular "
+            f"({len(skipped)} skipped)"
         )
 
     printed_fail: Optional[tuple[dict, Any, Any]] = None

@@ -108,25 +108,26 @@ def stirling1(n: int, k: int) -> Fraction:
 # Bernoulli / Euler families of arbitrary integer order
 
 @lru_cache(maxsize=None)
-def _bernoulli_order_numbers(k: int, order: int) -> tuple[Fraction, ...]:
-    """Coefficients of (t/(e^t-1))^k; negative k uses ((e^t-1)/t)^{-k}."""
+def _bernoulli_order_numbers(k: int, order: int) -> EgfSeries:
+    """Series (t/(e^t-1))^k; negative k uses ((e^t-1)/t)^{-k}."""
     # (e^t-1)/t has EGF coefficients 1/(n+1); its constant term is 1,
     # so both orientations are entire.
     base = EgfSeries([Fraction(1, n + 1) for n in range(order + 1)])
-    return base.pow(-k).coeffs
+    return base.pow(-k)
 
 
 @lru_cache(maxsize=None)
-def _euler_order_numbers(k: int, order: int) -> tuple[Fraction, ...]:
-    """Coefficients of (2/(e^t+1))^k; negative k uses ((e^t+1)/2)^{-k}."""
+def _euler_order_numbers(k: int, order: int) -> EgfSeries:
+    """Series (2/(e^t+1))^k; negative k uses ((e^t+1)/2)^{-k}."""
     base = EgfSeries([Fraction(1)] + [Fraction(1, 2)] * order)
-    return base.pow(-k).coeffs
+    return base.pow(-k)
 
 
-def _number_poly(numbers: tuple[Fraction, ...], n: int) -> Poly:
-    """Appell polynomial sum_j C(n,j) a_j x^{n-j} from a number sequence."""
-    return Poly(
-        [comb(n, n - i) * numbers[n - i] for i in range(n + 1)]
+def _number_poly(numbers: EgfSeries, n: int) -> Poly:
+    """Appell polynomial sum_j C(n,j) a_j x^{n-j} from the numbers a_j."""
+    a = numbers.nums
+    return Poly.from_ints(
+        [comb(n, i) * a[n - i] for i in range(n + 1)], numbers.den
     )
 
 
@@ -147,7 +148,7 @@ def euler_poly_order(n: int, k: int) -> Poly:
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Classical Bernoulli number B_n (B_1 = -1/2)."""
-    return _bernoulli_order_numbers(1, n)[n]
+    return _bernoulli_order_numbers(1, n).coeff(n)
 
 
 @lru_cache(maxsize=None)
@@ -164,19 +165,19 @@ def euler_poly(n: int) -> Poly:
 def euler_number0(n: int) -> Fraction:
     """E_n(0), the Euler polynomial at 0 (the 'Euler numbers' of the
     Daehee/Changhee sums)."""
-    return _euler_order_numbers(1, n)[n]
+    return _euler_order_numbers(1, n).coeff(n)
 
 
 # ---------------------------------------------------------------------------
 # Apostol deformations and Frobenius-Euler polynomials
 
 @lru_cache(maxsize=None)
-def _apostol_bernoulli_numbers(lam: Fraction, order: int) -> tuple[Fraction, ...]:
+def _apostol_bernoulli_numbers(lam: Fraction, order: int) -> EgfSeries:
     # t/(lam*e^t - 1): reciprocal of the denominator, then multiply by t.
     denom = EgfSeries([lam - 1] + [lam] * order)
-    r = denom.reciprocal().coeffs
-    return tuple(
-        Fraction(0) if n == 0 else n * r[n - 1] for n in range(order + 1)
+    r = denom.reciprocal()
+    return EgfSeries.from_ints(
+        [0] + [n * r.nums[n - 1] for n in range(1, order + 1)], r.den
     )
 
 
@@ -191,9 +192,9 @@ def apostol_bernoulli(n: int, lam: Scalar) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _apostol_euler_numbers(lam: Fraction, order: int) -> tuple[Fraction, ...]:
+def _apostol_euler_numbers(lam: Fraction, order: int) -> EgfSeries:
     denom = EgfSeries([lam + 1] + [lam] * order)
-    return denom.reciprocal().scale(2).coeffs
+    return denom.reciprocal().scale(2)
 
 
 def apostol_euler(n: int, lam: Scalar) -> Poly:
@@ -207,9 +208,9 @@ def apostol_euler(n: int, lam: Scalar) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _frobenius_euler_numbers(u: Fraction, order: int) -> tuple[Fraction, ...]:
+def _frobenius_euler_numbers(u: Fraction, order: int) -> EgfSeries:
     denom = EgfSeries([1 - u] + [1] * order)
-    return denom.reciprocal().scale(1 - u).coeffs
+    return denom.reciprocal().scale(1 - u)
 
 
 def frobenius_euler(n: int, u: Scalar) -> Poly:
@@ -249,8 +250,7 @@ def y1(n: int, k: int, lam: Scalar) -> Fraction:
     lam = _frac(lam)
     total = Fraction(0)
     for j in range(k + 1):
-        jn = 1 if n == 0 else j**n
-        total += comb(k, j) * jn * lam**j
+        total += comb(k, j) * j**n * lam**j
     return total / factorial(k)
 
 
@@ -286,5 +286,5 @@ def mirimanoff(m: int, n: int, shift: int = 0) -> Poly:
     if m < 0 or n < 0 or shift < 0:
         raise ValueError("indices must be >= 0")
     return Poly(
-        [1 if m == 0 else (j + shift) ** m for j in range(n)]
+        [(j + shift) ** m for j in range(n)]
     )

@@ -1,15 +1,19 @@
 """Exact scalar, polynomial and truncated-series arithmetic.
 
-Everything downstream works over exact rationals (``fractions.Fraction``):
-dense polynomials, truncated exponential-generating-function series, and
-gamma values at integer/half-integer arguments.
+Everything downstream works over exact rationals: dense polynomials,
+truncated exponential-generating-function series, and gamma values at
+integer/half-integer arguments.  Values cross the API as
+``fractions.Fraction``.  Inside, ``Poly`` and ``EgfSeries`` hold Python-int
+numerators over one reduced denominator (the representation of FLINT's
+``fmpq_poly``), so their arithmetic runs on ints and a ``Fraction`` is
+built only where a value leaves the object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -38,20 +42,94 @@ def _frac(x: Scalar) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
 
 
-class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+def _check_ints(**indices: object) -> None:
+    """Refuse an index that is not an int (Fraction(2) included) before it
+    reaches the arithmetic and fails there with a less useful message."""
+    for name, value in indices.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
-    Canonical form: no trailing zero coefficients; the zero polynomial
-    stores an empty tuple and has degree -1.
+
+def _ratio(x: Scalar) -> tuple[int, int]:
+    """Numerator and positive denominator of an int or Fraction."""
+    if type(x) is int:
+        return x, 1
+    x = _frac(x)
+    return x.numerator, x.denominator
+
+
+def _common(cs: list[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Fractions as integer numerators over the lcm of their denominators.
+
+    The lcm of reduced denominators leaves no common factor between the
+    denominator and all numerators, so the result is canonical."""
+    den = lcm(*[c.denominator for c in cs])
+    if den == 1:
+        return tuple([c.numerator for c in cs]), 1
+    return tuple([c.numerator * (den // c.denominator) for c in cs]), den
+
+
+def _reduce(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over a nonzero den, brought to canonical form:
+    den > 0 and no common factor of den and all numerators."""
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple([c // g for c in nums]), den // g
+    return tuple(nums), den
+
+
+def _align(a: Sequence[int], da: int, b: Sequence[int], db: int):
+    """Numerators of a/da and b/db rewritten over their common denominator."""
+    if da == db:
+        return a, b, da
+    g = gcd(da, db)
+    fa, fb = db // g, da // g
+    return [c * fa for c in a], [c * fb for c in b], da * fa
+
+
+def _poly(nums: list[int], den: int) -> "Poly":
+    """Poly from integer numerators over den, without trailing zeros."""
+    while nums and not nums[-1]:
+        nums.pop()
+    p = object.__new__(Poly)
+    p.nums, p.den = _reduce(nums, den) if nums else ((), 1)
+    return p
+
+
+def _egf(nums: list[int], den: int) -> "EgfSeries":
+    """EgfSeries from integer numerators over den."""
+    s = object.__new__(EgfSeries)
+    s.nums, s.den = _reduce(nums, den)
+    return s
+
+
+class Poly:
+    """Dense univariate polynomial with exact rational coefficients.
+
+    Stored as integer numerators ``nums`` over one positive denominator
+    ``den`` that shares no factor with all of them, with no trailing zero
+    numerator; the zero polynomial is ``()`` over 1 and has degree -1.
+    That form is unique, so equality and hashing compare integers.
+    ``coeffs`` builds the ``Fraction`` coefficients on demand.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.nums, self.den = _common(cs)
+
+    @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "Poly":
+        """The polynomial sum nums[i] x^i / den."""
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        return _poly(list(nums), den)
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
@@ -63,91 +141,118 @@ class Poly:
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls([0, 1])
+        return _poly([0, 1], 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.nums])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
+        return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        if isinstance(other, Poly):
+            b, db = other.nums, other.den
+        elif isinstance(other, (int, Fraction)):
+            num, db = _ratio(other)
+            b = (num,)
+        else:
+            return NotImplemented
+        a, b, den = _align(self.nums, self.den, b, db)
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _poly(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        p = object.__new__(Poly)
+        p.nums, p.den = tuple([-c for c in self.nums]), self.den
+        return p
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
-        return self + (-other)
+        if isinstance(other, (Poly, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other: Scalar) -> "Poly":
-        return Poly([other]) + (-self)
+        return (-self) + other
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
+        if isinstance(other, Poly):
+            return _poly(_convolve(self.nums, other.nums), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+            num, den = _ratio(other)
+            return _poly([c * num for c in self.nums], self.den * den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, c: Scalar) -> "Poly":
-        c = _frac(c)
-        return Poly([a / c for a in self.coeffs])
+        num, den = _ratio(c)
+        if not num:
+            if self.nums:
+                raise ZeroDivisionError("polynomial division by zero")
+            return self
+        return _poly([a * den for a in self.nums], self.den * num)
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly([1])
-        base = self
+        # By Gauss's lemma the content of nums**e is the content of nums
+        # to the e, which stays coprime to den**e: no reduction is needed.
+        result, base = [1], list(self.nums)
+        den = self.den**e
         while e:
             if e & 1:
-                result = result * base
+                result = _convolve(result, base)
             e >>= 1
             if e:
-                base = base * base
-        return result
+                base = _convolve(base, base)
+        p = object.__new__(Poly)
+        p.nums, p.den = tuple(result), den
+        return p
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        # Horner in integers: for x = a/b, sum_i c_i a^i b^(d-i) over den b^d.
+        a, b = _ratio(x)
+        it = reversed(self.nums)
+        acc = next(it, 0)
+        b_pow = 1
+        for c in it:
+            b_pow *= b
+            acc = acc * a + c * b_pow
+        return Fraction(acc, self.den * b_pow)
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        nums = self.nums
+        return _poly([i * nums[i] for i in range(1, len(nums))], self.den)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "Poly(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -162,45 +267,85 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-class EgfSeries:
-    """Truncated series sum c_n t^n / n!, stored as (c_0, ..., c_N).
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
+
+class EgfSeries:
+    """Truncated series sum c_n t^n / n!, with coefficients (c_0, ..., c_N).
+
+    Stored like :class:`Poly`, as integer numerators ``nums`` over one
+    canonical denominator ``den``; ``coeffs`` gives the ``Fraction`` form.
     Products use the binomial convolution; two series must share the
     truncation order before they can be combined.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence[Scalar]):
         if len(coeffs) == 0:
             raise ValueError("EgfSeries needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in coeffs))
+        self.nums, self.den = _common([_frac(c) for c in coeffs])
+
+    @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "EgfSeries":
+        """The series with coefficients nums[n] / den."""
+        nums = list(nums)
+        if not nums:
+            raise ValueError("EgfSeries needs at least the constant term")
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        return _egf(nums, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.nums])
+
+    def coeff(self, n: int) -> Fraction:
+        return Fraction(self.nums[n], self.den)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @classmethod
     def one(cls, order: int) -> "EgfSeries":
-        return cls([1] + [0] * order)
+        return _egf([1] + [0] * order, 1)
 
     @classmethod
     def exp(cls, a: Scalar, order: int) -> "EgfSeries":
         """Coefficients of e^{a t}: c_n = a^n."""
-        a = _frac(a)
-        out, cur = [], Fraction(1)
+        # For a = p/q in lowest terms, p^n q^(N-n) over q^N is canonical.
+        p, q = _ratio(a)
+        out, cur = [], 1
         for _ in range(order + 1):
             out.append(cur)
-            cur *= a
-        return cls(out)
+            cur *= p
+        if q != 1:
+            q_pow = 1
+            for n in range(order, -1, -1):
+                out[n] *= q_pow
+                q_pow *= q
+        s = object.__new__(EgfSeries)
+        s.nums, s.den = tuple(out), q**order
+        return s
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EgfSeries):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def _check_order(self, other: "EgfSeries") -> None:
         if self.order != other.order:
@@ -210,59 +355,73 @@ class EgfSeries:
 
     def __add__(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
-        return EgfSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b, den = _align(self.nums, self.den, other.nums, other.den)
+        return _egf([x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
-        return EgfSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b, den = _align(self.nums, self.den, other.nums, other.den)
+        return _egf([x - y for x, y in zip(a, b)], den)
 
     def scale(self, c: Scalar) -> "EgfSeries":
-        c = _frac(c)
-        return EgfSeries([c * a for a in self.coeffs])
+        num, den = _ratio(c)
+        return _egf([num * a for a in self.nums], self.den * den)
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         out = []
-        for n in range(self.order + 1):
-            s = Fraction(0)
+        for n in range(len(a)):
+            s = 0
             binom = 1
             for k in range(n + 1):
                 if a[k] and b[n - k]:
                     s += binom * a[k] * b[n - k]
                 binom = binom * (n - k) // (k + 1)
             out.append(s)
-        return EgfSeries(out)
+        return _egf(out, self.den * other.den)
 
     def reciprocal(self) -> "EgfSeries":
         """Series r with self * r = 1 + O(t^{N+1}); needs c_0 != 0."""
-        a = self.coeffs
+        a = self.nums
         if a[0] == 0:
             raise ZeroDivisionError("EGF reciprocal needs nonzero constant term")
-        r = [Fraction(1) / a[0]]
-        from math import comb
-
-        for n in range(1, self.order + 1):
-            s = Fraction(0)
+        # r_0..r_{n-1} are held as r over one running denominator, kept
+        # at the lcm of their reduced denominators; the common den of the
+        # input cancels from r_n = -(1/c_0) sum_k C(n,k) c_k r_{n-k}.
+        (r0,), den = _reduce([self.den], a[0])
+        r = [r0]
+        for n in range(1, len(a)):
+            s = 0
+            binom = 1
             for k in range(1, n + 1):
+                binom = binom * (n - k + 1) // k
                 if a[k]:
-                    s += comb(n, k) * a[k] * r[n - k]
-            r.append(-s / a[0])
-        return EgfSeries(r)
+                    s += binom * a[k] * r[n - k]
+            (num,), d = _reduce([-s], a[0] * den)
+            g = gcd(den, d)
+            if g != d:
+                grow = d // g
+                r = [c * grow for c in r]
+                den *= grow
+            r.append(num * (den // d))
+        s = object.__new__(EgfSeries)
+        s.nums, s.den = tuple(r), den
+        return s
 
     def pow(self, e: int) -> "EgfSeries":
         """Integer power; negative exponents go through the reciprocal."""
         if e < 0:
             return self.reciprocal().pow(-e)
-        result = EgfSeries.one(self.order)
+        result = None
         base = self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return EgfSeries.one(self.order) if result is None else result
 
     def __repr__(self) -> str:
         return f"EgfSeries({list(self.coeffs)!r})"
@@ -346,4 +505,6 @@ def gamma_half(a: Scalar) -> GammaHalfValue:
 
 def poly_integral01(p: Poly) -> Fraction:
     """Exact integral of p over [0, 1]."""
-    return sum((c / (i + 1) for i, c in enumerate(p.coeffs)), Fraction(0))
+    scale = lcm(*range(1, len(p.nums) + 1))
+    total = sum(c * (scale // (i + 1)) for i, c in enumerate(p.nums))
+    return Fraction(total, p.den * scale)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from typing import Callable
 
 from .classic_numbers import (
     apostol_bernoulli,
@@ -24,7 +25,7 @@ from .classic_numbers import (
     euler_poly,
     frobenius_euler,
 )
-from .exact_core import Poly, Scalar, _frac
+from .exact_core import Poly, Scalar, _check_ints, _frac
 from .y6_engine import y6
 
 __all__ = [
@@ -42,9 +43,13 @@ __all__ = [
 
 def p_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     """sum_{k=0}^{m} C(m,k) x^{m-k} y6(k,n;lam,p)."""
+    _check_ints(m=m, n=n, p=p)
     lam = _frac(lam)
-    return Poly(
-        [comb(m, m - i) * y6(m - i, n, lam, p) for i in range(m + 1)]
+    ys = [y6(m - i, n, lam, p) for i in range(m + 1)]
+    den = lcm(*[y.denominator for y in ys])
+    return Poly.from_ints(
+        [comb(m, i) * y.numerator * (den // y.denominator) for i, y in enumerate(ys)],
+        den,
     )
 
 
@@ -53,6 +58,7 @@ def raw_sum_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
 
     Equals n! times p_poly (the two defining forms differ by that factor).
     """
+    _check_ints(m=m, n=n, p=p)
     if m < 0 or n < 0 or p < 0:
         raise ValueError("indices must be >= 0")
     lam = _frac(lam)
@@ -71,21 +77,27 @@ def raw_sum_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
         binom = binom * (n - j) // (j + 1)
         a_j *= a
         b_rest //= b
-    return Poly([Fraction(c, den) for c in coeffs])
+    return Poly.from_ints(coeffs, den)
+
+
+def _moment_functional(q: Poly, moment: Callable[[int], Fraction]) -> Fraction:
+    """sum_i c_i moment(i) over the common denominator of the moments."""
+    values = [moment(i) for i in range(len(q.nums))]
+    scale = lcm(*[v.denominator for v in values])
+    total = sum(
+        c * v.numerator * (scale // v.denominator) for c, v in zip(q.nums, values)
+    )
+    return Fraction(total, q.den * scale)
 
 
 def volkenborn(q: Poly) -> Fraction:
     """Linear functional x^i -> B_i (Bernoulli numbers) on polynomials."""
-    return sum(
-        (c * bernoulli_number(i) for i, c in enumerate(q.coeffs)), Fraction(0)
-    )
+    return _moment_functional(q, bernoulli_number)
 
 
 def fermionic(q: Poly) -> Fraction:
     """Linear functional x^i -> E_i(0) (Euler polynomial at 0)."""
-    return sum(
-        (c * euler_number0(i) for i, c in enumerate(q.coeffs)), Fraction(0)
-    )
+    return _moment_functional(q, euler_number0)
 
 
 def power_sum_closed(m: int, upper: int, lam: Scalar) -> Fraction:
@@ -109,14 +121,14 @@ def power_sum_closed(m: int, upper: int, lam: Scalar) -> Fraction:
     return (lam**upper * b(upper) - b(0)) / (m + 1)
 
 
-@lru_cache(maxsize=None)
+# typed: Fraction(2) must miss the entry of 2 and be refused
+@lru_cache(maxsize=None, typed=True)
 def r_poly(n: int, p: int) -> Poly:
     """(1/n!) sum_k C(n,k)^p x^k."""
+    _check_ints(n=n, p=p)
     if n < 0 or p < 0:
         raise ValueError("indices must be >= 0")
-    return Poly(
-        [Fraction(comb(n, k)) ** p for k in range(n + 1)]
-    ) / Fraction(factorial(n))
+    return Poly.from_ints([comb(n, k) ** p for k in range(n + 1)], factorial(n))
 
 
 def vowe(n: int) -> Poly:

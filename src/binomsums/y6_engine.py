@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .classic_numbers import stirling1, stirling2
-from .exact_core import EgfSeries, Poly, Scalar, _frac
+from .exact_core import EgfSeries, Poly, Scalar, _check_ints, _frac
 
 __all__ = [
     "RationalFunction",
@@ -44,15 +44,19 @@ class RationalFunction:
 
     def series(self, order: int) -> list[Fraction]:
         """Ordinary power-series coefficients c_0..c_order."""
-        d = self.denominator.coeffs
+        # With d = D/e and num = N/f in integer form, the recurrence
+        # d_0 c_n = num_n - sum_k d_k c_{n-k} becomes
+        # D_0 c_n = N_n e/f - sum_k D_k c_{n-k}.
+        d = self.denominator.nums
         if d[0] == 0:
             raise ZeroDivisionError("denominator vanishes at 0")
-        num = self.numerator
+        num = self.numerator.nums
+        scale = Fraction(self.denominator.den, self.numerator.den)
         out: list[Fraction] = []
         for n in range(order + 1):
-            s = num.coeff(n)
-            for k in range(1, n + 1):
-                if k < len(d) and d[k]:
+            s = num[n] * scale if n < len(num) else Fraction(0)
+            for k in range(1, min(n, len(d) - 1) + 1):
+                if d[k]:
                     s -= d[k] * out[n - k]
             out.append(s / d[0])
         return out
@@ -62,6 +66,7 @@ class RationalFunction:
 @lru_cache(maxsize=None, typed=True)
 def y6(m: int, n: int, lam: Fraction, p: int) -> Fraction:
     """(1/n!) sum_k C(n,k)^p k^m lam^k with 0^0 = 1."""
+    _check_ints(m=m, n=n, p=p)
     if m < 0 or n < 0 or p < 0:
         raise ValueError("indices must be >= 0")
     lam = _frac(lam)
@@ -98,8 +103,7 @@ def bnk(d: int, k: int) -> Fraction:
         raise ValueError("indices must be >= 0")
     total = 0
     for j in range(k + 1):
-        jd = 1 if d == 0 else j**d
-        total += comb(k, j) * jd
+        total += comb(k, j) * j**d
     return Fraction(total)
 
 

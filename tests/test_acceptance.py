@@ -5,13 +5,18 @@ Every comparison is exact (Fraction/Poly equality, tolerance zero).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
+
+import pytest
 
 from binomsums import cli
 from binomsums.audit import Verdict, run_audit
+from binomsums.audit.runner import render_json
 from binomsums.classic_numbers import stirling1, stirling2
 from binomsums.hypergeom import y6_hyper
 from binomsums.p_polynomials import (
@@ -25,6 +30,18 @@ from binomsums.p_polynomials import (
 from binomsums.y6_engine import b_ogf, bnk, franel, moment, t_poly, y6, y6_egf
 
 LAMBDAS = [Fraction(s) for s in ("-2", "-1", "-1/2", "1/2", "1", "2", "3")]
+
+# Pinned verdicts, grid totals and report digest of the default audit, kept
+# with the benchmark; read here, never written.
+EXPECTED_AUDIT = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "expected_audit.json"
+)
+
+
+@pytest.fixture(scope="module")
+def serial_report():
+    """One full serial audit, shared by the criteria that need it."""
+    return run_audit(threads=1)
 
 
 def _ok(number: int, label: str) -> None:
@@ -96,10 +113,8 @@ def test_criterion_05_structural_bnk_suite():
     _ok(5, "bridge polynomial, recurrence, coefficients, and series agree")
 
 
-def test_criterion_06_polynomial_family_suite():
-    start = time.monotonic()
-    report = run_audit(threads=1)
-    by_id = {r.id: r for r in report.results}
+def test_criterion_06_polynomial_family_suite(serial_report):
+    by_id = {r.id: r for r in serial_report.results}
     for holds in (
         "py6ab",
         "inP1",
@@ -114,7 +129,7 @@ def test_criterion_06_polynomial_family_suite():
         assert by_id[holds].verdict is Verdict.HOLDS_PRINTED, holds
     for corrected in ("Yp1Yp2_bridge", "py6a", "inP2", "inP3_4", "inP5_6"):
         assert by_id[corrected].verdict is Verdict.HOLDS_CORRECTED_ONLY, corrected
-    assert time.monotonic() - start < 60.0
+    assert serial_report.elapsed_seconds < 60.0
     # spot-check the bridge and operator statements directly
     for m in range(5):
         for n in range(5):
@@ -197,10 +212,25 @@ def test_criterion_09_pinned_audit_verdicts(tmp_path, capsys):
     _ok(9, "audit exits 0 with pinned verdicts and two-sided counterexamples")
 
 
-def test_criterion_10_parallel_soundness():
-    serial = run_audit(threads=1)
+def test_criterion_10_parallel_soundness(serial_report):
+    serial = serial_report
     parallel = run_audit(threads=4)
     assert [(r.id, r.verdict, r.points, len(r.skipped)) for r in serial.results] == [
         (r.id, r.verdict, r.points, len(r.skipped)) for r in parallel.results
     ]
     _ok(10, "single-threaded and multi-threaded runs agree exactly")
+
+
+def test_report_digest_matches_pinned(serial_report):
+    """The JSON report, without its run metadata, is byte-for-byte the
+    pinned one: canonical JSON (sorted keys, no spaces) hashed by SHA-256."""
+    pinned = json.loads(EXPECTED_AUDIT.read_text())
+    doc = json.loads(render_json(serial_report))
+    for key in ("runId", "timestamp", "elapsedSeconds"):
+        doc.pop(key)
+    assert {e["id"]: e["verdict"] for e in doc["entries"]} == pinned["verdicts"]
+    assert doc["gridTotals"]["points"] == pinned["points"]
+    assert doc["gridTotals"]["skipped"] == pinned["skipped"]
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == pinned["digest"]
+    print("ACCEPTANCE PASS: report digest equals the pinned one")

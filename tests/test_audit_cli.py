@@ -149,7 +149,7 @@ class TestRunner:
             grid=lambda spec: iter([{"lam": Fraction(1)}]),
             singular=lambda pt: "always singular",
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="every grid point is singular"):
             evaluate_entry(entry, AuditConfig())
 
     def test_determinism_modulo_run_metadata(self):
@@ -237,6 +237,15 @@ class TestCli:
         path.write_text("m_max = 2\nlambdas = 1/2, 1/0\n")
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "error: line 2: bad value for lambdas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["m_max = -1", "p_max = -3"])
+    def test_run_empty_grid_exits_two(self, tmp_path, capsys, bound):
+        path = tmp_path / "empty.cfg"
+        path.write_text(bound + "\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(": grid is empty\n")
+        assert "skip" not in err and "singular" not in err
 
     def test_seq_csv(self, capsys):
         assert cli.main(["seq", "franel", "--range", "0..4"]) == 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from binomsums.exact_core import (
     EgfSeries,
     GammaHalfValue,
     Poly,
+    Scalar,
+    _frac,
     binomial_general,
     falling_factorial,
     gamma_half,
@@ -173,3 +177,416 @@ class TestFactorialSymbols:
         # the negative-upper-index convention used by the closed sequences
         assert binomial_general(-1, 3) == -1
         assert binomial_general(Fraction(1, 2), 2) == Fraction(-1, 8)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer-numerator classes against the former
+# Fraction-coefficient ones, copied here verbatim apart from their names.
+
+class RefPoly:
+    """Dense univariate polynomial with Fraction coefficients.
+
+    Canonical form: no trailing zero coefficients; the zero polynomial
+    stores an empty tuple and has degree -1.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        cs = [_frac(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def const(cls, c: Scalar) -> "RefPoly":
+        return cls([c])
+
+    @classmethod
+    def monomial(cls, k: int, c: Scalar = 1) -> "RefPoly":
+        return cls([0] * k + [c])
+
+    @classmethod
+    def x(cls) -> "RefPoly":
+        return cls([0, 1])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coeff(self, i: int) -> Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RefPoly):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == RefPoly([other])
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other: "RefPoly | Scalar") -> "RefPoly":
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly([other])
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPoly(
+            [self.coeff(i) + other.coeff(i) for i in range(n)]
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RefPoly":
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: "RefPoly | Scalar") -> "RefPoly":
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly([other])
+        return self + (-other)
+
+    def __rsub__(self, other: Scalar) -> "RefPoly":
+        return RefPoly([other]) + (-self)
+
+    def __mul__(self, other: "RefPoly | Scalar") -> "RefPoly":
+        if isinstance(other, (int, Fraction)):
+            return RefPoly([c * other for c in self.coeffs])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c: Scalar) -> "RefPoly":
+        c = _frac(c)
+        return RefPoly([a / c for a in self.coeffs])
+
+    def __pow__(self, e: int) -> "RefPoly":
+        if e < 0:
+            raise ValueError("negative polynomial power")
+        result = RefPoly([1])
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def __call__(self, x: Scalar) -> Fraction:
+        x = _frac(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self) -> "RefPoly":
+        return RefPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "Poly(0)"
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            elif i == 1:
+                terms.append(f"{c}*x")
+            else:
+                terms.append(f"{c}*x^{i}")
+        return "Poly(" + " + ".join(terms) + ")"
+
+
+class RefEgfSeries:
+    """Truncated series sum c_n t^n / n!, stored as (c_0, ..., c_N).
+
+    Products use the binomial convolution; two series must share the
+    truncation order before they can be combined.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[Scalar]):
+        if len(coeffs) == 0:
+            raise ValueError("EgfSeries needs at least the constant term")
+        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in coeffs))
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    @classmethod
+    def one(cls, order: int) -> "RefEgfSeries":
+        return cls([1] + [0] * order)
+
+    @classmethod
+    def exp(cls, a: Scalar, order: int) -> "RefEgfSeries":
+        """Coefficients of e^{a t}: c_n = a^n."""
+        a = _frac(a)
+        out, cur = [], Fraction(1)
+        for _ in range(order + 1):
+            out.append(cur)
+            cur *= a
+        return cls(out)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RefEgfSeries):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def _check_order(self, other: "RefEgfSeries") -> None:
+        if self.order != other.order:
+            raise ValueError(
+                f"truncation order mismatch: {self.order} != {other.order}"
+            )
+
+    def __add__(self, other: "RefEgfSeries") -> "RefEgfSeries":
+        self._check_order(other)
+        return RefEgfSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other: "RefEgfSeries") -> "RefEgfSeries":
+        self._check_order(other)
+        return RefEgfSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def scale(self, c: Scalar) -> "RefEgfSeries":
+        c = _frac(c)
+        return RefEgfSeries([c * a for a in self.coeffs])
+
+    def __mul__(self, other: "RefEgfSeries") -> "RefEgfSeries":
+        self._check_order(other)
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for n in range(self.order + 1):
+            s = Fraction(0)
+            binom = 1
+            for k in range(n + 1):
+                if a[k] and b[n - k]:
+                    s += binom * a[k] * b[n - k]
+                binom = binom * (n - k) // (k + 1)
+            out.append(s)
+        return RefEgfSeries(out)
+
+    def reciprocal(self) -> "RefEgfSeries":
+        """Series r with self * r = 1 + O(t^{N+1}); needs c_0 != 0."""
+        a = self.coeffs
+        if a[0] == 0:
+            raise ZeroDivisionError("EGF reciprocal needs nonzero constant term")
+        r = [Fraction(1) / a[0]]
+        from math import comb
+
+        for n in range(1, self.order + 1):
+            s = Fraction(0)
+            for k in range(1, n + 1):
+                if a[k]:
+                    s += comb(n, k) * a[k] * r[n - k]
+            r.append(-s / a[0])
+        return RefEgfSeries(r)
+
+    def pow(self, e: int) -> "RefEgfSeries":
+        """Integer power; negative exponents go through the reciprocal."""
+        if e < 0:
+            return self.reciprocal().pow(-e)
+        result = RefEgfSeries.one(self.order)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def __repr__(self) -> str:
+        return f"EgfSeries({list(self.coeffs)!r})"
+
+
+def ref_poly_integral01(p: RefPoly) -> Fraction:
+    """The former poly_integral01, on Fraction coefficients."""
+    return sum((c / (i + 1) for i, c in enumerate(p.coeffs)), Fraction(0))
+
+
+# Zero, small rationals and numerators/denominators far beyond a machine word.
+wide = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-5, max_value=5),
+    fractions,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=1, max_value=2**40),
+    ),
+)
+wide_lists = st.lists(wide, min_size=0, max_size=7)
+nonzero = wide.filter(lambda c: c != 0)
+
+
+def assert_same(new, ref) -> None:
+    """Equal Fraction coefficients, equal repr, canonical integer form."""
+    assert type(new.coeffs) is tuple
+    assert all(type(c) is Fraction for c in new.coeffs)
+    assert new.coeffs == ref.coeffs
+    assert repr(new) == repr(ref)
+    assert new.den == lcm(*[c.denominator for c in ref.coeffs])
+    assert len(new.nums) == len(ref.coeffs)
+
+
+class TestPolyAgainstReference:
+    @given(wide_lists)
+    def test_construction(self, a):
+        new, ref = Poly(a), RefPoly(a)
+        assert_same(new, ref)
+        assert new.degree == ref.degree
+        assert bool(new) == bool(ref)
+        for i in range(-1, len(a) + 2):
+            assert new.coeff(i) == ref.coeff(i)
+            assert type(new.coeff(i)) is Fraction
+
+    @given(wide_lists, wide_lists)
+    def test_add_sub_neg(self, a, b):
+        assert_same(Poly(a) + Poly(b), RefPoly(a) + RefPoly(b))
+        assert_same(Poly(a) - Poly(b), RefPoly(a) - RefPoly(b))
+        assert_same(-Poly(a), -RefPoly(a))
+
+    @given(wide_lists, wide)
+    def test_scalar_ops(self, a, c):
+        new, ref = Poly(a), RefPoly(a)
+        assert_same(new + c, ref + c)
+        assert_same(c + new, c + ref)
+        assert_same(new - c, ref - c)
+        assert_same(c - new, c - ref)
+        assert_same(new * c, ref * c)
+        assert_same(c * new, c * ref)
+
+    @given(wide_lists, nonzero)
+    def test_division(self, a, c):
+        assert_same(Poly(a) / c, RefPoly(a) / c)
+
+    @given(wide_lists, wide_lists)
+    def test_product(self, a, b):
+        assert_same(Poly(a) * Poly(b), RefPoly(a) * RefPoly(b))
+
+    @given(st.lists(wide, max_size=4), st.integers(min_value=0, max_value=5))
+    def test_power(self, a, e):
+        assert_same(Poly(a) ** e, RefPoly(a) ** e)
+
+    @given(wide_lists, wide)
+    def test_call(self, a, x):
+        value = Poly(a)(x)
+        assert type(value) is Fraction
+        assert value == RefPoly(a)(x)
+
+    @given(wide_lists)
+    def test_derivative_and_integral(self, a):
+        assert_same(Poly(a).derivative(), RefPoly(a).derivative())
+        value = poly_integral01(Poly(a))
+        assert type(value) is Fraction
+        assert value == ref_poly_integral01(RefPoly(a))
+
+    @given(wide_lists, wide_lists)
+    def test_equality_and_hash(self, a, b):
+        assert (Poly(a) == Poly(b)) == (RefPoly(a) == RefPoly(b))
+        if Poly(a) == Poly(b):
+            assert hash(Poly(a)) == hash(Poly(b))
+        for c in (0, b[0] if b else 1):
+            assert (Poly(a) == c) == (RefPoly(a) == c)
+
+    def test_canonical_form(self):
+        half = Poly([Fraction(1, 2), 1])
+        assert half == Poly([Fraction(2, 4), 1])
+        assert hash(half) == hash(Poly([Fraction(2, 4), 1]))
+        unreduced = Poly.from_ints([6, 12, 0], 12)
+        assert unreduced == half and hash(unreduced) == hash(half)
+        assert (unreduced.nums, unreduced.den) == ((1, 2), 2)
+        negative = Poly.from_ints([-1, -2], -2)
+        assert negative == half and negative.den == 2
+        zeros = [
+            Poly(),
+            Poly([0, Fraction(0)]),
+            Poly.from_ints([0, 0], 7),
+            half - half,
+            half * 0,
+            half * Poly(),
+            Poly([5]).derivative(),
+        ]
+        for zero in zeros:
+            assert (zero.nums, zero.den) == ((), 1)
+            assert zero == Poly() and hash(zero) == hash(Poly())
+            assert repr(zero) == "Poly(0)" and zero.degree == -1
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            Poly([1, 2]) / 0
+        assert_same(Poly() / 0, RefPoly() / 0)
+        with pytest.raises(ZeroDivisionError):
+            Poly.from_ints([1], 0)
+
+
+series_lists = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.lists(wide, min_size=n + 1, max_size=n + 1),
+        st.lists(wide, min_size=n + 1, max_size=n + 1),
+    )
+)
+
+
+class TestEgfSeriesAgainstReference:
+    @given(wide, st.integers(min_value=0, max_value=8))
+    def test_exp(self, a, order):
+        assert_same(EgfSeries.exp(a, order), RefEgfSeries.exp(a, order))
+        assert_same(EgfSeries.one(order), RefEgfSeries.one(order))
+
+    @given(series_lists, wide)
+    def test_linear_ops(self, ab, c):
+        a, b = ab
+        new, ref = EgfSeries(a), RefEgfSeries(a)
+        assert_same(new, ref)
+        assert_same(new.scale(c), ref.scale(c))
+        assert_same(new + EgfSeries(b), ref + RefEgfSeries(b))
+        assert_same(new - EgfSeries(b), ref - RefEgfSeries(b))
+        assert (new == EgfSeries(b)) == (ref == RefEgfSeries(b))
+
+    @given(series_lists)
+    def test_product(self, ab):
+        a, b = ab
+        assert_same(EgfSeries(a) * EgfSeries(b), RefEgfSeries(a) * RefEgfSeries(b))
+
+    @given(series_lists.map(lambda ab: ab[0]), st.integers(min_value=-3, max_value=4))
+    def test_reciprocal_and_pow(self, a, e):
+        new, ref = EgfSeries(a), RefEgfSeries(a)
+        if a[0] == 0:
+            with pytest.raises(ZeroDivisionError):
+                new.reciprocal()
+            if e >= 0:
+                assert_same(new.pow(e), ref.pow(e))
+            return
+        assert_same(new.reciprocal(), ref.reciprocal())
+        assert_same(new.pow(e), ref.pow(e))
+
+    def test_reciprocal_order_120_on_bernoulli_base(self):
+        # (e^t - 1)/t; its reciprocal holds the Bernoulli numbers.  Carrying
+        # the unreduced denominator c_0^(N+1) would give a ~20,000-bit den.
+        base = [Fraction(1, n + 1) for n in range(121)]
+        new = EgfSeries(base).reciprocal()
+        ref = RefEgfSeries(base).reciprocal()
+        assert_same(new, ref)
+        assert new.coeffs[1] == Fraction(-1, 2)
+        assert new.den.bit_length() < 200
+
+    def test_from_ints_is_canonical(self):
+        s = EgfSeries.from_ints([2, -4, 0], 6)
+        assert s == EgfSeries([Fraction(1, 3), Fraction(-2, 3), 0])
+        assert (s.nums, s.den) == ((1, -2, 0), 3)
+        assert EgfSeries.from_ints([0, 0], 5) == EgfSeries([0, 0])

@@ -84,6 +84,25 @@ class TestRawSumPoly:
             raw_sum_poly(1, 3, 0.1, 1)
 
 
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 2.0])
+class TestIntegerIndices:
+    def test_raw_sum_poly(self, bad):
+        for args in ((bad, 3, 1, 2), (2, bad, 1, 2), (2, 3, 1, bad)):
+            with pytest.raises(TypeError, match="must be an int"):
+                raw_sum_poly(*args)
+
+    def test_p_poly(self, bad):
+        for args in ((bad, 3, 1, 2), (2, bad, 1, 2), (2, 3, 1, bad)):
+            with pytest.raises(TypeError, match="must be an int"):
+                p_poly(*args)
+
+    def test_r_poly(self, bad):
+        r_poly(4, 2)  # an equal int key already cached does not let it through
+        for args in ((bad, 2), (4, bad)):
+            with pytest.raises(TypeError, match="must be an int"):
+                r_poly(*args)
+
+
 class TestPPoly:
     @given(
         st.integers(min_value=0, max_value=6),

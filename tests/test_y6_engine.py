@@ -82,6 +82,13 @@ class TestY6:
         with pytest.raises(TypeError):
             y6(0, 2, 0.5, 1)
 
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 2.0, "2"])
+    def test_non_int_index_rejected(self, bad):
+        y6(2, 3, Fraction(1), 2)  # the int entry is cached first
+        for args in ((bad, 3, 1, 2), (2, bad, 1, 2), (2, 3, 1, bad)):
+            with pytest.raises(TypeError, match="must be an int"):
+                y6(*args)
+
     @given(
         st.integers(min_value=0, max_value=8),
         st.integers(min_value=0, max_value=8),
