@@ -11,7 +11,7 @@ import argparse
 import pathlib
 import sys
 
-from binomsums.audit import run_audit
+from binomsums.audit import ConfigError, run_audit
 from binomsums.audit.runner import render_json, render_markdown
 
 
@@ -21,7 +21,11 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
-    report = run_audit(threads=args.threads)
+    try:
+        report = run_audit(threads=args.threads)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "audit_report.json").write_text(render_json(report))

@@ -1,9 +1,28 @@
 """The identity registry.
 
 Each entry evaluates the *printed* form of an identity exactly over a
-parameter grid, optionally together with a *corrected* form where the
-printed statement contains a misprint.  The expected verdict is pinned so
+parameter grid, together with a *corrected* form where the printed
+statement contains a misprint.  The expected verdict is pinned so
 regressions in either direction are caught.
+
+Declaring an entry: decorate a module-level evaluator with
+``@_identity(id, expected, grid, singular=...)``.  The evaluator takes the
+grid point as keyword parameters (``def _chu(n)``) and returns
+``(lhs, rhs)``; lists and tuples compare elementwise.  Its docstring, with
+runs of whitespace collapsed to one space, is the entry's ``paper_ref``.
+An entry pinned ``HOLDS_CORRECTED_ONLY`` has a keyword-only ``corrected``
+flag: the evaluator returns the printed form when it is false and the
+corrected form when it is true, and the registry binds ``printed`` and
+``corrected`` to the two.  ``singular`` also takes the point as keywords
+and returns a skip reason or None.  Entries are registered in source
+order, which is the order of ``audit list`` and of the report.
+
+Independence: where an identity compares two routes to one value, the two
+sides stay independent code paths, and no entry evaluates one routine on
+both sides; a shared bug would otherwise cancel and the audit would prove
+nothing.  In particular ``_binom_sum`` sums C(n,j)^p lam^j g(j) directly
+and calls none of ``y6``, ``p_poly``, ``raw_sum_poly`` or ``r_poly``, the
+routes it is compared with.
 """
 
 from __future__ import annotations
@@ -11,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import comb, factorial
 from typing import Any, Callable, Iterator, Optional
 
@@ -54,9 +75,9 @@ from ..p_polynomials import (
 from ..y6_engine import b_ogf, bnk, franel, moment, t_poly, y6, y6_egf
 from .config import GridSpec
 
-__all__ = ["Verdict", "IdentityEntry", "build_registry", "Point"]
+__all__ = ["Verdict", "IdentityEntry", "build_registry"]
 
-Point = dict
+Grid = Callable[[GridSpec], Iterator[dict]]
 
 
 class Verdict(Enum):
@@ -65,19 +86,16 @@ class Verdict(Enum):
     FAILS_BOTH = "FAILS_BOTH"
 
 
-Evaluator = Callable[[Point], tuple[Any, Any]]
-
-
 @dataclass(frozen=True)
 class IdentityEntry:
     id: str
     paper_ref: str
     expected: Verdict
-    printed: Evaluator
-    grid: Callable[[GridSpec], Iterator[Point]]
-    corrected: Optional[Evaluator] = None
-    singular: Callable[[Point], Optional[str]] = field(
-        default=lambda pt: None
+    printed: Callable[..., tuple[Any, Any]]
+    grid: Grid
+    corrected: Optional[Callable[..., tuple[Any, Any]]] = None
+    singular: Callable[..., Optional[str]] = field(
+        default=lambda **pt: None
     )
 
     def __post_init__(self):
@@ -85,11 +103,128 @@ class IdentityEntry:
             raise ValueError(f"{self.id}: corrected form required")
 
 
+_ENTRIES: list[IdentityEntry] = []
+
+
+def _identity(
+    entry_id: str,
+    expected: Verdict,
+    grid: Grid,
+    singular: Optional[Callable[..., Optional[str]]] = None,
+):
+    """Register the decorated evaluator as entry ``entry_id``."""
+
+    def register(fn):
+        if any(e.id == entry_id for e in _ENTRIES):
+            raise RuntimeError(f"duplicate registry id {entry_id!r}")
+        printed, corrected = fn, None
+        if expected is Verdict.HOLDS_CORRECTED_ONLY:
+            printed = partial(fn, corrected=False)
+            corrected = partial(fn, corrected=True)
+        _ENTRIES.append(
+            IdentityEntry(
+                id=entry_id,
+                paper_ref=" ".join(fn.__doc__.split()),
+                expected=expected,
+                printed=printed,
+                grid=grid,
+                corrected=corrected,
+                **({} if singular is None else {"singular": singular}),
+            )
+        )
+        return fn
+
+    return register
+
+
+def build_registry() -> list[IdentityEntry]:
+    return list(_ENTRIES)
+
+
 # ---------------------------------------------------------------------------
-# small helpers
+# grids and shared sums
 
 F1 = Fraction(1)
 FM1 = Fraction(-1)
+
+
+def _grid(
+    *use: str,
+    m_min: int = 0,
+    n_min: int = 0,
+    p_min: int = 0,
+    m_cap: int | None = None,
+    n_cap: int | None = None,
+    p_cap: int | None = None,
+    lams: tuple[Fraction, ...] | None = None,
+) -> Grid:
+    """Cartesian grid over the named parameters, taken in the order
+    m, n, p, lam and bounded by the GridSpec and optional per-entry caps."""
+
+    def points(spec: GridSpec) -> Iterator[dict]:
+        axes = {
+            "m": range(m_min, _capped(spec.m_max, m_cap) + 1),
+            "n": range(n_min, _capped(spec.n_max, n_cap) + 1),
+            "p": range(p_min, _capped(spec.p_max, p_cap) + 1),
+            "lam": spec.lambdas if lams is None else lams,
+        }
+        names = [name for name in axes if name in use]
+        for values in product(*(axes[name] for name in names)):
+            yield dict(zip(names, values))
+
+    return points
+
+
+def _capped(limit: int, cap: int | None) -> int:
+    return limit if cap is None else min(limit, cap)
+
+
+def _fixed(points: list[dict]) -> Grid:
+    return lambda spec: iter(points)
+
+
+def _ns(*bounds: int) -> Grid:
+    return _fixed([{"n": n} for n in range(*bounds)])
+
+
+# the polynomial family's grid, shared by its integral representations
+_MNPL = _grid("m", "n", "p", "lam", p_cap=3)
+_MN8 = _grid("m", "n", m_cap=8, n_cap=8)
+_MN10 = _grid("m", "n", m_cap=10, n_cap=10)
+_POWER_SUM = _grid("m", "n", m_min=1, n_min=1, n_cap=12)
+_SEC6 = _grid(
+    "m", "n", "p", "lam", m_cap=5, n_cap=5, p_cap=2, lams=(FM1, F1, Fraction(2))
+)
+_DK = _fixed([{"d": d, "k": k} for d in range(1, 7) for k in range(13)])
+_N11 = _ns(11)
+_N13 = _ns(13)
+_NO_PARAMETERS = _fixed([{}])
+
+
+def _binom_sum(n: int, p: int, lam: Fraction, g: Callable[[int], Any]) -> Fraction:
+    """sum_{j=0}^{n} C(n,j)^p lam^j g(j), with C(n,j) kept as a running
+    integer and lam = a/b carried as a^j b^(n-j) over one b^n."""
+    a, b = lam.numerator, lam.denominator
+    total = 0
+    c = 1
+    for j in range(n + 1):
+        total += c**p * a**j * b ** (n - j) * g(j)
+        c = c * (n - j) // (j + 1)
+    return Fraction(total) / b**n
+
+
+def _coefficient_integral(m: int, n: int, p: int, lam: Fraction) -> Fraction:
+    """Integral over [0,1] of the polynomial family, term by term from its
+    y6 coefficients: sum_k C(m,k) y6(k,n;lam,p)/(m-k+1)."""
+    return sum(comb(m, k) * y6(k, n, lam, p) / (m - k + 1) for k in range(m + 1))
+
+
+def _riemann_sum(m: int, n: int, p: int, lam: Fraction, corrected: bool) -> Fraction:
+    """Summation form of the Riemann integral; the printed form drops the
+    1/n! and the +1 in the exponent."""
+    e = m + 1 if corrected else m
+    total = _binom_sum(n, p, lam, lambda j: (j + 1) ** e - j**e) / (m + 1)
+    return total / factorial(n) if corrected else total
 
 
 def lagrange_poly(points: list[tuple[Fraction, Fraction]]) -> Poly:
@@ -115,1197 +250,580 @@ def direct_power_sum(m: int, upper: int, lam: Fraction) -> Fraction:
     return total
 
 
-def _grid(
-    spec: GridSpec,
-    *,
-    use: tuple[str, ...],
-    m_min: int = 0,
-    n_min: int = 0,
-    p_min: int = 0,
-    m_cap: int | None = None,
-    n_cap: int | None = None,
-    p_cap: int | None = None,
-    lams: tuple[Fraction, ...] | None = None,
-) -> Iterator[Point]:
-    """Cartesian grid over the requested parameter names, bounded by the
-    GridSpec and optional per-entry caps."""
-    m_hi = spec.m_max if m_cap is None else min(spec.m_max, m_cap)
-    n_hi = spec.n_max if n_cap is None else min(spec.n_max, n_cap)
-    p_hi = spec.p_max if p_cap is None else min(spec.p_max, p_cap)
-    lam_list = spec.lambdas if lams is None else lams
-    ms = range(m_min, m_hi + 1) if "m" in use else [None]
-    ns = range(n_min, n_hi + 1) if "n" in use else [None]
-    ps = range(p_min, p_hi + 1) if "p" in use else [None]
-    ls = lam_list if "lam" in use else [None]
-    for m in ms:
-        for n in ns:
-            for p in ps:
-                for lam in ls:
-                    pt = {}
-                    if m is not None:
-                        pt["m"] = m
-                    if n is not None:
-                        pt["n"] = n
-                    if p is not None:
-                        pt["p"] = p
-                    if lam is not None:
-                        pt["lam"] = lam
-                    yield pt
+# ---------------------------------------------------------------------------
+# B(n,k) = sum_j C(k,j) j^n and the Stirling numbers
 
 
-def _fixed(points: list[Point]) -> Callable[[GridSpec], Iterator[Point]]:
-    return lambda spec: iter(points)
+def _golombek_grid(spec: GridSpec) -> Iterator[dict]:
+    for d in range(1, min(4, spec.m_max + 1)):
+        for k in range(0, min(12, max(spec.n_max, 8)) + 1):
+            yield {"d": d, "k": k}
+    for m in range(0, 4):
+        for n in range(2, min(10, max(spec.n_max, 4)) + 1):
+            yield {"m": m, "n": n}
+
+
+@_identity("golombek", Verdict.HOLDS_PRINTED, _golombek_grid)
+def _golombek(d=None, k=None, m=None, n=None):
+    """B(n,k) sum vs derivative of (e^t+1)^k; closed sequences
+    (k=0 term subtracted explicitly where the source sums from 1)"""
+    if d is not None:
+        lhs = sum(comb(k, j) * j**d for j in range(1, k + 1))
+        rhs = EgfSeries([1] + [0] * d) + EgfSeries.exp(1, d)
+        return Fraction(lhs), rhs.pow(k).coeffs[d]
+    # second sequence family: sums from k=1 of squared binomials
+    lhs = Fraction(sum(comb(n, k) ** 2 * k**m for k in range(1, n + 1)))
+    closed = {
+        0: Fraction(comb(2 * n, n) - 1),
+        1: Fraction(n * comb(2 * n - 1, n)),
+        2: Fraction(n**2 * comb(2 * n - 2, n - 1)),
+        3: Fraction(n**2 * (n + 1) * comb(2 * n - 3, n - 1)),
+    }[m]
+    return lhs, closed
+
+
+@_identity("CC2", Verdict.HOLDS_PRINTED, _grid("m", "n"))
+def _cc2(m, n):
+    """B(n,k) = k! y1(n,k;1)"""
+    return bnk(m, n), factorial(n) * y1(m, n, F1)
+
+
+@_identity("Bs1", Verdict.HOLDS_PRINTED, _MN10)
+def _bs1(m, n):
+    """B(m,n) as a Stirling-weighted sum: sum_j C(n,j) j! 2^(n-j) S(m,j)"""
+    rhs = sum(
+        comb(n, j) * factorial(j) * 2 ** (n - j) * stirling2(m, j)
+        for j in range(m + 1)
+    )
+    return bnk(m, n), rhs
+
+
+@_identity("boyadzhiev", Verdict.HOLDS_PRINTED, _MN8)
+def _boyadzhiev(m, n):
+    """sum_j C(k,j) j^n x^j = sum_j C(k,j) j! S(n,j) x^j (1+x)^(k-j),
+    polynomial identity in x"""
+    # the paper's power n is the grid's m and its row k is the grid's n
+    lhs = Poly([comb(n, j) * j**m for j in range(n + 1)])
+    rhs = Poly()
+    for j in range(min(m, n) + 1):
+        rhs = rhs + (
+            comb(n, j)
+            * factorial(j)
+            * stirling2(m, j)
+            * Poly.monomial(j)
+            * Poly([1, 1]) ** (n - j)
+        )
+    return lhs, rhs
+
+
+@_identity("altStirling", Verdict.HOLDS_PRINTED, _MN10)
+def _alt_stirling(m, n):
+    """sum_j (-1)^j C(k,j) j^n = (-1)^k k! S(n,k)"""
+    lhs = sum((-1) ** j * comb(n, j) * j**m for j in range(n + 1))
+    return Fraction(lhs), (-1) ** n * factorial(n) * stirling2(m, n)
+
+
+@_identity("CB1_xu", Verdict.HOLDS_PRINTED, _DK)
+def _cb1_xu(d, k):
+    """recurrence sum_v m_v B(d-v,k) = 2^(k-d) C(k,d) with m_v = s(d,d-v)/d!"""
+    lhs = sum(stirling1(d, d - v) / factorial(d) * bnk(d - v, k) for v in range(d))
+    return lhs, Fraction(2) ** (k - d) * comb(k, d)
+
+
+@_identity("tpoly", Verdict.HOLDS_PRINTED, _DK)
+def _tpoly(d, k):
+    """B(d,k) = 2^(k-d) T_d(k)"""
+    return bnk(d, k), Fraction(2) ** (k - d) * t_poly(d)(k)
+
+
+@_identity("xu_x", Verdict.HOLDS_PRINTED, _fixed([{"d": d} for d in range(1, 7)]))
+def _xu_x(d):
+    """T_d coefficients x_(d-l) = sum_j s(j,l) S(d,j) 2^(d-j)"""
+    # coefficients from the Stirling formula vs interpolation of the
+    # scaled values 2^(d-k) B(d,k)
+    pts = [(Fraction(k), Fraction(2) ** (d - k) * bnk(d, k)) for k in range(d + 1)]
+    return t_poly(d), lagrange_poly(pts)
+
+
+@_identity("fd_ogf", Verdict.HOLDS_PRINTED, _fixed([{"d": d} for d in range(7)]))
+def _fd_ogf(d):
+    """ordinary generating function of k -> B(d,k):
+    sum_j j! S(d,j) x^j/(1-2x)^(j+1)"""
+    return b_ogf(d).series(12), [bnk(d, k) for k in range(13)]
+
+
+@_identity(
+    "Cab3",
+    Verdict.HOLDS_PRINTED,
+    _grid("m", "n", "lam", m_cap=8, n_cap=8, lams=(F1, Fraction(2), FM1)),
+)
+def _cab3(m, n, lam):
+    """negative-order Apostol-Euler numbers:
+    E_n^(-k)(lam) = k! 2^(-k) y1(n,k;lam)"""
+    # the paper's index n is the grid's m and its order k is the grid's n
+    series = EgfSeries([1] + [0] * m) + EgfSeries.exp(1, m).scale(lam)
+    lhs = series.scale(Fraction(1, 2)).pow(n).coeffs[m]
+    return lhs, factorial(n) * Fraction(1, 2**n) * y1(m, n, lam)
+
+
+@_identity("Caa3", Verdict.HOLDS_PRINTED, _MN8)
+def _caa3(m, n):
+    """E_n^(-k) = 2^(-k) B(n,k)"""
+    return euler_poly_order(m, -n)(0), Fraction(1, 2**n) * bnk(m, n)
 
 
 # ---------------------------------------------------------------------------
-# entry constructors, grouped roughly by theme
+# y6 and its slices: Franel, Catalan, Daehee, Changhee, Legendre
 
 
-def _golombek_entries() -> list[IdentityEntry]:
-    def printed(pt):
-        if "d" in pt:
-            d, k = pt["d"], pt["k"]
-            lhs = sum(comb(k, j) * j**d for j in range(1, k + 1))
-            rhs = EgfSeries([1] + [0] * d) + EgfSeries.exp(1, d)
-            return Fraction(lhs), rhs.pow(k).coeffs[d]
-        # second sequence family: sums from k=1 of squared binomials
-        m, n = pt["m"], pt["n"]
-        lhs = Fraction(sum(comb(n, k) ** 2 * k**m for k in range(1, n + 1)))
-        closed = {
-            0: Fraction(comb(2 * n, n) - 1),
-            1: Fraction(n * comb(2 * n - 1, n)),
-            2: Fraction(n**2 * comb(2 * n - 2, n - 1)),
-            3: Fraction(n**2 * (n + 1) * comb(2 * n - 3, n - 1)),
-        }[m]
-        return lhs, closed
-
-    def grid(spec):
-        for d in range(1, min(4, spec.m_max + 1)):
-            for k in range(0, min(12, max(spec.n_max, 8)) + 1):
-                yield {"d": d, "k": k}
-        for m in range(0, 4):
-            for n in range(2, min(10, max(spec.n_max, 4)) + 1):
-                yield {"m": m, "n": n}
-
-    return [
-        IdentityEntry(
-            id="golombek",
-            paper_ref="B(n,k) sum vs derivative of (e^t+1)^k; closed sequences "
-            "(k=0 term subtracted explicitly where the source sums from 1)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=printed,
-            grid=grid,
-        )
-    ]
+@_identity("y6G", Verdict.HOLDS_PRINTED, _grid("n", "p", "lam"))
+def _y6g(n, p, lam):
+    """EGF coefficients = m-th derivatives at 0"""
+    order = 12
+    series = y6_egf(n, lam, p, order)
+    return list(series.coeffs), [y6(m, n, lam, p) for m in range(order + 1)]
 
 
-def _bnk_entries() -> list[IdentityEntry]:
-    entries = []
+@_identity("y6bb", Verdict.HOLDS_PRINTED, _grid("n", "p", "lam", n_cap=10, p_min=1))
+def _y6bb(n, p, lam):
+    """hypergeometric form: p copies of -n over p-1 ones, argument (-1)^p lam"""
+    return y6_hyper(n, lam, p), y6(0, n, lam, p)
 
-    entries.append(
-        IdentityEntry(
-            id="CC2",
-            paper_ref="B(n,k) = k! y1(n,k;1)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                bnk(pt["m"], pt["n"]),
-                factorial(pt["n"]) * y1(pt["m"], pt["n"], F1),
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n")),
-        )
+
+@_identity("chu", Verdict.HOLDS_PRINTED, _ns(21))
+def _chu(n):
+    """Chu-Vandermonde: sum_k C(n,k)^2 = C(2n,n)"""
+    return moment(0, 2, n), Fraction(comb(2 * n, n))
+
+
+@_identity("dixon", Verdict.HOLDS_PRINTED, _ns(7))
+def _dixon(n):
+    """Dixon special case: alternating cubes over an even row"""
+    closed = Fraction((-1) ** n * factorial(3 * n), factorial(n) ** 3)
+    return franel(3, 0, 2 * n, FM1), closed
+
+
+@_identity("cusick_sym", Verdict.HOLDS_PRINTED, _grid("m", "n", "p", m_cap=8, n_cap=8))
+def _cusick_sym(m, n, p):
+    """symmetry recurrence S_(n,m) = sum_k (-1)^k C(m,k)
+    n^(m-k) S_(n,k)"""
+    rhs = sum(
+        Fraction((-1) ** k * comb(m, k)) * Fraction(n) ** (m - k) * franel(p, k, n, F1)
+        for k in range(m + 1)
     )
+    return franel(p, m, n, F1), rhs
 
-    entries.append(
-        IdentityEntry(
-            id="Bs1",
-            paper_ref="B(m,n) as a Stirling-weighted sum: "
-            "sum_j C(n,j) j! 2^(n-j) S(m,j)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                bnk(pt["m"], pt["n"]),
-                sum(
-                    (
-                        comb(pt["n"], j)
-                        * factorial(j)
-                        * 2 ** (pt["n"] - j)
-                        * stirling2(pt["m"], j)
-                        for j in range(pt["m"] + 1)
-                    ),
-                    Fraction(0),
-                ),
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n"), m_cap=10, n_cap=10),
-        )
+
+@_identity(
+    "cusick_diag", Verdict.FAILS_BOTH, _grid("n", "p", n_min=1, p_min=1, n_cap=6)
+)
+def _cusick_diag(n, p):
+    """printed diagonal claim S_(n,p) = n^p S_(n,0); fails
+    as printed, no corrected form asserted"""
+    return franel(p, p, n, F1), Fraction(n) ** p * franel(p, 0, n, F1)
+
+
+def _franel_numbers(p: int, values: tuple[int, ...], z: Fraction, n: int):
+    """The p-th order Franel number against a table and its pFq form."""
+    lhs = (franel(p, 0, n, F1), franel(p, 0, n, F1))
+    rhs = (
+        Fraction(values[n]),
+        pfq_terminating(PfqSpec.of([-n] * p, [1] * (p - 1), z)),
     )
+    return lhs, rhs
 
-    def boyadzhiev(pt):
-        k, n = pt["n"], pt["m"]
-        lhs = Poly([comb(k, j) * j**n for j in range(k + 1)])
-        rhs = Poly()
-        for j in range(min(n, k) + 1):
-            rhs = rhs + (
-                comb(k, j)
-                * factorial(j)
-                * stirling2(n, j)
-                * Poly.monomial(j)
-                * Poly([1, 1]) ** (k - j)
-            )
-        return lhs, rhs
 
-    entries.append(
-        IdentityEntry(
-            id="boyadzhiev",
-            paper_ref="sum_j C(k,j) j^n x^j = sum_j C(k,j) j! S(n,j) x^j (1+x)^(k-j), "
-            "polynomial identity in x",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=boyadzhiev,
-            grid=lambda spec: _grid(spec, use=("m", "n"), m_cap=8, n_cap=8),
-        )
+@_identity("franel3", Verdict.HOLDS_PRINTED, _ns(5))
+def _franel3(n):
+    """classical Franel numbers and their 3F2 form"""
+    return _franel_numbers(3, (1, 2, 10, 56, 346), FM1, n)
+
+
+@_identity("franel4", Verdict.HOLDS_PRINTED, _ns(5))
+def _franel4(n):
+    """fourth-order Franel numbers and their 4F3 form"""
+    return _franel_numbers(4, (1, 2, 18, 164, 1810), F1, n)
+
+
+@_identity("AWolf", Verdict.HOLDS_PRINTED, _ns(17))
+def _awolf(n):
+    """alternating squares: gamma closed form (1/Gamma(pole)=0)
+    and the even/odd piecewise form"""
+    v = franel(2, 0, n, FM1)
+    if n % 2:
+        piecewise = Fraction(0)
+    else:
+        h = n // 2
+        piecewise = Fraction((-1) ** h * factorial(n), factorial(h) ** 2)
+    return (v, v), (alternating_square_gamma(n), piecewise)
+
+
+@_identity("alt3", Verdict.HOLDS_PRINTED, _N13)
+def _alt3(n):
+    """alternating cubes: even/odd piecewise closed form"""
+    if n % 2:
+        piecewise = Fraction(0)
+    else:
+        h = n // 2
+        piecewise = Fraction((-1) ** h * factorial(3 * h), factorial(h) ** 3)
+    return franel(3, 0, n, FM1), piecewise
+
+
+@_identity("catalan_CN", Verdict.HOLDS_PRINTED, _N13)
+def _catalan_cn(n):
+    """Catalan/Daehee chain: y = (-1)^n C_n/D_n and
+    C_n = (-1)^n y sum_k B_k s(n,k)"""
+    cn = classic_sequence(FamilyTag.CATALAN, n)
+    dn = classic_sequence(FamilyTag.DAEHEE, n)
+    v = y6(0, n, F1, 2)
+    return (v, cn), ((-1) ** n * cn / dn, (-1) ** n * v * dn)
+
+
+@_identity("legendre_P0", Verdict.HOLDS_PRINTED, _N11)
+def _legendre_p0(n):
+    """Legendre at 0 via the alternating square slice and
+    the Changhee numbers"""
+    v = legendre(n)(0)
+    y = y6(0, n, FM1, 2)
+    rhs = (
+        Fraction((-1) ** n * factorial(n), 2**n) * y,
+        classic_sequence(FamilyTag.CHANGHEE, n) * y,
     )
+    return (v, v), rhs
 
-    entries.append(
-        IdentityEntry(
-            id="altStirling",
-            paper_ref="sum_j (-1)^j C(k,j) j^n = (-1)^k k! S(n,k)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                sum(
-                    (
-                        Fraction((-1) ** j * comb(pt["n"], j) * j ** pt["m"])
-                        for j in range(pt["n"] + 1)
-                    ),
-                    Fraction(0),
-                ),
-                (-1) ** pt["n"] * factorial(pt["n"]) * stirling2(pt["m"], pt["n"]),
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n"), m_cap=10, n_cap=10),
+
+@_identity("legendre_P2", Verdict.HOLDS_PRINTED, _N11)
+def _legendre_p2(n):
+    """Legendre at 2 via the lam=3 square slice and Y_n(-1)"""
+    v = legendre(n)(2)
+    y = y6(0, n, Fraction(3), 2)
+    return (v, v), (Fraction(factorial(n), 2**n) * y, -y_seq(n, FM1) * y)
+
+
+@_identity("changhee_theorem", Verdict.HOLDS_PRINTED, _N11)
+def _changhee_theorem(n):
+    """P_n(0) = y6-slice times sum_k s(n,k) E_k(0)"""
+    euler_sum = sum(stirling1(n, k) * euler_number0(k) for k in range(n + 1))
+    return legendre(n)(0), y6(0, n, FM1, 2) * euler_sum
+
+
+# ---------------------------------------------------------------------------
+# the polynomial family P(x;m,n;lam,p) and its integral representations
+
+
+@_identity("Yp1Yp2_bridge", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
+def _yp1yp2_bridge(m, n, p, lam, *, corrected):
+    """the two defining forms of the polynomial family; the
+    printed pair omits the 1/n!"""
+    lhs = p_poly(m, n, lam, p)
+    if corrected:
+        lhs = factorial(n) * lhs
+    return lhs, raw_sum_poly(m, n, lam, p)
+
+
+@_identity(
+    "py6a",
+    Verdict.HOLDS_CORRECTED_ONLY,
+    _grid("m", "n", "p", "lam", m_min=1, p_cap=3),
+)
+def _py6a(m, n, p, lam, *, corrected):
+    """k-fold x-derivative; printed uses the falling factorial
+    of n, the derivation forces the falling factorial of m"""
+    top = m if corrected else n
+    d = p_poly(m, n, lam, p)
+    lhs, rhs = [], []
+    fall = 1
+    for k in range(1, m + 1):
+        d = d.derivative()
+        lhs.append(d)
+        fall *= top - k + 1
+        rhs.append(fall * p_poly(m - k, n, lam, p))
+    return lhs, rhs
+
+
+@_identity("py6ab", Verdict.HOLDS_PRINTED, _MNPL)
+def _py6ab(m, n, p, lam):
+    """t-derivative recurrence for the polynomial family"""
+    lhs = p_poly(m + 1, n, lam, p) - Poly.x() * p_poly(m, n, lam, p)
+    rhs = Poly([comb(m, m - i) * y6(m - i + 1, n, lam, p) for i in range(m + 1)])
+    return lhs, rhs
+
+
+@_identity("inP1", Verdict.HOLDS_PRINTED, _MNPL)
+def _inp1(m, n, p, lam):
+    """Riemann integral over [0,1], coefficient form"""
+    lhs = poly_integral01(p_poly(m, n, lam, p))
+    return lhs, _coefficient_integral(m, n, p, lam)
+
+
+@_identity("inP2", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
+def _inp2(m, n, p, lam, *, corrected):
+    """Riemann integral, summation form; printed drops both
+    the 1/n! and the +1 in the exponent"""
+    lhs = poly_integral01(p_poly(m, n, lam, p))
+    return lhs, _riemann_sum(m, n, p, lam, corrected)
+
+
+@_identity("inP8", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
+def _inp8(m, n, p, lam, *, corrected):
+    """equating the two integral forms; the corrected content
+    is the term identity C(m+1,l)/(m+1) = C(m,l)/(m-l+1)"""
+    if corrected:
+        return (
+            [Fraction(comb(m + 1, l), m + 1) for l in range(m + 1)],
+            [Fraction(comb(m, l)) / (m - l + 1) for l in range(m + 1)],
         )
+    lhs = _coefficient_integral(m, n, p, lam)
+    return lhs, _riemann_sum(m, n, p, lam, corrected=False)
+
+
+@_identity("inP8a", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
+def _inp8a(m, n, p, lam, *, corrected):
+    """expanded integral identity; corrected form restores the
+    1/n! and the full inner sum with C(m+1,l)"""
+    lhs = sum(
+        comb(m, k) * Fraction(m + 1, m - k + 1) * y6(k, n, lam, p)
+        for k in range(m + 1)
     )
-
-    entries.append(
-        IdentityEntry(
-            id="CB1_xu",
-            paper_ref="recurrence sum_v m_v B(d-v,k) = 2^(k-d) C(k,d) with "
-            "m_v = s(d,d-v)/d!",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                sum(
-                    (
-                        stirling1(pt["d"], pt["d"] - v)
-                        / factorial(pt["d"])
-                        * bnk(pt["d"] - v, pt["k"])
-                        for v in range(pt["d"])
-                    ),
-                    Fraction(0),
-                ),
-                Fraction(2) ** (pt["k"] - pt["d"]) * comb(pt["k"], pt["d"]),
-            ),
-            grid=_fixed(
-                [{"d": d, "k": k} for d in range(1, 7) for k in range(13)]
-            ),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="tpoly",
-            paper_ref="B(d,k) = 2^(k-d) T_d(k)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                bnk(pt["d"], pt["k"]),
-                Fraction(2) ** (pt["k"] - pt["d"]) * t_poly(pt["d"])(pt["k"]),
-            ),
-            grid=_fixed(
-                [{"d": d, "k": k} for d in range(1, 7) for k in range(13)]
-            ),
-        )
-    )
-
-    def xu_x(pt):
-        d = pt["d"]
-        # coefficients from the Stirling formula vs interpolation of the
-        # scaled values 2^(d-k) B(d,k)
-        pts = [
-            (Fraction(k), Fraction(2) ** (d - k) * bnk(d, k)) for k in range(d + 1)
-        ]
-        return t_poly(d), lagrange_poly(pts)
-
-    entries.append(
-        IdentityEntry(
-            id="xu_x",
-            paper_ref="T_d coefficients x_(d-l) = sum_j s(j,l) S(d,j) 2^(d-j)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=xu_x,
-            grid=_fixed([{"d": d} for d in range(1, 7)]),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="fd_ogf",
-            paper_ref="ordinary generating function of k -> B(d,k): "
-            "sum_j j! S(d,j) x^j/(1-2x)^(j+1)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                b_ogf(pt["d"]).series(12),
-                [bnk(pt["d"], k) for k in range(13)],
-            ),
-            grid=_fixed([{"d": d} for d in range(7)]),
-        )
-    )
-
-    def cab3(pt):
-        n, k, lam = pt["m"], pt["n"], pt["lam"]
-        series = EgfSeries([1] + [0] * n) + EgfSeries.exp(1, n).scale(lam)
-        lhs = series.scale(Fraction(1, 2)).pow(k).coeffs[n]
-        return lhs, factorial(k) * Fraction(1, 2**k) * y1(n, k, lam)
-
-    entries.append(
-        IdentityEntry(
-            id="Cab3",
-            paper_ref="negative-order Apostol-Euler numbers: "
-            "E_n^(-k)(lam) = k! 2^(-k) y1(n,k;lam)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=cab3,
-            grid=lambda spec: _grid(
-                spec, use=("m", "n", "lam"), m_cap=8, n_cap=8,
-                lams=(F1, Fraction(2), FM1),
-            ),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="Caa3",
-            paper_ref="E_n^(-k) = 2^(-k) B(n,k)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                euler_poly_order(pt["m"], -pt["n"])(0),
-                Fraction(1, 2 ** pt["n"]) * bnk(pt["m"], pt["n"]),
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n"), m_cap=8, n_cap=8),
-        )
-    )
-    return entries
+    # printed: sum_{l<m} C(m,l) j^l; corrected: sum_{l<=m} C(m+1,l) j^l
+    top = m + 1 if corrected else m
+    rhs = _binom_sum(n, p, lam, lambda j: sum(comb(top, l) * j**l for l in range(top)))
+    return lhs, rhs / factorial(n) if corrected else rhs
 
 
-def _y6_entries() -> list[IdentityEntry]:
-    entries = []
-
-    def y6g(pt):
-        n, p, lam = pt["n"], pt["p"], pt["lam"]
-        order = 12
-        series = y6_egf(n, lam, p, order)
-        return list(series.coeffs), [y6(m, n, lam, p) for m in range(order + 1)]
-
-    entries.append(
-        IdentityEntry(
-            id="y6G",
-            paper_ref="EGF coefficients = m-th derivatives at 0",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=y6g,
-            grid=lambda spec: _grid(spec, use=("n", "p", "lam")),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="y6bb",
-            paper_ref="hypergeometric form: p copies of -n over p-1 ones, "
-            "argument (-1)^p lam",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                y6_hyper(pt["n"], pt["lam"], pt["p"]),
-                y6(0, pt["n"], pt["lam"], pt["p"]),
-            ),
-            grid=lambda spec: _grid(spec, use=("n", "p", "lam"), n_cap=10, p_min=1),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="chu",
-            paper_ref="Chu-Vandermonde: sum_k C(n,k)^2 = C(2n,n)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                moment(0, 2, pt["n"]),
-                Fraction(comb(2 * pt["n"], pt["n"])),
-            ),
-            grid=_fixed([{"n": n} for n in range(21)]),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="dixon",
-            paper_ref="Dixon special case: alternating cubes over an even row",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                franel(3, 0, 2 * pt["n"], FM1),
-                Fraction(
-                    (-1) ** pt["n"] * factorial(3 * pt["n"]),
-                    factorial(pt["n"]) ** 3,
-                ),
-            ),
-            grid=_fixed([{"n": n} for n in range(7)]),
-        )
-    )
-
-    def cusick_sym(pt):
-        m, n, p = pt["m"], pt["n"], pt["p"]
-        lhs = franel(p, m, n, F1)
-        rhs = sum(
-            (
-                Fraction((-1) ** k * comb(m, k))
-                * Fraction(n) ** (m - k)
-                * franel(p, k, n, F1)
-                for k in range(m + 1)
-            ),
-            Fraction(0),
-        )
-        return lhs, rhs
-
-    entries.append(
-        IdentityEntry(
-            id="cusick_sym",
-            paper_ref="symmetry recurrence S_(n,m) = sum_k (-1)^k C(m,k) "
-            "n^(m-k) S_(n,k)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=cusick_sym,
-            grid=lambda spec: _grid(spec, use=("m", "n", "p"), m_cap=8, n_cap=8),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="cusick_diag",
-            paper_ref="printed diagonal claim S_(n,p) = n^p S_(n,0); fails "
-            "as printed, no corrected form asserted",
-            expected=Verdict.FAILS_BOTH,
-            printed=lambda pt: (
-                franel(pt["p"], pt["p"], pt["n"], F1),
-                Fraction(pt["n"]) ** pt["p"] * franel(pt["p"], 0, pt["n"], F1),
-            ),
-            grid=lambda spec: _grid(
-                spec, use=("n", "p"), n_min=1, p_min=1, n_cap=6
-            ),
-        )
-    )
-
-    def franel_seq(p, values, z):
-        def printed(pt):
-            n = pt["n"]
-            lhs = (franel(p, 0, n, F1), franel(p, 0, n, F1))
-            rhs = (
-                Fraction(values[n]),
-                pfq_terminating(PfqSpec.of([-n] * p, [1] * (p - 1), z)),
-            )
-            return lhs, rhs
-
-        return printed
-
-    entries.append(
-        IdentityEntry(
-            id="franel3",
-            paper_ref="classical Franel numbers and their 3F2 form",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=franel_seq(3, [1, 2, 10, 56, 346], FM1),
-            grid=_fixed([{"n": n} for n in range(5)]),
-        )
-    )
-    entries.append(
-        IdentityEntry(
-            id="franel4",
-            paper_ref="fourth-order Franel numbers and their 4F3 form",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=franel_seq(4, [1, 2, 18, 164, 1810], F1),
-            grid=_fixed([{"n": n} for n in range(5)]),
-        )
-    )
-
-    def awolf(pt):
-        n = pt["n"]
-        v = franel(2, 0, n, FM1)
-        if n % 2:
-            piecewise = Fraction(0)
-        else:
-            h = n // 2
-            piecewise = Fraction((-1) ** h * factorial(n), factorial(h) ** 2)
-        return (v, v), (alternating_square_gamma(n), piecewise)
-
-    entries.append(
-        IdentityEntry(
-            id="AWolf",
-            paper_ref="alternating squares: gamma closed form (1/Gamma(pole)=0) "
-            "and the even/odd piecewise form",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=awolf,
-            grid=_fixed([{"n": n} for n in range(17)]),
-        )
-    )
-
-    def alt3(pt):
-        n = pt["n"]
-        if n % 2:
-            piecewise = Fraction(0)
-        else:
-            h = n // 2
-            piecewise = Fraction((-1) ** h * factorial(3 * h), factorial(h) ** 3)
-        return franel(3, 0, n, FM1), piecewise
-
-    entries.append(
-        IdentityEntry(
-            id="alt3",
-            paper_ref="alternating cubes: even/odd piecewise closed form",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=alt3,
-            grid=_fixed([{"n": n} for n in range(13)]),
-        )
-    )
-
-    def catalan_cn(pt):
-        n = pt["n"]
-        cn = classic_sequence(FamilyTag.CATALAN, n)
-        dn = classic_sequence(FamilyTag.DAEHEE, n)
-        v = y6(0, n, F1, 2)
-        lhs = (v, cn)
-        rhs = ((-1) ** n * cn / dn, (-1) ** n * v * dn)
-        return lhs, rhs
-
-    entries.append(
-        IdentityEntry(
-            id="catalan_CN",
-            paper_ref="Catalan/Daehee chain: y = (-1)^n C_n/D_n and "
-            "C_n = (-1)^n y sum_k B_k s(n,k)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=catalan_cn,
-            grid=_fixed([{"n": n} for n in range(13)]),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="legendre_P0",
-            paper_ref="Legendre at 0 via the alternating square slice and "
-            "the Changhee numbers",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                (legendre(pt["n"])(0), legendre(pt["n"])(0)),
-                (
-                    Fraction((-1) ** pt["n"] * factorial(pt["n"]), 2 ** pt["n"])
-                    * y6(0, pt["n"], FM1, 2),
-                    classic_sequence(FamilyTag.CHANGHEE, pt["n"])
-                    * y6(0, pt["n"], FM1, 2),
-                ),
-            ),
-            grid=_fixed([{"n": n} for n in range(11)]),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="legendre_P2",
-            paper_ref="Legendre at 2 via the lam=3 square slice and Y_n(-1)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                (legendre(pt["n"])(2), legendre(pt["n"])(2)),
-                (
-                    Fraction(factorial(pt["n"]), 2 ** pt["n"])
-                    * y6(0, pt["n"], Fraction(3), 2),
-                    -y_seq(pt["n"], FM1) * y6(0, pt["n"], Fraction(3), 2),
-                ),
-            ),
-            grid=_fixed([{"n": n} for n in range(11)]),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="changhee_theorem",
-            paper_ref="P_n(0) = y6-slice times sum_k s(n,k) E_k(0)",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                legendre(pt["n"])(0),
-                y6(0, pt["n"], FM1, 2)
-                * sum(
-                    (
-                        stirling1(pt["n"], k) * euler_number0(k)
-                        for k in range(pt["n"] + 1)
-                    ),
-                    Fraction(0),
-                ),
-            ),
-            grid=_fixed([{"n": n} for n in range(11)]),
-        )
-    )
-    return entries
+@_identity("P1_corollary", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
+def _p1_corollary(m, n, p, lam, *, corrected):
+    """value at x=1; printed mixes normalizations and fails,
+    the corrected statement is the x=1 evaluation of the
+    coefficient form"""
+    lhs = p_poly(m, n, lam, p)(1)
+    if corrected:
+        return lhs, sum(comb(m, k) * y6(k, n, lam, p) for k in range(m + 1))
+    rhs = Fraction(m + 1, factorial(n)) * _coefficient_integral(m, n, p, lam)
+    return lhs, rhs + y6(m, n, lam, p)
 
 
-def _p_poly_entries() -> list[IdentityEntry]:
-    entries = []
+def _moment_sum(poly: Poly, n: int, p: int, lam: Fraction, corrected: bool):
+    """Right side of the moment functionals, sum_j C(n,j)^p lam^j poly(j);
+    the printed form lacks the 1/n!."""
+    rhs = _binom_sum(n, p, lam, poly)
+    return rhs / factorial(n) if corrected else rhs
 
-    entries.append(
-        IdentityEntry(
-            id="Yp1Yp2_bridge",
-            paper_ref="the two defining forms of the polynomial family; the "
-            "printed pair omits the 1/n!",
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=lambda pt: (
-                p_poly(pt["m"], pt["n"], pt["lam"], pt["p"]),
-                raw_sum_poly(pt["m"], pt["n"], pt["lam"], pt["p"]),
-            ),
-            corrected=lambda pt: (
-                factorial(pt["n"]) * p_poly(pt["m"], pt["n"], pt["lam"], pt["p"]),
-                raw_sum_poly(pt["m"], pt["n"], pt["lam"], pt["p"]),
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n", "p", "lam"), p_cap=3),
-        )
-    )
 
-    def py6a_printed(pt):
-        m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-        base = p_poly(m, n, lam, p)
-        lhs, rhs = [], []
-        d = base
-        for k in range(1, m + 1):
-            d = d.derivative()
-            lhs.append(d)
-            fall = Fraction(1)
-            for i in range(k):
-                fall *= n - i
-            rhs.append(fall * p_poly(m - k, n, lam, p))
-        return lhs, rhs
+@_identity("inP3_4", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
+def _inp3_4(m, n, p, lam, *, corrected):
+    """Bernoulli-moment functional of the polynomial family; printed
+    right side lacks the 1/n!"""
+    lhs = volkenborn(p_poly(m, n, lam, p))
+    return lhs, _moment_sum(bernoulli_poly(m), n, p, lam, corrected)
 
-    def py6a_corrected(pt):
-        m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-        base = p_poly(m, n, lam, p)
-        lhs, rhs = [], []
-        d = base
-        for k in range(1, m + 1):
-            d = d.derivative()
-            lhs.append(d)
-            fall = Fraction(1)
-            for i in range(k):
-                fall *= m - i
-            rhs.append(fall * p_poly(m - k, n, lam, p))
-        return lhs, rhs
 
-    entries.append(
-        IdentityEntry(
-            id="py6a",
-            paper_ref="k-fold x-derivative; printed uses the falling factorial "
-            "of n, the derivation forces the falling factorial of m",
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=py6a_printed,
-            corrected=py6a_corrected,
-            grid=lambda spec: _grid(
-                spec, use=("m", "n", "p", "lam"), m_min=1, p_cap=3
-            ),
-        )
-    )
+@_identity("inP5_6", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
+def _inp5_6(m, n, p, lam, *, corrected):
+    """Euler-moment functional of the polynomial family; printed right
+    side lacks the 1/n!"""
+    lhs = fermionic(p_poly(m, n, lam, p))
+    return lhs, _moment_sum(euler_poly(m), n, p, lam, corrected)
 
-    entries.append(
-        IdentityEntry(
-            id="py6ab",
-            paper_ref="t-derivative recurrence for the polynomial family",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                p_poly(pt["m"] + 1, pt["n"], pt["lam"], pt["p"])
-                - Poly.x() * p_poly(pt["m"], pt["n"], pt["lam"], pt["p"]),
-                Poly(
-                    [
-                        comb(pt["m"], pt["m"] - i)
-                        * y6(pt["m"] - i + 1, pt["n"], pt["lam"], pt["p"])
-                        for i in range(pt["m"] + 1)
-                    ]
-                ),
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n", "p", "lam"), p_cap=3),
-        )
-    )
 
-    entries.append(
-        IdentityEntry(
-            id="inP1",
-            paper_ref="Riemann integral over [0,1], coefficient form",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                poly_integral01(p_poly(pt["m"], pt["n"], pt["lam"], pt["p"])),
-                sum(
-                    (
-                        comb(pt["m"], k)
-                        * y6(k, pt["n"], pt["lam"], pt["p"])
-                        / (pt["m"] - k + 1)
-                        for k in range(pt["m"] + 1)
-                    ),
-                    Fraction(0),
-                ),
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n", "p", "lam"), p_cap=3),
-        )
-    )
+# ---------------------------------------------------------------------------
+# power sums
 
-    def _inP2_rhs(pt, exponent_plus_one: bool, normalized: bool) -> Fraction:
-        m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-        e = m + 1 if exponent_plus_one else m
-        total = Fraction(0)
-        lj = Fraction(1)
-        for j in range(n + 1):
-            total += (
-                Fraction(comb(n, j)) ** p
-                * lj
-                * (Fraction(1 + j) ** e - Fraction(j) ** e)
-            )
-            lj *= lam
-        total /= m + 1
-        if normalized:
-            total /= factorial(n)
-        return total
 
-    entries.append(
-        IdentityEntry(
-            id="inP2",
-            paper_ref="Riemann integral, summation form; printed drops both "
-            "the 1/n! and the +1 in the exponent",
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=lambda pt: (
-                poly_integral01(p_poly(pt["m"], pt["n"], pt["lam"], pt["p"])),
-                _inP2_rhs(pt, exponent_plus_one=False, normalized=False),
-            ),
-            corrected=lambda pt: (
-                poly_integral01(p_poly(pt["m"], pt["n"], pt["lam"], pt["p"])),
-                _inP2_rhs(pt, exponent_plus_one=True, normalized=True),
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n", "p", "lam"), p_cap=3),
-        )
-    )
+def _mirimanoff_grid(spec: GridSpec) -> Iterator[dict]:
+    for m in range(min(spec.m_max, 6) + 1):
+        for n in range(1, min(spec.n_max, 6) + 1):
+            for x0 in (Fraction(0), Fraction(1), Fraction(1, 2)):
+                for lam in spec.lambdas:
+                    yield {"m": m, "n": n, "x0": x0, "lam": lam}
 
-    entries.append(
-        IdentityEntry(
-            id="inP8",
-            paper_ref="equating the two integral forms; the corrected content "
-            "is the term identity C(m+1,l)/(m+1) = C(m,l)/(m-l+1)",
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=lambda pt: (
-                sum(
-                    (
-                        comb(pt["m"], k)
-                        * y6(k, pt["n"], pt["lam"], pt["p"])
-                        / (pt["m"] - k + 1)
-                        for k in range(pt["m"] + 1)
-                    ),
-                    Fraction(0),
-                ),
-                _inP2_rhs(pt, exponent_plus_one=False, normalized=False),
-            ),
-            corrected=lambda pt: (
-                [
-                    Fraction(comb(pt["m"] + 1, l), pt["m"] + 1)
-                    for l in range(pt["m"] + 1)
-                ],
-                [
-                    Fraction(comb(pt["m"], l)) / (pt["m"] - l + 1)
-                    for l in range(pt["m"] + 1)
-                ],
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n", "p", "lam"), p_cap=3),
-        )
-    )
 
-    def inP8a_printed(pt):
-        m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-        lhs = sum(
-            (
-                comb(m, k) * Fraction(m + 1, m - k + 1) * y6(k, n, lam, p)
-                for k in range(m + 1)
-            ),
-            Fraction(0),
-        )
-        rhs = Fraction(0)
-        lj = Fraction(1)
-        for j in range(n + 1):
-            inner = sum(
-                (comb(m, l) * Fraction(j) ** l for l in range(m)), Fraction(0)
-            )
-            rhs += Fraction(comb(n, j)) ** p * lj * inner
-            lj *= lam
-        return lhs, rhs
-
-    def inP8a_corrected(pt):
-        m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-        lhs = sum(
-            (
-                comb(m, k) * Fraction(m + 1, m - k + 1) * y6(k, n, lam, p)
-                for k in range(m + 1)
-            ),
-            Fraction(0),
-        )
-        rhs = Fraction(0)
-        lj = Fraction(1)
-        for j in range(n + 1):
-            inner = sum(
-                (comb(m + 1, l) * Fraction(j) ** l for l in range(m + 1)),
-                Fraction(0),
-            )
-            rhs += Fraction(comb(n, j)) ** p * lj * inner
-            lj *= lam
-        return lhs, rhs / factorial(n)
-
-    entries.append(
-        IdentityEntry(
-            id="inP8a",
-            paper_ref="expanded integral identity; corrected form restores the "
-            "1/n! and the full inner sum with C(m+1,l)",
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=inP8a_printed,
-            corrected=inP8a_corrected,
-            grid=lambda spec: _grid(spec, use=("m", "n", "p", "lam"), p_cap=3),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="P1_corollary",
-            paper_ref="value at x=1; printed mixes normalizations and fails, "
-            "the corrected statement is the x=1 evaluation of the "
-            "coefficient form",
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=lambda pt: (
-                p_poly(pt["m"], pt["n"], pt["lam"], pt["p"])(1),
-                Fraction(pt["m"] + 1, factorial(pt["n"]))
-                * sum(
-                    (
-                        comb(pt["m"], k)
-                        * y6(k, pt["n"], pt["lam"], pt["p"])
-                        / (pt["m"] - k + 1)
-                        for k in range(pt["m"] + 1)
-                    ),
-                    Fraction(0),
-                )
-                + y6(pt["m"], pt["n"], pt["lam"], pt["p"]),
-            ),
-            corrected=lambda pt: (
-                p_poly(pt["m"], pt["n"], pt["lam"], pt["p"])(1),
-                sum(
-                    (
-                        comb(pt["m"], k) * y6(k, pt["n"], pt["lam"], pt["p"])
-                        for k in range(pt["m"] + 1)
-                    ),
-                    Fraction(0),
-                ),
-            ),
-            grid=lambda spec: _grid(spec, use=("m", "n", "p", "lam"), p_cap=3),
-        )
-    )
-
-    def _padic_entry(
-        entry_id: str, ref: str, functional, poly_value
-    ) -> IdentityEntry:
-        def summ(pt, normalized: bool):
-            m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-            total = Fraction(0)
-            lj = Fraction(1)
-            for j in range(n + 1):
-                total += Fraction(comb(n, j)) ** p * lj * poly_value(m, j)
-                lj *= lam
-            return total / factorial(n) if normalized else total
-
-        def printed(pt):
-            m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-            lhs = functional(p_poly(m, n, lam, p))
-            return lhs, summ(pt, normalized=False)
-
-        def corrected(pt):
-            m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-            lhs = functional(p_poly(m, n, lam, p))
-            return lhs, summ(pt, normalized=True)
-
-        return IdentityEntry(
-            id=entry_id,
-            paper_ref=ref,
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=printed,
-            corrected=corrected,
-            grid=lambda spec: _grid(spec, use=("m", "n", "p", "lam"), p_cap=3),
-        )
-
-    entries.append(
-        _padic_entry(
-            "inP3_4",
-            "Bernoulli-moment functional of the polynomial family; printed "
-            "right side lacks the 1/n!",
-            volkenborn,
-            lambda m, j: bernoulli_poly(m)(j),
-        )
-    )
-    entries.append(
-        _padic_entry(
-            "inP5_6",
-            "Euler-moment functional of the polynomial family; printed right "
-            "side lacks the 1/n!",
-            fermionic,
-            lambda m, j: euler_poly(m)(j),
-        )
-    )
-
-    def mf_printed(pt):
-        m, n, x0, u = pt["m"], pt["n"], pt["x0"], pt["lam"]
-        lhs = sum(
-            (u**j * (x0 + j) ** m for j in range(n)), Fraction(0)
-        )
-        h = frobenius_euler(m, 1 / u)
-        rhs = (u**n * h(x0 + n) - h(x0 + n)) / (u - 1)
-        return lhs, rhs
-
-    def mf_corrected(pt):
-        m, n, x0, u = pt["m"], pt["n"], pt["x0"], pt["lam"]
-        lhs = sum(
-            (u**j * (x0 + j) ** m for j in range(n)), Fraction(0)
-        )
+@_identity(
+    "mirimanoff_frobenius",
+    Verdict.HOLDS_CORRECTED_ONLY,
+    _mirimanoff_grid,
+    singular=lambda lam, **_: (
+        "closed form undefined at u in {0, 1}" if lam in (0, 1) else None
+    ),
+)
+def _mirimanoff_frobenius(m, n, x0, lam, *, corrected):
+    """geometric power sum via Frobenius-Euler polynomials;
+    printed repeats the shifted argument in both terms"""
+    u = lam
+    lhs = sum((u**j * (x0 + j) ** m for j in range(n)), Fraction(0))
+    if corrected:
         return lhs, mirimanoff_frobenius_sum(m, n, x0, u)
-
-    entries.append(
-        IdentityEntry(
-            id="mirimanoff_frobenius",
-            paper_ref="geometric power sum via Frobenius-Euler polynomials; "
-            "printed repeats the shifted argument in both terms",
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=mf_printed,
-            corrected=mf_corrected,
-            grid=lambda spec: (
-                {"m": m, "n": n, "x0": x0, "lam": lam}
-                for m in range(min(spec.m_max, 6) + 1)
-                for n in range(1, min(spec.n_max, 6) + 1)
-                for x0 in (Fraction(0), Fraction(1), Fraction(1, 2))
-                for lam in spec.lambdas
-            ),
-            singular=lambda pt: (
-                "closed form undefined at u in {0, 1}"
-                if pt["lam"] in (0, 1)
-                else None
-            ),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="apostol_powersum",
-            paper_ref="geometric power sum via Apostol-Bernoulli polynomials; "
-            "printed exponent lam^m instead of lam^N",
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=lambda pt: (
-                direct_power_sum(pt["m"] - 1, pt["n"], pt["lam"]),
-                (
-                    pt["lam"] ** pt["m"]
-                    * apostol_bernoulli(pt["m"], pt["lam"])(pt["n"])
-                    - apostol_bernoulli(pt["m"], pt["lam"])(0)
-                )
-                / pt["m"],
-            ),
-            corrected=lambda pt: (
-                direct_power_sum(pt["m"] - 1, pt["n"], pt["lam"]),
-                power_sum_closed(pt["m"] - 1, pt["n"], pt["lam"]),
-            ),
-            grid=lambda spec: _grid(
-                spec, use=("m", "n", "lam"), m_min=1, n_min=1
-            ),
-            singular=lambda pt: (
-                "Apostol-Bernoulli closed form undefined at lambda = 1"
-                if pt["lam"] == 1
-                else None
-            ),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="faulhaber",
-            paper_ref="classical power-sum formula via Bernoulli polynomials",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                direct_power_sum(pt["m"] - 1, pt["n"], F1),
-                (bernoulli_poly(pt["m"])(pt["n"]) - bernoulli_poly(pt["m"])(0))
-                / pt["m"],
-            ),
-            grid=lambda spec: _grid(
-                spec, use=("m", "n"), m_min=1, n_min=1, n_cap=12
-            ),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="alt_euler_sum",
-            paper_ref="alternating power sum via Euler polynomials; printed "
-            "form has a sign slip and a degree off by one",
-            expected=Verdict.HOLDS_CORRECTED_ONLY,
-            printed=lambda pt: (
-                direct_power_sum(pt["m"] - 1, pt["n"], FM1),
-                (
-                    (-1) ** (pt["n"] - 1) * euler_poly(pt["m"])(pt["n"])
-                    - euler_poly(pt["m"])(0)
-                )
-                / 2,
-            ),
-            corrected=lambda pt: (
-                direct_power_sum(pt["m"], pt["n"], FM1),
-                power_sum_closed(pt["m"], pt["n"], FM1),
-            ),
-            grid=lambda spec: _grid(
-                spec, use=("m", "n"), m_min=1, n_min=1, n_cap=12
-            ),
-        )
-    )
-    return entries
+    h = frobenius_euler(m, 1 / u)
+    return lhs, (u**n * h(x0 + n) - h(x0 + n)) / (u - 1)
 
 
-def _sec6_entries() -> list[IdentityEntry]:
-    entries = []
-
-    def stirling_form(pt):
-        m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-        rhs = Fraction(0)
-        for k in range(n + 1):
-            for l in range(k + 1):
-                rhs += (
-                    Fraction(comb(n, k)) ** (p - 1)
-                    * stirling2(m, l)
-                    * lam**k
-                    / (factorial(n - k) * factorial(k - l))
-                )
-        return y6(m, n, lam, p), rhs
-
-    entries.append(
-        IdentityEntry(
-            id="sec6_stirling",
-            paper_ref="double-sum expression through second-kind Stirling "
-            "numbers and factorial weights",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=stirling_form,
-            grid=lambda spec: _grid(
-                spec, use=("m", "n", "p", "lam"), p_min=1, p_cap=3
-            ),
-        )
-    )
-
-    def bernoulli_form(pt):
-        m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-        rhs = Fraction(0)
-        polys = {
-            d: bernoulli_poly_order(d, n) for d in range(m + n + 1)
-        }
-        for k in range(n + 1):
-            ck = Fraction(comb(n, k)) ** p * lam**k
-            for v in range(m + n + 1):
-                rhs += (
-                    ck
-                    * comb(m + n, v)
-                    * stirling2(v, n)
-                    * polys[m + n - v](k)
-                    / (comb(m + n, n) * factorial(n))
-                )
-        return y6(m, n, lam, p), rhs
-
-    entries.append(
-        IdentityEntry(
-            id="sec6_bernoulli",
-            paper_ref="double-sum expression through order-n Bernoulli "
-            "polynomials; the dangling summation symbol is bound to "
-            "the binomial index",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=bernoulli_form,
-            grid=lambda spec: _grid(
-                spec,
-                use=("m", "n", "p", "lam"),
-                m_cap=5,
-                n_cap=5,
-                p_cap=2,
-                lams=(FM1, F1, Fraction(2)),
-            ),
-        )
-    )
-
-    def euler_form(pt):
-        m, n, p, lam = pt["m"], pt["n"], pt["p"], pt["lam"]
-        rhs = Fraction(0)
-        polys = {d: euler_poly_order(d, n) for d in range(m + 1)}
-        for k in range(n + 1):
-            ck = Fraction(comb(n, k)) ** p * lam**k
-            for v in range(m + 1):
-                rhs += ck * comb(m, v) * bnk(v, n) * polys[m - v](k)
-        rhs /= factorial(n) * 2**n
-        return y6(m, n, lam, p), rhs
-
-    entries.append(
-        IdentityEntry(
-            id="sec6_euler",
-            paper_ref="double-sum expression through order-n Euler polynomials "
-            "and the B(v,n) weights; dangling index bound as above",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=euler_form,
-            grid=lambda spec: _grid(
-                spec,
-                use=("m", "n", "p", "lam"),
-                m_cap=5,
-                n_cap=5,
-                p_cap=2,
-                lams=(FM1, F1, Fraction(2)),
-            ),
-        )
-    )
-    return entries
+@_identity(
+    "apostol_powersum",
+    Verdict.HOLDS_CORRECTED_ONLY,
+    _grid("m", "n", "lam", m_min=1, n_min=1),
+    singular=lambda lam, **_: (
+        "Apostol-Bernoulli closed form undefined at lambda = 1" if lam == 1 else None
+    ),
+)
+def _apostol_powersum(m, n, lam, *, corrected):
+    """geometric power sum via Apostol-Bernoulli polynomials;
+    printed exponent lam^m instead of lam^N"""
+    lhs = direct_power_sum(m - 1, n, lam)
+    if corrected:
+        return lhs, power_sum_closed(m - 1, n, lam)
+    a = apostol_bernoulli(m, lam)
+    return lhs, (lam**m * a(n) - a(0)) / m
 
 
-def _operator_and_ogf_entries() -> list[IdentityEntry]:
-    entries = []
+@_identity("faulhaber", Verdict.HOLDS_PRINTED, _POWER_SUM)
+def _faulhaber(m, n):
+    """classical power-sum formula via Bernoulli polynomials"""
+    b = bernoulli_poly(m)
+    return direct_power_sum(m - 1, n, F1), (b(n) - b(0)) / m
 
-    entries.append(
-        IdentityEntry(
-            id="yp3_euler_operator",
-            paper_ref="m-th iterate of x d/dx on the coefficient polynomial, "
-            "evaluated at lam",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                euler_operator(r_poly(pt["n"], pt["p"]), pt["m"])(pt["lam"]),
-                y6(pt["m"], pt["n"], pt["lam"], pt["p"]),
-            ),
-            grid=lambda spec: _grid(
-                spec, use=("m", "n", "p", "lam"), m_min=1, m_cap=6, p_cap=3
-            ),
-        )
-    )
 
-    entries.append(
-        IdentityEntry(
-            id="vowe_recurrence",
-            paper_ref="three-term recurrence for the squared-binomial "
-            "polynomial family",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                vowe(pt["n"] + 1),
-                Fraction(2 * pt["n"] + 1, pt["n"] + 1)
-                * Poly([1, 1])
-                * vowe(pt["n"])
-                - Fraction(pt["n"], pt["n"] + 1)
-                * Poly([1, -1]) ** 2
-                * vowe(pt["n"] - 1),
-            ),
-            grid=_fixed([{"n": n} for n in range(1, 10)]),
-        )
-    )
+@_identity("alt_euler_sum", Verdict.HOLDS_CORRECTED_ONLY, _POWER_SUM)
+def _alt_euler_sum(m, n, *, corrected):
+    """alternating power sum via Euler polynomials; printed
+    form has a sign slip and a degree off by one"""
+    if corrected:
+        return direct_power_sum(m, n, FM1), power_sum_closed(m, n, FM1)
+    e = euler_poly(m)
+    return direct_power_sum(m - 1, n, FM1), ((-1) ** (n - 1) * e(n) - e(0)) / 2
 
-    def vowe_legendre(pt):
-        n = pt["n"]
-        a = legendre(n).coeffs
-        acc = Poly()
-        for k, ak in enumerate(a):
-            acc = acc + ak * Poly([1, 1]) ** k * Poly([1, -1]) ** (n - k)
-        return vowe(n), acc
 
-    entries.append(
-        IdentityEntry(
-            id="vowe_legendre",
-            paper_ref="substitution bridge to the Legendre polynomials",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=vowe_legendre,
-            grid=_fixed([{"n": n} for n in range(11)]),
-        )
-    )
+# ---------------------------------------------------------------------------
+# y6 as Stirling, Bernoulli and Euler double sums
 
-    def ogf(entry_id, case, ref, needs_lam, singular_lam=None):
-        def printed(pt):
-            lam = pt.get("lam")
-            return (
-                ogf_series(case, lam, 8),
-                ogf_reference(case, lam if needs_lam else None, 8),
-            )
 
-        def grid(spec):
-            if needs_lam:
-                return iter([{"lam": lam} for lam in spec.lambdas])
-            return iter([{}])
+@_identity(
+    "sec6_stirling",
+    Verdict.HOLDS_PRINTED,
+    _grid("m", "n", "p", "lam", p_min=1, p_cap=3),
+)
+def _sec6_stirling(m, n, p, lam):
+    """double-sum expression through second-kind Stirling
+    numbers and factorial weights"""
 
-        return IdentityEntry(
-            id=entry_id,
-            paper_ref=ref,
-            expected=Verdict.HOLDS_PRINTED,
-            printed=printed,
-            grid=grid,
-            singular=lambda pt: (
-                f"ordinary closed form singular at lambda = {singular_lam}"
-                if singular_lam is not None and pt.get("lam") == singular_lam
-                else None
-            ),
+    def inner(k):
+        return sum(
+            stirling2(m, l) / (factorial(n - k) * factorial(k - l))
+            for l in range(k + 1)
         )
 
-    entries.append(
-        ogf(
-            "ogf_00",
-            OgfCase.LAM_P0,
-            "p=0 ordinary closed form (lam e^(lam t) - e^t)/(lam - 1)",
-            True,
-            singular_lam=F1,
+    return y6(m, n, lam, p), _binom_sum(n, p - 1, lam, inner)
+
+
+@_identity("sec6_bernoulli", Verdict.HOLDS_PRINTED, _SEC6)
+def _sec6_bernoulli(m, n, p, lam):
+    """double-sum expression through order-n Bernoulli
+    polynomials; the dangling summation symbol is bound to
+    the binomial index"""
+    polys = [bernoulli_poly_order(d, n) for d in range(m + n + 1)]
+
+    def inner(k):
+        return sum(
+            comb(m + n, v) * stirling2(v, n) * polys[m + n - v](k)
+            for v in range(m + n + 1)
         )
-    )
-    entries.append(
-        ogf("ogf_01", OgfCase.LAM_P1, "p=1 ordinary closed form e^((lam+1)t)", True)
-    )
 
-    def ogf_12(pt):
-        order = 12
-        closed = ogf_series(OgfCase.ONE_P2, None, order)
-        ref = ogf_reference(OgfCase.ONE_P2, None, order)
-        # the four equivalent coefficient expressions
-        hyper = [
-            Fraction(4) ** n * pochhammer(Fraction(1, 2), n) / factorial(n) ** 2
-            for n in range(order + 1)
-        ]
-        catalan = [
-            (n + 1) * classic_sequence(FamilyTag.CATALAN, n) / factorial(n)
-            for n in range(order + 1)
-        ]
-        ratio = [
-            Fraction(factorial(2 * n), factorial(n) ** 3) for n in range(order + 1)
-        ]
-        return (closed, closed, closed, closed), (ref, hyper, catalan, ratio)
-
-    entries.append(
-        IdentityEntry(
-            id="ogf_12",
-            paper_ref="four equivalent forms of the lam=1, p=2 ordinary "
-            "generating function",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=ogf_12,
-            grid=_fixed([{}]),
-        )
-    )
-
-    entries.append(
-        IdentityEntry(
-            id="ogf_m12",
-            paper_ref="lam=-1, p=2 ordinary generating function via the gamma "
-            "closed form with 1/Gamma(pole)=0",
-            expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (
-                ogf_series(OgfCase.MINUS1_P2, None, 12),
-                ogf_reference(OgfCase.MINUS1_P2, None, 12),
-            ),
-            grid=_fixed([{}]),
-        )
-    )
-    return entries
+    rhs = _binom_sum(n, p, lam, inner) / (comb(m + n, n) * factorial(n))
+    return y6(m, n, lam, p), rhs
 
 
-def build_registry() -> list[IdentityEntry]:
-    entries = (
-        _golombek_entries()
-        + _bnk_entries()
-        + _y6_entries()
-        + _p_poly_entries()
-        + _sec6_entries()
-        + _operator_and_ogf_entries()
+@_identity("sec6_euler", Verdict.HOLDS_PRINTED, _SEC6)
+def _sec6_euler(m, n, p, lam):
+    """double-sum expression through order-n Euler polynomials
+    and the B(v,n) weights; dangling index bound as above"""
+    polys = [euler_poly_order(d, n) for d in range(m + 1)]
+
+    def inner(k):
+        return sum(comb(m, v) * bnk(v, n) * polys[m - v](k) for v in range(m + 1))
+
+    rhs = _binom_sum(n, p, lam, inner) / (factorial(n) * 2**n)
+    return y6(m, n, lam, p), rhs
+
+
+# ---------------------------------------------------------------------------
+# the Euler operator, squared-binomial polynomials and ordinary generating
+# functions
+
+
+@_identity(
+    "yp3_euler_operator",
+    Verdict.HOLDS_PRINTED,
+    _grid("m", "n", "p", "lam", m_min=1, m_cap=6, p_cap=3),
+)
+def _yp3_euler_operator(m, n, p, lam):
+    """m-th iterate of x d/dx on the coefficient polynomial,
+    evaluated at lam"""
+    return euler_operator(r_poly(n, p), m)(lam), y6(m, n, lam, p)
+
+
+@_identity("vowe_recurrence", Verdict.HOLDS_PRINTED, _ns(1, 10))
+def _vowe_recurrence(n):
+    """three-term recurrence for the squared-binomial
+    polynomial family"""
+    rhs = (
+        Fraction(2 * n + 1, n + 1) * Poly([1, 1]) * vowe(n)
+        - Fraction(n, n + 1) * Poly([1, -1]) ** 2 * vowe(n - 1)
     )
-    ids = [e.id for e in entries]
-    if len(ids) != len(set(ids)):
-        raise RuntimeError("duplicate registry ids")
-    return entries
+    return vowe(n + 1), rhs
+
+
+@_identity("vowe_legendre", Verdict.HOLDS_PRINTED, _N11)
+def _vowe_legendre(n):
+    """substitution bridge to the Legendre polynomials"""
+    acc = Poly()
+    for k, ak in enumerate(legendre(n).coeffs):
+        acc = acc + ak * Poly([1, 1]) ** k * Poly([1, -1]) ** (n - k)
+    return vowe(n), acc
+
+
+@_identity(
+    "ogf_00",
+    Verdict.HOLDS_PRINTED,
+    _grid("lam"),
+    singular=lambda lam: (
+        "ordinary closed form singular at lambda = 1" if lam == 1 else None
+    ),
+)
+def _ogf_00(lam):
+    """p=0 ordinary closed form (lam e^(lam t) - e^t)/(lam - 1)"""
+    return ogf_series(OgfCase.LAM_P0, lam, 8), ogf_reference(OgfCase.LAM_P0, lam, 8)
+
+
+@_identity("ogf_01", Verdict.HOLDS_PRINTED, _grid("lam"))
+def _ogf_01(lam):
+    """p=1 ordinary closed form e^((lam+1)t)"""
+    return ogf_series(OgfCase.LAM_P1, lam, 8), ogf_reference(OgfCase.LAM_P1, lam, 8)
+
+
+@_identity("ogf_12", Verdict.HOLDS_PRINTED, _NO_PARAMETERS)
+def _ogf_12():
+    """four equivalent forms of the lam=1, p=2 ordinary
+    generating function"""
+    order = 12
+    closed = ogf_series(OgfCase.ONE_P2, None, order)
+    ref = ogf_reference(OgfCase.ONE_P2, None, order)
+    # the four equivalent coefficient expressions
+    hyper = [
+        Fraction(4) ** n * pochhammer(Fraction(1, 2), n) / factorial(n) ** 2
+        for n in range(order + 1)
+    ]
+    catalan = [
+        (n + 1) * classic_sequence(FamilyTag.CATALAN, n) / factorial(n)
+        for n in range(order + 1)
+    ]
+    ratio = [Fraction(factorial(2 * n), factorial(n) ** 3) for n in range(order + 1)]
+    return (closed, closed, closed, closed), (ref, hyper, catalan, ratio)
+
+
+@_identity("ogf_m12", Verdict.HOLDS_PRINTED, _NO_PARAMETERS)
+def _ogf_m12():
+    """lam=-1, p=2 ordinary generating function via the gamma
+    closed form with 1/Gamma(pole)=0"""
+    return (
+        ogf_series(OgfCase.MINUS1_P2, None, 12),
+        ogf_reference(OgfCase.MINUS1_P2, None, 12),
+    )

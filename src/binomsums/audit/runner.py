@@ -91,7 +91,7 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
     skipped: list[dict] = []
     active: list[dict] = []
     for pt in points:
-        reason = entry.singular(pt)
+        reason = entry.singular(**pt)
         if reason is not None:
             skipped.append({"point": _fmt_point(pt), "reason": reason})
         else:
@@ -106,7 +106,7 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
 
     printed_fail: Optional[tuple[dict, Any, Any]] = None
     for pt in active:
-        lhs, rhs = entry.printed(pt)
+        lhs, rhs = entry.printed(**pt)
         if not _values_equal(lhs, rhs):
             printed_fail = (pt, lhs, rhs)
             break
@@ -124,7 +124,7 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
         corrected_ok = entry.corrected is not None
         if entry.corrected is not None:
             for cpt in active:
-                clhs, crhs = entry.corrected(cpt)
+                clhs, crhs = entry.corrected(**cpt)
                 if not _values_equal(clhs, crhs):
                     corrected_ok = False
                     counterexample["correctedLhs"] = _fmt(clhs)
@@ -152,6 +152,8 @@ def run_audit(
     threads: int = 1,
 ) -> AuditReport:
     config = config or AuditConfig()
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     registry = build_registry()
     known = {e.id for e in registry}
     unknown = set(config.overrides) - known
@@ -160,8 +162,10 @@ def run_audit(
             f"config overrides reference unknown ids: {sorted(unknown)}"
         )
     entries = [e for e in registry if fnmatch.fnmatch(e.id, pattern)]
+    if not entries:
+        raise ConfigError(f"no entries matched the filter {pattern!r}")
     start = time.monotonic()
-    if threads <= 1:
+    if threads == 1:
         results = [evaluate_entry(e, config) for e in entries]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +19,7 @@ from binomsums.audit import (
     load_config,
     run_audit,
 )
+from binomsums.audit import registry
 from binomsums.audit.registry import IdentityEntry
 from binomsums.audit.runner import render_csv, render_json, render_markdown
 
@@ -56,13 +58,29 @@ class TestRegistry:
             points = list(entry.grid(config.for_entry(entry.id)))
             assert points, entry.id
 
+    @pytest.mark.parametrize("lam", ["0", "1", "-2", "-1/2", "7/3"])
+    def test_binom_sum_matches_the_fraction_loop(self, lam):
+        lam = Fraction(lam)
+        for n in range(7):
+            for p in range(4):
+                expected = sum(
+                    Fraction(comb(n, j)) ** p * lam**j * Fraction(j + 1, 3)
+                    for j in range(n + 1)
+                )
+                got = registry._binom_sum(n, p, lam, lambda j: Fraction(j + 1, 3))
+                assert got == expected and isinstance(got, Fraction)
+
+    def test_binom_sum_is_independent_of_the_routes_it_checks(self):
+        names = set(registry._binom_sum.__code__.co_names)
+        assert not names & {"y6", "p_poly", "raw_sum_poly", "r_poly"}
+
     def test_corrected_required_by_constructor(self):
         with pytest.raises(ValueError):
             IdentityEntry(
                 id="bad",
                 paper_ref="x",
                 expected=Verdict.HOLDS_CORRECTED_ONLY,
-                printed=lambda pt: (0, 0),
+                printed=lambda: (0, 0),
                 grid=lambda spec: iter([{}]),
             )
 
@@ -145,9 +163,9 @@ class TestRunner:
             id="hollow",
             paper_ref="x",
             expected=Verdict.HOLDS_PRINTED,
-            printed=lambda pt: (0, 0),
+            printed=lambda **pt: (0, 0),
             grid=lambda spec: iter([{"lam": Fraction(1)}]),
-            singular=lambda pt: "always singular",
+            singular=lambda **pt: "always singular",
         )
         with pytest.raises(ConfigError, match="every grid point is singular"):
             evaluate_entry(entry, AuditConfig())
@@ -215,16 +233,29 @@ class TestCli:
             id="lying",
             paper_ref="x",
             expected=Verdict.FAILS_BOTH,
-            printed=lambda pt: (Fraction(1), Fraction(1)),
+            printed=lambda: (Fraction(1), Fraction(1)),
             grid=lambda spec: iter([{}]),
         )
         monkeypatch.setattr(runner_module, "build_registry", lambda: [lying])
         assert cli.main(["run", "--filter", "lying"]) == 1
         capsys.readouterr()
 
-    def test_run_unmatched_filter_exits_two(self, capsys):
+    def test_run_unmatched_filter_exits_two(self, tmp_path, capsys):
         assert cli.main(["run", "--filter", "zzz_nothing"]) == 2
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        out = tmp_path / "report.json"
+        assert cli.main(["run", "--filter", "zzz_nothing", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_run_threads_below_one_exits_two(self, capsys, threads):
+        assert cli.main(["run", "--filter", "chu", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: threads must be at least 1")
 
     def test_run_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

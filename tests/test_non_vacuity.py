@@ -1,0 +1,69 @@
+"""Non-vacuity of the pinned verdicts.
+
+For every entry with a holding form, the evaluator of that form is wrapped
+so that it adds 1 to the first leaf of one side at the first active grid
+point. A ``HOLDS_PRINTED`` entry must then stop reporting
+``HOLDS_PRINTED``, and a ``HOLDS_CORRECTED_ONLY`` entry must report
+``FAILS_BOTH``. The runner stops at the first failing point, so each case
+evaluates only the points before the perturbed one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from binomsums.audit import AuditConfig, Verdict, build_registry, evaluate_entry
+from binomsums.exact_core import EgfSeries, Poly
+
+HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
+
+
+def _bump(value):
+    """Add 1 to the first leaf; lists and tuples recurse into element 0."""
+    if isinstance(value, (Fraction, int, Poly)):
+        return value + 1
+    if isinstance(value, (list, tuple)) and value:
+        return type(value)([_bump(value[0]), *value[1:]])
+    raise TypeError(f"cannot perturb {value!r}")
+
+
+def _perturbed(evaluator, first: dict, side: int):
+    def wrapped(**pt):
+        sides = list(evaluator(**pt))
+        if pt == first:
+            sides[side] = _bump(sides[side])
+        return tuple(sides)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["lhs", "rhs"])
+@pytest.mark.parametrize("entry", HOLDING, ids=lambda e: e.id)
+def test_perturbed_side_flips_the_verdict(entry, side):
+    config = AuditConfig()
+    first = next(
+        pt
+        for pt in entry.grid(config.for_entry(entry.id))
+        if entry.singular(**pt) is None
+    )
+    if entry.expected is Verdict.HOLDS_PRINTED:
+        mutant = replace(entry, printed=_perturbed(entry.printed, first, side))
+        assert evaluate_entry(mutant, config).verdict is not Verdict.HOLDS_PRINTED
+    else:
+        mutant = replace(entry, corrected=_perturbed(entry.corrected, first, side))
+        assert evaluate_entry(mutant, config).verdict is Verdict.FAILS_BOTH
+
+
+def test_holding_forms_cover_both_pinned_kinds():
+    kinds = {e.expected for e in HOLDING}
+    assert kinds == {Verdict.HOLDS_PRINTED, Verdict.HOLDS_CORRECTED_ONLY}
+    assert len(HOLDING) == 48
+
+
+@pytest.mark.parametrize("value", [[], (), "1", 1.0, EgfSeries.exp(1, 2)])
+def test_bump_rejects_empty_sides_and_unknown_leaves(value):
+    with pytest.raises(TypeError):
+        _bump([value])
