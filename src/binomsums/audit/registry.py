@@ -22,7 +22,10 @@ sides stay independent code paths, and no entry evaluates one routine on
 both sides; a shared bug would otherwise cancel and the audit would prove
 nothing.  In particular ``_binom_sum`` sums C(n,j)^p lam^j g(j) directly
 and calls none of ``y6``, ``p_poly``, ``raw_sum_poly`` or ``r_poly``, the
-routes it is compared with.
+routes it is compared with.  ``p_poly`` sums its own integer coefficients
+and does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``,
+which set the polynomial family against ``y6`` values (through
+``_y6_sum``), compare independent routes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Any, Callable, Iterator, Optional
 
 from ..classic_numbers import (
@@ -201,22 +204,41 @@ _N13 = _ns(13)
 _NO_PARAMETERS = _fixed([{}])
 
 
-def _binom_sum(n: int, p: int, lam: Fraction, g: Callable[[int], Any]) -> Fraction:
-    """sum_{j=0}^{n} C(n,j)^p lam^j g(j), with C(n,j) kept as a running
-    integer and lam = a/b carried as a^j b^(n-j) over one b^n."""
+def _binom_sum(
+    n: int, p: int, lam: Fraction, g: Callable[[int], Fraction | int]
+) -> Fraction:
+    """sum_{j=0}^{n} C(n,j)^p lam^j g(j) for int or Fraction values g(j).
+
+    With g(j) = u_j/v_j and lam = a/b, the integer
+    sum_j C(n,j)^p a^j b^(n-j) u_j (L/v_j), L the lcm of the v_j, is
+    summed by Horner in b and divided once by L b^n."""
+    values = [g(j) for j in range(n + 1)]
+    den = lcm(*[v.denominator for v in values])
     a, b = lam.numerator, lam.denominator
     total = 0
-    c = 1
-    for j in range(n + 1):
-        total += c**p * a**j * b ** (n - j) * g(j)
+    c = a_j = 1
+    for j, v in enumerate(values):
+        total = total * b + c**p * a_j * v.numerator * (den // v.denominator)
         c = c * (n - j) // (j + 1)
-    return Fraction(total) / b**n
+        a_j *= a
+    return Fraction(total, den * b**n)
+
+
+def _y6_sum(n: int, p: int, lam: Fraction, weights: list[tuple[int, int]]) -> Fraction:
+    """sum_k (c_k/d_k) y6(k,n;lam,p) over the pairs weights[k] = (c_k, d_k),
+    summed as integers over the lcm of the denominators d_k y6_k.den."""
+    terms = []
+    for k, (c, d) in enumerate(weights):
+        y = y6(k, n, lam, p)
+        terms.append((c * y.numerator, d * y.denominator))
+    den = lcm(*[d for _, d in terms])
+    return Fraction(sum([u * (den // d) for u, d in terms]), den)
 
 
 def _coefficient_integral(m: int, n: int, p: int, lam: Fraction) -> Fraction:
     """Integral over [0,1] of the polynomial family, term by term from its
     y6 coefficients: sum_k C(m,k) y6(k,n;lam,p)/(m-k+1)."""
-    return sum(comb(m, k) * y6(k, n, lam, p) / (m - k + 1) for k in range(m + 1))
+    return _y6_sum(n, p, lam, [(comb(m, k), m - k + 1) for k in range(m + 1)])
 
 
 def _riemann_sum(m: int, n: int, p: int, lam: Fraction, corrected: bool) -> Fraction:
@@ -581,10 +603,7 @@ def _inp8(m, n, p, lam, *, corrected):
 def _inp8a(m, n, p, lam, *, corrected):
     """expanded integral identity; corrected form restores the
     1/n! and the full inner sum with C(m+1,l)"""
-    lhs = sum(
-        comb(m, k) * Fraction(m + 1, m - k + 1) * y6(k, n, lam, p)
-        for k in range(m + 1)
-    )
+    lhs = _y6_sum(n, p, lam, [(comb(m, k) * (m + 1), m - k + 1) for k in range(m + 1)])
     # printed: sum_{l<m} C(m,l) j^l; corrected: sum_{l<=m} C(m+1,l) j^l
     top = m + 1 if corrected else m
     rhs = _binom_sum(n, p, lam, lambda j: sum(comb(top, l) * j**l for l in range(top)))
@@ -598,7 +617,7 @@ def _p1_corollary(m, n, p, lam, *, corrected):
     coefficient form"""
     lhs = p_poly(m, n, lam, p)(1)
     if corrected:
-        return lhs, sum(comb(m, k) * y6(k, n, lam, p) for k in range(m + 1))
+        return lhs, _y6_sum(n, p, lam, [(comb(m, k), 1) for k in range(m + 1)])
     rhs = Fraction(m + 1, factorial(n)) * _coefficient_integral(m, n, p, lam)
     return lhs, rhs + y6(m, n, lam, p)
 
@@ -706,10 +725,13 @@ def _sec6_stirling(m, n, p, lam):
     numbers and factorial weights"""
 
     def inner(k):
-        return sum(
-            stirling2(m, l) / (factorial(n - k) * factorial(k - l))
-            for l in range(k + 1)
-        )
+        # sum_l S(m,l)/((n-k)! (k-l)!) over (n-k)! k!: the weights
+        # k!/(k-l)! are the falling factorials of k
+        total, fall = 0, 1
+        for l in range(k + 1):
+            total += stirling2(m, l).numerator * fall
+            fall *= k - l
+        return Fraction(total, factorial(n - k) * factorial(k))
 
     return y6(m, n, lam, p), _binom_sum(n, p - 1, lam, inner)
 

@@ -76,27 +76,35 @@ def _int_param(params: dict, key: str, default: int | None = None) -> int:
 SequenceFn = Callable[[int, dict], Fraction]
 
 
-def _seq_families() -> dict[str, SequenceFn]:
+def _seq_families() -> dict[str, tuple[tuple[str, ...], SequenceFn]]:
+    """Each family with the ``--params`` keys it reads and its n-th term."""
     return {
-        "bnk": lambda n, ps: bnk(_int_param(ps, "d"), n),
-        "franel": lambda n, ps: franel(
-            _int_param(ps, "p", 3),
-            _int_param(ps, "m", 0),
-            n,
-            ps.get("lam", Fraction(1)),
+        "bnk": (("d",), lambda n, ps: bnk(_int_param(ps, "d"), n)),
+        "franel": (
+            ("p", "m", "lam"),
+            lambda n, ps: franel(
+                _int_param(ps, "p", 3),
+                _int_param(ps, "m", 0),
+                n,
+                ps.get("lam", Fraction(1)),
+            ),
         ),
-        "y6": lambda n, ps: y6(
-            _int_param(ps, "m", 0),
-            n,
-            ps.get("lam", Fraction(1)),
-            _int_param(ps, "p", 2),
+        "y6": (
+            ("m", "lam", "p"),
+            lambda n, ps: y6(
+                _int_param(ps, "m", 0),
+                n,
+                ps.get("lam", Fraction(1)),
+                _int_param(ps, "p", 2),
+            ),
         ),
-        "moment": lambda n, ps: moment(
-            _int_param(ps, "m", 0), _int_param(ps, "p", 2), n
+        "moment": (
+            ("m", "p"),
+            lambda n, ps: moment(_int_param(ps, "m", 0), _int_param(ps, "p", 2), n),
         ),
-        "catalan": lambda n, ps: classic_sequence(FamilyTag.CATALAN, n),
-        "daehee": lambda n, ps: classic_sequence(FamilyTag.DAEHEE, n),
-        "changhee": lambda n, ps: classic_sequence(FamilyTag.CHANGHEE, n),
+        "catalan": ((), lambda n, ps: classic_sequence(FamilyTag.CATALAN, n)),
+        "daehee": ((), lambda n, ps: classic_sequence(FamilyTag.DAEHEE, n)),
+        "changhee": ((), lambda n, ps: classic_sequence(FamilyTag.CHANGHEE, n)),
     }
 
 
@@ -129,8 +137,14 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     family = args.family or args.family_opt
     if family is None:
         raise ConfigError("a sequence family is required")
-    fn = _seq_families()[family]
+    keys, fn = _seq_families()[family]
     params = _parse_params(args.params)
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        allowed = ", ".join(sorted(keys)) or "none"
+        raise ConfigError(
+            f"{family} takes no parameter {', '.join(unknown)} (it reads: {allowed})"
+        )
     rng = _parse_range(args.range)
     rows = [(n, fn(n, params)) for n in rng]
     if args.format == "json":

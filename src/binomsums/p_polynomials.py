@@ -4,10 +4,11 @@ Covers the polynomial itself, its raw (un-normalized) summation form, the
 Riemann/p-adic linear functionals, closed-form power sums, and the
 binomial-square polynomial family with the Euler operator.
 
-``p_poly`` is assembled from ``y6`` values; ``raw_sum_poly`` expands its
-defining sum on its own, as integer coefficients over the single
-denominator b^n for lam = a/b, so the audit's bridge between the two forms
-compares independent routes.
+For lam = a/b, ``p_poly`` sums its coefficients n! b^n y6(i,n;lam,p) as
+integers over the single denominator n! b^n, and ``raw_sum_poly`` expands
+its own defining sum as integers over b^n.  Neither calls ``y6`` or shares
+a helper with it or with the other, so the audit's identities between the
+polynomial family and ``y6`` compare independent routes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .classic_numbers import (
     frobenius_euler,
 )
 from .exact_core import Poly, Scalar, _check_ints, _frac
-from .y6_engine import y6
 
 __all__ = [
     "p_poly",
@@ -44,12 +44,23 @@ __all__ = [
 def p_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     """sum_{k=0}^{m} C(m,k) x^{m-k} y6(k,n;lam,p)."""
     _check_ints(m=m, n=n, p=p)
+    if m < 0 or n < 0 or p < 0:
+        raise ValueError("indices must be >= 0")
     lam = _frac(lam)
-    ys = [y6(m - i, n, lam, p) for i in range(m + 1)]
-    den = lcm(*[y.denominator for y in ys])
+    a, b = lam.numerator, lam.denominator
+    # Horner in b: after step k, row[i] = sum_{j<=k} C(n,j)^p j^i a^j b^(k-j),
+    # so at the end row[i] = n! b^n y6(i,n;lam,p).
+    row = [0] * (m + 1)
+    binom = a_k = 1
+    for k in range(n + 1):
+        term = binom**p * a_k  # times k^i as i runs up
+        for i in range(m + 1):
+            row[i] = row[i] * b + term
+            term *= k
+        binom = binom * (n - k) // (k + 1)
+        a_k *= a
     return Poly.from_ints(
-        [comb(m, i) * y.numerator * (den // y.denominator) for i, y in enumerate(ys)],
-        den,
+        [comb(m, i) * row[m - i] for i in range(m + 1)], factorial(n) * b**n
     )
 
 

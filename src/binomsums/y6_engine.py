@@ -143,7 +143,8 @@ def b_ogf(d: int) -> RationalFunction:
 
 def moment(m: int, p: int, n: int) -> Fraction:
     """Moment sum sum_k C(n,k)^p k^m; integer-valued."""
-    value = factorial(n) * y6(m, n, Fraction(1), p)
+    value = y6(m, n, Fraction(1), p)  # validates n before factorial(n)
+    value *= factorial(n)
     if value.denominator != 1:
         raise ArithmeticError(f"moment({m}, {p}, {n}) = {value} is not an integer")
     return value
@@ -151,4 +152,5 @@ def moment(m: int, p: int, n: int) -> Fraction:
 
 def franel(p: int, m: int, n: int, lam: Scalar) -> Fraction:
     """Generalized p-th order Franel numbers n! * y6(m,n;lam,p)."""
-    return factorial(n) * y6(m, n, _frac(lam), p)
+    value = y6(m, n, _frac(lam), p)  # validates n before factorial(n)
+    return factorial(n) * value

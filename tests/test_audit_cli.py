@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -22,6 +22,9 @@ from binomsums.audit import (
 from binomsums.audit import registry
 from binomsums.audit.registry import IdentityEntry
 from binomsums.audit.runner import render_csv, render_json, render_markdown
+from binomsums.classic_numbers import stirling2
+from binomsums.exact_core import Poly
+from binomsums.y6_engine import y6
 
 EXPECTED_IDS = {
     "golombek", "CC2", "Bs1", "boyadzhiev", "altStirling", "CB1_xu",
@@ -61,14 +64,61 @@ class TestRegistry:
     @pytest.mark.parametrize("lam", ["0", "1", "-2", "-1/2", "7/3"])
     def test_binom_sum_matches_the_fraction_loop(self, lam):
         lam = Fraction(lam)
-        for n in range(7):
-            for p in range(4):
-                expected = sum(
-                    Fraction(comb(n, j)) ** p * lam**j * Fraction(j + 1, 3)
-                    for j in range(n + 1)
-                )
-                got = registry._binom_sum(n, p, lam, lambda j: Fraction(j + 1, 3))
-                assert got == expected and isinstance(got, Fraction)
+        gs = [
+            lambda j: Fraction(j + 1, 3),
+            lambda j: (j + 1) ** 3 - j**3,  # int-valued
+            Poly([Fraction(1, 2), -3, Fraction(5, 7)]),  # a Poly evaluated at j
+            lambda j: Fraction(j - 2, j + 2) if j % 2 else 2 * j - 5,  # mixed
+        ]
+        for g in gs:
+            for n in range(7):
+                for p in range(4):
+                    expected = sum(
+                        Fraction(comb(n, j)) ** p * lam**j * g(j) for j in range(n + 1)
+                    )
+                    got = registry._binom_sum(n, p, lam, g)
+                    assert got == expected and isinstance(got, Fraction)
+
+    @pytest.mark.parametrize("lam", ["0", "1", "-2", "-1/2", "7/3"])
+    def test_y6_sum_matches_the_fraction_loops(self, lam):
+        lam = Fraction(lam)
+        for m in range(6):
+            for n in range(6):
+                for p in range(4):
+                    ys = [y6(k, n, lam, p) for k in range(m + 1)]
+                    integral = sum(
+                        comb(m, k) * ys[k] / (m - k + 1) for k in range(m + 1)
+                    )
+                    assert registry._coefficient_integral(m, n, p, lam) == integral
+                    expanded = sum(
+                        comb(m, k) * Fraction(m + 1, m - k + 1) * ys[k]
+                        for k in range(m + 1)
+                    )
+                    assert registry._inp8a(m, n, p, lam, corrected=True)[0] == expanded
+                    at_one = sum(comb(m, k) * ys[k] for k in range(m + 1))
+                    assert (
+                        registry._p1_corollary(m, n, p, lam, corrected=True)[1]
+                        == at_one
+                    )
+
+    @pytest.mark.parametrize("lam", ["-1", "1/2", "2"])
+    def test_sec6_stirling_inner_sum_matches_the_fraction_loop(self, lam):
+        lam = Fraction(lam)
+        for m in range(6):
+            for n in range(6):
+                for p in range(1, 4):
+
+                    def inner(k):
+                        return sum(
+                            stirling2(m, l) / (factorial(n - k) * factorial(k - l))
+                            for l in range(k + 1)
+                        )
+
+                    expected = sum(
+                        Fraction(comb(n, k)) ** (p - 1) * lam**k * inner(k)
+                        for k in range(n + 1)
+                    )
+                    assert registry._sec6_stirling(m, n, p, lam)[1] == expected
 
     def test_binom_sum_is_independent_of_the_routes_it_checks(self):
         names = set(registry._binom_sum.__code__.co_names)
@@ -321,6 +371,27 @@ class TestCli:
     def test_seq_bad_range_exits_two(self, capsys):
         assert cli.main(["seq", "catalan", "--range", "5..1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("family", ["franel", "moment"])
+    def test_seq_negative_index_names_the_index(self, family, capsys):
+        assert cli.main(["seq", family, "--range=-1..1"]) == 2
+        assert capsys.readouterr().err == "error: indices must be >= 0\n"
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("bnk", "d=2,x=3"),
+            ("y6", "lamb=1/2"),
+            ("franel", "d=1"),
+            ("moment", "lam=2"),
+            ("catalan", "p=1"),
+        ],
+    )
+    def test_seq_unknown_param_exits_two(self, family, params, capsys):
+        assert cli.main(["seq", family, "--params", params, "--range", "0..2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {family} takes no parameter ")
 
     def test_seq_deterministic_bytes(self, capsys):
         cli.main(["seq", "changhee", "--range", "0..6"])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,8 @@ from binomsums.classic_numbers import (
     euler_number0,
     euler_poly,
 )
-from binomsums.exact_core import Poly, _frac
+from binomsums import p_polynomials
+from binomsums.exact_core import Poly, Scalar, _check_ints, _frac
 from binomsums.p_polynomials import (
     euler_operator,
     fermionic,
@@ -66,6 +67,18 @@ def reference_raw_sum_poly(m: int, n: int, lam: Fraction, p: int) -> Poly:
     return acc
 
 
+def reference_p_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
+    """sum_{k=0}^{m} C(m,k) x^{m-k} y6(k,n;lam,p)."""
+    _check_ints(m=m, n=n, p=p)
+    lam = _frac(lam)
+    ys = [y6(m - i, n, lam, p) for i in range(m + 1)]
+    den = lcm(*[y.denominator for y in ys])
+    return Poly.from_ints(
+        [comb(m, i) * y.numerator * (den // y.denominator) for i, y in enumerate(ys)],
+        den,
+    )
+
+
 class TestRawSumPoly:
     @given(
         st.integers(min_value=0, max_value=6),
@@ -104,6 +117,30 @@ class TestIntegerIndices:
 
 
 class TestPPoly:
+    @given(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=12),
+        exact_lambdas,
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=150)
+    def test_matches_y6_assembled_reference(self, m, n, lam, p):
+        # the former y6-assembled kernel is the oracle of the integer one
+        poly = p_poly(m, n, lam, p)
+        assert all(type(c) is Fraction for c in poly.coeffs)
+        assert poly == reference_p_poly(m, n, lam, p)
+        assert poly.coeffs == reference_p_poly(m, n, lam, p).coeffs
+
+    def test_independent_of_y6(self):
+        # the audit compares p_poly with y6, so it must not be built from it
+        assert "y6" not in p_poly.__code__.co_names
+        assert not hasattr(p_polynomials, "y6")
+
+    def test_negative_indices_rejected(self):
+        for args in ((-1, 3, 1, 2), (2, -1, 1, 2), (2, 3, 1, -1)):
+            with pytest.raises(ValueError, match="indices must be >= 0"):
+                p_poly(*args)
+
     @given(
         st.integers(min_value=0, max_value=6),
         st.integers(min_value=0, max_value=6),
