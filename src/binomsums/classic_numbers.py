@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable
 
-from .exact_core import EgfSeries, Poly, Scalar, _frac
+from .exact_core import EgfSeries, Poly, Scalar, _check_ints, _frac
 
 __all__ = [
     "FamilyTag",
@@ -84,9 +84,10 @@ _STIRLING1 = _Triangle(_stirling1_next)
 _STIRLING2 = _Triangle(_stirling2_next)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def stirling2(n: int, v: int) -> Fraction:
     """Stirling numbers of the second kind S(n,v)."""
+    _check_ints(n=n, v=v)
     if n < 0 or v < 0:
         raise ValueError("indices must be >= 0")
     if v > n:
@@ -94,9 +95,10 @@ def stirling2(n: int, v: int) -> Fraction:
     return Fraction(_STIRLING2.row(n)[v])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def stirling1(n: int, k: int) -> Fraction:
     """Signed Stirling numbers of the first kind s(n,k)."""
+    _check_ints(n=n, k=k)
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     if k > n:
@@ -107,7 +109,7 @@ def stirling1(n: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Bernoulli / Euler families of arbitrary integer order
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _bernoulli_order_numbers(k: int, order: int) -> EgfSeries:
     """Series (t/(e^t-1))^k; negative k uses ((e^t-1)/t)^{-k}."""
     # (e^t-1)/t has EGF coefficients 1/(n+1); its constant term is 1,
@@ -116,7 +118,7 @@ def _bernoulli_order_numbers(k: int, order: int) -> EgfSeries:
     return base.pow(-k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _euler_order_numbers(k: int, order: int) -> EgfSeries:
     """Series (2/(e^t+1))^k; negative k uses ((e^t+1)/2)^{-k}."""
     base = EgfSeries([Fraction(1)] + [Fraction(1, 2)] * order)
@@ -133,6 +135,7 @@ def _number_poly(numbers: EgfSeries, n: int) -> Poly:
 
 def bernoulli_poly_order(n: int, k: int) -> Poly:
     """Bernoulli polynomial of order k (k may be negative)."""
+    _check_ints(n=n, k=k)
     if n < 0:
         raise ValueError("n must be >= 0")
     return _number_poly(_bernoulli_order_numbers(k, n), n)
@@ -140,38 +143,41 @@ def bernoulli_poly_order(n: int, k: int) -> Poly:
 
 def euler_poly_order(n: int, k: int) -> Poly:
     """Euler polynomial of order k (k may be negative)."""
+    _check_ints(n=n, k=k)
     if n < 0:
         raise ValueError("n must be >= 0")
     return _number_poly(_euler_order_numbers(k, n), n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_number(n: int) -> Fraction:
     """Classical Bernoulli number B_n (B_1 = -1/2)."""
+    _check_ints(n=n)
     return _bernoulli_order_numbers(1, n).coeff(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_poly(n: int) -> Poly:
     return bernoulli_poly_order(n, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def euler_poly(n: int) -> Poly:
     return euler_poly_order(n, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def euler_number0(n: int) -> Fraction:
     """E_n(0), the Euler polynomial at 0 (the 'Euler numbers' of the
     Daehee/Changhee sums)."""
+    _check_ints(n=n)
     return _euler_order_numbers(1, n).coeff(n)
 
 
 # ---------------------------------------------------------------------------
 # Apostol deformations and Frobenius-Euler polynomials
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _apostol_bernoulli_numbers(lam: Fraction, order: int) -> EgfSeries:
     # t/(lam*e^t - 1): reciprocal of the denominator, then multiply by t.
     denom = EgfSeries([lam - 1] + [lam] * order)
@@ -183,6 +189,7 @@ def _apostol_bernoulli_numbers(lam: Fraction, order: int) -> EgfSeries:
 
 def apostol_bernoulli(n: int, lam: Scalar) -> Poly:
     """Apostol-Bernoulli polynomial from t e^{xt}/(lam e^t - 1)."""
+    _check_ints(n=n)
     lam = _frac(lam)
     if lam == 1:
         raise ValueError(
@@ -191,7 +198,7 @@ def apostol_bernoulli(n: int, lam: Scalar) -> Poly:
     return _number_poly(_apostol_bernoulli_numbers(lam, n), n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _apostol_euler_numbers(lam: Fraction, order: int) -> EgfSeries:
     denom = EgfSeries([lam + 1] + [lam] * order)
     return denom.reciprocal().scale(2)
@@ -199,6 +206,7 @@ def _apostol_euler_numbers(lam: Fraction, order: int) -> EgfSeries:
 
 def apostol_euler(n: int, lam: Scalar) -> Poly:
     """Apostol-Euler polynomial from 2 e^{xt}/(lam e^t + 1)."""
+    _check_ints(n=n)
     lam = _frac(lam)
     if lam == -1:
         raise ValueError(
@@ -207,7 +215,7 @@ def apostol_euler(n: int, lam: Scalar) -> Poly:
     return _number_poly(_apostol_euler_numbers(lam, n), n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _frobenius_euler_numbers(u: Fraction, order: int) -> EgfSeries:
     denom = EgfSeries([1 - u] + [1] * order)
     return denom.reciprocal().scale(1 - u)
@@ -215,6 +223,7 @@ def _frobenius_euler_numbers(u: Fraction, order: int) -> EgfSeries:
 
 def frobenius_euler(n: int, u: Scalar) -> Poly:
     """Frobenius-Euler polynomial H_n(x; u) from (1-u) e^{xt}/(e^t - u)."""
+    _check_ints(n=n)
     u = _frac(u)
     if u == 1:
         raise ValueError("u = 1 is excluded (generating function degenerates)")
@@ -226,6 +235,7 @@ def frobenius_euler(n: int, u: Scalar) -> Poly:
 
 def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
     """Catalan, Daehee or Changhee number, each by its defining sum."""
+    _check_ints(n=n)
     if n < 0:
         raise ValueError("n must be >= 0")
     if tag is FamilyTag.CATALAN:
@@ -245,6 +255,7 @@ def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
 
 def y1(n: int, k: int, lam: Scalar) -> Fraction:
     """(1/k!) sum_j C(k,j) j^n lam^j with the 0^0 = 1 convention."""
+    _check_ints(n=n, k=k)
     if n < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     lam = _frac(lam)
@@ -256,6 +267,7 @@ def y1(n: int, k: int, lam: Scalar) -> Fraction:
 
 def y_seq(n: int, lam: Scalar) -> Fraction:
     """Y_n from 2/(lam^2 t + lam - 1), by geometric expansion."""
+    _check_ints(n=n)
     lam = _frac(lam)
     if lam == 1:
         raise ValueError("lambda = 1 is a pole of the generating function")
@@ -267,9 +279,10 @@ def y_seq(n: int, lam: Scalar) -> Fraction:
     return factorial(n) * term
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def legendre(n: int) -> Poly:
     """Legendre polynomial via 2^{-n} sum_k C(n,k)^2 (x-1)^{n-k} (x+1)^k."""
+    _check_ints(n=n)
     if n < 0:
         raise ValueError("n must be >= 0")
     xm1 = Poly([-1, 1])
@@ -283,6 +296,7 @@ def legendre(n: int) -> Poly:
 def mirimanoff(m: int, n: int, shift: int = 0) -> Poly:
     """Power-sum generating polynomial: coefficient of x^j is (j+shift)^m
     for 0 <= j < n (0^0 = 1)."""
+    _check_ints(m=m, n=n, shift=shift)
     if m < 0 or n < 0 or shift < 0:
         raise ValueError("indices must be >= 0")
     return Poly(

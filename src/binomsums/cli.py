@@ -22,7 +22,7 @@ from .audit.config import AuditConfig, ConfigError, load_config
 from .audit.registry import build_registry
 from .audit.runner import render_csv, render_json, render_markdown, run_audit
 from .classic_numbers import FamilyTag, classic_sequence
-from .y6_engine import bnk, franel, moment, y6
+from .y6_engine import bnk, franel, franel_recurrence, moment, y6
 
 EXIT_OK = 0
 EXIT_VERDICT_MISMATCH = 1
@@ -73,22 +73,34 @@ def _int_param(params: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
-SequenceFn = Callable[[int, dict], Fraction]
+TermFn = Callable[[int, dict], Fraction]
+SequenceFn = Callable[[range, dict], list]
+
+
+def _per_term(term: TermFn) -> SequenceFn:
+    """A range-level family that evaluates its n-th term for each n."""
+    return lambda rng, ps: [term(n, ps) for n in rng]
+
+
+def _franel_terms(rng: range, ps: dict) -> list:
+    """Franel numbers n! y6(m,n;lam,p) over a range.
+
+    The slice m = 0, lam = 1, p = 3 or 4 unrolls Franel's recurrence from
+    n = 0 and keeps the requested part; every other slice takes the direct
+    sum term by term.
+    """
+    p, m = _int_param(ps, "p", 3), _int_param(ps, "m", 0)
+    lam = ps.get("lam", Fraction(1))
+    if m == 0 and lam == 1 and p in (3, 4) and rng.start >= 0:
+        return franel_recurrence(p, rng.stop)[rng.start :]
+    return [franel(p, m, n, lam) for n in rng]
 
 
 def _seq_families() -> dict[str, tuple[tuple[str, ...], SequenceFn]]:
-    """Each family with the ``--params`` keys it reads and its n-th term."""
-    return {
+    """Each family with the ``--params`` keys it reads and its terms over a
+    range."""
+    families: dict[str, tuple[tuple[str, ...], TermFn]] = {
         "bnk": (("d",), lambda n, ps: bnk(_int_param(ps, "d"), n)),
-        "franel": (
-            ("p", "m", "lam"),
-            lambda n, ps: franel(
-                _int_param(ps, "p", 3),
-                _int_param(ps, "m", 0),
-                n,
-                ps.get("lam", Fraction(1)),
-            ),
-        ),
         "y6": (
             ("m", "lam", "p"),
             lambda n, ps: y6(
@@ -106,6 +118,9 @@ def _seq_families() -> dict[str, tuple[tuple[str, ...], SequenceFn]]:
         "daehee": ((), lambda n, ps: classic_sequence(FamilyTag.DAEHEE, n)),
         "changhee": ((), lambda n, ps: classic_sequence(FamilyTag.CHANGHEE, n)),
     }
+    ranged = {name: (keys, _per_term(term)) for name, (keys, term) in families.items()}
+    ranged["franel"] = (("p", "m", "lam"), _franel_terms)
+    return ranged
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -146,17 +161,27 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             f"{family} takes no parameter {', '.join(unknown)} (it reads: {allowed})"
         )
     rng = _parse_range(args.range)
-    rows = [(n, fn(n, params)) for n in rng]
-    if args.format == "json":
-        doc = {
-            "family": family,
-            "params": {k: str(v) for k, v in params.items()},
-            "values": [{"n": n, "value": str(v)} for n, v in rows],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = ["n,value"] + [f"{n},{v}" for n, v in rows]
-        text = "\n".join(lines) + "\n"
+    rows = list(zip(rng, fn(rng, params)))
+    # Terms may pass CPython's 4,300-digit limit on int -> str conversion
+    # (0 means no limit; interpreters before 3.10.7 have none); lift it for
+    # the formatting only.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            doc = {
+                "family": family,
+                "params": {k: str(v) for k, v in params.items()},
+                "values": [{"n": n, "value": str(v)} for n, v in rows],
+            }
+            text = json.dumps(doc, indent=2) + "\n"
+        else:
+            lines = ["n,value"] + [f"{n},{v}" for n, v in rows]
+            text = "\n".join(lines) + "\n"
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

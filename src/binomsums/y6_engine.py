@@ -6,6 +6,12 @@ the end; ``y6_egf`` builds the same numbers through series arithmetic, as
 an independent route.  ``y6`` is memoized by value (the grid audits repeat
 most of their calls), which is pure caching and safe under concurrent
 readers.
+
+``franel_recurrence`` gives a whole prefix of the Franel numbers
+sum_k C(n,k)^p, p = 3 or 4, in O(N) integer steps, by Franel's three-term
+recurrences (1894, 1895); every division is checked to be exact.
+``franel`` stays the direct ``y6`` sum, so the audit's Franel entries and
+the recurrence remain independent routes to the same numbers.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "b_ogf",
     "moment",
     "franel",
+    "franel_recurrence",
 ]
 
 
@@ -96,9 +103,10 @@ def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
     return acc.scale(Fraction(1, factorial(n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bnk(d: int, k: int) -> Fraction:
     """Golombek's sum B(d,k) = sum_{j=0}^{k} C(k,j) j^d (0^0 = 1)."""
+    _check_ints(d=d, k=k)
     if d < 0 or k < 0:
         raise ValueError("indices must be >= 0")
     total = 0
@@ -107,10 +115,11 @@ def bnk(d: int, k: int) -> Fraction:
     return Fraction(total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def t_poly(d: int) -> Poly:
     """Polynomial T_d with B(d,k) = 2^{k-d} T_d(k); zero constant term,
     coefficient of k^{d-l} given by sum_{j=l}^{d} s(j,l) S(d,j) 2^{d-j}."""
+    _check_ints(d=d)
     if d < 1:
         raise ValueError("T_d is defined for d >= 1")
     coeffs = [Fraction(0)] * (d + 1)
@@ -128,6 +137,7 @@ def b_ogf(d: int) -> RationalFunction:
     d = 0 gives 1/(1-2x); for d >= 1 the partial-fraction shape
     sum_j j! S(d,j) x^j/(1-2x)^{j+1} is brought over (1-2x)^{d+1}.
     """
+    _check_ints(d=d)
     if d < 0:
         raise ValueError("d must be >= 0")
     one_m_2x = Poly([1, -2])
@@ -154,3 +164,41 @@ def franel(p: int, m: int, n: int, lam: Scalar) -> Fraction:
     """Generalized p-th order Franel numbers n! * y6(m,n;lam,p)."""
     value = y6(m, n, _frac(lam), p)  # validates n before factorial(n)
     return factorial(n) * value
+
+
+# Franel's recurrences lead(n) f(n+1) = cur(n) f(n) + prev(n) f(n-1); both
+# hold at n = 0 with f(-1) = 0, since prev(0) = 0.
+_FRANEL_STEPS = {
+    3: lambda n: ((n + 1) ** 2, 7 * n * n + 7 * n + 2, 8 * n * n),
+    4: lambda n: (
+        (n + 1) ** 3,
+        2 * (2 * n + 1) * (3 * n * n + 3 * n + 1),
+        4 * n * (4 * n - 1) * (4 * n + 1),
+    ),
+}
+
+
+def franel_recurrence(p: int, stop: int) -> list[int]:
+    """Franel numbers sum_k C(n,k)^p for n = 0..stop-1 and p = 3 or 4.
+
+    Unrolls Franel's recurrence from f(0) = 1; a division that is not exact
+    raises ``ArithmeticError``.
+    """
+    _check_ints(p=p, stop=stop)
+    if p not in _FRANEL_STEPS:
+        raise ValueError(f"Franel recurrence is known for p = 3, 4 only, got p = {p}")
+    if stop < 0:
+        raise ValueError("stop must be >= 0")
+    step = _FRANEL_STEPS[p]
+    terms = [1] if stop else []
+    prev = 0
+    for n in range(stop - 1):
+        lead, cur_c, prev_c = step(n)
+        value, rem = divmod(cur_c * terms[n] + prev_c * prev, lead)
+        if rem:
+            raise ArithmeticError(
+                f"Franel recurrence p = {p} is not exact at n = {n + 1}"
+            )
+        prev = terms[n]
+        terms.append(value)
+    return terms

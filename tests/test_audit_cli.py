@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -24,7 +25,7 @@ from binomsums.audit.registry import IdentityEntry
 from binomsums.audit.runner import render_csv, render_json, render_markdown
 from binomsums.classic_numbers import stirling2
 from binomsums.exact_core import Poly
-from binomsums.y6_engine import y6
+from binomsums.y6_engine import franel, y6
 
 EXPECTED_IDS = {
     "golombek", "CC2", "Bs1", "boyadzhiev", "altStirling", "CB1_xu",
@@ -398,3 +399,100 @@ class TestCli:
         first = capsys.readouterr().out
         cli.main(["seq", "changhee", "--range", "0..6"])
         assert capsys.readouterr().out == first
+
+
+def _seq_output(argv: list[str], capsys) -> str:
+    assert cli.main(["seq", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def _per_term_text(fmt: str, rng: range, params: dict, values: list) -> str:
+    """``audit seq`` output rendered from values computed term by term."""
+    if fmt == "json":
+        doc = {
+            "family": "franel",
+            "params": {k: str(v) for k, v in params.items()},
+            "values": [{"n": n, "value": str(v)} for n, v in zip(rng, values)],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    return "n,value\n" + "".join(f"{n},{v}\n" for n, v in zip(rng, values))
+
+
+class TestSeqFranelFastPath:
+    """m = 0, lam = 1, p = 3, 4 takes the recurrence; the bytes must be
+    those of the direct sum evaluated term by term."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "lo, hi, p", [(0, 600, 3), (250, 260, 3), (0, 200, 4)]
+    )
+    def test_bytes_match_the_per_term_route(
+        self, lo, hi, p, fmt, monkeypatch, capsys
+    ):
+        calls = []
+        kernel = cli.franel_recurrence
+        monkeypatch.setattr(
+            cli, "franel_recurrence", lambda *a: calls.append(a) or kernel(*a)
+        )
+        argv = ["franel", "--range", f"{lo}..{hi}", "--format", fmt]
+        params = {}
+        if p != 3:
+            argv += ["--params", f"p={p}"]
+            params = {"p": Fraction(p)}
+        rng = range(lo, hi + 1)
+        expected = [franel(p, 0, n, Fraction(1)) for n in rng]
+        assert _seq_output(argv, capsys) == _per_term_text(fmt, rng, params, expected)
+        assert calls == [(p, hi + 1)]
+
+    @pytest.mark.parametrize(
+        "params, p, m, lam",
+        [
+            ("p=2", 2, 0, Fraction(1)),
+            ("m=1", 3, 1, Fraction(1)),
+            ("lam=2", 3, 0, Fraction(2)),
+        ],
+    )
+    def test_other_slices_take_the_direct_sum(
+        self, params, p, m, lam, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("recurrence used outside its slice")
+
+        monkeypatch.setattr(cli, "franel_recurrence", refuse)
+        rng = range(0, 31)
+        out = _seq_output(["franel", "--params", params, "--range", "0..30"], capsys)
+        expected = [franel(p, m, n, lam) for n in rng]
+        assert out == _per_term_text("csv", rng, {}, expected)
+
+
+class TestSeqDigitLimit:
+    """Values past CPython's 4,300-digit int -> str limit print in full, and
+    the limit is restored afterwards."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["franel", "--range", "4800..4800"],
+                lambda: franel(3, 0, 4800, Fraction(1)),
+            ),
+            (
+                ["y6", "--range", "3000..3000", "--params", "p=3,lam=5/11"],
+                lambda: y6(0, 3000, Fraction(5, 11), 3),
+            ),
+        ],
+        ids=["franel", "y6"],
+    )
+    def test_large_values_print_and_limit_is_restored(self, argv, expected, capsys):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4000)
+        try:
+            out = _seq_output(argv, capsys)
+            assert sys.get_int_max_str_digits() == 4000
+            sys.set_int_max_str_digits(0)
+            value = expected()
+            assert len(str(value)) > 4300
+            n = argv[2].partition("..")[0]
+            assert out == f"n,value\n{n},{value}\n"
+        finally:
+            sys.set_int_max_str_digits(previous)

@@ -299,13 +299,13 @@ class TestClassicSequences:
         assert values == [1, 1, 2, 5, 14, 42, 132]
 
     def test_daehee_closed_form(self):
-        for n in range(10):
+        for n in range(41):
             assert classic_sequence(FamilyTag.DAEHEE, n) == Fraction(
                 (-1) ** n * factorial(n), n + 1
             )
 
     def test_changhee_closed_form(self):
-        for n in range(10):
+        for n in range(41):
             assert classic_sequence(FamilyTag.CHANGHEE, n) == Fraction(
                 (-1) ** n * factorial(n), 2**n
             )

@@ -17,6 +17,7 @@ from binomsums.y6_engine import (
     b_ogf,
     bnk,
     franel,
+    franel_recurrence,
     moment,
     t_poly,
     y6,
@@ -218,6 +219,49 @@ class TestMomentsAndFranel:
     )
     def test_franel_is_scaled_y6(self, n, p, lam):
         assert franel(p, 0, n, lam) == factorial(n) * y6(0, n, lam, p)
+
+
+class TestFranelRecurrence:
+    """The O(N) kernel against the direct sum; the benchmark's own Franel
+    oracle is the p = 3 recurrence itself, so it cannot check this."""
+
+    @pytest.mark.parametrize("p, stop", [(3, 300), (4, 200)])
+    def test_matches_direct_sum(self, p, stop):
+        assert franel_recurrence(p, stop) == [
+            franel(p, 0, n, Fraction(1)) for n in range(stop)
+        ]
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_spot_values(self, p):
+        terms = franel_recurrence(p, 1001)
+        for n in (600, 1000):
+            assert terms[n] == sum(comb(n, k) ** p for k in range(n + 1))
+
+    def test_prefixes_and_empty(self):
+        assert franel_recurrence(3, 0) == []
+        assert franel_recurrence(4, 1) == [1]
+        assert franel_recurrence(3, 5) == [1, 2, 10, 56, 346]
+        assert franel_recurrence(4, 5) == [1, 2, 18, 164, 1810]
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 5])
+    def test_other_powers_raise(self, p):
+        with pytest.raises(ValueError, match="p = 3, 4"):
+            franel_recurrence(p, 10)
+
+    def test_bad_stop_raises(self):
+        with pytest.raises(ValueError):
+            franel_recurrence(3, -1)
+        with pytest.raises(TypeError, match="must be an int"):
+            franel_recurrence(3, 10.0)
+
+    def test_inexact_step_raises(self, monkeypatch):
+        # f(1) = 2 f(0) / 3 is not an integer
+        monkeypatch.setitem(y6_engine._FRANEL_STEPS, 3, lambda n: (3, 2, 0))
+        with pytest.raises(ArithmeticError, match="not exact at n = 1"):
+            franel_recurrence(3, 4)
+
+    def test_is_public_for_the_tracer(self):
+        assert "franel_recurrence" in y6_engine.__all__
 
 
 class TestEgfPath:
