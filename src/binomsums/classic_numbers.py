@@ -1,12 +1,11 @@
 """Classical number and polynomial families over exact rationals.
 
 The Stirling numbers of both kinds are read from integer triangles grown
-by their row recurrences; the test suite checks them against their
-generating functions (log(1+t))^k/k! and (e^t-1)^k/k!, expanded through
-:class:`binomsums.exact_core.EgfSeries`, and against enumeration.  The
-Bernoulli, Euler, Apostol and Frobenius-Euler families are computed from
-their defining generating functions through that EGF machinery and
-cross-checked against independent recurrences or closed forms.
+by their row recurrences.  The Bernoulli, Euler, Apostol and
+Frobenius-Euler families, generated by e^{xt} g(e^t - 1), are Stirling
+transforms of the coefficients of g, summed in integers along rows of the
+second-kind triangle; the tests check each against its generating function
+expanded by :class:`binomsums.exact_core.EgfSeries`.
 """
 
 from __future__ import annotations
@@ -15,10 +14,11 @@ import threading
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable
 
-from .exact_core import EgfSeries, Poly, Scalar, _check_ints, _frac
+from .exact_core import Poly, Scalar, _check_ints, _common, _frac
 
 __all__ = [
     "FamilyTag",
@@ -107,127 +107,122 @@ def stirling1(n: int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli / Euler families of arbitrary integer order
+# Bernoulli / Euler families as Stirling transforms: for e^{xt} g(e^t - 1)
+# the numbers are a_i = sum_j S(i,j) w_j, where w_j = j! [u^j] g(u)
+
+def _stirling_poly(w: list[int], den: int) -> Poly:
+    """sum_i C(n,i) a_{n-i} x^i for a_i = sum_j S(i,j) w_j / den, n = len(w) - 1."""
+    n = len(w) - 1
+    a = [sum(map(mul, _STIRLING2.row(i), w)) for i in range(n + 1)]
+    return Poly.from_ints([comb(n, i) * a[n - i] for i in range(n + 1)], den)
+
+
+def _geometric_poly(scale: Fraction, c: Fraction, d: Fraction, n: int) -> Poly:
+    """Degree-n polynomial of scale/(c + d u), u = e^t - 1, whose weights
+    are w_j = scale j! (-d)^j / c^{j+1}; c = 0 is the excluded parameter."""
+    # with c = p/q, d = r/s, x = -r q and y = s p, the weights are the
+    # integers a j! x^j y^(n+1-j) over b y^(n+1), where scale q / p = a/b
+    p, q, r, s = c.numerator, c.denominator, d.numerator, d.denominator
+    x, y, a, b = -r * q, s * p, scale.numerator * q, scale.denominator * p
+    w = [a * factorial(j) * x**j * y ** (n + 1 - j) for j in range(n + 1)]
+    return _stirling_poly(w, b * y ** (n + 1))
+
+
+def _check_n(n: int, **indices: int) -> None:
+    _check_ints(n=n, **indices)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
 
 @lru_cache(maxsize=None, typed=True)
-def _bernoulli_order_numbers(k: int, order: int) -> EgfSeries:
-    """Series (t/(e^t-1))^k; negative k uses ((e^t-1)/t)^{-k}."""
-    # (e^t-1)/t has EGF coefficients 1/(n+1); its constant term is 1,
-    # so both orientations are entire.
-    base = EgfSeries([Fraction(1, n + 1) for n in range(order + 1)])
-    return base.pow(-k)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _euler_order_numbers(k: int, order: int) -> EgfSeries:
-    """Series (2/(e^t+1))^k; negative k uses ((e^t+1)/2)^{-k}."""
-    base = EgfSeries([Fraction(1)] + [Fraction(1, 2)] * order)
-    return base.pow(-k)
-
-
-def _number_poly(numbers: EgfSeries, n: int) -> Poly:
-    """Appell polynomial sum_j C(n,j) a_j x^{n-j} from the numbers a_j."""
-    a = numbers.nums
-    return Poly.from_ints(
-        [comb(n, i) * a[n - i] for i in range(n + 1)], numbers.den
-    )
-
-
 def bernoulli_poly_order(n: int, k: int) -> Poly:
     """Bernoulli polynomial of order k (k may be negative)."""
-    _check_ints(n=n, k=k)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _number_poly(_bernoulli_order_numbers(k, n), n)
+    _check_n(n, k=k)
+    if k < 0:
+        # ((e^t-1)/t)^K, K = -k, has EGF coefficients a_i = S(i+K,K)/C(i+K,K)
+        a = [Fraction(_STIRLING2.row(i - k)[-k], comb(i - k, i)) for i in range(n + 1)]
+        return Poly([comb(n, i) * a[n - i] for i in range(n + 1)])
+    # g(u) = (log(1+u)/u)^k
+    w = [Fraction(_STIRLING1.row(j + k)[k], comb(j + k, k)) for j in range(n + 1)]
+    return _stirling_poly(*_common(w))
 
 
+@lru_cache(maxsize=None, typed=True)
 def euler_poly_order(n: int, k: int) -> Poly:
     """Euler polynomial of order k (k may be negative)."""
-    _check_ints(n=n, k=k)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _number_poly(_euler_order_numbers(k, n), n)
+    _check_n(n, k=k)
+    # g(u) = (1 + u/2)^{-k}: w_j = (-k)(-k-1)...(-k-j+1) / 2^j, over 2^n
+    w, fall = [], 1
+    for j in range(n + 1):
+        w.append(fall << (n - j))
+        fall *= -k - j
+    return _stirling_poly(w, 1 << n)
 
 
-@lru_cache(maxsize=None, typed=True)
-def bernoulli_number(n: int) -> Fraction:
-    """Classical Bernoulli number B_n (B_1 = -1/2)."""
-    _check_ints(n=n)
-    return _bernoulli_order_numbers(1, n).coeff(n)
-
-
-@lru_cache(maxsize=None, typed=True)
 def bernoulli_poly(n: int) -> Poly:
     return bernoulli_poly_order(n, 1)
 
 
-@lru_cache(maxsize=None, typed=True)
 def euler_poly(n: int) -> Poly:
     return euler_poly_order(n, 1)
 
 
+def _alternating_transform(n: int, den: int, weight: Callable[[int], int]) -> Fraction:
+    """sum_j (-1)^j j! S(n,j) weight(j) / den: one integer dot product."""
+    total, fact = 0, 1
+    for j, s in enumerate(_STIRLING2.row(n)):
+        total += (-1) ** j * s * fact * weight(j)
+        fact *= j + 1
+    return Fraction(total, den)
+
+
+@lru_cache(maxsize=None, typed=True)
+def bernoulli_number(n: int) -> Fraction:
+    """Classical Bernoulli number B_n (B_1 = -1/2), by Worpitzky's formula
+    B_n = sum_j (-1)^j j! S(n,j)/(j+1)."""
+    _check_n(n)
+    big_l = lcm(*range(1, n + 2))
+    return _alternating_transform(n, big_l, lambda j: big_l // (j + 1))
+
+
 @lru_cache(maxsize=None, typed=True)
 def euler_number0(n: int) -> Fraction:
-    """E_n(0), the Euler polynomial at 0 (the 'Euler numbers' of the
-    Daehee/Changhee sums)."""
-    _check_ints(n=n)
-    return _euler_order_numbers(1, n).coeff(n)
+    """E_n(0) = sum_j (-1)^j j! S(n,j)/2^j, the Euler polynomial at 0 (the
+    'Euler numbers' of the Daehee/Changhee sums)."""
+    _check_n(n)
+    return _alternating_transform(n, 1 << n, lambda j: 1 << (n - j))
 
 
 # ---------------------------------------------------------------------------
 # Apostol deformations and Frobenius-Euler polynomials
 
-@lru_cache(maxsize=None, typed=True)
-def _apostol_bernoulli_numbers(lam: Fraction, order: int) -> EgfSeries:
-    # t/(lam*e^t - 1): reciprocal of the denominator, then multiply by t.
-    denom = EgfSeries([lam - 1] + [lam] * order)
-    r = denom.reciprocal()
-    return EgfSeries.from_ints(
-        [0] + [n * r.nums[n - 1] for n in range(1, order + 1)], r.den
-    )
-
-
 def apostol_bernoulli(n: int, lam: Scalar) -> Poly:
     """Apostol-Bernoulli polynomial from t e^{xt}/(lam e^t - 1)."""
-    _check_ints(n=n)
+    _check_n(n)
     lam = _frac(lam)
     if lam == 1:
-        raise ValueError(
-            "lambda = 1 is the classical case; use bernoulli_poly_order"
-        )
-    return _number_poly(_apostol_bernoulli_numbers(lam, n), n)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _apostol_euler_numbers(lam: Fraction, order: int) -> EgfSeries:
-    denom = EgfSeries([lam + 1] + [lam] * order)
-    return denom.reciprocal().scale(2)
+        raise ValueError("lambda = 1 is the classical case; use bernoulli_poly_order")
+    # the factor t shifts the numbers, a_n = n b_{n-1}; no weights at n = 0
+    return _geometric_poly(Fraction(n), lam - 1, lam, n - 1)
 
 
 def apostol_euler(n: int, lam: Scalar) -> Poly:
     """Apostol-Euler polynomial from 2 e^{xt}/(lam e^t + 1)."""
-    _check_ints(n=n)
+    _check_n(n)
     lam = _frac(lam)
     if lam == -1:
-        raise ValueError(
-            "lambda = -1 is the classical case; use euler_poly_order"
-        )
-    return _number_poly(_apostol_euler_numbers(lam, n), n)
+        raise ValueError("lambda = -1 is the classical case; use euler_poly_order")
+    return _geometric_poly(Fraction(2), lam + 1, lam, n)
 
 
 @lru_cache(maxsize=None, typed=True)
-def _frobenius_euler_numbers(u: Fraction, order: int) -> EgfSeries:
-    denom = EgfSeries([1 - u] + [1] * order)
-    return denom.reciprocal().scale(1 - u)
-
-
 def frobenius_euler(n: int, u: Scalar) -> Poly:
     """Frobenius-Euler polynomial H_n(x; u) from (1-u) e^{xt}/(e^t - u)."""
-    _check_ints(n=n)
+    _check_n(n)
     u = _frac(u)
     if u == 1:
         raise ValueError("u = 1 is excluded (generating function degenerates)")
-    return _number_poly(_frobenius_euler_numbers(u, n), n)
+    return _geometric_poly(1 - u, 1 - u, Fraction(1), n)
 
 
 # ---------------------------------------------------------------------------

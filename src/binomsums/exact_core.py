@@ -446,6 +446,7 @@ class GammaHalfValue:
 
 def binomial_general(z: Scalar, v: int) -> Fraction:
     """Binomial coefficient z(z-1)...(z-v+1)/v! for arbitrary rational z."""
+    _check_ints(v=v)
     if v < 0:
         raise ValueError("v must be >= 0")
     z = _frac(z)
@@ -457,6 +458,7 @@ def binomial_general(z: Scalar, v: int) -> Fraction:
 
 def pochhammer(x: Scalar, v: int) -> Fraction:
     """Rising factorial x(x+1)...(x+v-1); empty product is 1."""
+    _check_ints(v=v)
     if v < 0:
         raise ValueError("v must be >= 0")
     x = _frac(x)
@@ -468,6 +470,7 @@ def pochhammer(x: Scalar, v: int) -> Fraction:
 
 def falling_factorial(x: Scalar, v: int) -> Fraction:
     """Falling factorial x(x-1)...(x-v+1)."""
+    _check_ints(v=v)
     if v < 0:
         raise ValueError("v must be >= 0")
     x = _frac(x)

@@ -134,12 +134,13 @@ def ogf_series(case: OgfCase, lam: Scalar | None, order: int) -> list[Fraction]:
 
 def ogf_reference(case: OgfCase, lam: Scalar | None, order: int) -> list[Fraction]:
     """The same coefficients straight from the finite sums, for auditing."""
-    if case is OgfCase.LAM_P0:
-        return [y6(0, n, _frac(lam), 0) for n in range(order + 1)]
-    if case is OgfCase.LAM_P1:
-        return [y6(0, n, _frac(lam), 1) for n in range(order + 1)]
-    if case is OgfCase.ONE_P2:
-        return [y6(0, n, Fraction(1), 2) for n in range(order + 1)]
-    if case is OgfCase.MINUS1_P2:
-        return [y6(0, n, Fraction(-1), 2) for n in range(order + 1)]
-    raise ValueError(f"unknown case {case!r}")
+    slices = {  # case -> (lambda, p) of its slice
+        OgfCase.LAM_P0: (lam, 0),
+        OgfCase.LAM_P1: (lam, 1),
+        OgfCase.ONE_P2: (1, 2),
+        OgfCase.MINUS1_P2: (-1, 2),
+    }
+    if case not in slices:
+        raise ValueError(f"unknown case {case!r}")
+    lam, p = slices[case]
+    return [y6(0, n, _frac(lam), p) for n in range(order + 1)]

@@ -69,8 +69,8 @@ class RationalFunction:
         return out
 
 
-# typed: a float equal to a cached rational must not hit that entry
-@lru_cache(maxsize=None, typed=True)
+# typed: a float must not hit an equal rational's entry; bounded to cap memory
+@lru_cache(maxsize=8192, typed=True)
 def y6(m: int, n: int, lam: Fraction, p: int) -> Fraction:
     """(1/n!) sum_k C(n,k)^p k^m lam^k with 0^0 = 1."""
     _check_ints(m=m, n=n, p=p)

@@ -320,6 +320,15 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "error: line 2: bad value for lambdas" in capsys.readouterr().err
 
+    def test_run_apostol_powersum_at_lambda_zero(self, tmp_path, capsys):
+        path = tmp_path / "lam.cfg"
+        path.write_text("lambdas = 0, 2\n")
+        argv = ["run", "--filter", "apostol_powersum", "--config", str(path)]
+        assert cli.main([*argv, "--format", "json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["entries"]
+        assert entry["verdict"] == "HOLDS_CORRECTED_ONLY"
+        assert entry["skipped"] == []
+
     @pytest.mark.parametrize("bound", ["m_max = -1", "p_max = -3"])
     def test_run_empty_grid_exits_two(self, tmp_path, capsys, bound):
         path = tmp_path / "empty.cfg"
@@ -338,6 +347,19 @@ class TestCli:
         assert cli.main(["seq", "daehee", "--range", "0..3"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["n,value", "0,1", "1,-1/2", "2,2/3", "3,-3/2"]
+
+    @pytest.mark.parametrize(
+        "family, closed_form",
+        [
+            ("daehee", lambda n: Fraction((-1) ** n * factorial(n), n + 1)),
+            ("changhee", lambda n: Fraction((-1) ** n * factorial(n), 2**n)),
+        ],
+        ids=["daehee", "changhee"],
+    )
+    def test_seq_daehee_changhee_closed_forms(self, family, closed_form, capsys):
+        out = _seq_output([family, "--range", "0..200"], capsys)
+        expected = "".join(f"{n},{closed_form(n)}\n" for n in range(201))
+        assert out == "n,value\n" + expected
 
     def test_seq_bnk_geometric_row(self, capsys):
         code = cli.main(

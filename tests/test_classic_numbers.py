@@ -231,7 +231,7 @@ class TestBernoulliEuler:
 
 
 class TestDeformedFamilies:
-    lams = [Fraction(-2), Fraction(-1, 2), Fraction(2), Fraction(3)]
+    lams = [Fraction(0), Fraction(-2), Fraction(-1, 2), Fraction(2), Fraction(3)]
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -268,10 +268,111 @@ class TestDeformedFamilies:
         with pytest.raises(ValueError):
             frobenius_euler(3, 1)
 
+    @pytest.mark.parametrize(
+        "family, args",
+        [
+            pytest.param(family, args, id=family.__name__)
+            for family, args in (
+                (bernoulli_number, ()),
+                (euler_number0, ()),
+                (bernoulli_poly_order, (-2,)),
+                (euler_poly_order, (2,)),
+                (apostol_bernoulli, (2,)),
+                (apostol_euler, (2,)),
+                (frobenius_euler, (2,)),
+            )
+        ],
+    )
+    def test_negative_degree_rejected(self, family, args):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            family(-1, *args)
+
     def test_apostol_reduces_to_classical_limits(self):
         # Frobenius-Euler at u = -1 is the classical Euler polynomial
         for n in range(8):
             assert frobenius_euler(n, -1) == euler_poly(n)
+
+
+# An oracle independent of the Stirling transforms: expand each defining
+# generating function as a truncated EGF and read the Appell polynomial off
+# its coefficients, which do not depend on the truncation order.
+
+ORACLE_N = 30
+
+
+def appell(series: EgfSeries, n: int) -> Poly:
+    """sum_i C(n,i) a_{n-i} x^i from the series coefficients a_j."""
+    a = series.coeffs
+    return Poly([comb(n, i) * a[n - i] for i in range(n + 1)])
+
+
+def bernoulli_series(k: int) -> EgfSeries:
+    """(t/(e^t-1))^k as the power -k of (e^t-1)/t."""
+    return EgfSeries([Fraction(1, n + 1) for n in range(ORACLE_N + 1)]).pow(-k)
+
+
+def euler_series(k: int) -> EgfSeries:
+    """(2/(e^t+1))^k as the power -k of (e^t+1)/2."""
+    return EgfSeries([1] + [Fraction(1, 2)] * ORACLE_N).pow(-k)
+
+
+def apostol_bernoulli_series(lam: Fraction) -> EgfSeries:
+    """t/(lam e^t - 1): the reciprocal of the denominator, times t."""
+    r = EgfSeries([lam - 1] + [lam] * ORACLE_N).reciprocal().coeffs
+    return EgfSeries([0] + [n * r[n - 1] for n in range(1, ORACLE_N + 1)])
+
+
+def apostol_euler_series(lam: Fraction) -> EgfSeries:
+    """2/(lam e^t + 1)."""
+    return EgfSeries([lam + 1] + [lam] * ORACLE_N).reciprocal().scale(2)
+
+
+def frobenius_euler_series(u: Fraction) -> EgfSeries:
+    """(1-u)/(e^t - u)."""
+    return EgfSeries([1 - u] + [1] * ORACLE_N).reciprocal().scale(1 - u)
+
+
+ORACLE_PARAMS = [Fraction(s) for s in ("0", "-2", "-1", "-1/2", "1/2", "1", "2", "3")]
+DEFORMED = [
+    # family, its series, the parameter its generating function excludes
+    (apostol_bernoulli, apostol_bernoulli_series, 1),
+    (apostol_euler, apostol_euler_series, -1),
+    (frobenius_euler, frobenius_euler_series, 1),
+]
+
+
+class TestEgfOracle:
+    """Every family equals the Appell polynomials of its generating
+    function, expanded by EgfSeries reciprocals and powers, for n <= 30."""
+
+    @pytest.mark.parametrize("k", range(-4, 5))
+    def test_order_families(self, k):
+        for family, series in (
+            (bernoulli_poly_order, bernoulli_series(k)),
+            (euler_poly_order, euler_series(k)),
+        ):
+            for n in range(ORACLE_N + 1):
+                assert family(n, k) == appell(series, n), (family.__name__, n)
+
+    @pytest.mark.parametrize(
+        "family, series, lam",
+        [
+            pytest.param(family, series, lam, id=f"{family.__name__}[{lam}]")
+            for family, series, excluded in DEFORMED
+            for lam in ORACLE_PARAMS
+            if lam != excluded
+        ],
+    )
+    def test_deformed_families(self, family, series, lam):
+        expansion = series(lam)
+        for n in range(ORACLE_N + 1):
+            assert family(n, lam) == appell(expansion, n), n
+
+    def test_numbers(self):
+        bernoulli, euler = bernoulli_series(1), euler_series(1)
+        for n in range(ORACLE_N + 1):
+            assert bernoulli_number(n) == bernoulli.coeff(n)
+            assert euler_number0(n) == euler.coeff(n)
 
 
 def catalan_by_ballot_paths(n: int) -> int:

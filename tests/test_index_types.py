@@ -29,6 +29,7 @@ from binomsums.classic_numbers import (
     y1,
     y_seq,
 )
+from binomsums.exact_core import binomial_general, falling_factorial, pochhammer
 from binomsums.y6_engine import (
     b_ogf,
     bnk,
@@ -65,6 +66,10 @@ CALLS = [
     (y_seq, (6, HALF)),
     (legendre, (6,)),
     (mirimanoff, (3, 5, 1)),
+    # the first argument is rational, so only the index v is probed
+    (pochhammer, (HALF, 4)),
+    (falling_factorial, (HALF, 4)),
+    (binomial_general, (HALF, 4)),
 ]
 
 CASES = [
@@ -82,6 +87,13 @@ def test_non_int_index_is_refused_and_int_stays_exact(fn, args, index):
             fn(*args[:index], bad, *args[index + 1 :])
     # the memoized value equals a fresh evaluation of the function body
     assert fn(*args) == inspect.unwrap(fn)(*args)
+
+
+@pytest.mark.parametrize("fn", [pochhammer, falling_factorial, binomial_general])
+def test_bool_index_is_refused(fn):
+    # bool is an int subclass, so True would otherwise pass as the index 1
+    with pytest.raises(TypeError, match="v must be an int"):
+        fn(5, True)
 
 
 def test_float_index_does_not_poison_bnk():

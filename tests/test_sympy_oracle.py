@@ -19,6 +19,8 @@ from binomsums.classic_numbers import (  # noqa: E402
 from binomsums.p_polynomials import r_poly  # noqa: E402
 
 N_MAX = 30
+# the Bernoulli and Euler numbers are one dot product each, so go further
+NUMBERS_MAX = 200
 
 
 def _frac(value) -> Fraction:
@@ -34,14 +36,14 @@ def test_stirling_numbers(n):
         assert stirling2(n, k) == _frac(stirling(n, k, kind=2))
 
 
-@pytest.mark.parametrize("n", range(N_MAX + 1))
+@pytest.mark.parametrize("n", range(NUMBERS_MAX + 1))
 def test_bernoulli_numbers(n):
     # sympy takes B_1 = +1/2; here B_1 = -1/2
     expected = _frac(sympy.bernoulli(n))
     assert bernoulli_number(n) == (-expected if n == 1 else expected)
 
 
-@pytest.mark.parametrize("n", range(N_MAX + 1))
+@pytest.mark.parametrize("n", range(NUMBERS_MAX + 1))
 def test_euler_numbers_at_zero(n):
     assert euler_number0(n) == _frac(sympy.euler(n, 0))
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomsums import y6_engine
+from binomsums.audit import run_audit
 from binomsums.exact_core import Poly, _frac
 from binomsums.y6_engine import (
     RationalFunction,
@@ -89,6 +90,14 @@ class TestY6:
         for args in ((bad, 3, 1, 2), (2, bad, 1, 2), (2, 3, 1, bad)):
             with pytest.raises(TypeError, match="must be an int"):
                 y6(*args)
+
+    def test_cache_is_bounded_above_a_default_audit(self):
+        # every entry a default audit needs fits, so the bound evicts nothing
+        y6.cache_clear()
+        run_audit()
+        info = y6.cache_info()
+        assert info.maxsize is not None
+        assert info.misses == info.currsize < info.maxsize
 
     @given(
         st.integers(min_value=0, max_value=8),
