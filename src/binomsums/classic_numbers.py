@@ -18,7 +18,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable
 
-from .exact_core import Poly, Scalar, _check_ints, _common, _frac
+from .exact_core import Poly, Scalar, _check_indices, _check_ints, _common, _frac
 
 __all__ = [
     "FamilyTag",
@@ -87,9 +87,7 @@ _STIRLING2 = _Triangle(_stirling2_next)
 @lru_cache(maxsize=None, typed=True)
 def stirling2(n: int, v: int) -> Fraction:
     """Stirling numbers of the second kind S(n,v)."""
-    _check_ints(n=n, v=v)
-    if n < 0 or v < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(n=n, v=v)
     if v > n:
         return Fraction(0)
     return Fraction(_STIRLING2.row(n)[v])
@@ -98,9 +96,7 @@ def stirling2(n: int, v: int) -> Fraction:
 @lru_cache(maxsize=None, typed=True)
 def stirling1(n: int, k: int) -> Fraction:
     """Signed Stirling numbers of the first kind s(n,k)."""
-    _check_ints(n=n, k=k)
-    if n < 0 or k < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(n=n, k=k)
     if k > n:
         return Fraction(0)
     return Fraction(_STIRLING1.row(n)[k])
@@ -128,16 +124,11 @@ def _geometric_poly(scale: Fraction, c: Fraction, d: Fraction, n: int) -> Poly:
     return _stirling_poly(w, b * y ** (n + 1))
 
 
-def _check_n(n: int, **indices: int) -> None:
-    _check_ints(n=n, **indices)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-
 @lru_cache(maxsize=None, typed=True)
 def bernoulli_poly_order(n: int, k: int) -> Poly:
     """Bernoulli polynomial of order k (k may be negative)."""
-    _check_n(n, k=k)
+    _check_indices(n=n)
+    _check_ints(k=k)
     if k < 0:
         # ((e^t-1)/t)^K, K = -k, has EGF coefficients a_i = S(i+K,K)/C(i+K,K)
         a = [Fraction(_STIRLING2.row(i - k)[-k], comb(i - k, i)) for i in range(n + 1)]
@@ -150,7 +141,8 @@ def bernoulli_poly_order(n: int, k: int) -> Poly:
 @lru_cache(maxsize=None, typed=True)
 def euler_poly_order(n: int, k: int) -> Poly:
     """Euler polynomial of order k (k may be negative)."""
-    _check_n(n, k=k)
+    _check_indices(n=n)
+    _check_ints(k=k)
     # g(u) = (1 + u/2)^{-k}: w_j = (-k)(-k-1)...(-k-j+1) / 2^j, over 2^n
     w, fall = [], 1
     for j in range(n + 1):
@@ -180,7 +172,7 @@ def _alternating_transform(n: int, den: int, weight: Callable[[int], int]) -> Fr
 def bernoulli_number(n: int) -> Fraction:
     """Classical Bernoulli number B_n (B_1 = -1/2), by Worpitzky's formula
     B_n = sum_j (-1)^j j! S(n,j)/(j+1)."""
-    _check_n(n)
+    _check_indices(n=n)
     big_l = lcm(*range(1, n + 2))
     return _alternating_transform(n, big_l, lambda j: big_l // (j + 1))
 
@@ -189,7 +181,7 @@ def bernoulli_number(n: int) -> Fraction:
 def euler_number0(n: int) -> Fraction:
     """E_n(0) = sum_j (-1)^j j! S(n,j)/2^j, the Euler polynomial at 0 (the
     'Euler numbers' of the Daehee/Changhee sums)."""
-    _check_n(n)
+    _check_indices(n=n)
     return _alternating_transform(n, 1 << n, lambda j: 1 << (n - j))
 
 
@@ -198,7 +190,7 @@ def euler_number0(n: int) -> Fraction:
 
 def apostol_bernoulli(n: int, lam: Scalar) -> Poly:
     """Apostol-Bernoulli polynomial from t e^{xt}/(lam e^t - 1)."""
-    _check_n(n)
+    _check_indices(n=n)
     lam = _frac(lam)
     if lam == 1:
         raise ValueError("lambda = 1 is the classical case; use bernoulli_poly_order")
@@ -208,7 +200,7 @@ def apostol_bernoulli(n: int, lam: Scalar) -> Poly:
 
 def apostol_euler(n: int, lam: Scalar) -> Poly:
     """Apostol-Euler polynomial from 2 e^{xt}/(lam e^t + 1)."""
-    _check_n(n)
+    _check_indices(n=n)
     lam = _frac(lam)
     if lam == -1:
         raise ValueError("lambda = -1 is the classical case; use euler_poly_order")
@@ -218,7 +210,7 @@ def apostol_euler(n: int, lam: Scalar) -> Poly:
 @lru_cache(maxsize=None, typed=True)
 def frobenius_euler(n: int, u: Scalar) -> Poly:
     """Frobenius-Euler polynomial H_n(x; u) from (1-u) e^{xt}/(e^t - u)."""
-    _check_n(n)
+    _check_indices(n=n)
     u = _frac(u)
     if u == 1:
         raise ValueError("u = 1 is excluded (generating function degenerates)")
@@ -230,9 +222,7 @@ def frobenius_euler(n: int, u: Scalar) -> Poly:
 
 def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
     """Catalan, Daehee or Changhee number, each by its defining sum."""
-    _check_ints(n=n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_indices(n=n)
     if tag is FamilyTag.CATALAN:
         return Fraction(comb(2 * n, n), n + 1)
     if tag is FamilyTag.DAEHEE:
@@ -250,9 +240,7 @@ def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
 
 def y1(n: int, k: int, lam: Scalar) -> Fraction:
     """(1/k!) sum_j C(k,j) j^n lam^j with the 0^0 = 1 convention."""
-    _check_ints(n=n, k=k)
-    if n < 0 or k < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(n=n, k=k)
     lam = _frac(lam)
     total = Fraction(0)
     for j in range(k + 1):
@@ -262,7 +250,7 @@ def y1(n: int, k: int, lam: Scalar) -> Fraction:
 
 def y_seq(n: int, lam: Scalar) -> Fraction:
     """Y_n from 2/(lam^2 t + lam - 1), by geometric expansion."""
-    _check_ints(n=n)
+    _check_indices(n=n)
     lam = _frac(lam)
     if lam == 1:
         raise ValueError("lambda = 1 is a pole of the generating function")
@@ -277,9 +265,7 @@ def y_seq(n: int, lam: Scalar) -> Fraction:
 @lru_cache(maxsize=None, typed=True)
 def legendre(n: int) -> Poly:
     """Legendre polynomial via 2^{-n} sum_k C(n,k)^2 (x-1)^{n-k} (x+1)^k."""
-    _check_ints(n=n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_indices(n=n)
     xm1 = Poly([-1, 1])
     xp1 = Poly([1, 1])
     acc = Poly()
@@ -291,9 +277,7 @@ def legendre(n: int) -> Poly:
 def mirimanoff(m: int, n: int, shift: int = 0) -> Poly:
     """Power-sum generating polynomial: coefficient of x^j is (j+shift)^m
     for 0 <= j < n (0^0 = 1)."""
-    _check_ints(m=m, n=n, shift=shift)
-    if m < 0 or n < 0 or shift < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(m=m, n=n, shift=shift)
     return Poly(
         [(j + shift) ** m for j in range(n)]
     )

@@ -73,13 +73,11 @@ def _int_param(params: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
-TermFn = Callable[[int, dict], Fraction]
-SequenceFn = Callable[[range, dict], list]
-
-
-def _per_term(term: TermFn) -> SequenceFn:
-    """A range-level family that evaluates its n-th term for each n."""
-    return lambda rng, ps: [term(n, ps) for n in rng]
+def _y6_terms(rng: range, ps: dict) -> list:
+    """y6(m,n;lam,p) over a range."""
+    m, p = _int_param(ps, "m", 0), _int_param(ps, "p", 2)
+    lam = ps.get("lam", Fraction(1))
+    return [y6(m, n, lam, p) for n in rng]
 
 
 def _franel_terms(rng: range, ps: dict) -> list:
@@ -96,31 +94,30 @@ def _franel_terms(rng: range, ps: dict) -> list:
     return [franel(p, m, n, lam) for n in rng]
 
 
-def _seq_families() -> dict[str, tuple[tuple[str, ...], SequenceFn]]:
-    """Each family with the ``--params`` keys it reads and its terms over a
-    range."""
-    families: dict[str, tuple[tuple[str, ...], TermFn]] = {
-        "bnk": (("d",), lambda n, ps: bnk(_int_param(ps, "d"), n)),
-        "y6": (
-            ("m", "lam", "p"),
-            lambda n, ps: y6(
-                _int_param(ps, "m", 0),
-                n,
-                ps.get("lam", Fraction(1)),
-                _int_param(ps, "p", 2),
-            ),
-        ),
-        "moment": (
-            ("m", "p"),
-            lambda n, ps: moment(_int_param(ps, "m", 0), _int_param(ps, "p", 2), n),
-        ),
-        "catalan": ((), lambda n, ps: classic_sequence(FamilyTag.CATALAN, n)),
-        "daehee": ((), lambda n, ps: classic_sequence(FamilyTag.DAEHEE, n)),
-        "changhee": ((), lambda n, ps: classic_sequence(FamilyTag.CHANGHEE, n)),
-    }
-    ranged = {name: (keys, _per_term(term)) for name, (keys, term) in families.items()}
-    ranged["franel"] = (("p", "m", "lam"), _franel_terms)
-    return ranged
+# Each family with the ``--params`` keys it reads and its terms over a range.
+_SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], list]]] = {
+    "bnk": (("d",), lambda rng, ps: [bnk(_int_param(ps, "d"), n) for n in rng]),
+    "y6": (("m", "lam", "p"), _y6_terms),
+    "moment": (
+        ("m", "p"),
+        lambda rng, ps: [
+            moment(_int_param(ps, "m", 0), _int_param(ps, "p", 2), n) for n in rng
+        ],
+    ),
+    "catalan": (
+        (),
+        lambda rng, ps: [classic_sequence(FamilyTag.CATALAN, n) for n in rng],
+    ),
+    "daehee": (
+        (),
+        lambda rng, ps: [classic_sequence(FamilyTag.DAEHEE, n) for n in rng],
+    ),
+    "changhee": (
+        (),
+        lambda rng, ps: [classic_sequence(FamilyTag.CHANGHEE, n) for n in rng],
+    ),
+    "franel": (("p", "m", "lam"), _franel_terms),
+}
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -152,7 +149,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     family = args.family or args.family_opt
     if family is None:
         raise ConfigError("a sequence family is required")
-    keys, fn = _seq_families()[family]
+    keys, fn = _SEQ_FAMILIES[family]
     params = _parse_params(args.params)
     unknown = sorted(set(params) - set(keys))
     if unknown:
@@ -213,13 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     seq = sub.add_parser("seq", help="print terms of a sequence family")
     seq.add_argument(
-        "family", nargs="?", default=None, choices=sorted(_seq_families())
+        "family", nargs="?", default=None, choices=sorted(_SEQ_FAMILIES)
     )
     seq.add_argument(
         "--family",
         dest="family_opt",
         default=None,
-        choices=sorted(_seq_families()),
+        choices=sorted(_SEQ_FAMILIES),
         help="alternative to the positional family argument",
     )
     seq.add_argument("--range", default="0..10", help="index range a..b")

@@ -2,8 +2,11 @@
 
 Everything downstream works over exact rationals: dense polynomials,
 truncated exponential-generating-function series, and gamma values at
-integer/half-integer arguments.  Values cross the API as
-``fractions.Fraction``.  Inside, ``Poly`` and ``EgfSeries`` hold Python-int
+integer/half-integer arguments.  Scalars cross the API as ``int`` or
+``fractions.Fraction`` (``franel_recurrence`` returns ints, most other
+functions a ``Fraction``); a float is refused, never converted.  Integer
+indices must be ``int`` and, unless documented otherwise, >= 0
+(``_check_indices``).  Inside, ``Poly`` and ``EgfSeries`` hold Python-int
 numerators over one reduced denominator (the representation of FLINT's
 ``fmpq_poly``), so their arithmetic runs on ints and a ``Fraction`` is
 built only where a value leaves the object.
@@ -48,6 +51,19 @@ def _check_ints(**indices: object) -> None:
     for name, value in indices.items():
         if type(value) is not int:
             raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _check_indices(**indices: object) -> None:
+    """The gate of every public index that must be an int >= 0: a non-int
+    raises ``TypeError`` and a negative value ``ValueError``, before any
+    cache or arithmetic sees it."""
+    for name, value in indices.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if value < 0:
+            if len(indices) == 1:
+                raise ValueError(f"{name} must be >= 0")
+            raise ValueError("indices must be >= 0")
 
 
 def _ratio(x: Scalar) -> tuple[int, int]:
@@ -137,6 +153,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, k: int, c: Scalar = 1) -> "Poly":
+        _check_indices(k=k)
         return cls([0] * k + [c])
 
     @classmethod
@@ -311,6 +328,7 @@ class EgfSeries:
         return tuple([Fraction(c, den) for c in self.nums])
 
     def coeff(self, n: int) -> Fraction:
+        _check_indices(n=n)
         return Fraction(self.nums[n], self.den)
 
     @property
@@ -319,11 +337,13 @@ class EgfSeries:
 
     @classmethod
     def one(cls, order: int) -> "EgfSeries":
+        _check_indices(order=order)
         return _egf([1] + [0] * order, 1)
 
     @classmethod
     def exp(cls, a: Scalar, order: int) -> "EgfSeries":
         """Coefficients of e^{a t}: c_n = a^n."""
+        _check_indices(order=order)
         # For a = p/q in lowest terms, p^n q^(N-n) over q^N is canonical.
         p, q = _ratio(a)
         out, cur = [], 1
@@ -446,9 +466,7 @@ class GammaHalfValue:
 
 def binomial_general(z: Scalar, v: int) -> Fraction:
     """Binomial coefficient z(z-1)...(z-v+1)/v! for arbitrary rational z."""
-    _check_ints(v=v)
-    if v < 0:
-        raise ValueError("v must be >= 0")
+    _check_indices(v=v)
     z = _frac(z)
     num = Fraction(1)
     for i in range(v):
@@ -458,9 +476,7 @@ def binomial_general(z: Scalar, v: int) -> Fraction:
 
 def pochhammer(x: Scalar, v: int) -> Fraction:
     """Rising factorial x(x+1)...(x+v-1); empty product is 1."""
-    _check_ints(v=v)
-    if v < 0:
-        raise ValueError("v must be >= 0")
+    _check_indices(v=v)
     x = _frac(x)
     out = Fraction(1)
     for i in range(v):
@@ -470,9 +486,7 @@ def pochhammer(x: Scalar, v: int) -> Fraction:
 
 def falling_factorial(x: Scalar, v: int) -> Fraction:
     """Falling factorial x(x-1)...(x-v+1)."""
-    _check_ints(v=v)
-    if v < 0:
-        raise ValueError("v must be >= 0")
+    _check_indices(v=v)
     x = _frac(x)
     out = Fraction(1)
     for i in range(v):

@@ -9,7 +9,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact_core import Scalar, _frac, gamma_half
+from .exact_core import Scalar, _check_indices, _check_ints, _frac, gamma_half
 from .y6_engine import y6
 
 __all__ = [
@@ -80,6 +80,7 @@ def y6_hyper(n: int, lam: Scalar, p: int) -> Fraction:
     """m = 0 member of the family via its hypergeometric representation:
     (1/n!) pFq with p copies of -n on top, p-1 ones below, argument
     (-1)^p lam."""
+    _check_indices(n=n, p=p)
     if p < 1:
         raise ValueError("the hypergeometric form needs p >= 1")
     lam = _frac(lam)
@@ -90,6 +91,7 @@ def y6_hyper(n: int, lam: Scalar, p: int) -> Fraction:
 def alternating_square_gamma(n: int) -> Fraction:
     """sqrt(pi) 2^n / (Gamma((2+n)/2) Gamma((1-n)/2)) with the
     1/Gamma(pole) = 0 convention; always an exact rational."""
+    _check_ints(n=n)
     g1 = gamma_half(Fraction(2 + n, 2))
     g2 = gamma_half(Fraction(1 - n, 2))
     if g1.is_pole or g2.is_pole:
@@ -97,7 +99,7 @@ def alternating_square_gamma(n: int) -> Fraction:
     # One of the two gammas carries the sqrt(pi); it must cancel the
     # explicit sqrt(pi) in the numerator.
     assert g1.sqrt_pi_exponent + g2.sqrt_pi_exponent == 1
-    return Fraction(2**n) / (g1.rational_part * g2.rational_part)
+    return Fraction(2) ** n / (g1.rational_part * g2.rational_part)
 
 
 class OgfCase(Enum):
@@ -110,8 +112,7 @@ class OgfCase(Enum):
 def ogf_series(case: OgfCase, lam: Scalar | None, order: int) -> list[Fraction]:
     """Ordinary coefficients c_0..c_order of the solved closed forms of
     sum_n y6(0,n;lam,p) t^n."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _check_indices(order=order)
     if case is OgfCase.LAM_P0:
         lam = _frac(lam)
         if lam == 1:
@@ -134,6 +135,7 @@ def ogf_series(case: OgfCase, lam: Scalar | None, order: int) -> list[Fraction]:
 
 def ogf_reference(case: OgfCase, lam: Scalar | None, order: int) -> list[Fraction]:
     """The same coefficients straight from the finite sums, for auditing."""
+    _check_indices(order=order)
     slices = {  # case -> (lambda, p) of its slice
         OgfCase.LAM_P0: (lam, 0),
         OgfCase.LAM_P1: (lam, 1),

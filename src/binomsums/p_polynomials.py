@@ -26,7 +26,7 @@ from .classic_numbers import (
     euler_poly,
     frobenius_euler,
 )
-from .exact_core import Poly, Scalar, _check_ints, _frac
+from .exact_core import Poly, Scalar, _check_indices, _frac
 
 __all__ = [
     "p_poly",
@@ -43,9 +43,7 @@ __all__ = [
 
 def p_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     """sum_{k=0}^{m} C(m,k) x^{m-k} y6(k,n;lam,p)."""
-    _check_ints(m=m, n=n, p=p)
-    if m < 0 or n < 0 or p < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(m=m, n=n, p=p)
     lam = _frac(lam)
     a, b = lam.numerator, lam.denominator
     # Horner in b: after step k, row[i] = sum_{j<=k} C(n,j)^p j^i a^j b^(k-j),
@@ -69,9 +67,7 @@ def raw_sum_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
 
     Equals n! times p_poly (the two defining forms differ by that factor).
     """
-    _check_ints(m=m, n=n, p=p)
-    if m < 0 or n < 0 or p < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(m=m, n=n, p=p)
     lam = _frac(lam)
     a, b = lam.numerator, lam.denominator
     # b^n times the sum: term j has the integer weight C(n,j)^p a^j b^(n-j)
@@ -117,8 +113,7 @@ def power_sum_closed(m: int, upper: int, lam: Scalar) -> Fraction:
     lam=1 goes through Bernoulli polynomials, lam=-1 through Euler
     polynomials, and general lam through Apostol-Bernoulli polynomials.
     """
-    if upper < 0:
-        raise ValueError("upper must be >= 0")
+    _check_indices(m=m, upper=upper)
     if upper == 0:
         return Fraction(0)
     lam = _frac(lam)
@@ -136,21 +131,19 @@ def power_sum_closed(m: int, upper: int, lam: Scalar) -> Fraction:
 @lru_cache(maxsize=None, typed=True)
 def r_poly(n: int, p: int) -> Poly:
     """(1/n!) sum_k C(n,k)^p x^k."""
-    _check_ints(n=n, p=p)
-    if n < 0 or p < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(n=n, p=p)
     return Poly.from_ints([comb(n, k) ** p for k in range(n + 1)], factorial(n))
 
 
 def vowe(n: int) -> Poly:
     """sum_k C(n,k)^2 x^k, i.e. n! times the p=2 member of r_poly."""
+    _check_indices(n=n)
     return factorial(n) * r_poly(n, 2)
 
 
 def euler_operator(q: Poly, iterations: int = 1) -> Poly:
     """Apply x d/dx the given number of times."""
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    _check_indices(iterations=iterations)
     for _ in range(iterations):
         q = Poly.x() * q.derivative()
     return q
@@ -159,6 +152,7 @@ def euler_operator(q: Poly, iterations: int = 1) -> Poly:
 def mirimanoff_frobenius_sum(m: int, n: int, x0: Scalar, u: Scalar) -> Fraction:
     """sum_{j=0}^{n-1} u^j (x0+j)^m via Frobenius-Euler polynomials:
     (u^n H_m(x0+n; 1/u) - H_m(x0; 1/u)) / (u - 1)."""
+    _check_indices(m=m, n=n)
     u = _frac(u)
     if u in (0, 1):
         raise ValueError("u must not be 0 or 1")

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .classic_numbers import stirling1, stirling2
-from .exact_core import EgfSeries, Poly, Scalar, _check_ints, _frac
+from .exact_core import EgfSeries, Poly, Scalar, _check_indices, _check_ints, _frac
 
 __all__ = [
     "RationalFunction",
@@ -51,6 +51,7 @@ class RationalFunction:
 
     def series(self, order: int) -> list[Fraction]:
         """Ordinary power-series coefficients c_0..c_order."""
+        _check_indices(order=order)
         # With d = D/e and num = N/f in integer form, the recurrence
         # d_0 c_n = num_n - sum_k d_k c_{n-k} becomes
         # D_0 c_n = N_n e/f - sum_k D_k c_{n-k}.
@@ -73,9 +74,7 @@ class RationalFunction:
 @lru_cache(maxsize=8192, typed=True)
 def y6(m: int, n: int, lam: Fraction, p: int) -> Fraction:
     """(1/n!) sum_k C(n,k)^p k^m lam^k with 0^0 = 1."""
-    _check_ints(m=m, n=n, p=p)
-    if m < 0 or n < 0 or p < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(m=m, n=n, p=p)
     lam = _frac(lam)
     a, b = lam.numerator, lam.denominator
     # Horner in b: after step k, total = sum_{i<=k} C(n,i)^p i^m a^i b^(k-i).
@@ -94,6 +93,7 @@ def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
     Entry m is y6(m, n, lam, p); built through series arithmetic so the
     coefficient/derivative equivalence is an actual cross-check.
     """
+    _check_indices(n=n, p=p, order=order)
     lam = _frac(lam)
     acc = EgfSeries([0] * (order + 1))
     lam_k = Fraction(1)
@@ -106,9 +106,7 @@ def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
 @lru_cache(maxsize=None, typed=True)
 def bnk(d: int, k: int) -> Fraction:
     """Golombek's sum B(d,k) = sum_{j=0}^{k} C(k,j) j^d (0^0 = 1)."""
-    _check_ints(d=d, k=k)
-    if d < 0 or k < 0:
-        raise ValueError("indices must be >= 0")
+    _check_indices(d=d, k=k)
     total = 0
     for j in range(k + 1):
         total += comb(k, j) * j**d
@@ -137,9 +135,7 @@ def b_ogf(d: int) -> RationalFunction:
     d = 0 gives 1/(1-2x); for d >= 1 the partial-fraction shape
     sum_j j! S(d,j) x^j/(1-2x)^{j+1} is brought over (1-2x)^{d+1}.
     """
-    _check_ints(d=d)
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    _check_indices(d=d)
     one_m_2x = Poly([1, -2])
     if d == 0:
         return RationalFunction(Poly([1]), one_m_2x)
@@ -184,11 +180,10 @@ def franel_recurrence(p: int, stop: int) -> list[int]:
     Unrolls Franel's recurrence from f(0) = 1; a division that is not exact
     raises ``ArithmeticError``.
     """
-    _check_ints(p=p, stop=stop)
+    _check_ints(p=p)
+    _check_indices(stop=stop)
     if p not in _FRANEL_STEPS:
         raise ValueError(f"Franel recurrence is known for p = 3, 4 only, got p = {p}")
-    if stop < 0:
-        raise ValueError("stop must be >= 0")
     step = _FRANEL_STEPS[p]
     terms = [1] if stop else []
     prev = 0
