@@ -26,6 +26,13 @@ routes it is compared with.  ``p_poly`` sums its own integer coefficients
 and does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``,
 which set the polynomial family against ``y6`` values (through
 ``_y6_sum``), compare independent routes.
+
+Speed: the sums over the large grids are taken as integers over one
+common denominator and divided once, not by adding a ``Fraction`` per
+term: ``_binom_sum``, ``_y6_sum``, ``direct_power_sum`` and the right
+side of ``py6ab``; ``sec6_bernoulli``/``sec6_euler`` first collect their
+inner sums into one ``Poly``.  ``p_poly`` is memoized, so the entries of
+the polynomial family share each polynomial they build.
 """
 
 from __future__ import annotations
@@ -262,14 +269,22 @@ def lagrange_poly(points: list[tuple[Fraction, Fraction]]) -> Poly:
     return acc
 
 
-def direct_power_sum(m: int, upper: int, lam: Fraction) -> Fraction:
-    """Brute-force sum_{j=0}^{upper-1} lam^j j^m with 0^0 = 1."""
-    total = Fraction(0)
-    lj = Fraction(1)
+def direct_power_sum(
+    m: int, upper: int, lam: Fraction, x0: Fraction = Fraction(0)
+) -> Fraction:
+    """Brute-force sum_{j=0}^{upper-1} lam^j (x0+j)^m with 0^0 = 1.
+
+    With lam = a/b and x0 = c/d, the integer
+    sum_j a^j b^(upper-1-j) (c+jd)^m is summed by Horner in b and divided
+    once by b^(upper-1) d^m."""
+    a, b = lam.numerator, lam.denominator
+    c, d = x0.numerator, x0.denominator
+    total = 0
+    a_j = 1
     for j in range(upper):
-        total += lj * Fraction(j) ** m
-        lj *= lam
-    return total
+        total = total * b + a_j * (c + j * d) ** m
+        a_j *= a
+    return Fraction(total, b ** max(upper - 1, 0) * d**m)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +582,14 @@ def _py6a(m, n, p, lam, *, corrected):
 def _py6ab(m, n, p, lam):
     """t-derivative recurrence for the polynomial family"""
     lhs = p_poly(m + 1, n, lam, p) - Poly.x() * p_poly(m, n, lam, p)
-    rhs = Poly([comb(m, m - i) * y6(m - i + 1, n, lam, p) for i in range(m + 1)])
+    # coefficients C(m,i) y6(m-i+1,n;lam,p) as integers over the lcm of
+    # the y6 denominators, as in _y6_sum
+    ys = [y6(m - i + 1, n, lam, p) for i in range(m + 1)]
+    den = lcm(*[y.denominator for y in ys])
+    rhs = Poly.from_ints(
+        [comb(m, i) * y.numerator * (den // y.denominator) for i, y in enumerate(ys)],
+        den,
+    )
     return lhs, rhs
 
 
@@ -669,7 +691,7 @@ def _mirimanoff_frobenius(m, n, x0, lam, *, corrected):
     """geometric power sum via Frobenius-Euler polynomials;
     printed repeats the shifted argument in both terms"""
     u = lam
-    lhs = sum((u**j * (x0 + j) ** m for j in range(n)), Fraction(0))
+    lhs = direct_power_sum(m, n, u, x0)
     if corrected:
         return lhs, mirimanoff_frobenius_sum(m, n, x0, u)
     h = frobenius_euler(m, 1 / u)
@@ -741,14 +763,17 @@ def _sec6_bernoulli(m, n, p, lam):
     """double-sum expression through order-n Bernoulli
     polynomials; the dangling summation symbol is bound to
     the binomial index"""
-    polys = [bernoulli_poly_order(d, n) for d in range(m + n + 1)]
-
-    def inner(k):
-        return sum(
-            comb(m + n, v) * stirling2(v, n) * polys[m + n - v](k)
-            for v in range(m + n + 1)
-        )
-
+    # the inner sum over v is one polynomial in the binomial index k;
+    # S(v,n) = 0 for v < n
+    inner = sum(
+        (
+            comb(m + n, v)
+            * stirling2(v, n).numerator
+            * bernoulli_poly_order(m + n - v, n)
+            for v in range(n, m + n + 1)
+        ),
+        Poly(),
+    )
     rhs = _binom_sum(n, p, lam, inner) / (comb(m + n, n) * factorial(n))
     return y6(m, n, lam, p), rhs
 
@@ -757,11 +782,13 @@ def _sec6_bernoulli(m, n, p, lam):
 def _sec6_euler(m, n, p, lam):
     """double-sum expression through order-n Euler polynomials
     and the B(v,n) weights; dangling index bound as above"""
-    polys = [euler_poly_order(d, n) for d in range(m + 1)]
-
-    def inner(k):
-        return sum(comb(m, v) * bnk(v, n) * polys[m - v](k) for v in range(m + 1))
-
+    inner = sum(
+        (
+            comb(m, v) * bnk(v, n).numerator * euler_poly_order(m - v, n)
+            for v in range(m + 1)
+        ),
+        Poly(),
+    )
     rhs = _binom_sum(n, p, lam, inner) / (factorial(n) * 2**n)
     return y6(m, n, lam, p), rhs
 

@@ -6,9 +6,8 @@ import csv
 import fnmatch
 import io
 import json
+import os
 import time
-import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
@@ -168,13 +167,16 @@ def run_audit(
     if threads == 1:
         results = [evaluate_entry(e, config) for e in entries]
     else:
+        # imported here: every CLI process pays for a module-level import
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(
                 pool.map(lambda e: evaluate_entry(e, config), entries)
             )
     elapsed = time.monotonic() - start
     return AuditReport(
-        run_id=uuid.uuid4().hex,
+        run_id=os.urandom(16).hex(),
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         elapsed_seconds=elapsed,
         results=results,

@@ -237,6 +237,7 @@ class Poly:
         return _poly([a * den for a in self.nums], self.den * num)
 
     def __pow__(self, e: int) -> "Poly":
+        _check_ints(e=e)
         if e < 0:
             raise ValueError("negative polynomial power")
         # By Gauss's lemma the content of nums**e is the content of nums
@@ -431,6 +432,7 @@ class EgfSeries:
 
     def pow(self, e: int) -> "EgfSeries":
         """Integer power; negative exponents go through the reciprocal."""
+        _check_ints(e=e)
         if e < 0:
             return self.reciprocal().pow(-e)
         result = None

@@ -59,21 +59,24 @@ def pfq_terminating(spec: PfqSpec) -> Fraction:
         if _is_nonpositive_int(b) and -b < M:
             raise ValueError(f"lower parameter {b} hits its pole before the "
                              f"termination index {M}")
-    total = Fraction(0)
-    term = Fraction(1)
-    for m in range(M + 1):
-        total += term
-        # ratio from term m to m+1
-        num = Fraction(1)
+    # Term k+1 is term k times z prod(a+k) / ((k+1) prod(b+k)).  The term
+    # and the partial sum are integers over one running denominator: each
+    # step multiplies that by the ratio's denominator, which is nonzero for
+    # k < M by the pole check above.
+    zn, zd = spec.z.numerator, spec.z.denominator
+    total = term = den = 1
+    for k in range(M):
+        num, div = zn, zd * (k + 1)
         for a in spec.upper:
-            num *= a + m
-        den = Fraction(m + 1)
+            num *= a.numerator + k * a.denominator
+            div *= a.denominator
         for b in spec.lower:
-            den *= b + m
-        if den == 0:
-            break  # beyond a lower pole, but only past the last kept term
-        term *= spec.z * num / den
-    return total
+            num *= b.denominator
+            div *= b.numerator + k * b.denominator
+        term *= num
+        den *= div
+        total = total * div + term
+    return Fraction(total, den)
 
 
 def y6_hyper(n: int, lam: Scalar, p: int) -> Fraction:

@@ -9,6 +9,12 @@ integers over the single denominator n! b^n, and ``raw_sum_poly`` expands
 its own defining sum as integers over b^n.  Neither calls ``y6`` or shares
 a helper with it or with the other, so the audit's identities between the
 polynomial family and ``y6`` compare independent routes.
+
+``p_poly`` is memoized like ``y6``, in a bounded ``lru_cache``: the audit
+asks for each polynomial many times (P(m-k) in the derivative identity,
+P(m) and P(m+1) in the recurrence, one per integral form), and a default
+audit builds each of its 2,520 distinct polynomials once.  A ``Poly`` is
+immutable, so every caller may share the cached value.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ __all__ = [
 ]
 
 
+# typed: a float must not hit an equal rational's entry; bounded to cap memory
+@lru_cache(maxsize=8192, typed=True)
 def p_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     """sum_{k=0}^{m} C(m,k) x^{m-k} y6(k,n;lam,p)."""
     _check_indices(m=m, n=n, p=p)

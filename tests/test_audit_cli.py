@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomsums import cli
 from binomsums.audit import (
@@ -23,9 +28,15 @@ from binomsums.audit import (
 from binomsums.audit import registry
 from binomsums.audit.registry import IdentityEntry
 from binomsums.audit.runner import render_csv, render_json, render_markdown
-from binomsums.classic_numbers import stirling2
+from binomsums.classic_numbers import (
+    bernoulli_poly_order,
+    euler_poly_order,
+    stirling2,
+)
 from binomsums.exact_core import Poly
-from binomsums.y6_engine import franel, y6
+from binomsums.y6_engine import bnk, franel, y6
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 EXPECTED_IDS = {
     "golombek", "CC2", "Bs1", "boyadzhiev", "altStirling", "CB1_xu",
@@ -101,6 +112,63 @@ class TestRegistry:
                         registry._p1_corollary(m, n, p, lam, corrected=True)[1]
                         == at_one
                     )
+                    recurrence = Poly(
+                        [comb(m, i) * y6(m - i + 1, n, lam, p) for i in range(m + 1)]
+                    )
+                    assert registry._py6ab(m, n, p, lam)[1] == recurrence
+
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=9),
+        st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), rationals),
+        st.one_of(st.just(Fraction(0)), rationals),
+    )
+    @settings(max_examples=300)
+    def test_direct_power_sum_matches_the_fraction_loops(self, m, upper, lam, x0):
+        # the former loop of direct_power_sum (x0 = 0) and the former left
+        # side of mirimanoff_frobenius
+        total, lj = Fraction(0), Fraction(1)
+        for j in range(upper):
+            total += lj * Fraction(j) ** m
+            lj *= lam
+        assert registry.direct_power_sum(m, upper, lam) == total
+        shifted = sum((lam**j * (x0 + j) ** m for j in range(upper)), Fraction(0))
+        value = registry.direct_power_sum(m, upper, lam, x0)
+        assert value == shifted and type(value) is Fraction
+        if upper and lam not in (0, 1):
+            lhs, _ = registry._mirimanoff_frobenius(m, upper, x0, lam, corrected=True)
+            assert lhs == shifted
+
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=2),
+        st.one_of(st.just(Fraction(0)), rationals),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sec6_inner_sums_match_the_fraction_loops(self, m, n, p, lam):
+        # the former per-k Fraction sums over the order-n polynomials
+        def bernoulli_inner(k):
+            return sum(
+                comb(m + n, v) * stirling2(v, n) * bernoulli_poly_order(m + n - v, n)(k)
+                for v in range(m + n + 1)
+            )
+
+        def euler_inner(k):
+            return sum(
+                comb(m, v) * bnk(v, n) * euler_poly_order(m - v, n)(k)
+                for v in range(m + 1)
+            )
+
+        def weighted(inner):
+            return sum(
+                Fraction(comb(n, k)) ** p * lam**k * inner(k) for k in range(n + 1)
+            )
+
+        bernoulli = weighted(bernoulli_inner) / (comb(m + n, n) * factorial(n))
+        assert registry._sec6_bernoulli(m, n, p, lam)[1] == bernoulli
+        euler = weighted(euler_inner) / (factorial(n) * 2**n)
+        assert registry._sec6_euler(m, n, p, lam)[1] == euler
 
     @pytest.mark.parametrize("lam", ["-1", "1/2", "2"])
     def test_sec6_stirling_inner_sum_matches_the_fraction_loop(self, lam):
@@ -267,6 +335,26 @@ class TestCli:
         assert cli.main(["run", "--filter", "chu", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["entries"][0]["id"] == "chu"
+
+    def test_import_loads_no_thread_pool_or_uuid(self):
+        # start-up cost of every CLI process: the thread pool is imported
+        # only by a threaded run, and the run id needs no uuid module
+        code = (
+            "import sys; before = set(sys.modules); import binomsums.cli; "
+            "new = set(sys.modules) - before; "
+            "print(' '.join(sorted(new & {'concurrent.futures', 'uuid'})))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout.strip() == ""
 
     def test_run_writes_file(self, tmp_path):
         out = tmp_path / "report.json"

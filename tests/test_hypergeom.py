@@ -23,9 +23,64 @@ from binomsums.hypergeom import (
 from binomsums.y6_engine import y6
 
 lam_values = [Fraction(s) for s in ("-2", "-1", "-1/2", "1/2", "1", "2", "3")]
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+# parameters that may be non-positive integers, so that poles and extra
+# termination points occur
+parameters = st.one_of(rationals, st.integers(min_value=-9, max_value=3).map(Fraction))
+
+
+def fraction_pfq(spec: PfqSpec) -> Fraction:
+    """The former Fraction loop of pfq_terminating, kept as its oracle."""
+    tops = [-int(a) for a in spec.upper if a.denominator == 1 and a <= 0]
+    if not tops:
+        raise ValueError("series does not terminate")
+    M = min(tops)
+    for b in spec.lower:
+        if b.denominator == 1 and b <= 0 and -b < M:
+            raise ValueError("lower pole before termination")
+    total = Fraction(0)
+    term = Fraction(1)
+    for m in range(M + 1):
+        total += term
+        num = Fraction(1)
+        for a in spec.upper:
+            num *= a + m
+        den = Fraction(m + 1)
+        for b in spec.lower:
+            den *= b + m
+        if den == 0:
+            break  # beyond a lower pole, but only past the last kept term
+        term *= spec.z * num / den
+    return total
 
 
 class TestPfq:
+    @given(
+        st.integers(min_value=0, max_value=9),
+        st.lists(parameters, max_size=3),
+        st.lists(parameters, max_size=3),
+        st.one_of(st.just(Fraction(0)), rationals),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_fraction_loop(self, n, upper, lower, z):
+        spec = PfqSpec.of([-n, *upper], lower, z)
+        try:
+            expected = fraction_pfq(spec)
+        except ValueError:
+            with pytest.raises(ValueError, match="hits its pole"):
+                pfq_terminating(spec)
+            return
+        value = pfq_terminating(spec)
+        assert value == expected and type(value) is Fraction
+
+    @pytest.mark.parametrize("z", [Fraction(0), Fraction(-3, 5), Fraction(7, 2)])
+    @pytest.mark.parametrize("n", range(6))
+    def test_pole_at_the_termination_index_matches_the_fraction_loop(self, n, z):
+        # the lower parameter -n vanishes exactly at the last term, where
+        # the Fraction loop stopped with its break
+        spec = PfqSpec.of([-n, Fraction(3, 2), -n - 2], [-n, Fraction(-1, 3)], z)
+        assert pfq_terminating(spec) == fraction_pfq(spec)
+
     @given(
         st.integers(min_value=0, max_value=8),
         st.fractions(min_value=-3, max_value=3, max_denominator=4),

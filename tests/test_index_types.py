@@ -191,6 +191,23 @@ def test_bool_index_is_refused(fn):
         fn(5, True)
 
 
+@pytest.mark.parametrize("bad", [2.0, Fraction(2), True])
+def test_non_int_exponent_is_refused(bad):
+    # a float or Fraction reached `e & 1` and failed with Python's own
+    # TypeError; True passed as the exponent 1
+    with pytest.raises(TypeError, match="e must be an int"):
+        Poly([1, 1]) ** bad
+    with pytest.raises(TypeError, match="e must be an int"):
+        EgfSeries.exp(2, 3).pow(bad)
+
+
+def test_negative_exponents_keep_their_behaviour():
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        Poly([1, 1]) ** -1
+    series = EgfSeries.exp(2, 3)
+    assert series.pow(-2) == series.reciprocal().pow(2)
+
+
 def test_float_index_does_not_poison_bnk():
     with pytest.raises(TypeError):
         bnk(60.0, 3)

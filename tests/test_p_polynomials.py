@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -16,6 +17,7 @@ from binomsums.classic_numbers import (
     euler_poly,
 )
 from binomsums import p_polynomials
+from binomsums.audit import run_audit
 from binomsums.exact_core import Poly, Scalar, _check_ints, _frac
 from binomsums.p_polynomials import (
     euler_operator,
@@ -105,6 +107,7 @@ class TestIntegerIndices:
                 raw_sum_poly(*args)
 
     def test_p_poly(self, bad):
+        p_poly(2, 3, 1, 2)  # an equal int key already cached does not let it through
         for args in ((bad, 3, 1, 2), (2, bad, 1, 2), (2, 3, 1, bad)):
             with pytest.raises(TypeError, match="must be an int"):
                 p_poly(*args)
@@ -133,13 +136,22 @@ class TestPPoly:
 
     def test_independent_of_y6(self):
         # the audit compares p_poly with y6, so it must not be built from it
-        assert "y6" not in p_poly.__code__.co_names
+        assert "y6" not in inspect.unwrap(p_poly).__code__.co_names
         assert not hasattr(p_polynomials, "y6")
 
     def test_negative_indices_rejected(self):
         for args in ((-1, 3, 1, 2), (2, -1, 1, 2), (2, 3, 1, -1)):
             with pytest.raises(ValueError, match="indices must be >= 0"):
                 p_poly(*args)
+
+    def test_cache_is_bounded_above_a_default_audit(self):
+        # a default audit builds each of its polynomials once, and every one
+        # fits, so the bound evicts nothing
+        p_poly.cache_clear()
+        run_audit()
+        info = p_poly.cache_info()
+        assert info.maxsize is not None
+        assert info.misses == info.currsize == 2520 < info.maxsize
 
     @given(
         st.integers(min_value=0, max_value=6),
