@@ -1,121 +1,24 @@
-"""Exact arithmetic for powered-binomial sums and their identity audit."""
+"""Exact arithmetic for powered-binomial sums and their identity audit.
+
+The public API is the union of the ``__all__`` lists of the five modules
+below; each name is listed once, in its own module, and re-exported here.
+"""
 
 from __future__ import annotations
 
-from .classic_numbers import (
-    FamilyTag,
-    apostol_bernoulli,
-    apostol_euler,
-    bernoulli_number,
-    bernoulli_poly,
-    bernoulli_poly_order,
-    classic_sequence,
-    euler_number0,
-    euler_poly,
-    euler_poly_order,
-    frobenius_euler,
-    legendre,
-    mirimanoff,
-    stirling1,
-    stirling2,
-    y1,
-    y_seq,
-)
-from .exact_core import (
-    EgfSeries,
-    GammaHalfValue,
-    Poly,
-    Rational,
-    binomial_general,
-    falling_factorial,
-    gamma_half,
-    pochhammer,
-    poly_integral01,
-)
-from .hypergeom import (
-    OgfCase,
-    PfqSpec,
-    alternating_square_gamma,
-    ogf_reference,
-    ogf_series,
-    pfq_terminating,
-    y6_hyper,
-)
-from .p_polynomials import (
-    euler_operator,
-    fermionic,
-    mirimanoff_frobenius_sum,
-    p_poly,
-    power_sum_closed,
-    r_poly,
-    raw_sum_poly,
-    volkenborn,
-    vowe,
-)
-from .y6_engine import (
-    RationalFunction,
-    b_ogf,
-    bnk,
-    franel,
-    franel_recurrence,
-    moment,
-    t_poly,
-    y6,
-    y6_egf,
-)
+from . import classic_numbers, exact_core, hypergeom, p_polynomials, y6_engine
+from .classic_numbers import *  # noqa: F403
+from .exact_core import *  # noqa: F403
+from .hypergeom import *  # noqa: F403
+from .p_polynomials import *  # noqa: F403
+from .y6_engine import *  # noqa: F403
 
 __all__ = [
-    "EgfSeries",
-    "FamilyTag",
-    "GammaHalfValue",
-    "OgfCase",
-    "PfqSpec",
-    "Poly",
-    "Rational",
-    "RationalFunction",
-    "alternating_square_gamma",
-    "apostol_bernoulli",
-    "apostol_euler",
-    "b_ogf",
-    "bernoulli_number",
-    "bernoulli_poly",
-    "bernoulli_poly_order",
-    "binomial_general",
-    "bnk",
-    "classic_sequence",
-    "euler_number0",
-    "euler_operator",
-    "euler_poly",
-    "euler_poly_order",
-    "falling_factorial",
-    "fermionic",
-    "franel",
-    "franel_recurrence",
-    "frobenius_euler",
-    "gamma_half",
-    "legendre",
-    "mirimanoff",
-    "mirimanoff_frobenius_sum",
-    "moment",
-    "ogf_reference",
-    "ogf_series",
-    "p_poly",
-    "pfq_terminating",
-    "pochhammer",
-    "poly_integral01",
-    "power_sum_closed",
-    "r_poly",
-    "raw_sum_poly",
-    "stirling1",
-    "stirling2",
-    "t_poly",
-    "volkenborn",
-    "vowe",
-    "y1",
-    "y6",
-    "y6_egf",
-    "y6_hyper",
-    "y_seq",
+    *exact_core.__all__,
+    *classic_numbers.__all__,
+    *y6_engine.__all__,
+    *p_polynomials.__all__,
+    *hypergeom.__all__,
 ]
 
 __version__ = "1.0.0"

@@ -38,14 +38,6 @@ def _fmt_point(pt: dict) -> dict:
     return {k: str(v) for k, v in pt.items()}
 
 
-def _values_equal(lhs: Any, rhs: Any) -> bool:
-    if isinstance(lhs, (list, tuple)) and isinstance(rhs, (list, tuple)):
-        return len(lhs) == len(rhs) and all(
-            _values_equal(a, b) for a, b in zip(lhs, rhs)
-        )
-    return lhs == rhs
-
-
 @dataclass
 class EntryResult:
     id: str
@@ -106,7 +98,7 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
     printed_fail: Optional[tuple[dict, Any, Any]] = None
     for pt in active:
         lhs, rhs = entry.printed(**pt)
-        if not _values_equal(lhs, rhs):
+        if lhs != rhs:
             printed_fail = (pt, lhs, rhs)
             break
 
@@ -124,7 +116,7 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
         if entry.corrected is not None:
             for cpt in active:
                 clhs, crhs = entry.corrected(**cpt)
-                if not _values_equal(clhs, crhs):
+                if clhs != crhs:
                     corrected_ok = False
                     counterexample["correctedLhs"] = _fmt(clhs)
                     counterexample["correctedRhs"] = _fmt(crhs)

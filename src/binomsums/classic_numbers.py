@@ -37,6 +37,7 @@ __all__ = [
     "legendre",
     "mirimanoff",
     "frobenius_euler",
+    "euler_number0",
 ]
 
 

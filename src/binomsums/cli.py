@@ -42,10 +42,11 @@ def _parse_params(items: list[str]) -> dict[str, Fraction]:
         for piece in item.split(","):
             if not piece:
                 continue
-            if "=" not in piece:
+            key, sep, value = piece.partition("=")
+            key = key.strip()
+            if not sep or not key:
                 raise ConfigError(f"expected key=value, got {piece!r}")
-            key, _, value = piece.partition("=")
-            params[key.strip()] = _parse_fraction(value.strip())
+            params[key] = _parse_fraction(value.strip())
     return params
 
 
@@ -146,16 +147,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    family = args.family or args.family_opt
-    if family is None:
-        raise ConfigError("a sequence family is required")
-    keys, fn = _SEQ_FAMILIES[family]
+    keys, fn = _SEQ_FAMILIES[args.family]
     params = _parse_params(args.params)
     unknown = sorted(set(params) - set(keys))
     if unknown:
         allowed = ", ".join(sorted(keys)) or "none"
         raise ConfigError(
-            f"{family} takes no parameter {', '.join(unknown)} (it reads: {allowed})"
+            f"{args.family} takes no parameter {', '.join(unknown)} "
+            f"(it reads: {allowed})"
         )
     rng = _parse_range(args.range)
     rows = list(zip(rng, fn(rng, params)))
@@ -168,7 +167,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     try:
         if args.format == "json":
             doc = {
-                "family": family,
+                "family": args.family,
                 "params": {k: str(v) for k, v in params.items()},
                 "values": [{"n": n, "value": str(v)} for n, v in rows],
             }
@@ -209,16 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(fn=_cmd_run)
 
     seq = sub.add_parser("seq", help="print terms of a sequence family")
-    seq.add_argument(
-        "family", nargs="?", default=None, choices=sorted(_SEQ_FAMILIES)
-    )
-    seq.add_argument(
-        "--family",
-        dest="family_opt",
-        default=None,
-        choices=sorted(_SEQ_FAMILIES),
-        help="alternative to the positional family argument",
-    )
+    seq.add_argument("family", choices=sorted(_SEQ_FAMILIES))
     seq.add_argument("--range", default="0..10", help="index range a..b")
     seq.add_argument(
         "--params",

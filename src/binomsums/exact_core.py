@@ -106,6 +106,14 @@ def _align(a: Sequence[int], da: int, b: Sequence[int], db: int):
     return [c * fa for c in a], [c * fb for c in b], da * fa
 
 
+def _check_int_parts(nums: list, den: object) -> None:
+    """Refuse numerators or a den that are not ints (bool included): a
+    Fraction or float part would break the canonical integer form."""
+    if type(den) is not int or not set(map(type, nums)) <= {int}:
+        bad = next(x for x in (den, *nums) if type(x) is not int)
+        raise TypeError(f"from_ints needs int parts, got {type(bad).__name__}")
+
+
 def _poly(nums: list[int], den: int) -> "Poly":
     """Poly from integer numerators over den, without trailing zeros."""
     while nums and not nums[-1]:
@@ -143,9 +151,11 @@ class Poly:
     @classmethod
     def from_ints(cls, nums: Iterable[int], den: int = 1) -> "Poly":
         """The polynomial sum nums[i] x^i / den."""
+        nums = list(nums)
+        _check_int_parts(nums, den)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        return _poly(list(nums), den)
+        return _poly(nums, den)
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
@@ -317,6 +327,7 @@ class EgfSeries:
     def from_ints(cls, nums: Iterable[int], den: int = 1) -> "EgfSeries":
         """The series with coefficients nums[n] / den."""
         nums = list(nums)
+        _check_int_parts(nums, den)
         if not nums:
             raise ValueError("EgfSeries needs at least the constant term")
         if den == 0:
@@ -468,22 +479,13 @@ class GammaHalfValue:
 
 def binomial_general(z: Scalar, v: int) -> Fraction:
     """Binomial coefficient z(z-1)...(z-v+1)/v! for arbitrary rational z."""
-    _check_indices(v=v)
-    z = _frac(z)
-    num = Fraction(1)
-    for i in range(v):
-        num *= z - i
-    return num / factorial(v)
+    return falling_factorial(z, v) / factorial(v)
 
 
 def pochhammer(x: Scalar, v: int) -> Fraction:
-    """Rising factorial x(x+1)...(x+v-1); empty product is 1."""
-    _check_indices(v=v)
-    x = _frac(x)
-    out = Fraction(1)
-    for i in range(v):
-        out *= x + i
-    return out
+    """Rising factorial x(x+1)...(x+v-1) = (-1)^v (-x)(-x-1)...(-x-v+1);
+    empty product is 1."""
+    return falling_factorial(-x, v) * (-1) ** v
 
 
 def falling_factorial(x: Scalar, v: int) -> Fraction:

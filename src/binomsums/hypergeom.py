@@ -18,6 +18,7 @@ __all__ = [
     "pfq_terminating",
     "y6_hyper",
     "ogf_series",
+    "ogf_reference",
     "alternating_square_gamma",
 ]
 

@@ -149,8 +149,7 @@ def b_ogf(d: int) -> RationalFunction:
 
 def moment(m: int, p: int, n: int) -> Fraction:
     """Moment sum sum_k C(n,k)^p k^m; integer-valued."""
-    value = y6(m, n, Fraction(1), p)  # validates n before factorial(n)
-    value *= factorial(n)
+    value = franel(p, m, n, 1)
     if value.denominator != 1:
         raise ArithmeticError(f"moment({m}, {p}, {n}) = {value} is not an integer")
     return value

@@ -289,6 +289,26 @@ class TestRunner:
         with pytest.raises(ConfigError, match="every grid point is singular"):
             evaluate_entry(entry, AuditConfig())
 
+    @pytest.mark.parametrize("entry", build_registry(), ids=lambda e: e.id)
+    def test_sides_share_their_nesting(self, entry):
+        # the runner compares sides with !=, under which a list never equals
+        # a tuple; at the first active point both sides of every form nest
+        # lists and tuples alike, so != compares values, not containers
+        def shape(value):
+            if isinstance(value, (list, tuple)):
+                return type(value), [shape(v) for v in value]
+            return None
+
+        pt = next(
+            pt
+            for pt in entry.grid(AuditConfig().for_entry(entry.id))
+            if entry.singular(**pt) is None
+        )
+        for form in (entry.printed, entry.corrected):
+            if form is not None:
+                lhs, rhs = form(**pt)
+                assert shape(lhs) == shape(rhs)
+
     def test_determinism_modulo_run_metadata(self):
         a = json.loads(render_json(run_audit(pattern="cusick_*")))
         b = json.loads(render_json(run_audit(pattern="cusick_*")))
@@ -478,6 +498,27 @@ class TestCli:
     def test_seq_missing_required_param_exits_two(self, capsys):
         assert cli.main(["seq", "bnk", "--range", "0..3"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["seq"], ["seq", "--range", "0..3"], ["seq", "--family", "franel"]],
+        ids=["bare", "range-only", "family-option"],
+    )
+    def test_seq_family_is_a_required_positional(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: audit")
+        assert "family" in err
+
+    @pytest.mark.parametrize("params", ["=3", " =1/2", "m=1,=3"])
+    def test_seq_empty_param_key_exits_two(self, params, capsys):
+        assert cli.main(["seq", "y6", "--params", params, "--range", "0..2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = params.split(",")[-1]
+        assert captured.err == f"error: expected key=value, got {bad!r}\n"
 
     def test_seq_bad_range_exits_two(self, capsys):
         assert cli.main(["seq", "catalan", "--range", "5..1"]) == 2
