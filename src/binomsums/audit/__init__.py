@@ -1,32 +1,13 @@
-"""Identity audit subsystem: grid config, registry, runner, reports."""
+"""Identity audit subsystem: grid config, registry, runner, reports.
+
+The names exported here are the union of the ``__all__`` lists of the
+three modules below."""
 
 from __future__ import annotations
 
-from .config import AuditConfig, ConfigError, GridSpec, load_config
-from .registry import IdentityEntry, Verdict, build_registry
-from .runner import (
-    AuditReport,
-    EntryResult,
-    evaluate_entry,
-    render_csv,
-    render_json,
-    render_markdown,
-    run_audit,
-)
+from . import config, registry, runner
+from .config import *  # noqa: F403
+from .registry import *  # noqa: F403
+from .runner import *  # noqa: F403
 
-__all__ = [
-    "AuditConfig",
-    "AuditReport",
-    "ConfigError",
-    "EntryResult",
-    "GridSpec",
-    "IdentityEntry",
-    "Verdict",
-    "build_registry",
-    "evaluate_entry",
-    "load_config",
-    "render_csv",
-    "render_json",
-    "render_markdown",
-    "run_audit",
-]
+__all__ = [*config.__all__, *registry.__all__, *runner.__all__]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-__all__ = ["GridSpec", "AuditConfig", "load_config", "DEFAULT_LAMBDAS"]
+__all__ = ["GridSpec", "AuditConfig", "ConfigError", "load_config", "DEFAULT_LAMBDAS"]
 
 DEFAULT_LAMBDAS: tuple[Fraction, ...] = tuple(
     Fraction(s) for s in ("-2", "-1", "-1/2", "1/2", "1", "2", "3")

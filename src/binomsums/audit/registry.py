@@ -20,19 +20,32 @@ order, which is the order of ``audit list`` and of the report.
 Independence: where an identity compares two routes to one value, the two
 sides stay independent code paths, and no entry evaluates one routine on
 both sides; a shared bug would otherwise cancel and the audit would prove
-nothing.  In particular ``_binom_sum`` sums C(n,j)^p lam^j g(j) directly
-and calls none of ``y6``, ``p_poly``, ``raw_sum_poly`` or ``r_poly``, the
-routes it is compared with.  ``p_poly`` sums its own integer coefficients
-and does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``,
-which set the polynomial family against ``y6`` values (through
-``_y6_sum``), compare independent routes.
+nothing.  Each sum has one kernel, and an entry reaches it through the
+library: ``CC2`` sets ``bnk``'s integer loop against ``y6`` (through
+``y1``), ``Cab3`` the series route against ``y6``, and ``golombek`` and
+``altStirling`` take ``bnk``, ``moment`` and ``franel`` against the series,
+the closed forms and S(n,k).  ``changhee_theorem`` keeps its own
+``Fraction`` sum of s(n,k) E_k(0) on purpose: ``legendre_P0`` checks the
+same identity through ``classic_sequence``'s integer sum, so a fault in
+that sum fails one entry and not the other.  ``_binom_sum`` sums
+C(n,j)^p lam^j g(j) directly and calls none of ``y6``, ``p_poly``,
+``raw_sum_poly`` or ``r_poly``, the routes it is compared with; a ``Poly``
+g is evaluated by ``Poly.__call__``, apart from the Mahler values that
+``volkenborn`` and ``fermionic`` take on the other side of
+``inP3_4``/``inP5_6``.  ``p_poly`` sums its own integer coefficients and
+does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``, which
+set the polynomial family against ``y6`` values (through ``_y6_sum``),
+compare independent routes.
 
 Speed: the sums over the large grids are taken as integers over one
 common denominator and divided once, not by adding a ``Fraction`` per
 term: ``_binom_sum``, ``_y6_sum``, ``direct_power_sum`` and the right
-side of ``py6ab``; ``sec6_bernoulli``/``sec6_euler`` first collect their
-inner sums into one ``Poly``.  ``p_poly`` is memoized, so the entries of
-the polynomial family share each polynomial they build.
+side of ``py6ab``.  ``_binom_sum`` and ``py6ab`` put their values over one
+denominator with ``exact_core._common``; ``_y6_sum`` takes one ``lcm`` of
+the products d_k y6_k.den, which saves a ``Fraction`` per weighted term.
+``sec6_bernoulli``/``sec6_euler`` first collect their inner sums into one
+``Poly``.  ``p_poly`` is memoized, so the entries of the polynomial family
+share each polynomial they build.
 """
 
 from __future__ import annotations
@@ -61,7 +74,7 @@ from ..classic_numbers import (
     y_seq,
     FamilyTag,
 )
-from ..exact_core import EgfSeries, Poly, pochhammer, poly_integral01
+from ..exact_core import EgfSeries, Poly, _common, pochhammer, poly_integral01
 from ..hypergeom import (
     OgfCase,
     PfqSpec,
@@ -216,16 +229,15 @@ def _binom_sum(
 ) -> Fraction:
     """sum_{j=0}^{n} C(n,j)^p lam^j g(j) for int or Fraction values g(j).
 
-    With g(j) = u_j/v_j and lam = a/b, the integer
-    sum_j C(n,j)^p a^j b^(n-j) u_j (L/v_j), L the lcm of the v_j, is
-    summed by Horner in b and divided once by L b^n."""
-    values = [g(j) for j in range(n + 1)]
-    den = lcm(*[v.denominator for v in values])
+    With the g(j) as integers u_j over one denominator v and lam = a/b,
+    the integer sum_j C(n,j)^p a^j b^(n-j) u_j is summed by Horner in b and
+    divided once by v b^n."""
+    values, den = _common([g(j) for j in range(n + 1)])
     a, b = lam.numerator, lam.denominator
     total = 0
     c = a_j = 1
-    for j, v in enumerate(values):
-        total = total * b + c**p * a_j * v.numerator * (den // v.denominator)
+    for j, u in enumerate(values):
+        total = total * b + c**p * a_j * u
         c = c * (n - j) // (j + 1)
         a_j *= a
     return Fraction(total, den * b**n)
@@ -305,11 +317,10 @@ def _golombek(d=None, k=None, m=None, n=None):
     """B(n,k) sum vs derivative of (e^t+1)^k; closed sequences
     (k=0 term subtracted explicitly where the source sums from 1)"""
     if d is not None:
-        lhs = sum(comb(k, j) * j**d for j in range(1, k + 1))
         rhs = EgfSeries([1] + [0] * d) + EgfSeries.exp(1, d)
-        return Fraction(lhs), rhs.pow(k).coeffs[d]
+        return bnk(d, k), rhs.pow(k).coeffs[d]
     # second sequence family: sums from k=1 of squared binomials
-    lhs = Fraction(sum(comb(n, k) ** 2 * k**m for k in range(1, n + 1)))
+    lhs = moment(m, 2, n) - 0**m
     closed = {
         0: Fraction(comb(2 * n, n) - 1),
         1: Fraction(n * comb(2 * n - 1, n)),
@@ -356,8 +367,7 @@ def _boyadzhiev(m, n):
 @_identity("altStirling", Verdict.HOLDS_PRINTED, _MN10)
 def _alt_stirling(m, n):
     """sum_j (-1)^j C(k,j) j^n = (-1)^k k! S(n,k)"""
-    lhs = sum((-1) ** j * comb(n, j) * j**m for j in range(n + 1))
-    return Fraction(lhs), (-1) ** n * factorial(n) * stirling2(m, n)
+    return franel(1, m, n, FM1), (-1) ** n * factorial(n) * stirling2(m, n)
 
 
 @_identity("CB1_xu", Verdict.HOLDS_PRINTED, _DK)
@@ -462,12 +472,9 @@ def _cusick_diag(n, p):
 
 def _franel_numbers(p: int, values: tuple[int, ...], z: Fraction, n: int):
     """The p-th order Franel number against a table and its pFq form."""
-    lhs = (franel(p, 0, n, F1), franel(p, 0, n, F1))
-    rhs = (
-        Fraction(values[n]),
-        pfq_terminating(PfqSpec.of([-n] * p, [1] * (p - 1), z)),
-    )
-    return lhs, rhs
+    v = franel(p, 0, n, F1)
+    pfq = pfq_terminating(PfqSpec.of([-n] * p, [1] * (p - 1), z))
+    return (v, v), (Fraction(values[n]), pfq)
 
 
 @_identity("franel3", Verdict.HOLDS_PRINTED, _ns(5))
@@ -582,14 +589,10 @@ def _py6a(m, n, p, lam, *, corrected):
 def _py6ab(m, n, p, lam):
     """t-derivative recurrence for the polynomial family"""
     lhs = p_poly(m + 1, n, lam, p) - Poly.x() * p_poly(m, n, lam, p)
-    # coefficients C(m,i) y6(m-i+1,n;lam,p) as integers over the lcm of
-    # the y6 denominators, as in _y6_sum
-    ys = [y6(m - i + 1, n, lam, p) for i in range(m + 1)]
-    den = lcm(*[y.denominator for y in ys])
-    rhs = Poly.from_ints(
-        [comb(m, i) * y.numerator * (den // y.denominator) for i, y in enumerate(ys)],
-        den,
-    )
+    # coefficients C(m,i) y6(m-i+1,n;lam,p), the y6 values over one
+    # denominator as in _y6_sum
+    ys, den = _common([y6(m - i + 1, n, lam, p) for i in range(m + 1)])
+    rhs = Poly.from_ints([comb(m, i) * y for i, y in enumerate(ys)], den)
     return lhs, rhs
 
 

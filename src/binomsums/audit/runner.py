@@ -76,6 +76,15 @@ class AuditReport:
         }
 
 
+def _first_failure(form, points: list[dict]) -> Optional[tuple[dict, Any, Any]]:
+    """The first point where the form's two sides differ, with both sides."""
+    for pt in points:
+        lhs, rhs = form(**pt)
+        if lhs != rhs:
+            return pt, lhs, rhs
+    return None
+
+
 def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
     spec = config.for_entry(entry.id)
     points = list(entry.grid(spec))
@@ -95,13 +104,7 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
             f"({len(skipped)} skipped)"
         )
 
-    printed_fail: Optional[tuple[dict, Any, Any]] = None
-    for pt in active:
-        lhs, rhs = entry.printed(**pt)
-        if lhs != rhs:
-            printed_fail = (pt, lhs, rhs)
-            break
-
+    printed_fail = _first_failure(entry.printed, active)
     if printed_fail is None:
         verdict = Verdict.HOLDS_PRINTED
         counterexample = None
@@ -112,19 +115,16 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
             "printedLhs": _fmt(lhs),
             "printedRhs": _fmt(rhs),
         }
-        corrected_ok = entry.corrected is not None
+        verdict = Verdict.FAILS_BOTH
         if entry.corrected is not None:
-            for cpt in active:
-                clhs, crhs = entry.corrected(**cpt)
-                if clhs != crhs:
-                    corrected_ok = False
-                    counterexample["correctedLhs"] = _fmt(clhs)
-                    counterexample["correctedRhs"] = _fmt(crhs)
-                    counterexample["correctedPoint"] = _fmt_point(cpt)
-                    break
-        verdict = (
-            Verdict.HOLDS_CORRECTED_ONLY if corrected_ok else Verdict.FAILS_BOTH
-        )
+            corrected_fail = _first_failure(entry.corrected, active)
+            if corrected_fail is None:
+                verdict = Verdict.HOLDS_CORRECTED_ONLY
+            else:
+                cpt, clhs, crhs = corrected_fail
+                counterexample["correctedLhs"] = _fmt(clhs)
+                counterexample["correctedRhs"] = _fmt(crhs)
+                counterexample["correctedPoint"] = _fmt_point(cpt)
 
     return EntryResult(
         id=entry.id,

@@ -226,27 +226,24 @@ def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
     _check_indices(n=n)
     if tag is FamilyTag.CATALAN:
         return Fraction(comb(2 * n, n), n + 1)
+    # Daehee: sum_k s(n,k) B_k; Changhee: sum_k s(n,k) E_k(0)
     if tag is FamilyTag.DAEHEE:
-        return sum(
-            (bernoulli_number(k) * stirling1(n, k) for k in range(n + 1)),
-            Fraction(0),
-        )
-    if tag is FamilyTag.CHANGHEE:
-        return sum(
-            (stirling1(n, k) * euler_number0(k) for k in range(n + 1)),
-            Fraction(0),
-        )
-    raise ValueError(f"unknown family {tag!r}")
+        number = bernoulli_number
+    elif tag is FamilyTag.CHANGHEE:
+        number = euler_number0
+    else:
+        raise ValueError(f"unknown family {tag!r}")
+    nums, den = _common([number(k) for k in range(n + 1)])
+    return Fraction(sum(map(mul, _STIRLING1.row(n), nums)), den)
 
 
 def y1(n: int, k: int, lam: Scalar) -> Fraction:
-    """(1/k!) sum_j C(k,j) j^n lam^j with the 0^0 = 1 convention."""
+    """(1/k!) sum_j C(k,j) j^n lam^j with the 0^0 = 1 convention: the
+    p = 1 slice y6(n,k;lam,1)."""
     _check_indices(n=n, k=k)
-    lam = _frac(lam)
-    total = Fraction(0)
-    for j in range(k + 1):
-        total += comb(k, j) * j**n * lam**j
-    return total / factorial(k)
+    from .y6_engine import y6  # y6_engine imports this module
+
+    return y6(n, k, _frac(lam), 1)
 
 
 def y_seq(n: int, lam: Scalar) -> Fraction:

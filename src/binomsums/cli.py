@@ -105,18 +105,10 @@ _SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], list]]] 
             moment(_int_param(ps, "m", 0), _int_param(ps, "p", 2), n) for n in rng
         ],
     ),
-    "catalan": (
-        (),
-        lambda rng, ps: [classic_sequence(FamilyTag.CATALAN, n) for n in rng],
-    ),
-    "daehee": (
-        (),
-        lambda rng, ps: [classic_sequence(FamilyTag.DAEHEE, n) for n in rng],
-    ),
-    "changhee": (
-        (),
-        lambda rng, ps: [classic_sequence(FamilyTag.CHANGHEE, n) for n in rng],
-    ),
+    **{
+        tag.value: ((), lambda rng, ps, t=tag: [classic_sequence(t, n) for n in rng])
+        for tag in FamilyTag
+    },
     "franel": (("p", "m", "lam"), _franel_terms),
 }
 
@@ -227,10 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

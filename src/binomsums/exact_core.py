@@ -79,10 +79,11 @@ def _common(cs: list[Fraction]) -> tuple[tuple[int, ...], int]:
 
     The lcm of reduced denominators leaves no common factor between the
     denominator and all numerators, so the result is canonical."""
-    den = lcm(*[c.denominator for c in cs])
+    dens = [c.denominator for c in cs]
+    den = lcm(*dens)
     if den == 1:
         return tuple([c.numerator for c in cs]), 1
-    return tuple([c.numerator * (den // c.denominator) for c in cs]), den
+    return tuple([c.numerator * (den // d) for c, d in zip(cs, dens)]), den
 
 
 def _reduce(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:

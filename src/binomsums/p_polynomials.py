@@ -10,6 +10,11 @@ its own defining sum as integers over b^n.  Neither calls ``y6`` or shares
 a helper with it or with the other, so the audit's identities between the
 polynomial family and ``y6`` compare independent routes.
 
+``volkenborn`` and ``fermionic`` integrate a polynomial through its Mahler
+expansion sum_j D^j q(0) C(x,j) and use no Bernoulli or Euler number, so
+the moment identities set them against the Bernoulli and Euler
+polynomials, built from Stirling numbers, as independent routes.
+
 ``p_poly`` is memoized like ``y6``, in a bounded ``lru_cache``: the audit
 asks for each polynomial many times (P(m-k) in the derivative identity,
 P(m) and P(m+1) in the recurrence, one per integral form), and a default
@@ -26,9 +31,7 @@ from typing import Callable
 
 from .classic_numbers import (
     apostol_bernoulli,
-    bernoulli_number,
     bernoulli_poly,
-    euler_number0,
     euler_poly,
     frobenius_euler,
 )
@@ -95,24 +98,36 @@ def raw_sum_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     return Poly.from_ints(coeffs, den)
 
 
-def _moment_functional(q: Poly, moment: Callable[[int], Fraction]) -> Fraction:
-    """sum_i c_i moment(i) over the common denominator of the moments."""
-    values = [moment(i) for i in range(len(q.nums))]
-    scale = lcm(*[v.denominator for v in values])
-    total = sum(
-        c * v.numerator * (scale // v.denominator) for c, v in zip(q.nums, values)
-    )
-    return Fraction(total, q.den * scale)
+def _mahler_functional(q: Poly, weight: Callable[[int], int], den: int) -> Fraction:
+    """sum_j D^j q(0) weight(j)/den, D the forward difference: the integral
+    of q = sum_j D^j q(0) C(x,j) against a measure whose integral of
+    C(x,j) is weight(j)/den.  The D^j q(0) are taken in integers from the
+    values q(0..deg q) over q.den."""
+    values = []
+    for x in range(len(q.nums)):
+        v = 0
+        for c in reversed(q.nums):
+            v = v * x + c
+        values.append(v)
+    total = 0
+    for j in range(len(values)):
+        total += values[0] * weight(j)
+        values = [b - a for a, b in zip(values, values[1:])]
+    return Fraction(total, q.den * den)
 
 
 def volkenborn(q: Poly) -> Fraction:
-    """Linear functional x^i -> B_i (Bernoulli numbers) on polynomials."""
-    return _moment_functional(q, bernoulli_number)
+    """Volkenborn integral, x^i -> B_i (Bernoulli numbers), from the Mahler
+    expansion: the integral of C(x,j) is (-1)^j/(j+1)."""
+    big_l = lcm(*range(1, len(q.nums) + 1))
+    return _mahler_functional(q, lambda j: (-1) ** j * (big_l // (j + 1)), big_l)
 
 
 def fermionic(q: Poly) -> Fraction:
-    """Linear functional x^i -> E_i(0) (Euler polynomial at 0)."""
-    return _moment_functional(q, euler_number0)
+    """Fermionic p-adic integral, x^i -> E_i(0) (Euler polynomial at 0), from
+    the Mahler expansion: the integral of C(x,j) is (-1/2)^j."""
+    d = len(q.nums)
+    return _mahler_functional(q, lambda j: (-1) ** j << (d - j), 1 << d)
 
 
 def power_sum_closed(m: int, upper: int, lam: Scalar) -> Fraction:

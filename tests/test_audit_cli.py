@@ -193,6 +193,19 @@ class TestRegistry:
         names = set(registry._binom_sum.__code__.co_names)
         assert not names & {"y6", "p_poly", "raw_sum_poly", "r_poly"}
 
+    def test_audit_all_is_the_union_of_the_module_lists(self):
+        from binomsums import audit
+        from binomsums.audit import config, runner
+
+        modules = [config, registry, runner]
+        names = [name for mod in modules for name in mod.__all__]
+        assert len(names) == len(set(names))
+        assert sorted(audit.__all__) == sorted(names)
+        for mod in modules:
+            for name in mod.__all__:
+                assert getattr(audit, name) is getattr(mod, name)
+        assert {"ConfigError", "DEFAULT_LAMBDAS"} <= set(config.__all__)
+
     def test_corrected_required_by_constructor(self):
         with pytest.raises(ValueError):
             IdentityEntry(

@@ -15,7 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from binomsums.audit import AuditConfig, Verdict, build_registry, evaluate_entry
+from binomsums import classic_numbers
+from binomsums.audit import (
+    AuditConfig,
+    GridSpec,
+    Verdict,
+    build_registry,
+    evaluate_entry,
+)
 from binomsums.exact_core import EgfSeries, Poly
 
 HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
@@ -67,3 +74,34 @@ def test_holding_forms_cover_both_pinned_kinds():
 def test_bump_rejects_empty_sides_and_unknown_leaves(value):
     with pytest.raises(TypeError):
         _bump([value])
+
+
+def _clear_number_caches():
+    for fn in vars(classic_numbers).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def test_corrupted_stirling_table_flips_the_moment_functionals(monkeypatch):
+    # S(n,1) + 1 in every second-kind row corrupts the Bernoulli and Euler
+    # numbers and polynomials; the functionals integrate p_poly through its
+    # Mahler expansion, so the moment identities must stop holding
+    def next_row(row, n):
+        out = classic_numbers._stirling2_next(row, n)
+        out[1] += 1
+        return out
+
+    config = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
+    entries = {e.id: e for e in build_registry()}
+    try:
+        with monkeypatch.context() as mp:
+            corrupted = classic_numbers._Triangle(next_row)
+            mp.setattr(classic_numbers, "_STIRLING2", corrupted)
+            _clear_number_caches()
+            verdicts = {
+                name: evaluate_entry(entries[name], config).verdict
+                for name in ("inP3_4", "inP5_6", "faulhaber")
+            }
+    finally:
+        _clear_number_caches()
+    assert verdicts == dict.fromkeys(verdicts, Verdict.FAILS_BOTH)

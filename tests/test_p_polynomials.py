@@ -212,6 +212,14 @@ class TestPadicFunctionals:
         assert volkenborn(pa + pb) == volkenborn(pa) + volkenborn(pb)
         assert fermionic(pa + pb) == fermionic(pa) + fermionic(pb)
 
+    @given(st.lists(small_fractions, min_size=0, max_size=9))
+    def test_mahler_form_matches_the_moment_functionals(self, coeffs):
+        # the former route: x^i -> B_i and x^i -> E_i(0), term by term
+        q = Poly(coeffs)
+        moments = list(enumerate(q.coeffs))
+        assert volkenborn(q) == sum(c * bernoulli_number(i) for i, c in moments)
+        assert fermionic(q) == sum(c * euler_number0(i) for i, c in moments)
+
 
 class TestPowerSums:
     @given(
