@@ -29,23 +29,23 @@ the closed forms and S(n,k).  ``changhee_theorem`` keeps its own
 same identity through ``classic_sequence``'s integer sum, so a fault in
 that sum fails one entry and not the other.  ``_binom_sum`` sums
 C(n,j)^p lam^j g(j) directly and calls none of ``y6``, ``p_poly``,
-``raw_sum_poly`` or ``r_poly``, the routes it is compared with; a ``Poly``
-g is evaluated by ``Poly.__call__``, apart from the Mahler values that
-``volkenborn`` and ``fermionic`` take on the other side of
-``inP3_4``/``inP5_6``.  ``p_poly`` sums its own integer coefficients and
+``raw_sum_poly`` or ``r_poly``, the routes it is compared with.  A ``Poly``
+g reaches it through ``exact_core._int_values``, which also gives the
+Mahler values of ``volkenborn`` and ``fermionic`` in ``inP3_4``/``inP5_6``;
+``test_faulty_int_values_flips_the_moment_entries`` shows that a fault
+there is not cancelled.  ``p_poly`` sums its own integer coefficients and
 does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``, which
 set the polynomial family against ``y6`` values (through ``_y6_sum``),
 compare independent routes.
 
-Speed: the sums over the large grids are taken as integers over one
-common denominator and divided once, not by adding a ``Fraction`` per
-term: ``_binom_sum``, ``_y6_sum``, ``direct_power_sum`` and the right
-side of ``py6ab``.  ``_binom_sum`` and ``py6ab`` put their values over one
-denominator with ``exact_core._common``; ``_y6_sum`` takes one ``lcm`` of
-the products d_k y6_k.den, which saves a ``Fraction`` per weighted term.
+Speed: the sums over the large grids are taken as integers over one common
+denominator and divided once, not by adding a ``Fraction`` per term:
+``_binom_sum``, ``_y6_sum``, ``direct_power_sum`` and the right side of
+``py6ab``.  Each caller of ``_binom_sum`` folds its outer divisor into the
+one denominator of its values; ``py6ab`` uses ``exact_core._common``, and
+``_y6_sum`` takes one ``lcm`` of the products d_k y6_k.den.
 ``sec6_bernoulli``/``sec6_euler`` first collect their inner sums into one
-``Poly``.  ``p_poly`` is memoized, so the entries of the polynomial family
-share each polynomial they build.
+``Poly``, and ``p_poly`` is memoized.
 """
 
 from __future__ import annotations
@@ -74,7 +74,14 @@ from ..classic_numbers import (
     y_seq,
     FamilyTag,
 )
-from ..exact_core import EgfSeries, Poly, _common, pochhammer, poly_integral01
+from ..exact_core import (
+    EgfSeries,
+    Poly,
+    _common,
+    _int_values,
+    pochhammer,
+    poly_integral01,
+)
 from ..hypergeom import (
     OgfCase,
     PfqSpec,
@@ -224,15 +231,13 @@ _N13 = _ns(13)
 _NO_PARAMETERS = _fixed([{}])
 
 
-def _binom_sum(
-    n: int, p: int, lam: Fraction, g: Callable[[int], Fraction | int]
-) -> Fraction:
-    """sum_{j=0}^{n} C(n,j)^p lam^j g(j) for int or Fraction values g(j).
+def _binom_sum(n: int, p: int, lam: Fraction, values: list[int], den: int) -> Fraction:
+    """sum_{j=0}^{n} C(n,j)^p lam^j g(j) for g(j) = values[j]/den.
 
-    With the g(j) as integers u_j over one denominator v and lam = a/b,
-    the integer sum_j C(n,j)^p a^j b^(n-j) u_j is summed by Horner in b and
-    divided once by v b^n."""
-    values, den = _common([g(j) for j in range(n + 1)])
+    The caller gives the integer numerators of g(0..n) over one
+    denominator, into which it folds any outer divisor of the sum.  With
+    lam = a/b, the integer sum_j C(n,j)^p a^j b^(n-j) values[j] is summed
+    by Horner in b and divided once by den b^n."""
     a, b = lam.numerator, lam.denominator
     total = 0
     c = a_j = 1
@@ -264,8 +269,8 @@ def _riemann_sum(m: int, n: int, p: int, lam: Fraction, corrected: bool) -> Frac
     """Summation form of the Riemann integral; the printed form drops the
     1/n! and the +1 in the exponent."""
     e = m + 1 if corrected else m
-    total = _binom_sum(n, p, lam, lambda j: (j + 1) ** e - j**e) / (m + 1)
-    return total / factorial(n) if corrected else total
+    values = [(j + 1) ** e - j**e for j in range(n + 1)]
+    return _binom_sum(n, p, lam, values, (m + 1) * (factorial(n) if corrected else 1))
 
 
 def lagrange_poly(points: list[tuple[Fraction, Fraction]]) -> Poly:
@@ -631,8 +636,8 @@ def _inp8a(m, n, p, lam, *, corrected):
     lhs = _y6_sum(n, p, lam, [(comb(m, k) * (m + 1), m - k + 1) for k in range(m + 1)])
     # printed: sum_{l<m} C(m,l) j^l; corrected: sum_{l<=m} C(m+1,l) j^l
     top = m + 1 if corrected else m
-    rhs = _binom_sum(n, p, lam, lambda j: sum(comb(top, l) * j**l for l in range(top)))
-    return lhs, rhs / factorial(n) if corrected else rhs
+    values = [sum(comb(top, l) * j**l for l in range(top)) for j in range(n + 1)]
+    return lhs, _binom_sum(n, p, lam, values, factorial(n) if corrected else 1)
 
 
 @_identity("P1_corollary", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
@@ -647,19 +652,14 @@ def _p1_corollary(m, n, p, lam, *, corrected):
     return lhs, rhs + y6(m, n, lam, p)
 
 
-def _moment_sum(poly: Poly, n: int, p: int, lam: Fraction, corrected: bool):
-    """Right side of the moment functionals, sum_j C(n,j)^p lam^j poly(j);
-    the printed form lacks the 1/n!."""
-    rhs = _binom_sum(n, p, lam, poly)
-    return rhs / factorial(n) if corrected else rhs
-
-
 @_identity("inP3_4", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
 def _inp3_4(m, n, p, lam, *, corrected):
     """Bernoulli-moment functional of the polynomial family; printed
     right side lacks the 1/n!"""
     lhs = volkenborn(p_poly(m, n, lam, p))
-    return lhs, _moment_sum(bernoulli_poly(m), n, p, lam, corrected)
+    b = bernoulli_poly(m)
+    den = b.den * factorial(n) if corrected else b.den
+    return lhs, _binom_sum(n, p, lam, _int_values(b, n + 1), den)
 
 
 @_identity("inP5_6", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
@@ -667,7 +667,9 @@ def _inp5_6(m, n, p, lam, *, corrected):
     """Euler-moment functional of the polynomial family; printed right
     side lacks the 1/n!"""
     lhs = fermionic(p_poly(m, n, lam, p))
-    return lhs, _moment_sum(euler_poly(m), n, p, lam, corrected)
+    e = euler_poly(m)
+    den = e.den * factorial(n) if corrected else e.den
+    return lhs, _binom_sum(n, p, lam, _int_values(e, n + 1), den)
 
 
 # ---------------------------------------------------------------------------
@@ -750,15 +752,16 @@ def _sec6_stirling(m, n, p, lam):
     numbers and factorial weights"""
 
     def inner(k):
-        # sum_l S(m,l)/((n-k)! (k-l)!) over (n-k)! k!: the weights
-        # k!/(k-l)! are the falling factorials of k
+        # sum_l S(m,l)/((n-k)! (k-l)!) = C(n,k) sum_l S(m,l) k!/(k-l)! over
+        # n!: the weights k!/(k-l)! are the falling factorials of k
         total, fall = 0, 1
         for l in range(k + 1):
             total += stirling2(m, l).numerator * fall
             fall *= k - l
-        return Fraction(total, factorial(n - k) * factorial(k))
+        return comb(n, k) * total
 
-    return y6(m, n, lam, p), _binom_sum(n, p - 1, lam, inner)
+    values = [inner(k) for k in range(n + 1)]
+    return y6(m, n, lam, p), _binom_sum(n, p - 1, lam, values, factorial(n))
 
 
 @_identity("sec6_bernoulli", Verdict.HOLDS_PRINTED, _SEC6)
@@ -777,8 +780,8 @@ def _sec6_bernoulli(m, n, p, lam):
         ),
         Poly(),
     )
-    rhs = _binom_sum(n, p, lam, inner) / (comb(m + n, n) * factorial(n))
-    return y6(m, n, lam, p), rhs
+    den = inner.den * comb(m + n, n) * factorial(n)
+    return y6(m, n, lam, p), _binom_sum(n, p, lam, _int_values(inner, n + 1), den)
 
 
 @_identity("sec6_euler", Verdict.HOLDS_PRINTED, _SEC6)
@@ -792,8 +795,8 @@ def _sec6_euler(m, n, p, lam):
         ),
         Poly(),
     )
-    rhs = _binom_sum(n, p, lam, inner) / (factorial(n) * 2**n)
-    return y6(m, n, lam, p), rhs
+    den = inner.den * factorial(n) * 2**n
+    return y6(m, n, lam, p), _binom_sum(n, p, lam, _int_values(inner, n + 1), den)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,17 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _int_values(q: Poly, count: int) -> list[int]:
+    """The integer numerators q(x) q.den at x = 0..count-1, by Horner."""
+    values = []
+    for x in range(count):
+        v = 0
+        for c in reversed(q.nums):
+            v = v * x + c
+        values.append(v)
+    return values
+
+
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Coefficients of the product of two integer polynomials."""
     if not a or not b:

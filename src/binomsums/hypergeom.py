@@ -25,19 +25,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PfqSpec:
-    """Parameter block for pFq: upper/lower parameter lists and argument."""
+    """Parameter block for pFq: upper/lower parameter tuples and argument."""
 
     upper: tuple[Fraction, ...]
     lower: tuple[Fraction, ...]
     z: Fraction
 
+    def __post_init__(self):
+        object.__setattr__(self, "upper", tuple(map(_frac, self.upper)))
+        object.__setattr__(self, "lower", tuple(map(_frac, self.lower)))
+        object.__setattr__(self, "z", _frac(self.z))
+
     @classmethod
     def of(cls, upper, lower, z) -> "PfqSpec":
-        return cls(
-            tuple(_frac(a) for a in upper),
-            tuple(_frac(b) for b in lower),
-            _frac(z),
-        )
+        return cls(upper, lower, z)
 
 
 def _is_nonpositive_int(x: Fraction) -> bool:

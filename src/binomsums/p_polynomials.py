@@ -35,7 +35,7 @@ from .classic_numbers import (
     euler_poly,
     frobenius_euler,
 )
-from .exact_core import Poly, Scalar, _check_indices, _frac
+from .exact_core import Poly, Scalar, _check_indices, _frac, _int_values
 
 __all__ = [
     "p_poly",
@@ -102,13 +102,8 @@ def _mahler_functional(q: Poly, weight: Callable[[int], int], den: int) -> Fract
     """sum_j D^j q(0) weight(j)/den, D the forward difference: the integral
     of q = sum_j D^j q(0) C(x,j) against a measure whose integral of
     C(x,j) is weight(j)/den.  The D^j q(0) are taken in integers from the
-    values q(0..deg q) over q.den."""
-    values = []
-    for x in range(len(q.nums)):
-        v = 0
-        for c in reversed(q.nums):
-            v = v * x + c
-        values.append(v)
+    values q(0..deg q) over q.den, as ``_int_values`` gives them."""
+    values = _int_values(q, len(q.nums))
     total = 0
     for j in range(len(values)):
         total += values[0] * weight(j)

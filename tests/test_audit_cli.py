@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -84,12 +84,20 @@ class TestRegistry:
         ]
         for g in gs:
             for n in range(7):
+                # g(0..n) as integer numerators over one denominator
+                gj = [Fraction(g(j)) for j in range(n + 1)]
+                den = lcm(*[v.denominator for v in gj])
+                values = [int(v * den) for v in gj]
+                outer = factorial(n) * 2**n
                 for p in range(4):
                     expected = sum(
                         Fraction(comb(n, j)) ** p * lam**j * g(j) for j in range(n + 1)
                     )
-                    got = registry._binom_sum(n, p, lam, g)
+                    got = registry._binom_sum(n, p, lam, values, den)
                     assert got == expected and isinstance(got, Fraction)
+                    # an outer divisor folded into the denominator
+                    got = registry._binom_sum(n, p, lam, values, den * outer)
+                    assert got == expected / outer
 
     @pytest.mark.parametrize("lam", ["0", "1", "-2", "-1/2", "7/3"])
     def test_y6_sum_matches_the_fraction_loops(self, lam):

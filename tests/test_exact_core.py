@@ -7,7 +7,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomsums.exact_core import (
@@ -16,6 +16,7 @@ from binomsums.exact_core import (
     Poly,
     Scalar,
     _frac,
+    _int_values,
     binomial_general,
     falling_factorial,
     gamma_half,
@@ -53,6 +54,16 @@ class TestPoly:
             ref = ref * p
         assert p**e == ref
         assert (p**e)(x) == p(x) ** e
+
+    @given(coeff_lists, st.integers(min_value=0, max_value=8))
+    @example([], 3)  # the zero polynomial
+    @example([1, 2], 0)
+    @example([Fraction(-1, 2), 0, -3], 3)
+    def test_int_values_are_the_value_numerators(self, a, count):
+        q = Poly(a)
+        values = _int_values(q, count)
+        assert len(values) == count and all(type(v) is int for v in values)
+        assert values == [q(x) * q.den for x in range(count)]
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):

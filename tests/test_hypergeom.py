@@ -98,6 +98,21 @@ class TestPfq:
         value = pfq_terminating(PfqSpec.of([-2, 1], [1], z))
         assert value == 1 - 2 * z + z**2
 
+    @pytest.mark.parametrize(
+        "upper, z",
+        [((-2.0,), Fraction(1)), ((Fraction(-2),), 0.5)],
+        ids=["float_upper", "float_z"],
+    )
+    def test_float_in_a_spec_is_refused(self, upper, z):
+        with pytest.raises(TypeError, match="expected an int or Fraction, got float"):
+            pfq_terminating(PfqSpec(upper, (), z))
+
+    def test_spec_from_lists_is_a_hashable_fraction_tuple(self):
+        spec = PfqSpec([-2, 1], [1], 3)
+        assert spec == PfqSpec.of((-2, 1), (1,), Fraction(3))
+        assert hash(spec) == hash(PfqSpec.of((-2, 1), (1,), Fraction(3)))
+        assert spec.upper == (Fraction(-2), Fraction(1)) and type(spec.z) is Fraction
+
     def test_requires_terminating_upper(self):
         with pytest.raises(ValueError):
             pfq_terminating(PfqSpec.of([Fraction(1, 2)], [], Fraction(1)))

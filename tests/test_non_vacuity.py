@@ -15,13 +15,14 @@ from fractions import Fraction
 
 import pytest
 
-from binomsums import classic_numbers
+from binomsums import classic_numbers, exact_core, p_polynomials
 from binomsums.audit import (
     AuditConfig,
     GridSpec,
     Verdict,
     build_registry,
     evaluate_entry,
+    registry,
 )
 from binomsums.exact_core import EgfSeries, Poly
 
@@ -105,3 +106,22 @@ def test_corrupted_stirling_table_flips_the_moment_functionals(monkeypatch):
     finally:
         _clear_number_caches()
     assert verdicts == dict.fromkeys(verdicts, Verdict.FAILS_BOTH)
+
+
+def test_faulty_int_values_flips_the_moment_entries(monkeypatch):
+    # _int_values gives both the Mahler values of p_poly and the values of
+    # B_m/E_m at j on the two sides of inP3_4/inP5_6, and the inner sums of
+    # the Section 6 double sums: q(1) off by one must fail them, not cancel
+    def off_at_one(q, count):
+        values = exact_core._int_values(q, count)
+        if count > 1:
+            values[1] += q.den
+        return values
+
+    config = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
+    entries = {e.id: e for e in build_registry()}
+    monkeypatch.setattr(p_polynomials, "_int_values", off_at_one)
+    monkeypatch.setattr(registry, "_int_values", off_at_one)
+    names = ("inP3_4", "inP5_6", "sec6_bernoulli", "sec6_euler")
+    verdicts = {name: evaluate_entry(entries[name], config).verdict for name in names}
+    assert verdicts == dict.fromkeys(names, Verdict.FAILS_BOTH)
