@@ -45,7 +45,11 @@ denominator and divided once, not by adding a ``Fraction`` per term:
 one denominator of its values; ``py6ab`` uses ``exact_core._common``, and
 ``_y6_sum`` takes one ``lcm`` of the products d_k y6_k.den.
 ``sec6_bernoulli``/``sec6_euler`` first collect their inner sums into one
-``Poly``, and ``p_poly`` is memoized.
+``Poly``.  The ``y6`` and ``p_poly`` memos are keyed on the integer parts
+of lam, so a lookup hashes no ``Fraction``; ``_y6_sum`` and ``py6ab`` split
+lam once per point and call the kernel ``_y6`` directly.  ``inP8``'s
+corrected form, which depends on m alone, compares its term identity
+cross-multiplied in integers.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from ..exact_core import (
     Poly,
     _common,
     _int_values,
+    _ratio,
     pochhammer,
     poly_integral01,
 )
@@ -102,7 +107,7 @@ from ..p_polynomials import (
     volkenborn,
     vowe,
 )
-from ..y6_engine import b_ogf, bnk, franel, moment, t_poly, y6, y6_egf
+from ..y6_engine import _y6, b_ogf, bnk, franel, moment, t_poly, y6, y6_egf
 from .config import GridSpec
 
 __all__ = ["Verdict", "IdentityEntry", "build_registry"]
@@ -251,9 +256,10 @@ def _binom_sum(n: int, p: int, lam: Fraction, values: list[int], den: int) -> Fr
 def _y6_sum(n: int, p: int, lam: Fraction, weights: list[tuple[int, int]]) -> Fraction:
     """sum_k (c_k/d_k) y6(k,n;lam,p) over the pairs weights[k] = (c_k, d_k),
     summed as integers over the lcm of the denominators d_k y6_k.den."""
+    a, b = _ratio(lam)
     terms = []
     for k, (c, d) in enumerate(weights):
-        y = y6(k, n, lam, p)
+        y = _y6(k, n, a, b, p)
         terms.append((c * y.numerator, d * y.denominator))
     den = lcm(*[d for _, d in terms])
     return Fraction(sum([u * (den // d) for u, d in terms]), den)
@@ -478,7 +484,7 @@ def _cusick_diag(n, p):
 def _franel_numbers(p: int, values: tuple[int, ...], z: Fraction, n: int):
     """The p-th order Franel number against a table and its pFq form."""
     v = franel(p, 0, n, F1)
-    pfq = pfq_terminating(PfqSpec.of([-n] * p, [1] * (p - 1), z))
+    pfq = pfq_terminating(PfqSpec([-n] * p, [1] * (p - 1), z))
     return (v, v), (Fraction(values[n]), pfq)
 
 
@@ -596,7 +602,8 @@ def _py6ab(m, n, p, lam):
     lhs = p_poly(m + 1, n, lam, p) - Poly.x() * p_poly(m, n, lam, p)
     # coefficients C(m,i) y6(m-i+1,n;lam,p), the y6 values over one
     # denominator as in _y6_sum
-    ys, den = _common([y6(m - i + 1, n, lam, p) for i in range(m + 1)])
+    a, b = _ratio(lam)
+    ys, den = _common([_y6(m - i + 1, n, a, b, p) for i in range(m + 1)])
     rhs = Poly.from_ints([comb(m, i) * y for i, y in enumerate(ys)], den)
     return lhs, rhs
 
@@ -621,9 +628,10 @@ def _inp8(m, n, p, lam, *, corrected):
     """equating the two integral forms; the corrected content
     is the term identity C(m+1,l)/(m+1) = C(m,l)/(m-l+1)"""
     if corrected:
+        # cross-multiplied: C(m+1,l) (m-l+1) = C(m,l) (m+1)
         return (
-            [Fraction(comb(m + 1, l), m + 1) for l in range(m + 1)],
-            [Fraction(comb(m, l)) / (m - l + 1) for l in range(m + 1)],
+            [comb(m + 1, l) * (m - l + 1) for l in range(m + 1)],
+            [comb(m, l) * (m + 1) for l in range(m + 1)],
         )
     lhs = _coefficient_integral(m, n, p, lam)
     return lhs, _riemann_sum(m, n, p, lam, corrected=False)

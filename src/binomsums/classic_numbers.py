@@ -243,7 +243,7 @@ def y1(n: int, k: int, lam: Scalar) -> Fraction:
     _check_indices(n=n, k=k)
     from .y6_engine import y6  # y6_engine imports this module
 
-    return y6(n, k, _frac(lam), 1)
+    return y6(n, k, lam, 1)
 
 
 def y_seq(n: int, lam: Scalar) -> Fraction:

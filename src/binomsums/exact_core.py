@@ -70,7 +70,8 @@ def _ratio(x: Scalar) -> tuple[int, int]:
     """Numerator and positive denominator of an int or Fraction."""
     if type(x) is int:
         return x, 1
-    x = _frac(x)
+    if type(x) is not Fraction:  # a Fraction skips _frac's isinstance tests
+        x = _frac(x)
     return x.numerator, x.denominator
 
 
@@ -169,7 +170,8 @@ class Poly:
 
     @classmethod
     def x(cls) -> "Poly":
-        return _poly([0, 1], 1)
+        """The polynomial x; one shared instance, as a Poly is immutable."""
+        return _X
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -294,6 +296,9 @@ class Poly:
             else:
                 terms.append(f"{c}*x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+_X = _poly([0, 1], 1)
 
 
 def _int_values(q: Poly, count: int) -> list[int]:

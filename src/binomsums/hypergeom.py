@@ -4,6 +4,7 @@ of the binomial-power-sum family."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +39,12 @@ class PfqSpec:
 
     @classmethod
     def of(cls, upper, lower, z) -> "PfqSpec":
+        """Deprecated alias of ``PfqSpec(upper, lower, z)``."""
+        warnings.warn(
+            "PfqSpec.of is deprecated; call PfqSpec(upper, lower, z)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
         return cls(upper, lower, z)
 
 
@@ -89,7 +96,7 @@ def y6_hyper(n: int, lam: Scalar, p: int) -> Fraction:
     if p < 1:
         raise ValueError("the hypergeometric form needs p >= 1")
     lam = _frac(lam)
-    spec = PfqSpec.of([-n] * p, [1] * (p - 1), (-1) ** p * lam)
+    spec = PfqSpec([-n] * p, [1] * (p - 1), (-1) ** p * lam)
     return pfq_terminating(spec) / factorial(n)
 
 
@@ -150,4 +157,4 @@ def ogf_reference(case: OgfCase, lam: Scalar | None, order: int) -> list[Fractio
     if case not in slices:
         raise ValueError(f"unknown case {case!r}")
     lam, p = slices[case]
-    return [y6(0, n, _frac(lam), p) for n in range(order + 1)]
+    return [y6(0, n, lam, p) for n in range(order + 1)]

@@ -15,11 +15,13 @@ expansion sum_j D^j q(0) C(x,j) and use no Bernoulli or Euler number, so
 the moment identities set them against the Bernoulli and Euler
 polynomials, built from Stirling numbers, as independent routes.
 
-``p_poly`` is memoized like ``y6``, in a bounded ``lru_cache``: the audit
-asks for each polynomial many times (P(m-k) in the derivative identity,
-P(m) and P(m+1) in the recurrence, one per integral form), and a default
-audit builds each of its 2,520 distinct polynomials once.  A ``Poly`` is
-immutable, so every caller may share the cached value.
+``p_poly`` is memoized like ``y6``: it splits lam once into its integer
+parts and looks them up in the bounded ``lru_cache`` of ``_p_poly``, so a
+lookup hashes a tuple of ints, not a ``Fraction``.  The audit asks for each
+polynomial many times (P(m-k) in the derivative identity, P(m) and P(m+1)
+in the recurrence, one per integral form), and a default audit builds each
+of its 2,520 distinct polynomials once.  A ``Poly`` is immutable, so every
+caller may share the cached value.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .classic_numbers import (
     euler_poly,
     frobenius_euler,
 )
-from .exact_core import Poly, Scalar, _check_indices, _frac, _int_values
+from .exact_core import Poly, Scalar, _check_indices, _frac, _int_values, _ratio
 
 __all__ = [
     "p_poly",
@@ -50,13 +52,20 @@ __all__ = [
 ]
 
 
-# typed: a float must not hit an equal rational's entry; bounded to cap memory
-@lru_cache(maxsize=8192, typed=True)
 def p_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     """sum_{k=0}^{m} C(m,k) x^{m-k} y6(k,n;lam,p)."""
+    a, b = _ratio(lam)
+    return _p_poly(m, n, a, b, p)
+
+
+# keyed on lam's integer parts, so a lookup hashes no Fraction; typed: an
+# index Fraction(2) or 2.0 must miss the entry of 2 and be refused; bounded
+# to cap memory
+@lru_cache(maxsize=8192, typed=True)
+def _p_poly(m: int, n: int, a: int, b: int, p: int) -> Poly:
+    """p_poly(m,n;a/b,p) for lam = a/b in lowest terms with b > 0, as
+    ``exact_core._ratio`` gives it."""
     _check_indices(m=m, n=n, p=p)
-    lam = _frac(lam)
-    a, b = lam.numerator, lam.denominator
     # Horner in b: after step k, row[i] = sum_{j<=k} C(n,j)^p j^i a^j b^(k-j),
     # so at the end row[i] = n! b^n y6(i,n;lam,p).
     row = [0] * (m + 1)
@@ -73,14 +82,17 @@ def p_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     )
 
 
+p_poly.cache_info = _p_poly.cache_info
+p_poly.cache_clear = _p_poly.cache_clear
+
+
 def raw_sum_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     """sum_{j=0}^{n} C(n,j)^p lam^j (x+j)^m, expanded exactly.
 
     Equals n! times p_poly (the two defining forms differ by that factor).
     """
     _check_indices(m=m, n=n, p=p)
-    lam = _frac(lam)
-    a, b = lam.numerator, lam.denominator
+    a, b = _ratio(lam)
     # b^n times the sum: term j has the integer weight C(n,j)^p a^j b^(n-j)
     # and (x+j)^m = sum_i C(m,i) j^(m-i) x^i.
     binom_m = [comb(m, i) for i in range(m + 1)]

@@ -3,9 +3,11 @@
 All values are exact.  For lam = a/b, ``y6`` sums the integer
 n! b^n y6(m,n;lam,p) = sum_k C(n,k)^p k^m a^k b^(n-k) and divides once at
 the end; ``y6_egf`` builds the same numbers through series arithmetic, as
-an independent route.  ``y6`` is memoized by value (the grid audits repeat
-most of their calls), which is pure caching and safe under concurrent
-readers.
+an independent route.  ``y6`` splits lam once into its integer parts and
+looks them up in the bounded memo of ``_y6`` (the grid audits repeat most
+of their calls), so a lookup hashes a tuple of ints, not a ``Fraction``;
+the memo is pure caching and safe under concurrent readers.  The registry
+splits lam once per grid point and calls ``_y6`` itself.
 
 ``franel_recurrence`` gives a whole prefix of the Franel numbers
 sum_k C(n,k)^p, p = 3 or 4, in O(N) integer steps, by Franel's three-term
@@ -22,7 +24,15 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .classic_numbers import stirling1, stirling2
-from .exact_core import EgfSeries, Poly, Scalar, _check_indices, _check_ints, _frac
+from .exact_core import (
+    EgfSeries,
+    Poly,
+    Scalar,
+    _check_indices,
+    _check_ints,
+    _frac,
+    _ratio,
+)
 
 __all__ = [
     "RationalFunction",
@@ -70,13 +80,20 @@ class RationalFunction:
         return out
 
 
-# typed: a float must not hit an equal rational's entry; bounded to cap memory
-@lru_cache(maxsize=8192, typed=True)
-def y6(m: int, n: int, lam: Fraction, p: int) -> Fraction:
+def y6(m: int, n: int, lam: Scalar, p: int) -> Fraction:
     """(1/n!) sum_k C(n,k)^p k^m lam^k with 0^0 = 1."""
+    a, b = _ratio(lam)
+    return _y6(m, n, a, b, p)
+
+
+# keyed on lam's integer parts, so a lookup hashes no Fraction; typed: an
+# index Fraction(2) or 2.0 must miss the entry of 2 and be refused; bounded
+# to cap memory
+@lru_cache(maxsize=8192, typed=True)
+def _y6(m: int, n: int, a: int, b: int, p: int) -> Fraction:
+    """y6(m,n;a/b,p) for lam = a/b in lowest terms with b > 0, as
+    ``exact_core._ratio`` gives it."""
     _check_indices(m=m, n=n, p=p)
-    lam = _frac(lam)
-    a, b = lam.numerator, lam.denominator
     # Horner in b: after step k, total = sum_{i<=k} C(n,i)^p i^m a^i b^(k-i).
     total = 0
     binom = a_k = 1
@@ -85,6 +102,10 @@ def y6(m: int, n: int, lam: Fraction, p: int) -> Fraction:
         binom = binom * (n - k) // (k + 1)
         a_k *= a
     return Fraction(total, factorial(n) * b**n)
+
+
+y6.cache_info = _y6.cache_info
+y6.cache_clear = _y6.cache_clear
 
 
 def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
@@ -157,7 +178,7 @@ def moment(m: int, p: int, n: int) -> Fraction:
 
 def franel(p: int, m: int, n: int, lam: Scalar) -> Fraction:
     """Generalized p-th order Franel numbers n! * y6(m,n;lam,p)."""
-    value = y6(m, n, _frac(lam), p)  # validates n before factorial(n)
+    value = y6(m, n, lam, p)  # validates n before factorial(n)
     return factorial(n) * value
 
 

@@ -37,6 +37,10 @@ class TestPoly:
         assert not Poly([0])
         assert Poly([0, 0, 3]).degree == 2
 
+    def test_x_is_one_shared_instance(self):
+        assert Poly.x() is Poly.x()
+        assert Poly.x() == Poly([0, 1]) and Poly.x().coeffs == (0, 1)
+
     def test_evaluation_is_horner_exact(self):
         p = Poly([Fraction(1, 3), -2, 1])  # 1/3 - 2x + x^2
         assert p(Fraction(1, 2)) == Fraction(1, 3) - 1 + Fraction(1, 4)

@@ -63,7 +63,7 @@ class TestPfq:
     )
     @settings(max_examples=300)
     def test_matches_the_fraction_loop(self, n, upper, lower, z):
-        spec = PfqSpec.of([-n, *upper], lower, z)
+        spec = PfqSpec([-n, *upper], lower, z)
         try:
             expected = fraction_pfq(spec)
         except ValueError:
@@ -78,7 +78,7 @@ class TestPfq:
     def test_pole_at_the_termination_index_matches_the_fraction_loop(self, n, z):
         # the lower parameter -n vanishes exactly at the last term, where
         # the Fraction loop stopped with its break
-        spec = PfqSpec.of([-n, Fraction(3, 2), -n - 2], [-n, Fraction(-1, 3)], z)
+        spec = PfqSpec([-n, Fraction(3, 2), -n - 2], [-n, Fraction(-1, 3)], z)
         assert pfq_terminating(spec) == fraction_pfq(spec)
 
     @given(
@@ -89,13 +89,13 @@ class TestPfq:
     @settings(max_examples=80)
     def test_chu_vandermonde(self, n, b, c):
         # 2F1(-n, b; c; 1) = (c-b)_n / (c)_n for c not a non-positive integer
-        spec = PfqSpec.of([-n, b], [c], Fraction(1))
+        spec = PfqSpec([-n, b], [c], Fraction(1))
         assert pfq_terminating(spec) == pochhammer(c - b, n) / pochhammer(c, n)
 
     def test_term_by_term(self):
         # 2F1(-2, 1; 1; z) = 1 - 2z + z^2 at a sample z
         z = Fraction(1, 3)
-        value = pfq_terminating(PfqSpec.of([-2, 1], [1], z))
+        value = pfq_terminating(PfqSpec([-2, 1], [1], z))
         assert value == 1 - 2 * z + z**2
 
     @pytest.mark.parametrize(
@@ -109,22 +109,27 @@ class TestPfq:
 
     def test_spec_from_lists_is_a_hashable_fraction_tuple(self):
         spec = PfqSpec([-2, 1], [1], 3)
-        assert spec == PfqSpec.of((-2, 1), (1,), Fraction(3))
-        assert hash(spec) == hash(PfqSpec.of((-2, 1), (1,), Fraction(3)))
+        assert spec == PfqSpec((-2, 1), (1,), Fraction(3))
+        assert hash(spec) == hash(PfqSpec((-2, 1), (1,), Fraction(3)))
         assert spec.upper == (Fraction(-2), Fraction(1)) and type(spec.z) is Fraction
+
+    def test_of_is_a_deprecated_alias(self):
+        with pytest.warns(DeprecationWarning, match="PfqSpec.of is deprecated"):
+            spec = PfqSpec.of([-2, 1], [1], 3)
+        assert spec == PfqSpec((-2, 1), (1,), Fraction(3))
 
     def test_requires_terminating_upper(self):
         with pytest.raises(ValueError):
-            pfq_terminating(PfqSpec.of([Fraction(1, 2)], [], Fraction(1)))
+            pfq_terminating(PfqSpec([Fraction(1, 2)], [], Fraction(1)))
 
     def test_lower_pole_before_termination_rejected(self):
         # lower parameter -1 hits zero at term 2, before -3 terminates at 4
         with pytest.raises(ValueError):
-            pfq_terminating(PfqSpec.of([-3, 1], [-1], Fraction(1)))
+            pfq_terminating(PfqSpec([-3, 1], [-1], Fraction(1)))
 
     def test_lower_pole_after_termination_allowed(self):
         # -4 in the denominator only vanishes past the -2 cut-off
-        value = pfq_terminating(PfqSpec.of([-2, 1], [-4], Fraction(2)))
+        value = pfq_terminating(PfqSpec([-2, 1], [-4], Fraction(2)))
         terms = [Fraction(1)]
         terms.append(Fraction(-2) * 1 / Fraction(-4) * 2)
         terms.append(

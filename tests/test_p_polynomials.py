@@ -136,7 +136,9 @@ class TestPPoly:
 
     def test_independent_of_y6(self):
         # the audit compares p_poly with y6, so it must not be built from it
-        assert "y6" not in inspect.unwrap(p_poly).__code__.co_names
+        for fn in (p_poly, p_polynomials._p_poly):
+            names = inspect.unwrap(fn).__code__.co_names
+            assert "y6" not in names and "_y6" not in names
         assert not hasattr(p_polynomials, "y6")
 
     def test_negative_indices_rejected(self):
@@ -152,6 +154,19 @@ class TestPPoly:
         info = p_poly.cache_info()
         assert info.maxsize is not None
         assert info.misses == info.currsize == 2520 < info.maxsize
+
+    def test_int_and_fraction_lambda_share_one_entry(self):
+        p_poly.cache_clear()
+        assert p_poly(2, 3, 2, 2) is p_poly(2, 3, Fraction(2), 2)
+        info = p_poly.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_float_lambda_adds_no_entry(self):
+        p_poly.cache_clear()
+        with pytest.raises(TypeError):
+            p_poly(2, 3, 2.0, 2)
+        info = p_poly.cache_info()
+        assert (info.misses, info.currsize) == (0, 0)
 
     @given(
         st.integers(min_value=0, max_value=6),

@@ -10,8 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomsums import y6_engine
-from binomsums.audit import run_audit
+from binomsums import p_polynomials, y6_engine
+from binomsums.audit import (
+    AuditConfig,
+    GridSpec,
+    build_registry,
+    evaluate_entry,
+    run_audit,
+)
 from binomsums.exact_core import Poly, _frac
 from binomsums.y6_engine import (
     RationalFunction,
@@ -98,6 +104,19 @@ class TestY6:
         info = y6.cache_info()
         assert info.maxsize is not None
         assert info.misses == info.currsize < info.maxsize
+
+    def test_int_and_fraction_lambda_share_one_entry(self):
+        y6.cache_clear()
+        assert y6(2, 3, 2, 2) == y6(2, 3, Fraction(2), 2)
+        info = y6.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_float_lambda_adds_no_entry(self):
+        y6.cache_clear()
+        with pytest.raises(TypeError):
+            y6(2, 3, 2.0, 2)
+        info = y6.cache_info()
+        assert (info.misses, info.currsize) == (0, 0)
 
     @given(
         st.integers(min_value=0, max_value=8),
@@ -284,3 +303,45 @@ class TestEgfPath:
         series = y6_egf(n, lam, p, 10)
         for m in range(11):
             assert series.coeffs[m] == y6(m, n, lam, p)
+
+
+# the polynomial family's entries and y6G, which look up y6 and p_poly at
+# every grid point
+MEMO_ENTRIES = (
+    "Yp1Yp2_bridge",
+    "py6a",
+    "py6ab",
+    "inP1",
+    "inP2",
+    "inP8",
+    "inP8a",
+    "P1_corollary",
+    "inP3_4",
+    "inP5_6",
+    "y6G",
+)
+
+
+def test_memo_lookups_hash_no_fraction(monkeypatch):
+    # the memos are keyed on lam's integer parts: a grid over rational lam
+    # must hash no Fraction, on cache misses or hits
+    entries = {e.id: e for e in build_registry()}
+    config = AuditConfig(default=GridSpec(m_max=3, n_max=3, p_max=2))
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    y6.cache_clear()
+    p_polynomials.p_poly.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(Fraction, "__hash__", counting_hash)
+        hash(Fraction(1, 3))
+        assert len(calls) == 1  # the patch counts
+        calls.clear()
+        results = [evaluate_entry(entries[i], config) for i in MEMO_ENTRIES * 2]
+    assert all(r.matches_expected for r in results)
+    assert sum(r.points for r in results) > 0
+    assert calls == []
