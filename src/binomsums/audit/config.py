@@ -40,7 +40,10 @@ class ConfigError(ValueError):
 def _apply(spec: GridSpec, key: str, value: str, lineno: int) -> GridSpec:
     try:
         if key in ("m_max", "n_max", "p_max"):
-            return replace(spec, **{key: int(value)})
+            bound = int(value)
+            if bound > 10_000:  # each grid axis is built as a tuple
+                raise ValueError(f"{bound} is above the largest grid bound 10000")
+            return replace(spec, **{key: bound})
         if key == "lambdas":
             lams = tuple(Fraction(v.strip()) for v in value.split(",") if v.strip())
             if not lams:

@@ -42,8 +42,8 @@ Speed: the sums over the large grids are taken as integers over one common
 denominator and divided once, not by adding a ``Fraction`` per term:
 ``_binom_sum``, ``_y6_sum``, ``direct_power_sum`` and the right side of
 ``py6ab``.  Each caller of ``_binom_sum`` folds its outer divisor into the
-one denominator of its values; ``py6ab`` uses ``exact_core._common``, and
-``_y6_sum`` takes one ``lcm`` of the products d_k y6_k.den.
+one denominator of its values; ``_y6_sum`` and ``py6ab`` sum the kernel's
+integers n! b^n y6 and divide once.
 ``sec6_bernoulli``/``sec6_euler`` first collect their inner sums into one
 ``Poly``.  The ``y6`` and ``p_poly`` memos are keyed on the integer parts
 of lam, so a lookup hashes no ``Fraction``; ``_y6_sum`` and ``py6ab`` split
@@ -81,7 +81,6 @@ from ..classic_numbers import (
 from ..exact_core import (
     EgfSeries,
     Poly,
-    _common,
     _int_values,
     _ratio,
     pochhammer,
@@ -255,14 +254,11 @@ def _binom_sum(n: int, p: int, lam: Fraction, values: list[int], den: int) -> Fr
 
 def _y6_sum(n: int, p: int, lam: Fraction, weights: list[tuple[int, int]]) -> Fraction:
     """sum_k (c_k/d_k) y6(k,n;lam,p) over the pairs weights[k] = (c_k, d_k),
-    summed as integers over the lcm of the denominators d_k y6_k.den."""
+    summed as integers over L = lcm(d_k) and divided once by L n! b^n."""
     a, b = _ratio(lam)
-    terms = []
-    for k, (c, d) in enumerate(weights):
-        y = _y6(k, n, a, b, p)
-        terms.append((c * y.numerator, d * y.denominator))
-    den = lcm(*[d for _, d in terms])
-    return Fraction(sum([u * (den // d) for u, d in terms]), den)
+    den = lcm(*[d for _, d in weights])
+    total = sum(c * (den // d) * _y6(k, n, a, b, p) for k, (c, d) in enumerate(weights))
+    return Fraction(total, den * factorial(n) * b**n)
 
 
 def _coefficient_integral(m: int, n: int, p: int, lam: Fraction) -> Fraction:
@@ -600,11 +596,10 @@ def _py6a(m, n, p, lam, *, corrected):
 def _py6ab(m, n, p, lam):
     """t-derivative recurrence for the polynomial family"""
     lhs = p_poly(m + 1, n, lam, p) - Poly.x() * p_poly(m, n, lam, p)
-    # coefficients C(m,i) y6(m-i+1,n;lam,p), the y6 values over one
-    # denominator as in _y6_sum
+    # coefficients C(m,i) y6(m-i+1,n;lam,p), as integers over n! b^n
     a, b = _ratio(lam)
-    ys, den = _common([_y6(m - i + 1, n, a, b, p) for i in range(m + 1)])
-    rhs = Poly.from_ints([comb(m, i) * y for i, y in enumerate(ys)], den)
+    ys = [comb(m, i) * _y6(m - i + 1, n, a, b, p) for i in range(m + 1)]
+    rhs = Poly.from_ints(ys, factorial(n) * b**n)
     return lhs, rhs
 
 

@@ -1,13 +1,13 @@
 """The central binomial-power-sum family and Golombek's B(n,k).
 
-All values are exact.  For lam = a/b, ``y6`` sums the integer
-n! b^n y6(m,n;lam,p) = sum_k C(n,k)^p k^m a^k b^(n-k) and divides once at
-the end; ``y6_egf`` builds the same numbers through series arithmetic, as
-an independent route.  ``y6`` splits lam once into its integer parts and
-looks them up in the bounded memo of ``_y6`` (the grid audits repeat most
-of their calls), so a lookup hashes a tuple of ints, not a ``Fraction``;
-the memo is pure caching and safe under concurrent readers.  The registry
-splits lam once per grid point and calls ``_y6`` itself.
+All values are exact.  For lam = a/b, the kernel ``_y6`` sums the integer
+S = n! b^n y6(m,n;lam,p) = sum_k C(n,k)^p k^m a^k b^(n-k), and its bounded
+memo holds S, keyed on lam's integer parts so a lookup hashes no
+``Fraction``; it is pure caching and safe under concurrent readers.  Each
+caller divides S at most once: ``y6`` by n! b^n, ``franel`` by b^n only,
+and ``moment`` (lam = 1) is S.  The registry splits lam once per grid point
+and calls ``_y6`` itself.  ``y6_egf`` builds the same numbers through
+series arithmetic, as an independent route.
 
 ``franel_recurrence`` gives a whole prefix of the Franel numbers
 sum_k C(n,k)^p, p = 3 or 4, in O(N) integer steps, by Franel's three-term
@@ -83,16 +83,16 @@ class RationalFunction:
 def y6(m: int, n: int, lam: Scalar, p: int) -> Fraction:
     """(1/n!) sum_k C(n,k)^p k^m lam^k with 0^0 = 1."""
     a, b = _ratio(lam)
-    return _y6(m, n, a, b, p)
+    return Fraction(_y6(m, n, a, b, p), factorial(n) * b**n)  # _y6 checks n first
 
 
 # keyed on lam's integer parts, so a lookup hashes no Fraction; typed: an
 # index Fraction(2) or 2.0 must miss the entry of 2 and be refused; bounded
 # to cap memory
 @lru_cache(maxsize=8192, typed=True)
-def _y6(m: int, n: int, a: int, b: int, p: int) -> Fraction:
-    """y6(m,n;a/b,p) for lam = a/b in lowest terms with b > 0, as
-    ``exact_core._ratio`` gives it."""
+def _y6(m: int, n: int, a: int, b: int, p: int) -> int:
+    """The integer n! b^n y6(m,n;a/b,p) for lam = a/b in lowest terms with
+    b > 0, as ``exact_core._ratio`` gives it."""
     _check_indices(m=m, n=n, p=p)
     # Horner in b: after step k, total = sum_{i<=k} C(n,i)^p i^m a^i b^(k-i).
     total = 0
@@ -101,7 +101,7 @@ def _y6(m: int, n: int, a: int, b: int, p: int) -> Fraction:
         total = total * b + binom**p * k**m * a_k
         binom = binom * (n - k) // (k + 1)
         a_k *= a
-    return Fraction(total, factorial(n) * b**n)
+    return total
 
 
 y6.cache_info = _y6.cache_info
@@ -170,16 +170,13 @@ def b_ogf(d: int) -> RationalFunction:
 
 def moment(m: int, p: int, n: int) -> Fraction:
     """Moment sum sum_k C(n,k)^p k^m; integer-valued."""
-    value = franel(p, m, n, 1)
-    if value.denominator != 1:
-        raise ArithmeticError(f"moment({m}, {p}, {n}) = {value} is not an integer")
-    return value
+    return Fraction(_y6(m, n, 1, 1, p))
 
 
 def franel(p: int, m: int, n: int, lam: Scalar) -> Fraction:
     """Generalized p-th order Franel numbers n! * y6(m,n;lam,p)."""
-    value = y6(m, n, lam, p)  # validates n before factorial(n)
-    return factorial(n) * value
+    a, b = _ratio(lam)
+    return Fraction(_y6(m, n, a, b, p), b**n)
 
 
 # Franel's recurrences lead(n) f(n+1) = cur(n) f(n) + prev(n) f(n-1); both

@@ -449,6 +449,17 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "error: line 2: bad value for lambdas" in capsys.readouterr().err
 
+    def test_run_huge_grid_bound_exits_two(self, tmp_path, capsys):
+        # a bound past a C index must be refused as configuration, not end
+        # in a traceback with the verdict-mismatch code
+        path = tmp_path / "huge.cfg"
+        path.write_text("n_max = 3\nm_max = 99999999999999999999999\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: bad value for m_max: ")
+        assert "Traceback" not in captured.err
+
     def test_run_apostol_powersum_at_lambda_zero(self, tmp_path, capsys):
         path = tmp_path / "lam.cfg"
         path.write_text("lambdas = 0, 2\n")

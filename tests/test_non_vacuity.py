@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomsums import classic_numbers, exact_core, p_polynomials
+from binomsums import classic_numbers, exact_core, p_polynomials, y6_engine
 from binomsums.audit import (
     AuditConfig,
     GridSpec,
@@ -123,5 +123,38 @@ def test_faulty_int_values_flips_the_moment_entries(monkeypatch):
     monkeypatch.setattr(p_polynomials, "_int_values", off_at_one)
     monkeypatch.setattr(registry, "_int_values", off_at_one)
     names = ("inP3_4", "inP5_6", "sec6_bernoulli", "sec6_euler")
+    verdicts = {name: evaluate_entry(entries[name], config).verdict for name in names}
+    assert verdicts == dict.fromkeys(names, Verdict.FAILS_BOTH)
+
+
+def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
+    # S = n! b^n y6 off by one at (m, n) = (1, 2) reaches the entries that
+    # read y6, franel, moment or the registry's own _y6 sums; their other
+    # sides (p_poly, _binom_sum, closed forms) must not share the fault
+    kernel = y6_engine._y6
+
+    def off_at_one_two(m, n, a, b, p):
+        return kernel(m, n, a, b, p) + ((m, n) == (1, 2))
+
+    config = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
+    entries = {e.id: e for e in build_registry()}
+    monkeypatch.setattr(y6_engine, "_y6", off_at_one_two)
+    monkeypatch.setattr(registry, "_y6", off_at_one_two)
+    names = (
+        "golombek",
+        "CC2",
+        "altStirling",
+        "Cab3",
+        "y6G",
+        "cusick_sym",
+        "py6ab",
+        "inP1",
+        "inP8a",
+        "P1_corollary",
+        "sec6_stirling",
+        "sec6_bernoulli",
+        "sec6_euler",
+        "yp3_euler_operator",
+    )
     verdicts = {name: evaluate_entry(entries[name], config).verdict for name in names}
     assert verdicts == dict.fromkeys(names, Verdict.FAILS_BOTH)

@@ -82,6 +82,21 @@ class TestY6:
         assert type(value) is Fraction
         assert value == reference_y6(m, n, lam, p)
 
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=25),
+        exact_lambdas,
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=100)
+    def test_kernel_is_the_integer_scaled_sum(self, m, n, lam, p):
+        # the memo holds S = n! b^n y6 for lam = a/b in lowest terms, b > 0
+        lam = Fraction(lam)
+        a, b = lam.numerator, lam.denominator
+        value = y6_engine._y6(m, n, a, b, p)
+        assert type(value) is int
+        assert value == factorial(n) * b**n * brute_y6(m, n, lam, p)
+
     def test_float_lambda_rejected(self):
         with pytest.raises(TypeError):
             y6(1, 3, 0.1, 1)
@@ -210,12 +225,6 @@ class TestMomentsAndFranel:
                     value = moment(m, p, n)
                     assert value.denominator == 1
 
-    def test_non_integer_moment_raises(self, monkeypatch):
-        # the check must not be an assert, which -O strips
-        monkeypatch.setattr(y6_engine, "y6", lambda m, n, lam, p: Fraction(1, 3))
-        with pytest.raises(ArithmeticError):
-            moment(1, 2, 2)
-
     def test_franel3_recurrence(self):
         # (n+1)^2 f(n+1) = (7n^2+7n+2) f(n) + 8n^2 f(n-1)   (Franel 1894)
         f = {n: franel(3, 0, n, 1) for n in range(201)}
@@ -241,12 +250,13 @@ class TestMomentsAndFranel:
         ]
 
     @given(
+        st.integers(min_value=0, max_value=4),
         st.integers(min_value=0, max_value=8),
         st.integers(min_value=0, max_value=4),
         st.sampled_from(lam_values),
     )
-    def test_franel_is_scaled_y6(self, n, p, lam):
-        assert franel(p, 0, n, lam) == factorial(n) * y6(0, n, lam, p)
+    def test_franel_is_scaled_y6(self, m, n, p, lam):
+        assert franel(p, m, n, lam) == factorial(n) * y6(m, n, lam, p)
 
 
 class TestFranelRecurrence:
