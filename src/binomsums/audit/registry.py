@@ -29,21 +29,25 @@ the closed forms and S(n,k).  ``changhee_theorem`` keeps its own
 same identity through ``classic_sequence``'s integer sum, so a fault in
 that sum fails one entry and not the other.  ``_binom_sum`` sums
 C(n,j)^p lam^j g(j) directly and calls none of ``y6``, ``p_poly``,
-``raw_sum_poly`` or ``r_poly``, the routes it is compared with.  A ``Poly``
-g reaches it through ``exact_core._int_values``, which also gives the
-Mahler values of ``volkenborn`` and ``fermionic`` in ``inP3_4``/``inP5_6``;
-``test_faulty_int_values_flips_the_moment_entries`` shows that a fault
-there is not cancelled.  ``p_poly`` sums its own integer coefficients and
-does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``, which
-set the polynomial family against ``y6`` values (through ``_y6_sum``),
-compare independent routes.
+``raw_sum_poly`` or ``r_poly``, the routes it is compared with.  At p = 0
+it also gives the left sides of the four power-sum entries (through
+``_power_sum``), against Bernoulli, Euler, Apostol-Bernoulli and
+Frobenius-Euler closed forms that never call it;
+``test_faulty_binom_sum_flips_its_consumers`` shows that a fault in it is
+not cancelled.  A ``Poly`` g reaches it through ``exact_core._int_values``,
+which also gives the Mahler values of ``volkenborn`` and ``fermionic`` in
+``inP3_4``/``inP5_6``; ``test_faulty_int_values_flips_the_moment_entries``
+shows that a fault there is not cancelled.  ``p_poly`` sums its own integer
+coefficients and does not call ``y6``, so ``py6ab``, ``inP1`` and
+``P1_corollary``, which set the polynomial family against ``y6`` values
+(through ``_y6_sum``), compare independent routes.
 
 Speed: the sums over the large grids are taken as integers over one common
 denominator and divided once, not by adding a ``Fraction`` per term:
-``_binom_sum``, ``_y6_sum``, ``direct_power_sum`` and the right side of
-``py6ab``.  Each caller of ``_binom_sum`` folds its outer divisor into the
-one denominator of its values; ``_y6_sum`` and ``py6ab`` sum the kernel's
-integers n! b^n y6 and divide once.
+``_binom_sum``, ``_y6_sum`` and the right side of ``py6ab``.  Each caller
+of ``_binom_sum`` folds its outer divisor into the one denominator of its
+values; ``_y6_sum`` and ``py6ab`` sum the kernel's integers n! b^n y6 and
+divide once.
 ``sec6_bernoulli``/``sec6_euler`` first collect their inner sums into one
 ``Poly``.  The ``y6`` and ``p_poly`` memos are keyed on the integer parts
 of lam, so a lookup hashes no ``Fraction``; ``_y6_sum`` and ``py6ab`` split
@@ -241,7 +245,8 @@ def _binom_sum(n: int, p: int, lam: Fraction, values: list[int], den: int) -> Fr
     The caller gives the integer numerators of g(0..n) over one
     denominator, into which it folds any outer divisor of the sum.  With
     lam = a/b, the integer sum_j C(n,j)^p a^j b^(n-j) values[j] is summed
-    by Horner in b and divided once by den b^n."""
+    by Horner in b and divided once by den b^n; n = -1, with no values,
+    is the empty sum 0."""
     a, b = lam.numerator, lam.denominator
     total = 0
     c = a_j = 1
@@ -249,7 +254,7 @@ def _binom_sum(n: int, p: int, lam: Fraction, values: list[int], den: int) -> Fr
         total = total * b + c**p * a_j * u
         c = c * (n - j) // (j + 1)
         a_j *= a
-    return Fraction(total, den * b**n)
+    return Fraction(total, den * b ** max(n, 0))
 
 
 def _y6_sum(n: int, p: int, lam: Fraction, weights: list[tuple[int, int]]) -> Fraction:
@@ -288,22 +293,12 @@ def lagrange_poly(points: list[tuple[Fraction, Fraction]]) -> Poly:
     return acc
 
 
-def direct_power_sum(
-    m: int, upper: int, lam: Fraction, x0: Fraction = Fraction(0)
-) -> Fraction:
-    """Brute-force sum_{j=0}^{upper-1} lam^j (x0+j)^m with 0^0 = 1.
-
-    With lam = a/b and x0 = c/d, the integer
-    sum_j a^j b^(upper-1-j) (c+jd)^m is summed by Horner in b and divided
-    once by b^(upper-1) d^m."""
-    a, b = lam.numerator, lam.denominator
+def _power_sum(m: int, upper: int, lam: Fraction, x0: Fraction = Fraction(0)) -> Fraction:
+    """Brute-force sum_{j=0}^{upper-1} lam^j (x0+j)^m with 0^0 = 1: the
+    p = 0 member of ``_binom_sum``, with values (c+jd)^m over d^m for
+    x0 = c/d."""
     c, d = x0.numerator, x0.denominator
-    total = 0
-    a_j = 1
-    for j in range(upper):
-        total = total * b + a_j * (c + j * d) ** m
-        a_j *= a
-    return Fraction(total, b ** max(upper - 1, 0) * d**m)
+    return _binom_sum(upper - 1, 0, lam, [(c + j * d) ** m for j in range(upper)], d**m)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +457,7 @@ def _cusick_sym(m, n, p):
     """symmetry recurrence S_(n,m) = sum_k (-1)^k C(m,k)
     n^(m-k) S_(n,k)"""
     rhs = sum(
-        Fraction((-1) ** k * comb(m, k)) * Fraction(n) ** (m - k) * franel(p, k, n, F1)
+        (-1) ** k * comb(m, k) * n ** (m - k) * franel(p, k, n, F1)
         for k in range(m + 1)
     )
     return franel(p, m, n, F1), rhs
@@ -474,7 +469,7 @@ def _cusick_sym(m, n, p):
 def _cusick_diag(n, p):
     """printed diagonal claim S_(n,p) = n^p S_(n,0); fails
     as printed, no corrected form asserted"""
-    return franel(p, p, n, F1), Fraction(n) ** p * franel(p, 0, n, F1)
+    return franel(p, p, n, F1), n**p * franel(p, 0, n, F1)
 
 
 def _franel_numbers(p: int, values: tuple[int, ...], z: Fraction, n: int):
@@ -699,7 +694,7 @@ def _mirimanoff_frobenius(m, n, x0, lam, *, corrected):
     """geometric power sum via Frobenius-Euler polynomials;
     printed repeats the shifted argument in both terms"""
     u = lam
-    lhs = direct_power_sum(m, n, u, x0)
+    lhs = _power_sum(m, n, u, x0)
     if corrected:
         return lhs, mirimanoff_frobenius_sum(m, n, x0, u)
     h = frobenius_euler(m, 1 / u)
@@ -717,7 +712,7 @@ def _mirimanoff_frobenius(m, n, x0, lam, *, corrected):
 def _apostol_powersum(m, n, lam, *, corrected):
     """geometric power sum via Apostol-Bernoulli polynomials;
     printed exponent lam^m instead of lam^N"""
-    lhs = direct_power_sum(m - 1, n, lam)
+    lhs = _power_sum(m - 1, n, lam)
     if corrected:
         return lhs, power_sum_closed(m - 1, n, lam)
     a = apostol_bernoulli(m, lam)
@@ -728,7 +723,7 @@ def _apostol_powersum(m, n, lam, *, corrected):
 def _faulhaber(m, n):
     """classical power-sum formula via Bernoulli polynomials"""
     b = bernoulli_poly(m)
-    return direct_power_sum(m - 1, n, F1), (b(n) - b(0)) / m
+    return _power_sum(m - 1, n, F1), (b(n) - b(0)) / m
 
 
 @_identity("alt_euler_sum", Verdict.HOLDS_CORRECTED_ONLY, _POWER_SUM)
@@ -736,9 +731,9 @@ def _alt_euler_sum(m, n, *, corrected):
     """alternating power sum via Euler polynomials; printed
     form has a sign slip and a degree off by one"""
     if corrected:
-        return direct_power_sum(m, n, FM1), power_sum_closed(m, n, FM1)
+        return _power_sum(m, n, FM1), power_sum_closed(m, n, FM1)
     e = euler_poly(m)
-    return direct_power_sum(m - 1, n, FM1), ((-1) ** (n - 1) * e(n) - e(0)) / 2
+    return _power_sum(m - 1, n, FM1), ((-1) ** (n - 1) * e(n) - e(0)) / 2
 
 
 # ---------------------------------------------------------------------------

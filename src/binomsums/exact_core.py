@@ -255,16 +255,9 @@ class Poly:
             raise ValueError("negative polynomial power")
         # By Gauss's lemma the content of nums**e is the content of nums
         # to the e, which stays coprime to den**e: no reduction is needed.
-        result, base = [1], list(self.nums)
-        den = self.den**e
-        while e:
-            if e & 1:
-                result = _convolve(result, base)
-            e >>= 1
-            if e:
-                base = _convolve(base, base)
         p = object.__new__(Poly)
-        p.nums, p.den = tuple(result), den
+        p.nums = tuple(_power(self.nums, e, _convolve)) if e else (1,)
+        p.den = self.den**e
         return p
 
     def __call__(self, x: Scalar) -> Fraction:
@@ -310,6 +303,20 @@ def _int_values(q: Poly, count: int) -> list[int]:
             v = v * x + c
         values.append(v)
     return values
+
+
+def _power(base, e: int, mul):
+    """base**e for e >= 1 by repeated squaring under the product ``mul``.
+    The result starts from the base, not from the identity, which saves
+    one product per call."""
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -463,15 +470,7 @@ class EgfSeries:
         _check_ints(e=e)
         if e < 0:
             return self.reciprocal().pow(-e)
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return EgfSeries.one(self.order) if result is None else result
+        return _power(self, e, EgfSeries.__mul__) if e else EgfSeries.one(self.order)
 
     def __repr__(self) -> str:
         return f"EgfSeries({list(self.coeffs)!r})"

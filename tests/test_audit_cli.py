@@ -132,16 +132,17 @@ class TestRegistry:
         st.one_of(st.just(Fraction(0)), rationals),
     )
     @settings(max_examples=300)
-    def test_direct_power_sum_matches_the_fraction_loops(self, m, upper, lam, x0):
-        # the former loop of direct_power_sum (x0 = 0) and the former left
-        # side of mirimanoff_frobenius
+    def test_power_sum_matches_the_fraction_loops(self, m, upper, lam, x0):
+        # _binom_sum at p = 0 against the Fraction loop of the power sums
+        # (x0 = 0) and the former left side of mirimanoff_frobenius; upper = 0
+        # is the empty sum
         total, lj = Fraction(0), Fraction(1)
         for j in range(upper):
             total += lj * Fraction(j) ** m
             lj *= lam
-        assert registry.direct_power_sum(m, upper, lam) == total
+        assert registry._power_sum(m, upper, lam) == total
         shifted = sum((lam**j * (x0 + j) ** m for j in range(upper)), Fraction(0))
-        value = registry.direct_power_sum(m, upper, lam, x0)
+        value = registry._power_sum(m, upper, lam, x0)
         assert value == shifted and type(value) is Fraction
         if upper and lam not in (0, 1):
             lhs, _ = registry._mirimanoff_frobenius(m, upper, x0, lam, corrected=True)

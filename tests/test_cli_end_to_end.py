@@ -1,0 +1,75 @@
+"""The ``python -m binomsums.cli`` entry point end to end.
+
+Each command runs in a fresh interpreter and writes its output file; the
+benchmark's oracles (``perfbench/oracles.py``, standard library only)
+check it: the audit report against the pinned verdicts, grid totals and
+digest, and each ``seq`` range against an independent recurrence, closed
+form or plain integer sum.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_spec = importlib.util.spec_from_file_location("oracles", ROOT / "perfbench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
+
+
+def _cli(*args: str) -> None:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-m", "binomsums.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+        check=True,
+    )
+
+
+def test_audit_run_matches_the_pinned_report(tmp_path):
+    out = tmp_path / "report.json"
+    _cli("run", "--threads", "1", "--out", str(out))
+    pinned = json.loads((ROOT / "perfbench" / "expected_audit.json").read_text())
+    assert oracles.check_audit(out.read_text(), pinned) == []
+
+
+def test_seq_franel_follows_the_recurrence(tmp_path):
+    out = tmp_path / "franel.csv"
+    _cli("seq", "franel", "--range", "0..600", "--out", str(out))
+    assert oracles.check_franel(oracles.parse_csv(out.read_text()), 601) == []
+
+
+@pytest.mark.parametrize(
+    "args, count, expected",
+    [
+        (("daehee",), 31, oracles.daehee),
+        (("changhee",), 31, oracles.changhee),
+        (("y6", "--params", "m=3,p=3,lam=5/11"), 61, lambda n: oracles.y6_m3_p3(n, 5, 11)),
+        (
+            ("franel", "--params", "m=3,lam=5/11"),
+            61,
+            lambda n: factorial(n) * oracles.y6_m3_p3(n, 5, 11),
+        ),
+        (
+            ("moment", "--params", "m=3,p=3"),
+            61,
+            lambda n: factorial(n) * oracles.y6_m3_p3(n, 1, 1),
+        ),
+    ],
+    ids=["daehee", "changhee", "y6", "franel_m3", "moment"],
+)
+def test_seq_matches_the_oracle_values(tmp_path, args, count, expected):
+    out = tmp_path / "seq.csv"
+    _cli("seq", *args, "--range", f"0..{count - 1}", "--out", str(out))
+    rows = oracles.parse_csv(out.read_text())
+    assert oracles.check_values(rows, [str(expected(n)) for n in range(count)]) == []

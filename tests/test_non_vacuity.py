@@ -158,3 +158,36 @@ def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
     )
     verdicts = {name: evaluate_entry(entries[name], config).verdict for name in names}
     assert verdicts == dict.fromkeys(names, Verdict.FAILS_BOTH)
+
+
+def test_faulty_binom_sum_flips_its_consumers(monkeypatch):
+    # _binom_sum off by 1/den at n = 2 reaches the Riemann, Mahler and
+    # Section 6 sums and, at p = 0, the four power sums; their other sides
+    # (p_poly, y6 and the closed forms) must not share the fault
+    kernel = registry._binom_sum
+
+    def off_at_two(n, p, lam, values, den):
+        value = kernel(n, p, lam, values, den)
+        return value + Fraction(1, den) if n == 2 else value
+
+    config = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
+    monkeypatch.setattr(registry, "_binom_sum", off_at_two)
+    flipped = {
+        e.id: verdict
+        for e in build_registry()
+        if (verdict := evaluate_entry(e, config).verdict) is not e.expected
+    }
+    names = (
+        "inP2",
+        "inP8a",
+        "inP3_4",
+        "inP5_6",
+        "sec6_stirling",
+        "sec6_bernoulli",
+        "sec6_euler",
+        "faulhaber",
+        "apostol_powersum",
+        "alt_euler_sum",
+        "mirimanoff_frobenius",
+    )
+    assert flipped == dict.fromkeys(names, Verdict.FAILS_BOTH)
