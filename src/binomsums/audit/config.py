@@ -48,6 +48,8 @@ def _apply(spec: GridSpec, key: str, value: str, lineno: int) -> GridSpec:
             lams = tuple(Fraction(v.strip()) for v in value.split(",") if v.strip())
             if not lams:
                 raise ValueError("empty lambda list")
+            if len(set(lams)) < len(lams):
+                raise ValueError("a lambda is listed twice")
             return replace(spec, lambdas=lams)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc

@@ -142,6 +142,13 @@ def run_audit(
     pattern: str = "*",
     threads: int = 1,
 ) -> AuditReport:
+    """Evaluate the registry entries whose ids match ``pattern``.
+
+    Entries run in registry order on the calling thread. ``threads`` must
+    be at least 1 and changes neither the thread count nor the result:
+    every entry is pure-Python big-integer arithmetic, which the
+    interpreter lock would only interleave.
+    """
     config = config or AuditConfig()
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
@@ -156,16 +163,7 @@ def run_audit(
     if not entries:
         raise ConfigError(f"no entries matched the filter {pattern!r}")
     start = time.monotonic()
-    if threads == 1:
-        results = [evaluate_entry(e, config) for e in entries]
-    else:
-        # imported here: every CLI process pays for a module-level import
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda e: evaluate_entry(e, config), entries)
-            )
+    results = [evaluate_entry(e, config) for e in entries]
     elapsed = time.monotonic() - start
     return AuditReport(
         run_id=os.urandom(16).hex(),

@@ -46,6 +46,8 @@ def _parse_params(items: list[str]) -> dict[str, Fraction]:
             key = key.strip()
             if not sep or not key:
                 raise ConfigError(f"expected key=value, got {piece!r}")
+            if key in params:
+                raise ConfigError(f"parameter {key!r} given twice")
             params[key] = _parse_fraction(value.strip())
     return params
 
@@ -196,7 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "md", "csv"), default="json"
     )
     run.add_argument("--out", default=None, help="write the report to a file")
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="checked to be at least 1; entries run in order on one thread, "
+        "so it changes neither the thread count nor the report",
+    )
     run.set_defaults(fn=_cmd_run)
 
     seq = sub.add_parser("seq", help="print terms of a sequence family")

@@ -4,7 +4,6 @@ of the binomial-power-sum family."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,16 +35,6 @@ class PfqSpec:
         object.__setattr__(self, "upper", tuple(map(_frac, self.upper)))
         object.__setattr__(self, "lower", tuple(map(_frac, self.lower)))
         object.__setattr__(self, "z", _frac(self.z))
-
-    @classmethod
-    def of(cls, upper, lower, z) -> "PfqSpec":
-        """Deprecated alias of ``PfqSpec(upper, lower, z)``."""
-        warnings.warn(
-            "PfqSpec.of is deprecated; call PfqSpec(upper, lower, z)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls(upper, lower, z)
 
 
 def _is_nonpositive_int(x: Fraction) -> bool:

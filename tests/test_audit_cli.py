@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial, lcm
 from pathlib import Path
@@ -340,6 +341,21 @@ class TestRunner:
             doc.pop("elapsedSeconds")
         assert a == b
 
+    def test_entries_run_on_the_calling_thread(self, monkeypatch):
+        from binomsums.audit import runner as runner_module
+
+        idents = []
+        evaluate = runner_module.evaluate_entry
+
+        def recording(entry, config):
+            idents.append(threading.get_ident())
+            return evaluate(entry, config)
+
+        monkeypatch.setattr(runner_module, "evaluate_entry", recording)
+        report = run_audit(pattern="ogf_*", threads=4)
+        assert len(idents) == len(report.results) == 4
+        assert set(idents) == {threading.get_ident()}
+
     def test_parallel_matches_serial(self):
         serial = run_audit(pattern="ogf_*", threads=1)
         parallel = run_audit(pattern="ogf_*", threads=4)
@@ -379,10 +395,12 @@ class TestCli:
         assert doc["entries"][0]["id"] == "chu"
 
     def test_import_loads_no_thread_pool_or_uuid(self):
-        # start-up cost of every CLI process: the thread pool is imported
-        # only by a threaded run, and the run id needs no uuid module
+        # start-up cost of every CLI process: a run imports no thread pool,
+        # whatever --threads says, and the run id needs no uuid module
         code = (
-            "import sys; before = set(sys.modules); import binomsums.cli; "
+            "import os, sys; before = set(sys.modules); import binomsums.cli; "
+            "binomsums.cli.main(['run', '--filter', 'chu', '--threads', '4', "
+            "'--out', os.devnull]); "
             "new = set(sys.modules) - before; "
             "print(' '.join(sorted(new & {'concurrent.futures', 'uuid'})))"
         )
@@ -449,6 +467,15 @@ class TestCli:
         path.write_text("m_max = 2\nlambdas = 1/2, 1/0\n")
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "error: line 2: bad value for lambdas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lambdas", ["1, 1, 2", "1, 2/2"])
+    def test_run_repeated_lambda_exits_two(self, tmp_path, capsys, lambdas):
+        path = tmp_path / "twice.cfg"
+        path.write_text(f"m_max = 2\nlambdas = {lambdas}\n")
+        assert cli.main(["run", "--filter", "ogf_01", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: bad value for lambdas: ")
 
     def test_run_huge_grid_bound_exits_two(self, tmp_path, capsys):
         # a bound past a C index must be refused as configuration, not end
@@ -552,6 +579,18 @@ class TestCli:
         assert captured.out == ""
         bad = params.split(",")[-1]
         assert captured.err == f"error: expected key=value, got {bad!r}\n"
+
+    @pytest.mark.parametrize(
+        "params", [["m=0,m=1"], ["m=0", "m=1"]], ids=["one-item", "two-items"]
+    )
+    def test_seq_repeated_param_exits_two(self, params, capsys):
+        argv = ["seq", "y6", "--range", "0..2"]
+        for item in params:
+            argv += ["--params", item]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parameter 'm' given twice\n"
 
     def test_seq_bad_range_exits_two(self, capsys):
         assert cli.main(["seq", "catalan", "--range", "5..1"]) == 2

@@ -113,11 +113,6 @@ class TestPfq:
         assert hash(spec) == hash(PfqSpec((-2, 1), (1,), Fraction(3)))
         assert spec.upper == (Fraction(-2), Fraction(1)) and type(spec.z) is Fraction
 
-    def test_of_is_a_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="PfqSpec.of is deprecated"):
-            spec = PfqSpec.of([-2, 1], [1], 3)
-        assert spec == PfqSpec((-2, 1), (1,), Fraction(3))
-
     def test_requires_terminating_upper(self):
         with pytest.raises(ValueError):
             pfq_terminating(PfqSpec([Fraction(1, 2)], [], Fraction(1)))

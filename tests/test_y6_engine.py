@@ -4,6 +4,7 @@ functions, checked against brute-force summation."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -69,7 +70,39 @@ def reference_y6(m: int, n: int, lam: Fraction, p: int) -> Fraction:
     return total / factorial(n)
 
 
+def signed_object_count(m: int, n: int, lam: int, p: int) -> int:
+    """The paper's combinatorial reading of n! y6(m,n;lam,p) for integer
+    lam: count p-tuples of equal-size k-subsets of [n], each with a map
+    [m] -> [k] and a colouring of the k points with |lam| colours, signed
+    by sign(lam)^k. Enumerates the objects; does no binomial arithmetic."""
+    total = 0
+    for k in range(n + 1):
+        subsets = list(combinations(range(n), k))
+        objects = product(
+            product(subsets, repeat=p),
+            product(range(k), repeat=m),
+            product(range(abs(lam)), repeat=k),
+        )
+        count = sum(1 for _ in objects)
+        total += -count if lam < 0 and k % 2 else count
+    return total
+
+
 class TestY6:
+    def test_counts_the_papers_signed_objects(self):
+        points = [
+            (m, n, lam, p)
+            for n in range(6)
+            for p in range(4)
+            for m in range(4)
+            for lam in range(-2, 4)
+        ]
+        assert len(points) == 576
+        for m, n, lam, p in points:
+            assert signed_object_count(m, n, lam, p) == factorial(n) * y6(
+                m, n, lam, p
+            ), (m, n, lam, p)
+
     @given(
         st.integers(min_value=0, max_value=6),
         st.integers(min_value=0, max_value=25),
