@@ -47,18 +47,23 @@ denominator and divided once, not by adding a ``Fraction`` per term:
 ``_binom_sum``, ``_y6_sum`` and the right side of ``py6ab``.  Each caller
 of ``_binom_sum`` folds its outer divisor into the one denominator of its
 values; ``_y6_sum`` and ``py6ab`` sum the kernel's integers n! b^n y6 and
-divide once.
-``sec6_bernoulli``/``sec6_euler`` first collect their inner sums into one
-``Poly``.  The ``y6`` and ``p_poly`` memos are keyed on the integer parts
-of lam, so a lookup hashes no ``Fraction``; ``_y6_sum`` and ``py6ab`` split
-lam once per point and call the kernel ``_y6`` directly.  ``inP8``'s
-corrected form, which depends on m alone, compares its term identity
-cross-multiplied in integers.
+divide once.  An entry over a lam grid splits lam = a/b once per point
+and passes a and b to ``_binom_sum``, ``_y6_sum`` and the memoized kernels
+``_y6`` and ``_p_poly``, whose lookups hash no ``Fraction``.  What a side
+computes independently of lam is a table, built by ``_table(build,
+*ints)`` once per int key and entry evaluation rather than once per grid
+point: the inner sums of ``sec6_stirling`` and ``inP8a``, the inner
+polynomials of ``sec6_bernoulli``/``sec6_euler`` (one ``Poly`` each) and
+B_m or E_m at 0..n for ``inP3_4``/``inP5_6``, all as integers over one
+denominator, and (x d/dx)^m r_poly(n,p) for ``yp3_euler_operator``.  Each
+table belongs to one side of its identity.  ``inP8``'s corrected form,
+which depends on m alone, compares its term identity cross-multiplied in
+integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -100,10 +105,10 @@ from ..hypergeom import (
     y6_hyper,
 )
 from ..p_polynomials import (
+    _p_poly,
     euler_operator,
     fermionic,
     mirimanoff_frobenius_sum,
-    p_poly,
     power_sum_closed,
     r_poly,
     raw_sum_poly,
@@ -124,6 +129,12 @@ class Verdict(Enum):
     FAILS_BOTH = "FAILS_BOTH"
 
 
+def _never_singular(**pt) -> None:
+    """The default ``singular``: no grid point is skipped.  The runner
+    recognises it by identity and then calls no filter at all."""
+    return None
+
+
 @dataclass(frozen=True)
 class IdentityEntry:
     id: str
@@ -132,9 +143,7 @@ class IdentityEntry:
     printed: Callable[..., tuple[Any, Any]]
     grid: Grid
     corrected: Optional[Callable[..., tuple[Any, Any]]] = None
-    singular: Callable[..., Optional[str]] = field(
-        default=lambda **pt: None
-    )
+    singular: Callable[..., Optional[str]] = _never_singular
 
     def __post_init__(self):
         if self.expected is Verdict.HOLDS_CORRECTED_ONLY and self.corrected is None:
@@ -148,7 +157,7 @@ def _identity(
     entry_id: str,
     expected: Verdict,
     grid: Grid,
-    singular: Optional[Callable[..., Optional[str]]] = None,
+    singular: Callable[..., Optional[str]] = _never_singular,
 ):
     """Register the decorated evaluator as entry ``entry_id``."""
 
@@ -167,7 +176,7 @@ def _identity(
                 printed=printed,
                 grid=grid,
                 corrected=corrected,
-                **({} if singular is None else {"singular": singular}),
+                singular=singular,
             )
         )
         return fn
@@ -239,15 +248,33 @@ _N13 = _ns(13)
 _NO_PARAMETERS = _fixed([{}])
 
 
-def _binom_sum(n: int, p: int, lam: Fraction, values: list[int], den: int) -> Fraction:
-    """sum_{j=0}^{n} C(n,j)^p lam^j g(j) for g(j) = values[j]/den.
+_TABLES: dict[tuple, Any] = {}
+
+
+def _table(build: Callable[..., Any], *key: int) -> Any:
+    """``build(*key)``, built at most once per entry evaluation.
+
+    A table is the lam-invariant part of one side of an identity, keyed
+    only on ints.  ``_TABLES`` holds every table, keyed on (build, *key),
+    and ``runner.evaluate_entry`` empties it before and after each entry,
+    so no table outlives one evaluation and a kernel patched before
+    ``evaluate_entry`` is always read."""
+    k = (build, *key)
+    value = _TABLES.get(k)
+    if value is None:
+        value = _TABLES[k] = build(*key)
+    return value
+
+
+def _binom_sum(n: int, p: int, a: int, b: int, values: list[int], den: int) -> Fraction:
+    """sum_{j=0}^{n} C(n,j)^p lam^j g(j) for lam = a/b, as ``_ratio`` gives
+    it, and g(j) = values[j]/den.
 
     The caller gives the integer numerators of g(0..n) over one
-    denominator, into which it folds any outer divisor of the sum.  With
-    lam = a/b, the integer sum_j C(n,j)^p a^j b^(n-j) values[j] is summed
-    by Horner in b and divided once by den b^n; n = -1, with no values,
-    is the empty sum 0."""
-    a, b = lam.numerator, lam.denominator
+    denominator, into which it folds any outer divisor of the sum.  The
+    integer sum_j C(n,j)^p a^j b^(n-j) values[j] is summed by Horner in b
+    and divided once by den b^n; n = -1, with no values, is the empty
+    sum 0."""
     total = 0
     c = a_j = 1
     for j, u in enumerate(values):
@@ -257,27 +284,31 @@ def _binom_sum(n: int, p: int, lam: Fraction, values: list[int], den: int) -> Fr
     return Fraction(total, den * b ** max(n, 0))
 
 
-def _y6_sum(n: int, p: int, lam: Fraction, weights: list[tuple[int, int]]) -> Fraction:
-    """sum_k (c_k/d_k) y6(k,n;lam,p) over the pairs weights[k] = (c_k, d_k),
+def _y6_value(m: int, n: int, a: int, b: int, p: int) -> Fraction:
+    """y6(m,n;a/b,p): the kernel's integer n! b^n y6, divided once."""
+    return Fraction(_y6(m, n, a, b, p), factorial(n) * b**n)
+
+
+def _y6_sum(n: int, p: int, a: int, b: int, weights: list[tuple[int, int]]) -> Fraction:
+    """sum_k (c_k/d_k) y6(k,n;a/b,p) over the pairs weights[k] = (c_k, d_k),
     summed as integers over L = lcm(d_k) and divided once by L n! b^n."""
-    a, b = _ratio(lam)
     den = lcm(*[d for _, d in weights])
     total = sum(c * (den // d) * _y6(k, n, a, b, p) for k, (c, d) in enumerate(weights))
     return Fraction(total, den * factorial(n) * b**n)
 
 
-def _coefficient_integral(m: int, n: int, p: int, lam: Fraction) -> Fraction:
+def _coefficient_integral(m: int, n: int, p: int, a: int, b: int) -> Fraction:
     """Integral over [0,1] of the polynomial family, term by term from its
-    y6 coefficients: sum_k C(m,k) y6(k,n;lam,p)/(m-k+1)."""
-    return _y6_sum(n, p, lam, [(comb(m, k), m - k + 1) for k in range(m + 1)])
+    y6 coefficients: sum_k C(m,k) y6(k,n;a/b,p)/(m-k+1)."""
+    return _y6_sum(n, p, a, b, [(comb(m, k), m - k + 1) for k in range(m + 1)])
 
 
-def _riemann_sum(m: int, n: int, p: int, lam: Fraction, corrected: bool) -> Fraction:
+def _riemann_sum(m: int, n: int, p: int, a: int, b: int, corrected: bool) -> Fraction:
     """Summation form of the Riemann integral; the printed form drops the
     1/n! and the +1 in the exponent."""
     e = m + 1 if corrected else m
     values = [(j + 1) ** e - j**e for j in range(n + 1)]
-    return _binom_sum(n, p, lam, values, (m + 1) * (factorial(n) if corrected else 1))
+    return _binom_sum(n, p, a, b, values, (m + 1) * (factorial(n) if corrected else 1))
 
 
 def lagrange_poly(points: list[tuple[Fraction, Fraction]]) -> Poly:
@@ -298,7 +329,8 @@ def _power_sum(m: int, upper: int, lam: Fraction, x0: Fraction = Fraction(0)) ->
     p = 0 member of ``_binom_sum``, with values (c+jd)^m over d^m for
     x0 = c/d."""
     c, d = x0.numerator, x0.denominator
-    return _binom_sum(upper - 1, 0, lam, [(c + j * d) ** m for j in range(upper)], d**m)
+    values = [(c + j * d) ** m for j in range(upper)]
+    return _binom_sum(upper - 1, 0, *_ratio(lam), values, d**m)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +462,11 @@ def _y6g(n, p, lam):
     """EGF coefficients = m-th derivatives at 0"""
     order = 12
     series = y6_egf(n, lam, p, order)
-    return list(series.coeffs), [y6(m, n, lam, p) for m in range(order + 1)]
+    # the kernel's integers n! b^n y6(m,n;lam,p) over their one denominator
+    a, b = _ratio(lam)
+    den = factorial(n) * b**n
+    ys = [Fraction(_y6(m, n, a, b, p), den) for m in range(order + 1)]
+    return list(series.coeffs), ys
 
 
 @_identity("y6bb", Verdict.HOLDS_PRINTED, _grid("n", "p", "lam", n_cap=10, p_min=1))
@@ -561,7 +597,7 @@ def _changhee_theorem(n):
 def _yp1yp2_bridge(m, n, p, lam, *, corrected):
     """the two defining forms of the polynomial family; the
     printed pair omits the 1/n!"""
-    lhs = p_poly(m, n, lam, p)
+    lhs = _p_poly(m, n, *_ratio(lam), p)
     if corrected:
         lhs = factorial(n) * lhs
     return lhs, raw_sum_poly(m, n, lam, p)
@@ -576,23 +612,24 @@ def _py6a(m, n, p, lam, *, corrected):
     """k-fold x-derivative; printed uses the falling factorial
     of n, the derivation forces the falling factorial of m"""
     top = m if corrected else n
-    d = p_poly(m, n, lam, p)
+    a, b = _ratio(lam)
+    d = _p_poly(m, n, a, b, p)
     lhs, rhs = [], []
     fall = 1
     for k in range(1, m + 1):
         d = d.derivative()
         lhs.append(d)
         fall *= top - k + 1
-        rhs.append(fall * p_poly(m - k, n, lam, p))
+        rhs.append(fall * _p_poly(m - k, n, a, b, p))
     return lhs, rhs
 
 
 @_identity("py6ab", Verdict.HOLDS_PRINTED, _MNPL)
 def _py6ab(m, n, p, lam):
     """t-derivative recurrence for the polynomial family"""
-    lhs = p_poly(m + 1, n, lam, p) - Poly.x() * p_poly(m, n, lam, p)
-    # coefficients C(m,i) y6(m-i+1,n;lam,p), as integers over n! b^n
     a, b = _ratio(lam)
+    lhs = _p_poly(m + 1, n, a, b, p) - Poly.x() * _p_poly(m, n, a, b, p)
+    # coefficients C(m,i) y6(m-i+1,n;lam,p), as integers over n! b^n
     ys = [comb(m, i) * _y6(m - i + 1, n, a, b, p) for i in range(m + 1)]
     rhs = Poly.from_ints(ys, factorial(n) * b**n)
     return lhs, rhs
@@ -601,16 +638,18 @@ def _py6ab(m, n, p, lam):
 @_identity("inP1", Verdict.HOLDS_PRINTED, _MNPL)
 def _inp1(m, n, p, lam):
     """Riemann integral over [0,1], coefficient form"""
-    lhs = poly_integral01(p_poly(m, n, lam, p))
-    return lhs, _coefficient_integral(m, n, p, lam)
+    a, b = _ratio(lam)
+    lhs = poly_integral01(_p_poly(m, n, a, b, p))
+    return lhs, _coefficient_integral(m, n, p, a, b)
 
 
 @_identity("inP2", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
 def _inp2(m, n, p, lam, *, corrected):
     """Riemann integral, summation form; printed drops both
     the 1/n! and the +1 in the exponent"""
-    lhs = poly_integral01(p_poly(m, n, lam, p))
-    return lhs, _riemann_sum(m, n, p, lam, corrected)
+    a, b = _ratio(lam)
+    lhs = poly_integral01(_p_poly(m, n, a, b, p))
+    return lhs, _riemann_sum(m, n, p, a, b, corrected)
 
 
 @_identity("inP8", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
@@ -623,19 +662,26 @@ def _inp8(m, n, p, lam, *, corrected):
             [comb(m + 1, l) * (m - l + 1) for l in range(m + 1)],
             [comb(m, l) * (m + 1) for l in range(m + 1)],
         )
-    lhs = _coefficient_integral(m, n, p, lam)
-    return lhs, _riemann_sum(m, n, p, lam, corrected=False)
+    a, b = _ratio(lam)
+    lhs = _coefficient_integral(m, n, p, a, b)
+    return lhs, _riemann_sum(m, n, p, a, b, corrected=False)
+
+
+def _inp8a_values(top: int, n: int) -> list[int]:
+    """inP8a's inner sums sum_{l<top} C(top,l) j^l for j = 0..n."""
+    return [sum(comb(top, l) * j**l for l in range(top)) for j in range(n + 1)]
 
 
 @_identity("inP8a", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
 def _inp8a(m, n, p, lam, *, corrected):
     """expanded integral identity; corrected form restores the
     1/n! and the full inner sum with C(m+1,l)"""
-    lhs = _y6_sum(n, p, lam, [(comb(m, k) * (m + 1), m - k + 1) for k in range(m + 1)])
+    a, b = _ratio(lam)
+    weights = [(comb(m, k) * (m + 1), m - k + 1) for k in range(m + 1)]
+    lhs = _y6_sum(n, p, a, b, weights)
     # printed: sum_{l<m} C(m,l) j^l; corrected: sum_{l<=m} C(m+1,l) j^l
-    top = m + 1 if corrected else m
-    values = [sum(comb(top, l) * j**l for l in range(top)) for j in range(n + 1)]
-    return lhs, _binom_sum(n, p, lam, values, factorial(n) if corrected else 1)
+    values = _table(_inp8a_values, m + 1 if corrected else m, n)
+    return lhs, _binom_sum(n, p, a, b, values, factorial(n) if corrected else 1)
 
 
 @_identity("P1_corollary", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
@@ -643,31 +689,44 @@ def _p1_corollary(m, n, p, lam, *, corrected):
     """value at x=1; printed mixes normalizations and fails,
     the corrected statement is the x=1 evaluation of the
     coefficient form"""
-    lhs = p_poly(m, n, lam, p)(1)
+    a, b = _ratio(lam)
+    lhs = _p_poly(m, n, a, b, p)(1)
     if corrected:
-        return lhs, _y6_sum(n, p, lam, [(comb(m, k), 1) for k in range(m + 1)])
-    rhs = Fraction(m + 1, factorial(n)) * _coefficient_integral(m, n, p, lam)
-    return lhs, rhs + y6(m, n, lam, p)
+        return lhs, _y6_sum(n, p, a, b, [(comb(m, k), 1) for k in range(m + 1)])
+    rhs = Fraction(m + 1, factorial(n)) * _coefficient_integral(m, n, p, a, b)
+    return lhs, rhs + _y6_value(m, n, a, b, p)
+
+
+def _bernoulli_values(m: int, n: int) -> tuple[list[int], int]:
+    """B_m(0..n) as integers over one denominator."""
+    q = bernoulli_poly(m)
+    return _int_values(q, n + 1), q.den
+
+
+def _euler_values(m: int, n: int) -> tuple[list[int], int]:
+    """E_m(0..n) as integers over one denominator."""
+    q = euler_poly(m)
+    return _int_values(q, n + 1), q.den
 
 
 @_identity("inP3_4", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
 def _inp3_4(m, n, p, lam, *, corrected):
     """Bernoulli-moment functional of the polynomial family; printed
     right side lacks the 1/n!"""
-    lhs = volkenborn(p_poly(m, n, lam, p))
-    b = bernoulli_poly(m)
-    den = b.den * factorial(n) if corrected else b.den
-    return lhs, _binom_sum(n, p, lam, _int_values(b, n + 1), den)
+    a, b = _ratio(lam)
+    lhs = volkenborn(_p_poly(m, n, a, b, p))
+    values, den = _table(_bernoulli_values, m, n)
+    return lhs, _binom_sum(n, p, a, b, values, den * factorial(n) if corrected else den)
 
 
 @_identity("inP5_6", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
 def _inp5_6(m, n, p, lam, *, corrected):
     """Euler-moment functional of the polynomial family; printed right
     side lacks the 1/n!"""
-    lhs = fermionic(p_poly(m, n, lam, p))
-    e = euler_poly(m)
-    den = e.den * factorial(n) if corrected else e.den
-    return lhs, _binom_sum(n, p, lam, _int_values(e, n + 1), den)
+    a, b = _ratio(lam)
+    lhs = fermionic(_p_poly(m, n, a, b, p))
+    values, den = _table(_euler_values, m, n)
+    return lhs, _binom_sum(n, p, a, b, values, den * factorial(n) if corrected else den)
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +799,20 @@ def _alt_euler_sum(m, n, *, corrected):
 # y6 as Stirling, Bernoulli and Euler double sums
 
 
+def _stirling_values(m: int, n: int) -> list[int]:
+    """sec6_stirling's inner sums over n!, for k = 0..n:
+    sum_l S(m,l)/((n-k)! (k-l)!) = C(n,k) sum_l S(m,l) k!/(k-l)! / n!,
+    where the weights k!/(k-l)! are the falling factorials of k."""
+    values = []
+    for k in range(n + 1):
+        total, fall = 0, 1
+        for l in range(k + 1):
+            total += stirling2(m, l).numerator * fall
+            fall *= k - l
+        values.append(comb(n, k) * total)
+    return values
+
+
 @_identity(
     "sec6_stirling",
     Verdict.HOLDS_PRINTED,
@@ -748,27 +821,15 @@ def _alt_euler_sum(m, n, *, corrected):
 def _sec6_stirling(m, n, p, lam):
     """double-sum expression through second-kind Stirling
     numbers and factorial weights"""
-
-    def inner(k):
-        # sum_l S(m,l)/((n-k)! (k-l)!) = C(n,k) sum_l S(m,l) k!/(k-l)! over
-        # n!: the weights k!/(k-l)! are the falling factorials of k
-        total, fall = 0, 1
-        for l in range(k + 1):
-            total += stirling2(m, l).numerator * fall
-            fall *= k - l
-        return comb(n, k) * total
-
-    values = [inner(k) for k in range(n + 1)]
-    return y6(m, n, lam, p), _binom_sum(n, p - 1, lam, values, factorial(n))
+    a, b = _ratio(lam)
+    values = _table(_stirling_values, m, n)
+    return _y6_value(m, n, a, b, p), _binom_sum(n, p - 1, a, b, values, factorial(n))
 
 
-@_identity("sec6_bernoulli", Verdict.HOLDS_PRINTED, _SEC6)
-def _sec6_bernoulli(m, n, p, lam):
-    """double-sum expression through order-n Bernoulli
-    polynomials; the dangling summation symbol is bound to
-    the binomial index"""
-    # the inner sum over v is one polynomial in the binomial index k;
-    # S(v,n) = 0 for v < n
+def _sec6_bernoulli_values(m: int, n: int) -> tuple[list[int], int]:
+    """sec6_bernoulli's inner sums at k = 0..n over one denominator, into
+    which C(m+n,n) n! is folded.  The inner sum over v is one polynomial
+    in the binomial index k; S(v,n) = 0 for v < n."""
     inner = sum(
         (
             comb(m + n, v)
@@ -778,14 +839,22 @@ def _sec6_bernoulli(m, n, p, lam):
         ),
         Poly(),
     )
-    den = inner.den * comb(m + n, n) * factorial(n)
-    return y6(m, n, lam, p), _binom_sum(n, p, lam, _int_values(inner, n + 1), den)
+    return _int_values(inner, n + 1), inner.den * comb(m + n, n) * factorial(n)
 
 
-@_identity("sec6_euler", Verdict.HOLDS_PRINTED, _SEC6)
-def _sec6_euler(m, n, p, lam):
-    """double-sum expression through order-n Euler polynomials
-    and the B(v,n) weights; dangling index bound as above"""
+@_identity("sec6_bernoulli", Verdict.HOLDS_PRINTED, _SEC6)
+def _sec6_bernoulli(m, n, p, lam):
+    """double-sum expression through order-n Bernoulli
+    polynomials; the dangling summation symbol is bound to
+    the binomial index"""
+    a, b = _ratio(lam)
+    values, den = _table(_sec6_bernoulli_values, m, n)
+    return _y6_value(m, n, a, b, p), _binom_sum(n, p, a, b, values, den)
+
+
+def _sec6_euler_values(m: int, n: int) -> tuple[list[int], int]:
+    """sec6_euler's inner sums at k = 0..n over one denominator, into
+    which n! 2^n is folded."""
     inner = sum(
         (
             comb(m, v) * bnk(v, n).numerator * euler_poly_order(m - v, n)
@@ -793,13 +862,26 @@ def _sec6_euler(m, n, p, lam):
         ),
         Poly(),
     )
-    den = inner.den * factorial(n) * 2**n
-    return y6(m, n, lam, p), _binom_sum(n, p, lam, _int_values(inner, n + 1), den)
+    return _int_values(inner, n + 1), inner.den * factorial(n) * 2**n
+
+
+@_identity("sec6_euler", Verdict.HOLDS_PRINTED, _SEC6)
+def _sec6_euler(m, n, p, lam):
+    """double-sum expression through order-n Euler polynomials
+    and the B(v,n) weights; dangling index bound as above"""
+    a, b = _ratio(lam)
+    values, den = _table(_sec6_euler_values, m, n)
+    return _y6_value(m, n, a, b, p), _binom_sum(n, p, a, b, values, den)
 
 
 # ---------------------------------------------------------------------------
 # the Euler operator, squared-binomial polynomials and ordinary generating
 # functions
+
+
+def _euler_operator_r(m: int, n: int, p: int) -> Poly:
+    """(x d/dx)^m applied to r_poly(n, p)."""
+    return euler_operator(r_poly(n, p), m)
 
 
 @_identity(
@@ -810,7 +892,8 @@ def _sec6_euler(m, n, p, lam):
 def _yp3_euler_operator(m, n, p, lam):
     """m-th iterate of x d/dx on the coefficient polynomial,
     evaluated at lam"""
-    return euler_operator(r_poly(n, p), m)(lam), y6(m, n, lam, p)
+    a, b = _ratio(lam)
+    return _table(_euler_operator_r, m, n, p)(lam), _y6_value(m, n, a, b, p)
 
 
 @_identity("vowe_recurrence", Verdict.HOLDS_PRINTED, _ns(1, 10))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .config import AuditConfig, ConfigError
-from .registry import IdentityEntry, Verdict, build_registry
+from .registry import _TABLES, IdentityEntry, Verdict, _never_singular, build_registry
 
 __all__ = [
     "EntryResult",
@@ -86,16 +86,23 @@ def _first_failure(form, points: list[dict]) -> Optional[tuple[dict, Any, Any]]:
 
 
 def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
+    """The entry's verdict over its grid.
+
+    The registry's tables (``registry._table``) are emptied before and
+    after the entry runs, so its evaluators build each one afresh, from the
+    kernels as they are now, and share it across the grid."""
     spec = config.for_entry(entry.id)
     points = list(entry.grid(spec))
     skipped: list[dict] = []
-    active: list[dict] = []
-    for pt in points:
-        reason = entry.singular(**pt)
-        if reason is not None:
-            skipped.append({"point": _fmt_point(pt), "reason": reason})
-        else:
-            active.append(pt)
+    active = points
+    if entry.singular is not _never_singular:
+        active = []
+        for pt in points:
+            reason = entry.singular(**pt)
+            if reason is not None:
+                skipped.append({"point": _fmt_point(pt), "reason": reason})
+            else:
+                active.append(pt)
     if not points:
         raise ConfigError(f"{entry.id}: grid is empty")
     if not active:
@@ -104,7 +111,15 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
             f"({len(skipped)} skipped)"
         )
 
-    printed_fail = _first_failure(entry.printed, active)
+    _TABLES.clear()
+    try:
+        printed_fail = _first_failure(entry.printed, active)
+        corrected_fail = None
+        if printed_fail is not None and entry.corrected is not None:
+            corrected_fail = _first_failure(entry.corrected, active)
+    finally:
+        _TABLES.clear()
+
     if printed_fail is None:
         verdict = Verdict.HOLDS_PRINTED
         counterexample = None
@@ -117,7 +132,6 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
         }
         verdict = Verdict.FAILS_BOTH
         if entry.corrected is not None:
-            corrected_fail = _first_failure(entry.corrected, active)
             if corrected_fail is None:
                 verdict = Verdict.HOLDS_CORRECTED_ONLY
             else:

@@ -77,6 +77,7 @@ class TestRegistry:
     @pytest.mark.parametrize("lam", ["0", "1", "-2", "-1/2", "7/3"])
     def test_binom_sum_matches_the_fraction_loop(self, lam):
         lam = Fraction(lam)
+        a, b = lam.numerator, lam.denominator
         gs = [
             lambda j: Fraction(j + 1, 3),
             lambda j: (j + 1) ** 3 - j**3,  # int-valued
@@ -94,15 +95,16 @@ class TestRegistry:
                     expected = sum(
                         Fraction(comb(n, j)) ** p * lam**j * g(j) for j in range(n + 1)
                     )
-                    got = registry._binom_sum(n, p, lam, values, den)
+                    got = registry._binom_sum(n, p, a, b, values, den)
                     assert got == expected and isinstance(got, Fraction)
                     # an outer divisor folded into the denominator
-                    got = registry._binom_sum(n, p, lam, values, den * outer)
+                    got = registry._binom_sum(n, p, a, b, values, den * outer)
                     assert got == expected / outer
 
     @pytest.mark.parametrize("lam", ["0", "1", "-2", "-1/2", "7/3"])
     def test_y6_sum_matches_the_fraction_loops(self, lam):
         lam = Fraction(lam)
+        a, b = lam.numerator, lam.denominator
         for m in range(6):
             for n in range(6):
                 for p in range(4):
@@ -110,7 +112,7 @@ class TestRegistry:
                     integral = sum(
                         comb(m, k) * ys[k] / (m - k + 1) for k in range(m + 1)
                     )
-                    assert registry._coefficient_integral(m, n, p, lam) == integral
+                    assert registry._coefficient_integral(m, n, p, a, b) == integral
                     expanded = sum(
                         comb(m, k) * Fraction(m + 1, m - k + 1) * ys[k]
                         for k in range(m + 1)
@@ -331,6 +333,38 @@ class TestRunner:
             if form is not None:
                 lhs, rhs = form(**pt)
                 assert shape(lhs) == shape(rhs)
+
+    @pytest.mark.parametrize(
+        "entry_id, builder, builds",
+        [
+            ("sec6_stirling", "_stirling_values", 81),
+            ("sec6_bernoulli", "_sec6_bernoulli_values", 36),
+            ("sec6_euler", "_sec6_euler_values", 36),
+            ("inP8a", "_inp8a_values", 82),
+            ("inP3_4", "_bernoulli_values", 81),
+            ("inP5_6", "_euler_values", 81),
+            ("yp3_euler_operator", "_euler_operator_r", 216),
+        ],
+    )
+    def test_tables_are_built_once_per_evaluation(
+        self, monkeypatch, entry_id, builder, builds
+    ):
+        # on the default grid each lam-invariant table is built once per
+        # distinct int key, not once per grid point, and none outlives the
+        # evaluation
+        build = getattr(registry, builder)
+        keys = []
+
+        def counted(*key):
+            keys.append(key)
+            return build(*key)
+
+        monkeypatch.setattr(registry, builder, counted)
+        (entry,) = [e for e in build_registry() if e.id == entry_id]
+        result = evaluate_entry(entry, AuditConfig())
+        assert result.matches_expected
+        assert len(keys) == len(set(keys)) == builds
+        assert not registry._TABLES
 
     def test_determinism_modulo_run_metadata(self):
         a = json.loads(render_json(run_audit(pattern="cusick_*")))

@@ -23,6 +23,7 @@ from binomsums.audit import (
     build_registry,
     evaluate_entry,
     registry,
+    run_audit,
 )
 from binomsums.exact_core import EgfSeries, Poly
 
@@ -83,7 +84,19 @@ def _clear_number_caches():
             fn.cache_clear()
 
 
-def test_corrupted_stirling_table_flips_the_moment_functionals(monkeypatch):
+SMALL = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
+
+
+@pytest.fixture(scope="module")
+def clean_audit():
+    # a clean audit first fills every memo and table it can, so a fault
+    # test below sees the same flips whichever tests ran before it
+    assert run_audit(SMALL).all_expected
+
+
+def test_corrupted_stirling_table_flips_the_moment_functionals(
+    monkeypatch, clean_audit
+):
     # S(n,1) + 1 in every second-kind row corrupts the Bernoulli and Euler
     # numbers and polynomials; the functionals integrate p_poly through its
     # Mahler expansion, so the moment identities must stop holding
@@ -92,7 +105,6 @@ def test_corrupted_stirling_table_flips_the_moment_functionals(monkeypatch):
         out[1] += 1
         return out
 
-    config = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
     entries = {e.id: e for e in build_registry()}
     try:
         with monkeypatch.context() as mp:
@@ -100,7 +112,7 @@ def test_corrupted_stirling_table_flips_the_moment_functionals(monkeypatch):
             mp.setattr(classic_numbers, "_STIRLING2", corrupted)
             _clear_number_caches()
             verdicts = {
-                name: evaluate_entry(entries[name], config).verdict
+                name: evaluate_entry(entries[name], SMALL).verdict
                 for name in ("inP3_4", "inP5_6", "faulhaber")
             }
     finally:
@@ -108,7 +120,7 @@ def test_corrupted_stirling_table_flips_the_moment_functionals(monkeypatch):
     assert verdicts == dict.fromkeys(verdicts, Verdict.FAILS_BOTH)
 
 
-def test_faulty_int_values_flips_the_moment_entries(monkeypatch):
+def test_faulty_int_values_flips_the_moment_entries(monkeypatch, clean_audit):
     # _int_values gives both the Mahler values of p_poly and the values of
     # B_m/E_m at j on the two sides of inP3_4/inP5_6, and the inner sums of
     # the Section 6 double sums: q(1) off by one must fail them, not cancel
@@ -118,16 +130,15 @@ def test_faulty_int_values_flips_the_moment_entries(monkeypatch):
             values[1] += q.den
         return values
 
-    config = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
     entries = {e.id: e for e in build_registry()}
     monkeypatch.setattr(p_polynomials, "_int_values", off_at_one)
     monkeypatch.setattr(registry, "_int_values", off_at_one)
     names = ("inP3_4", "inP5_6", "sec6_bernoulli", "sec6_euler")
-    verdicts = {name: evaluate_entry(entries[name], config).verdict for name in names}
+    verdicts = {name: evaluate_entry(entries[name], SMALL).verdict for name in names}
     assert verdicts == dict.fromkeys(names, Verdict.FAILS_BOTH)
 
 
-def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
+def test_faulty_y6_kernel_flips_its_consumers(monkeypatch, clean_audit):
     # S = n! b^n y6 off by one at (m, n) = (1, 2) reaches the entries that
     # read y6, franel, moment or the registry's own _y6 sums; their other
     # sides (p_poly, _binom_sum, closed forms) must not share the fault
@@ -136,7 +147,6 @@ def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
     def off_at_one_two(m, n, a, b, p):
         return kernel(m, n, a, b, p) + ((m, n) == (1, 2))
 
-    config = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
     entries = {e.id: e for e in build_registry()}
     monkeypatch.setattr(y6_engine, "_y6", off_at_one_two)
     monkeypatch.setattr(registry, "_y6", off_at_one_two)
@@ -156,26 +166,25 @@ def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
         "sec6_euler",
         "yp3_euler_operator",
     )
-    verdicts = {name: evaluate_entry(entries[name], config).verdict for name in names}
+    verdicts = {name: evaluate_entry(entries[name], SMALL).verdict for name in names}
     assert verdicts == dict.fromkeys(names, Verdict.FAILS_BOTH)
 
 
-def test_faulty_binom_sum_flips_its_consumers(monkeypatch):
+def test_faulty_binom_sum_flips_its_consumers(monkeypatch, clean_audit):
     # _binom_sum off by 1/den at n = 2 reaches the Riemann, Mahler and
     # Section 6 sums and, at p = 0, the four power sums; their other sides
     # (p_poly, y6 and the closed forms) must not share the fault
     kernel = registry._binom_sum
 
-    def off_at_two(n, p, lam, values, den):
-        value = kernel(n, p, lam, values, den)
+    def off_at_two(n, p, a, b, values, den):
+        value = kernel(n, p, a, b, values, den)
         return value + Fraction(1, den) if n == 2 else value
 
-    config = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
     monkeypatch.setattr(registry, "_binom_sum", off_at_two)
     flipped = {
         e.id: verdict
         for e in build_registry()
-        if (verdict := evaluate_entry(e, config).verdict) is not e.expected
+        if (verdict := evaluate_entry(e, SMALL).verdict) is not e.expected
     }
     names = (
         "inP2",
