@@ -63,6 +63,7 @@ integers.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -248,17 +249,33 @@ _N13 = _ns(13)
 _NO_PARAMETERS = _fixed([{}])
 
 
-_TABLES: dict[tuple, Any] = {}
+# the tables of the entry evaluation under way; None outside one
+_TABLES: Optional[dict[tuple, Any]] = None
+
+
+@contextmanager
+def _tables() -> Iterator[None]:
+    """Memoize ``_table`` inside the block, which ``runner.evaluate_entry``
+    puts round each entry, and nowhere else."""
+    global _TABLES
+    _TABLES = {}
+    try:
+        yield
+    finally:
+        _TABLES = None
 
 
 def _table(build: Callable[..., Any], *key: int) -> Any:
     """``build(*key)``, built at most once per entry evaluation.
 
     A table is the lam-invariant part of one side of an identity, keyed
-    only on ints.  ``_TABLES`` holds every table, keyed on (build, *key),
-    and ``runner.evaluate_entry`` empties it before and after each entry,
-    so no table outlives one evaluation and a kernel patched before
-    ``evaluate_entry`` is always read."""
+    only on ints.  Inside ``_tables()`` it is kept in ``_TABLES``, keyed on
+    (build, *key), until the block ends; outside, as when a test calls an
+    evaluator directly, it is built afresh on every call.  So no table
+    outlives one evaluation, and a kernel patched before the call is
+    always read."""
+    if _TABLES is None:
+        return build(*key)
     k = (build, *key)
     value = _TABLES.get(k)
     if value is None:

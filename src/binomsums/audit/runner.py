@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from .config import AuditConfig, ConfigError
-from .registry import _TABLES, IdentityEntry, Verdict, _never_singular, build_registry
+from .registry import IdentityEntry, Verdict, _never_singular, _tables, build_registry
 
 __all__ = [
     "EntryResult",
@@ -88,9 +88,9 @@ def _first_failure(form, points: list[dict]) -> Optional[tuple[dict, Any, Any]]:
 def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
     """The entry's verdict over its grid.
 
-    The registry's tables (``registry._table``) are emptied before and
-    after the entry runs, so its evaluators build each one afresh, from the
-    kernels as they are now, and share it across the grid."""
+    The registry's tables (``registry._table``) are kept only while the
+    entry runs, so its evaluators build each one afresh, from the kernels
+    as they are now, and share it across the grid."""
     spec = config.for_entry(entry.id)
     points = list(entry.grid(spec))
     skipped: list[dict] = []
@@ -111,14 +111,11 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
             f"({len(skipped)} skipped)"
         )
 
-    _TABLES.clear()
-    try:
+    with _tables():
         printed_fail = _first_failure(entry.printed, active)
         corrected_fail = None
         if printed_fail is not None and entry.corrected is not None:
             corrected_fail = _first_failure(entry.corrected, active)
-    finally:
-        _TABLES.clear()
 
     if printed_fail is None:
         verdict = Verdict.HOLDS_PRINTED

@@ -1,7 +1,9 @@
 """The central binomial-power-sum family and Golombek's B(n,k).
 
 All values are exact.  For lam = a/b, the kernel ``_y6`` sums the integer
-S = n! b^n y6(m,n;lam,p) = sum_k C(n,k)^p k^m a^k b^(n-k), and its bounded
+S = n! b^n y6(m,n;lam,p) = sum_k C(n,k)^p k^m a^k b^(n-k), walking the
+terms C(n,k)^p a^k b^(n-k) by their exact ratio ((n-k)/(k+1))^p a/b, so
+each step multiplies and divides a big integer by a small one.  Its bounded
 memo holds S, keyed on lam's integer parts so a lookup hashes no
 ``Fraction``; it is pure caching and safe under concurrent readers.  Each
 caller divides S at most once: ``y6`` by n! b^n, ``franel`` by b^n only,
@@ -94,13 +96,16 @@ def _y6(m: int, n: int, a: int, b: int, p: int) -> int:
     """The integer n! b^n y6(m,n;a/b,p) for lam = a/b in lowest terms with
     b > 0, as ``exact_core._ratio`` gives it."""
     _check_indices(m=m, n=n, p=p)
-    # Horner in b: after step k, total = sum_{i<=k} C(n,i)^p i^m a^i b^(k-i).
-    total = 0
-    binom = a_k = 1
-    for k in range(n + 1):
-        total = total * b + binom**p * k**m * a_k
-        binom = binom * (n - k) // (k + 1)
-        a_k *= a
+    # Walk term_k = C(n,k)^p a^k b^(n-k) from term_0 = b^n by the term
+    # ratio ((n-k)/(k+1))^p a/b, one big-by-small multiply and divide a
+    # step.  The division is exact: C(n,k)(n-k)/(k+1) = C(n,k+1), and b
+    # divides b^(n-k) for k < n.  term_0 carries 0^m, which is 1 at m = 0
+    # only.
+    term = b**n
+    total = term if m == 0 else 0
+    for k in range(n):
+        term = term * ((n - k) ** p * a) // ((k + 1) ** p * b)
+        total += term * (k + 1) ** m
     return total
 
 
@@ -128,9 +133,12 @@ def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
 def bnk(d: int, k: int) -> Fraction:
     """Golombek's sum B(d,k) = sum_{j=0}^{k} C(k,j) j^d (0^0 = 1)."""
     _check_indices(d=d, k=k)
+    # c walks the row C(k,j) by its ratio (k-j)/(j+1), with no math.comb
     total = 0
+    c = 1
     for j in range(k + 1):
-        total += comb(k, j) * j**d
+        total += c * j**d
+        c = c * (k - j) // (j + 1)
     return Fraction(total)
 
 

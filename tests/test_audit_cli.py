@@ -366,6 +366,16 @@ class TestRunner:
         assert len(keys) == len(set(keys)) == builds
         assert not registry._TABLES
 
+    def test_direct_calls_keep_no_table(self, monkeypatch):
+        # outside evaluate_entry an evaluator builds its tables afresh, so a
+        # kernel patched between two direct calls is read by the second
+        before = registry._sec6_stirling(m=2, n=3, p=1, lam=1)[1]
+        assert not registry._TABLES
+        monkeypatch.setattr(registry, "stirling2", lambda n, k: 2 * stirling2(n, k))
+        after = registry._sec6_stirling(m=2, n=3, p=1, lam=1)[1]
+        assert after == 2 * before != 0
+        assert not registry._TABLES
+
     def test_determinism_modulo_run_metadata(self):
         a = json.loads(render_json(run_audit(pattern="cusick_*")))
         b = json.loads(render_json(run_audit(pattern="cusick_*")))

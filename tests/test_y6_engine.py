@@ -199,6 +199,41 @@ class TestY6:
             assert factorial(n) * y6(0, n, Fraction(1), 2) == comb(2 * n, n)
 
 
+def plain_kernel(m: int, n: int, a: int, b: int, p: int) -> int:
+    """n! b^n y6(m,n;a/b,p), summed term by term with math.comb."""
+    return sum(comb(n, k) ** p * k**m * a**k * b ** (n - k) for k in range(n + 1))
+
+
+class TestKernelAtLargeN:
+    # terms thousands of bits long, and divisors (k+1)^p b past one 30-bit
+    # digit, which the hypothesis tests above (n <= 25) never reach; the
+    # memo is bypassed so each case runs the kernel's loop
+    @pytest.mark.parametrize(
+        "m, n, lam, p",
+        [
+            (3, 400, Fraction(-7, 13), 3),  # the benchmark's y6 slice
+            (3, 400, Fraction(5, 9), 3),
+            (2, 300, Fraction(3, 7), 5),  # (k+1)^5 takes two digits
+            (0, 300, Fraction(1), 5),
+            (0, 60, Fraction(0), 2),
+            (4, 60, Fraction(0), 2),
+            (0, 60, Fraction(-3, 2**40 + 1), 3),
+            (2, 60, Fraction(-(2**35) - 1, 2**40 + 1), 2),
+        ],
+    )
+    def test_matches_the_plain_sum(self, m, n, lam, p):
+        a, b = lam.numerator, lam.denominator
+        assert y6_engine._y6.__wrapped__(m, n, a, b, p) == plain_kernel(m, n, a, b, p)
+
+    def test_bnk_rows(self):
+        bnk_row = bnk.__wrapped__
+        for k in range(301):
+            row = [comb(k, j) for j in range(k + 1)]
+            for d in range(5):
+                expected = sum(c * j**d for j, c in enumerate(row))
+                assert bnk_row(d, k) == expected, (d, k)
+
+
 class TestBnk:
     @given(
         st.integers(min_value=0, max_value=8),
