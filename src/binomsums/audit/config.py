@@ -64,6 +64,7 @@ def load_config(path: str | Path | None) -> AuditConfig:
     default = GridSpec()
     overrides: dict[str, GridSpec] = {}
     section: str | None = None
+    seen: set[tuple[str | None, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,12 +73,17 @@ def load_config(path: str | Path | None) -> AuditConfig:
             section = line[1:-1].strip()
             if not section:
                 raise ConfigError(f"line {lineno}: empty section name")
-            overrides.setdefault(section, default)
+            if section in overrides:
+                raise ConfigError(f"line {lineno}: section [{section}] given twice")
+            overrides[section] = default
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if (section, key) in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
+        seen.add((section, key))
         if section is None:
             default = _apply(default, key, value, lineno)
             # sections seen so far inherit nothing retroactively by design

@@ -84,7 +84,6 @@ from ..classic_numbers import (
     legendre,
     stirling1,
     stirling2,
-    y1,
     y_seq,
     FamilyTag,
 )
@@ -98,11 +97,9 @@ from ..exact_core import (
 )
 from ..hypergeom import (
     OgfCase,
-    PfqSpec,
     alternating_square_gamma,
     ogf_reference,
     ogf_series,
-    pfq_terminating,
     y6_hyper,
 )
 from ..p_polynomials import (
@@ -116,7 +113,9 @@ from ..p_polynomials import (
     volkenborn,
     vowe,
 )
-from ..y6_engine import _y6, b_ogf, bnk, franel, moment, t_poly, y6, y6_egf
+from ..y6_engine import (
+    _y6, _y6_value, b_ogf, bnk, franel, moment, t_poly, y1, y6, y6_egf
+)
 from .config import GridSpec
 
 __all__ = ["Verdict", "IdentityEntry", "build_registry"]
@@ -301,11 +300,6 @@ def _binom_sum(n: int, p: int, a: int, b: int, values: list[int], den: int) -> F
     return Fraction(total, den * b ** max(n, 0))
 
 
-def _y6_value(m: int, n: int, a: int, b: int, p: int) -> Fraction:
-    """y6(m,n;a/b,p): the kernel's integer n! b^n y6, divided once."""
-    return Fraction(_y6(m, n, a, b, p), factorial(n) * b**n)
-
-
 def _y6_sum(n: int, p: int, a: int, b: int, weights: list[tuple[int, int]]) -> Fraction:
     """sum_k (c_k/d_k) y6(k,n;a/b,p) over the pairs weights[k] = (c_k, d_k),
     summed as integers over L = lcm(d_k) and divided once by L n! b^n."""
@@ -479,10 +473,8 @@ def _y6g(n, p, lam):
     """EGF coefficients = m-th derivatives at 0"""
     order = 12
     series = y6_egf(n, lam, p, order)
-    # the kernel's integers n! b^n y6(m,n;lam,p) over their one denominator
     a, b = _ratio(lam)
-    den = factorial(n) * b**n
-    ys = [Fraction(_y6(m, n, a, b, p), den) for m in range(order + 1)]
+    ys = [_y6_value(m, n, a, b, p) for m in range(order + 1)]
     return list(series.coeffs), ys
 
 
@@ -525,23 +517,22 @@ def _cusick_diag(n, p):
     return franel(p, p, n, F1), n**p * franel(p, 0, n, F1)
 
 
-def _franel_numbers(p: int, values: tuple[int, ...], z: Fraction, n: int):
+def _franel_numbers(p: int, values: tuple[int, ...], n: int):
     """The p-th order Franel number against a table and its pFq form."""
     v = franel(p, 0, n, F1)
-    pfq = pfq_terminating(PfqSpec([-n] * p, [1] * (p - 1), z))
-    return (v, v), (Fraction(values[n]), pfq)
+    return (v, v), (Fraction(values[n]), factorial(n) * y6_hyper(n, F1, p))
 
 
 @_identity("franel3", Verdict.HOLDS_PRINTED, _ns(5))
 def _franel3(n):
     """classical Franel numbers and their 3F2 form"""
-    return _franel_numbers(3, (1, 2, 10, 56, 346), FM1, n)
+    return _franel_numbers(3, (1, 2, 10, 56, 346), n)
 
 
 @_identity("franel4", Verdict.HOLDS_PRINTED, _ns(5))
 def _franel4(n):
     """fourth-order Franel numbers and their 4F3 form"""
-    return _franel_numbers(4, (1, 2, 18, 164, 1810), F1, n)
+    return _franel_numbers(4, (1, 2, 18, 164, 1810), n)
 
 
 @_identity("AWolf", Verdict.HOLDS_PRINTED, _ns(17))

@@ -32,7 +32,6 @@ __all__ = [
     "apostol_bernoulli",
     "apostol_euler",
     "classic_sequence",
-    "y1",
     "y_seq",
     "legendre",
     "mirimanoff",
@@ -235,15 +234,6 @@ def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
         raise ValueError(f"unknown family {tag!r}")
     nums, den = _common([number(k) for k in range(n + 1)])
     return Fraction(sum(map(mul, _STIRLING1.row(n), nums)), den)
-
-
-def y1(n: int, k: int, lam: Scalar) -> Fraction:
-    """(1/k!) sum_j C(k,j) j^n lam^j with the 0^0 = 1 convention: the
-    p = 1 slice y6(n,k;lam,1)."""
-    _check_indices(n=n, k=k)
-    from .y6_engine import y6  # y6_engine imports this module
-
-    return y6(n, k, lam, 1)
 
 
 def y_seq(n: int, lam: Scalar) -> Fraction:

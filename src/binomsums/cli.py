@@ -22,7 +22,7 @@ from .audit.config import AuditConfig, ConfigError, load_config
 from .audit.registry import build_registry
 from .audit.runner import render_csv, render_json, render_markdown, run_audit
 from .classic_numbers import FamilyTag, classic_sequence
-from .y6_engine import bnk, franel, franel_recurrence, moment, y6
+from .y6_engine import _franel_range, bnk, moment, y6
 
 EXIT_OK = 0
 EXIT_VERDICT_MISMATCH = 1
@@ -83,20 +83,6 @@ def _y6_terms(rng: range, ps: dict) -> list:
     return [y6(m, n, lam, p) for n in rng]
 
 
-def _franel_terms(rng: range, ps: dict) -> list:
-    """Franel numbers n! y6(m,n;lam,p) over a range.
-
-    The slice m = 0, lam = 1, p = 3 or 4 unrolls Franel's recurrence from
-    n = 0 and keeps the requested part; every other slice takes the direct
-    sum term by term.
-    """
-    p, m = _int_param(ps, "p", 3), _int_param(ps, "m", 0)
-    lam = ps.get("lam", Fraction(1))
-    if m == 0 and lam == 1 and p in (3, 4) and rng.start >= 0:
-        return franel_recurrence(p, rng.stop)[rng.start :]
-    return [franel(p, m, n, lam) for n in rng]
-
-
 # Each family with the ``--params`` keys it reads and its terms over a range.
 _SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], list]]] = {
     "bnk": (("d",), lambda rng, ps: [bnk(_int_param(ps, "d"), n) for n in rng]),
@@ -111,7 +97,12 @@ _SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], list]]] 
         tag.value: ((), lambda rng, ps, t=tag: [classic_sequence(t, n) for n in rng])
         for tag in FamilyTag
     },
-    "franel": (("p", "m", "lam"), _franel_terms),
+    "franel": (
+        ("p", "m", "lam"),
+        lambda rng, ps: _franel_range(
+            _int_param(ps, "p", 3), _int_param(ps, "m", 0), ps.get("lam", 1), rng
+        ),
+    ),
 }
 
 

@@ -6,14 +6,15 @@ terms C(n,k)^p a^k b^(n-k) by their exact ratio ((n-k)/(k+1))^p a/b, so
 each step multiplies and divides a big integer by a small one.  Its bounded
 memo holds S, keyed on lam's integer parts so a lookup hashes no
 ``Fraction``; it is pure caching and safe under concurrent readers.  Each
-caller divides S at most once: ``y6`` by n! b^n, ``franel`` by b^n only,
-and ``moment`` (lam = 1) is S.  The registry splits lam once per grid point
-and calls ``_y6`` itself.  ``y6_egf`` builds the same numbers through
-series arithmetic, as an independent route.
+caller divides S at most once: ``y6`` (and its p = 1 slice ``y1``) by
+n! b^n in ``_y6_value``, ``franel`` by b^n only, and ``moment`` (lam = 1)
+is S.  The registry splits lam once per grid point and calls ``_y6`` or
+``_y6_value`` itself.  ``y6_egf`` builds the same numbers through series
+arithmetic, as an independent route.
 
-``franel_recurrence`` gives a whole prefix of the Franel numbers
-sum_k C(n,k)^p, p = 3 or 4, in O(N) integer steps, by Franel's three-term
-recurrences (1894, 1895); every division is checked to be exact.
+``franel_recurrence`` gives a prefix of the Franel numbers sum_k C(n,k)^p,
+p = 3 or 4, in O(N) integer steps by Franel's recurrences (1894, 1895),
+checking every division; ``audit seq franel`` takes it via ``_franel_range``.
 ``franel`` stays the direct ``y6`` sum, so the audit's Franel entries and
 the recurrence remain independent routes to the same numbers.
 """
@@ -39,6 +40,7 @@ from .exact_core import (
 __all__ = [
     "RationalFunction",
     "y6",
+    "y1",
     "y6_egf",
     "bnk",
     "t_poly",
@@ -84,7 +86,11 @@ class RationalFunction:
 
 def y6(m: int, n: int, lam: Scalar, p: int) -> Fraction:
     """(1/n!) sum_k C(n,k)^p k^m lam^k with 0^0 = 1."""
-    a, b = _ratio(lam)
+    return _y6_value(m, n, *_ratio(lam), p)
+
+
+def _y6_value(m: int, n: int, a: int, b: int, p: int) -> Fraction:
+    """y6(m,n;a/b,p): the kernel's integer n! b^n y6, divided once."""
     return Fraction(_y6(m, n, a, b, p), factorial(n) * b**n)  # _y6 checks n first
 
 
@@ -176,6 +182,12 @@ def b_ogf(d: int) -> RationalFunction:
     return RationalFunction(num, one_m_2x ** (d + 1))
 
 
+def y1(n: int, k: int, lam: Scalar) -> Fraction:
+    """The p = 1 slice y6(n,k;lam,1) = (1/k!) sum_j C(k,j) j^n lam^j, 0^0 = 1."""
+    _check_indices(n=n, k=k)
+    return y6(n, k, lam, 1)
+
+
 def moment(m: int, p: int, n: int) -> Fraction:
     """Moment sum sum_k C(n,k)^p k^m; integer-valued."""
     return Fraction(_y6(m, n, 1, 1, p))
@@ -222,3 +234,11 @@ def franel_recurrence(p: int, stop: int) -> list[int]:
         prev = terms[n]
         terms.append(value)
     return terms
+
+
+def _franel_range(p: int, m: int, lam: Scalar, rng: range) -> list:
+    """Franel numbers n! y6(m,n;lam,p) for n in rng, by Franel's recurrence
+    where ``_FRANEL_STEPS`` has p and m = 0, lam = 1, else term by term."""
+    if m == 0 and lam == 1 and p in _FRANEL_STEPS and rng.start >= 0:
+        return franel_recurrence(p, rng.stop)[rng.start :]
+    return [franel(p, m, n, lam) for n in rng]

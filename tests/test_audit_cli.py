@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomsums import cli
+from binomsums import cli, y6_engine
 from binomsums.audit import (
     AuditConfig,
     ConfigError,
@@ -257,6 +257,14 @@ class TestConfig:
         assert config.for_entry("chu").n_max == 3
         assert config.for_entry("chu").m_max == 4  # inherits earlier default
         assert config.for_entry("dixon").n_max == 8
+
+    def test_section_may_set_a_key_set_at_the_top(self, tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_text("n_max = 4\n[chu]\nn_max = 3\n[dixon]\nm_max = 2\n")
+        config = load_config(path)
+        assert config.default.n_max == 4
+        assert config.for_entry("chu").n_max == 3
+        assert config.for_entry("dixon") == GridSpec(m_max=2, n_max=4)
 
     def test_bad_key_rejected(self, tmp_path):
         path = tmp_path / "grid.cfg"
@@ -521,6 +529,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: line 2: bad value for lambdas: ")
 
+    def test_run_repeated_key_in_a_section_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("[chu]\nm_max = 2\nm_max = 3\n")
+        assert cli.main(["run", "--filter", "chu", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: key 'm_max' given twice\n"
+
+    def test_run_repeated_section_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("[chu]\nn_max = 3\n[dixon]\nn_max = 2\n[chu]\nm_max = 2\n")
+        assert cli.main(["run", "--filter", "chu", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 5: section [chu] given twice\n"
+
     def test_run_huge_grid_bound_exits_two(self, tmp_path, capsys):
         # a bound past a C index must be refused as configuration, not end
         # in a traceback with the verdict-mismatch code
@@ -697,9 +721,9 @@ class TestSeqFranelFastPath:
         self, lo, hi, p, fmt, monkeypatch, capsys
     ):
         calls = []
-        kernel = cli.franel_recurrence
+        kernel = y6_engine.franel_recurrence
         monkeypatch.setattr(
-            cli, "franel_recurrence", lambda *a: calls.append(a) or kernel(*a)
+            y6_engine, "franel_recurrence", lambda *a: calls.append(a) or kernel(*a)
         )
         argv = ["franel", "--range", f"{lo}..{hi}", "--format", fmt]
         params = {}
@@ -725,7 +749,7 @@ class TestSeqFranelFastPath:
         def refuse(*args):
             raise AssertionError("recurrence used outside its slice")
 
-        monkeypatch.setattr(cli, "franel_recurrence", refuse)
+        monkeypatch.setattr(y6_engine, "franel_recurrence", refuse)
         rng = range(0, 31)
         out = _seq_output(["franel", "--params", params, "--range", "0..30"], capsys)
         expected = [franel(p, m, n, lam) for n in rng]

@@ -29,10 +29,10 @@ from binomsums.classic_numbers import (
     mirimanoff,
     stirling1,
     stirling2,
-    y1,
     y_seq,
 )
 from binomsums.exact_core import EgfSeries, Poly
+from binomsums.y6_engine import y1
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 

@@ -28,7 +28,6 @@ from binomsums.classic_numbers import (
     mirimanoff,
     stirling1,
     stirling2,
-    y1,
     y_seq,
 )
 from binomsums.exact_core import (
@@ -58,6 +57,7 @@ from binomsums.y6_engine import (
     franel_recurrence,
     moment,
     t_poly,
+    y1,
     y6,
     y6_egf,
 )

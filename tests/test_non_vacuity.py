@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomsums import classic_numbers, exact_core, p_polynomials, y6_engine
+from binomsums import classic_numbers, exact_core, hypergeom, p_polynomials, y6_engine
 from binomsums.audit import (
     AuditConfig,
     GridSpec,
@@ -200,3 +200,16 @@ def test_faulty_binom_sum_flips_its_consumers(monkeypatch, clean_audit):
         "mirimanoff_frobenius",
     )
     assert flipped == dict.fromkeys(names, Verdict.FAILS_BOTH)
+
+
+def test_faulty_pfq_flips_every_pfq_consumer(monkeypatch, clean_audit):
+    # y6bb and the Franel entries all take their pFq side from
+    # hypergeom.pfq_terminating, through y6_hyper; 2v + 1 cannot cancel
+    kernel = hypergeom.pfq_terminating
+    monkeypatch.setattr(hypergeom, "pfq_terminating", lambda spec: 2 * kernel(spec) + 1)
+    flipped = {
+        e.id
+        for e in build_registry()
+        if evaluate_entry(e, SMALL).verdict is not e.expected
+    }
+    assert flipped == {"y6bb", "franel3", "franel4"}

@@ -1,10 +1,12 @@
-"""Every import in ``src/`` is used.
+"""Every import in ``src/`` is used and sits at module level.
 
 No linter is part of the toolchain, so this walks each module's syntax tree
 with the standard library only. A name bound by an import counts as used
 when it is read anywhere in the module (as a name or as the base of an
 attribute) or listed in the module's ``__all__``. ``from __future__`` and
-star imports bind no checked name.
+star imports bind no checked name. An import inside a function hides an
+edge of the module graph, such as one that closes an import cycle, so no
+function body holds one.
 """
 
 from __future__ import annotations
@@ -56,6 +58,18 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
+def nested_imports(source: str) -> list[str]:
+    """Lines of the imports that sit inside a function body."""
+    lines = {
+        node.lineno
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {line}" for line in sorted(lines)]
+
+
 def test_the_check_sees_unused_and_used_imports():
     source = (
         "from __future__ import annotations\n"
@@ -77,3 +91,23 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_imports_inside_functions():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from .y import g\n"
+        "    def h():\n"
+        "        import sys\n"
+        "    return g, os\n"
+        "class C:\n"
+        "    async def m(self):\n"
+        "        import json\n"
+    )
+    assert nested_imports(source) == ["line 3", "line 5", "line 9"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_import_inside_a_function(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
