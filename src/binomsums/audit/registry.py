@@ -58,7 +58,11 @@ B_m or E_m at 0..n for ``inP3_4``/``inP5_6``, all as integers over one
 denominator, and (x d/dx)^m r_poly(n,p) for ``yp3_euler_operator``.  Each
 table belongs to one side of its identity.  ``inP8``'s corrected form,
 which depends on m alone, compares its term identity cross-multiplied in
-integers.
+integers.  ``y6G`` compares its two generating-function sides as integer
+numerators over n! b^n, both held as ``EgfSeries`` (``y6_egf`` and the
+kernel's ``_y6`` values), so a grid point builds no ``Fraction``.  A
+``_grid`` builds its points as one list of dicts in a single comprehension
+rather than yielding them one by one.
 """
 
 from __future__ import annotations
@@ -216,8 +220,8 @@ def _grid(
             "lam": spec.lambdas if lams is None else lams,
         }
         names = [name for name in axes if name in use]
-        for values in product(*(axes[name] for name in names)):
-            yield dict(zip(names, values))
+        used = [axes[name] for name in names]
+        return iter([dict(zip(names, values)) for values in product(*used)])
 
     return points
 
@@ -226,8 +230,19 @@ def _capped(limit: int, cap: int | None) -> int:
     return limit if cap is None else min(limit, cap)
 
 
+@dataclass(frozen=True, eq=False)
+class _Fixed:
+    """A grid that never reads its GridSpec: the same points under any
+    config, so ``run_audit`` refuses a config section for its entry."""
+
+    points: tuple[dict, ...]
+
+    def __call__(self, spec: GridSpec) -> Iterator[dict]:
+        return iter(self.points)
+
+
 def _fixed(points: list[dict]) -> Grid:
-    return lambda spec: iter(points)
+    return _Fixed(tuple(points))
 
 
 def _ns(*bounds: int) -> Grid:
@@ -363,7 +378,7 @@ def _golombek(d=None, k=None, m=None, n=None):
     (k=0 term subtracted explicitly where the source sums from 1)"""
     if d is not None:
         rhs = EgfSeries([1] + [0] * d) + EgfSeries.exp(1, d)
-        return bnk(d, k), rhs.pow(k).coeffs[d]
+        return bnk(d, k), rhs.pow(k).coeff(d)
     # second sequence family: sums from k=1 of squared binomials
     lhs = moment(m, 2, n) - 0**m
     closed = {
@@ -454,7 +469,7 @@ def _cab3(m, n, lam):
     E_n^(-k)(lam) = k! 2^(-k) y1(n,k;lam)"""
     # the paper's index n is the grid's m and its order k is the grid's n
     series = EgfSeries([1] + [0] * m) + EgfSeries.exp(1, m).scale(lam)
-    lhs = series.scale(Fraction(1, 2)).pow(n).coeffs[m]
+    lhs = series.scale(Fraction(1, 2)).pow(n).coeff(m)
     return lhs, factorial(n) * Fraction(1, 2**n) * y1(m, n, lam)
 
 
@@ -472,10 +487,9 @@ def _caa3(m, n):
 def _y6g(n, p, lam):
     """EGF coefficients = m-th derivatives at 0"""
     order = 12
-    series = y6_egf(n, lam, p, order)
     a, b = _ratio(lam)
-    ys = [_y6_value(m, n, a, b, p) for m in range(order + 1)]
-    return list(series.coeffs), ys
+    ys = [_y6(m, n, a, b, p) for m in range(order + 1)]
+    return y6_egf(n, lam, p, order), EgfSeries.from_ints(ys, factorial(n) * b**n)
 
 
 @_identity("y6bb", Verdict.HOLDS_PRINTED, _grid("n", "p", "lam", n_cap=10, p_min=1))

@@ -12,8 +12,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
+from ..exact_core import EgfSeries
 from .config import AuditConfig, ConfigError
-from .registry import IdentityEntry, Verdict, _never_singular, _tables, build_registry
+from .registry import (
+    IdentityEntry,
+    Verdict,
+    _Fixed,
+    _never_singular,
+    _tables,
+    build_registry,
+)
 
 __all__ = [
     "EntryResult",
@@ -31,6 +39,8 @@ def _fmt(value: Any) -> str:
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, EgfSeries):
+        return _fmt(list(value.coeffs))
     return repr(value)
 
 
@@ -164,11 +174,16 @@ def run_audit(
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     registry = build_registry()
-    known = {e.id for e in registry}
-    unknown = set(config.overrides) - known
+    grids = {e.id: e.grid for e in registry}
+    unknown = set(config.overrides) - set(grids)
     if unknown:
         raise ConfigError(
             f"config overrides reference unknown ids: {sorted(unknown)}"
+        )
+    fixed = sorted(i for i in config.overrides if isinstance(grids[i], _Fixed))
+    if fixed:
+        raise ConfigError(
+            f"config overrides reference ids whose grid reads no bounds: {fixed}"
         )
     entries = [e for e in registry if fnmatch.fnmatch(e.id, pattern)]
     if not entries:

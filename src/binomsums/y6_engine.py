@@ -10,7 +10,11 @@ caller divides S at most once: ``y6`` (and its p = 1 slice ``y1``) by
 n! b^n in ``_y6_value``, ``franel`` by b^n only, and ``moment`` (lam = 1)
 is S.  The registry splits lam once per grid point and calls ``_y6`` or
 ``_y6_value`` itself.  ``y6_egf`` builds the same numbers through series
-arithmetic, as an independent route.
+arithmetic, as an independent route: it weights each e^{kt} of
+``EgfSeries.exp`` by the integer C(n,k)^p a^k b^(n-k), from ``comb`` and
+powers rather than ``_y6``'s ratio walk, sums the weighted series as
+integers over n! b^n and reduces once.  It calls no ``_y6``, so a fault in
+the kernel cannot cancel in ``y6G``, which sets the two routes side by side.
 
 ``franel_recurrence`` gives a prefix of the Franel numbers sum_k C(n,k)^p,
 p = 3 or 4, in O(N) integer steps by Franel's recurrences (1894, 1895),
@@ -33,7 +37,6 @@ from .exact_core import (
     Scalar,
     _check_indices,
     _check_ints,
-    _frac,
     _ratio,
 )
 
@@ -122,17 +125,21 @@ y6.cache_clear = _y6.cache_clear
 def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
     """Truncated EGF (1/n!) sum_k C(n,k)^p lam^k e^{kt}.
 
-    Entry m is y6(m, n, lam, p); built through series arithmetic so the
+    Entry m is y6(m, n, lam, p), reached through the series e^{kt} of
+    ``EgfSeries.exp`` rather than the kernel ``_y6``, so the
     coefficient/derivative equivalence is an actual cross-check.
     """
     _check_indices(n=n, p=p, order=order)
-    lam = _frac(lam)
-    acc = EgfSeries([0] * (order + 1))
-    lam_k = Fraction(1)
+    a, b = _ratio(lam)
+    # For lam = a/b the sum is sum_k C(n,k)^p a^k b^(n-k) e^{kt} over
+    # n! b^n: the weights are integers, so the series add as integers and
+    # are reduced once, at the end.
+    nums = [0] * (order + 1)
     for k in range(n + 1):
-        acc = acc + EgfSeries.exp(k, order).scale(Fraction(comb(n, k)) ** p * lam_k)
-        lam_k *= lam
-    return acc.scale(Fraction(1, factorial(n)))
+        weight = comb(n, k) ** p * a**k * b ** (n - k)
+        for j, power in enumerate(EgfSeries.exp(k, order).nums):
+            nums[j] += weight * power
+    return EgfSeries.from_ints(nums, factorial(n) * b**n)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -285,6 +285,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_audit(config, pattern="chu")
 
+    def test_override_bounds_an_entry_whose_grid_reads_it(self):
+        config = AuditConfig(overrides={"CC2": GridSpec(n_max=3)})
+        (result,) = run_audit(config, pattern="CC2").results
+        assert result.points == 9 * 4  # m in 0..8, n in 0..3
+
 
 class TestRunner:
     def test_single_entry_verdict(self):
@@ -544,6 +549,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: line 5: section [chu] given twice\n"
+
+    @pytest.mark.parametrize("entry", ["chu", "dixon", "xu_x", "fd_ogf", "ogf_12"])
+    def test_run_section_for_a_fixed_grid_exits_two(self, tmp_path, capsys, entry):
+        # a fixed grid never reads its GridSpec, so its section would be
+        # accepted and then have no effect
+        path = tmp_path / "fixed.cfg"
+        path.write_text(f"n_max = 4\n[{entry}]\nn_max = 3\n")
+        assert cli.main(["run", "--filter", entry, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: config overrides reference ids whose grid reads no bounds: "
+            f"['{entry}']\n"
+        )
 
     def test_run_huge_grid_bound_exits_two(self, tmp_path, capsys):
         # a bound past a C index must be refused as configuration, not end

@@ -24,16 +24,21 @@ from binomsums.audit import (
     evaluate_entry,
     registry,
     run_audit,
+    runner,
 )
 from binomsums.exact_core import EgfSeries, Poly
+from binomsums.y6_engine import RationalFunction
 
 HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
 
 
 def _bump(value):
-    """Add 1 to the first leaf; lists and tuples recurse into element 0."""
+    """Add 1 to the first leaf; lists and tuples recurse into element 0.
+    A series gains 1 in its constant term."""
     if isinstance(value, (Fraction, int, Poly)):
         return value + 1
+    if isinstance(value, EgfSeries):
+        return value + EgfSeries.one(value.order)
     if isinstance(value, (list, tuple)) and value:
         return type(value)([_bump(value[0]), *value[1:]])
     raise TypeError(f"cannot perturb {value!r}")
@@ -72,7 +77,9 @@ def test_holding_forms_cover_both_pinned_kinds():
     assert len(HOLDING) == 48
 
 
-@pytest.mark.parametrize("value", [[], (), "1", 1.0, EgfSeries.exp(1, 2)])
+@pytest.mark.parametrize(
+    "value", [[], (), "1", 1.0, RationalFunction(Poly([1]), Poly([1]))]
+)
 def test_bump_rejects_empty_sides_and_unknown_leaves(value):
     with pytest.raises(TypeError):
         _bump([value])
@@ -166,8 +173,20 @@ def test_faulty_y6_kernel_flips_its_consumers(monkeypatch, clean_audit):
         "sec6_euler",
         "yp3_euler_operator",
     )
-    verdicts = {name: evaluate_entry(entries[name], SMALL).verdict for name in names}
+    results = {name: evaluate_entry(entries[name], SMALL) for name in names}
+    verdicts = {name: result.verdict for name, result in results.items()}
     assert verdicts == dict.fromkeys(names, Verdict.FAILS_BOTH)
+    # y6G compares EgfSeries; its counterexample prints the coefficient
+    # lists that its sides were before, when they were lists of Fractions
+    found = results["y6G"].counterexample
+    point = found["point"]
+    n, p, lam = int(point["n"]), int(point["p"]), Fraction(point["lam"])
+    a, b = lam.numerator, lam.denominator
+    lhs = list(y6_engine.y6_egf(n, lam, p, 12).coeffs)
+    rhs = [y6_engine._y6_value(m, n, a, b, p) for m in range(13)]
+    assert found["printedLhs"] == runner._fmt(lhs)
+    assert found["printedRhs"] == runner._fmt(rhs)
+    assert lhs != rhs
 
 
 def test_faulty_binom_sum_flips_its_consumers(monkeypatch, clean_audit):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -382,6 +382,26 @@ class TestEgfPath:
         for m in range(11):
             assert series.coeffs[m] == y6(m, n, lam, p)
 
+    @pytest.mark.parametrize(
+        "lam", [Fraction(0), Fraction(-2), Fraction(-1, 2), Fraction(5, 11), 3]
+    )
+    def test_integer_sum_matches_the_fraction_sum(self, lam):
+        # the coefficient j of (1/n!) sum_k C(n,k)^p lam^k e^{kt} is
+        # (1/n!) sum_k C(n,k)^p lam^k k^j, summed here in Fractions
+        for n, p in product(range(9), range(5)):
+            series = y6_egf(n, lam, p, 12)
+            terms = [comb(n, k) ** p * Fraction(lam) ** k for k in range(n + 1)]
+            expected = [
+                sum((t * k**j for k, t in enumerate(terms)), Fraction(0)) / factorial(n)
+                for j in range(13)
+            ]
+            assert list(series.coeffs) == expected
+            assert series.den > 0 and gcd(series.den, *series.nums) == 1
+
+    def test_float_lambda_is_refused(self):
+        with pytest.raises(TypeError, match="expected an int or Fraction"):
+            y6_egf(3, 0.5, 2, 4)
+
 
 # the polynomial family's entries and y6G, which look up y6 and p_poly at
 # every grid point
@@ -422,4 +442,26 @@ def test_memo_lookups_hash_no_fraction(monkeypatch):
         results = [evaluate_entry(entries[i], config) for i in MEMO_ENTRIES * 2]
     assert all(r.matches_expected for r in results)
     assert sum(r.points for r in results) > 0
+    assert calls == []
+
+
+def test_y6g_builds_no_fraction(monkeypatch):
+    # both sides of y6G are integers over n! b^n, compared as EgfSeries
+    entry = next(e for e in build_registry() if e.id == "y6G")
+    config = AuditConfig(default=GridSpec(n_max=4, p_max=3))
+    calls = []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    y6.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counting_new))
+        Fraction(1, 3)
+        assert len(calls) == 1  # the patch counts
+        calls.clear()
+        results = [evaluate_entry(entry, config) for _ in range(2)]
+    assert all(r.matches_expected and r.points == 5 * 4 * 7 for r in results)
     assert calls == []
