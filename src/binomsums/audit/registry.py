@@ -43,26 +43,25 @@ coefficients and does not call ``y6``, so ``py6ab``, ``inP1`` and
 (through ``_y6_sum``), compare independent routes.
 
 Speed: the sums over the large grids are taken as integers over one common
-denominator and divided once, not by adding a ``Fraction`` per term:
-``_binom_sum``, ``_y6_sum`` and the right side of ``py6ab``.  Each caller
-of ``_binom_sum`` folds its outer divisor into the one denominator of its
-values; ``_y6_sum`` and ``py6ab`` sum the kernel's integers n! b^n y6 and
-divide once.  An entry over a lam grid splits lam = a/b once per point
-and passes a and b to ``_binom_sum``, ``_y6_sum`` and the memoized kernels
-``_y6`` and ``_p_poly``, whose lookups hash no ``Fraction``.  What a side
-computes independently of lam is a table, built by ``_table(build,
-*ints)`` once per int key and entry evaluation rather than once per grid
-point: the inner sums of ``sec6_stirling`` and ``inP8a``, the inner
-polynomials of ``sec6_bernoulli``/``sec6_euler`` (one ``Poly`` each) and
-B_m or E_m at 0..n for ``inP3_4``/``inP5_6``, all as integers over one
-denominator, and (x d/dx)^m r_poly(n,p) for ``yp3_euler_operator``.  Each
-table belongs to one side of its identity.  ``inP8``'s corrected form,
-which depends on m alone, compares its term identity cross-multiplied in
-integers.  ``y6G`` compares its two generating-function sides as integer
-numerators over n! b^n, both held as ``EgfSeries`` (``y6_egf`` and the
-kernel's ``_y6`` values), so a grid point builds no ``Fraction``.  A
-``_grid`` builds its points as one list of dicts in a single comprehension
-rather than yielding them one by one.
+denominator, and a scalar side is that unreduced quotient
+(``exact_core._Unreduced``), compared by cross-multiplying with no gcd and
+no ``Fraction``: ``_binom_sum`` (whose callers fold any outer divisor into
+the denominator of its values), ``_y6_sum``, ``_y6_value`` and the
+library's ``_integral01``, ``_poly_at``, ``_volkenborn`` and
+``_fermionic``; ``cusick_sym`` compares the kernel's ints.  An entry over
+a lam grid splits lam = a/b once per point and passes a and b to these
+and the memoized ``_y6`` and ``_p_poly``, whose lookups hash no
+``Fraction``.  A side's lam-invariant part is a table, built by
+``_table(build, *ints)`` once per int key and entry evaluation: the inner
+sums of ``sec6_stirling``, ``inP8a``, ``sec6_bernoulli`` and
+``sec6_euler`` and B_m or E_m at 0..n for ``inP3_4``/``inP5_6``, as
+integers over one denominator, and (x d/dx)^m r_poly(n,p) for
+``yp3_euler_operator``.  Each table belongs to one side of its identity.
+``inP8``'s corrected form, which depends on m alone, compares its term
+identity cross-multiplied in integers.  ``y6G`` compares its two
+generating-function sides as ``EgfSeries`` of integers over n! b^n
+(``y6_egf`` and the kernel's ``_y6`` values).  A ``_grid`` builds its
+points as one list of dicts in one comprehension, not one by one.
 """
 
 from __future__ import annotations
@@ -94,10 +93,12 @@ from ..classic_numbers import (
 from ..exact_core import (
     EgfSeries,
     Poly,
+    _Unreduced,
     _int_values,
+    _integral01,
+    _poly_at,
     _ratio,
     pochhammer,
-    poly_integral01,
 )
 from ..hypergeom import (
     OgfCase,
@@ -107,14 +108,14 @@ from ..hypergeom import (
     y6_hyper,
 )
 from ..p_polynomials import (
+    _fermionic,
     _p_poly,
+    _volkenborn,
     euler_operator,
-    fermionic,
     mirimanoff_frobenius_sum,
     power_sum_closed,
     r_poly,
     raw_sum_poly,
-    volkenborn,
     vowe,
 )
 from ..y6_engine import (
@@ -297,14 +298,14 @@ def _table(build: Callable[..., Any], *key: int) -> Any:
     return value
 
 
-def _binom_sum(n: int, p: int, a: int, b: int, values: list[int], den: int) -> Fraction:
+def _binom_sum(n: int, p: int, a: int, b: int, values: list[int], den: int) -> _Unreduced:
     """sum_{j=0}^{n} C(n,j)^p lam^j g(j) for lam = a/b, as ``_ratio`` gives
     it, and g(j) = values[j]/den.
 
     The caller gives the integer numerators of g(0..n) over one
     denominator, into which it folds any outer divisor of the sum.  The
     integer sum_j C(n,j)^p a^j b^(n-j) values[j] is summed by Horner in b
-    and divided once by den b^n; n = -1, with no values, is the empty
+    and put over den b^n, unreduced; n = -1, with no values, is the empty
     sum 0."""
     total = 0
     c = a_j = 1
@@ -312,24 +313,24 @@ def _binom_sum(n: int, p: int, a: int, b: int, values: list[int], den: int) -> F
         total = total * b + c**p * a_j * u
         c = c * (n - j) // (j + 1)
         a_j *= a
-    return Fraction(total, den * b ** max(n, 0))
+    return _Unreduced(total, den * b ** max(n, 0))
 
 
-def _y6_sum(n: int, p: int, a: int, b: int, weights: list[tuple[int, int]]) -> Fraction:
+def _y6_sum(n: int, p: int, a: int, b: int, weights: list[tuple[int, int]]) -> _Unreduced:
     """sum_k (c_k/d_k) y6(k,n;a/b,p) over the pairs weights[k] = (c_k, d_k),
-    summed as integers over L = lcm(d_k) and divided once by L n! b^n."""
+    summed as integers over L = lcm(d_k) and put over L n! b^n, unreduced."""
     den = lcm(*[d for _, d in weights])
     total = sum(c * (den // d) * _y6(k, n, a, b, p) for k, (c, d) in enumerate(weights))
-    return Fraction(total, den * factorial(n) * b**n)
+    return _Unreduced(total, den * factorial(n) * b**n)
 
 
-def _coefficient_integral(m: int, n: int, p: int, a: int, b: int) -> Fraction:
+def _coefficient_integral(m: int, n: int, p: int, a: int, b: int) -> _Unreduced:
     """Integral over [0,1] of the polynomial family, term by term from its
     y6 coefficients: sum_k C(m,k) y6(k,n;a/b,p)/(m-k+1)."""
     return _y6_sum(n, p, a, b, [(comb(m, k), m - k + 1) for k in range(m + 1)])
 
 
-def _riemann_sum(m: int, n: int, p: int, a: int, b: int, corrected: bool) -> Fraction:
+def _riemann_sum(m: int, n: int, p: int, a: int, b: int, corrected: bool) -> _Unreduced:
     """Summation form of the Riemann integral; the printed form drops the
     1/n! and the +1 in the exponent."""
     e = m + 1 if corrected else m
@@ -350,7 +351,7 @@ def lagrange_poly(points: list[tuple[Fraction, Fraction]]) -> Poly:
     return acc
 
 
-def _power_sum(m: int, upper: int, lam: Fraction, x0: Fraction = Fraction(0)) -> Fraction:
+def _power_sum(m: int, upper: int, lam: Fraction, x0: Fraction = Fraction(0)) -> _Unreduced:
     """Brute-force sum_{j=0}^{upper-1} lam^j (x0+j)^m with 0^0 = 1: the
     p = 0 member of ``_binom_sum``, with values (c+jd)^m over d^m for
     x0 = c/d."""
@@ -377,7 +378,7 @@ def _golombek(d=None, k=None, m=None, n=None):
     """B(n,k) sum vs derivative of (e^t+1)^k; closed sequences
     (k=0 term subtracted explicitly where the source sums from 1)"""
     if d is not None:
-        rhs = EgfSeries([1] + [0] * d) + EgfSeries.exp(1, d)
+        rhs = EgfSeries.one(d) + EgfSeries.exp(1, d)
         return bnk(d, k), rhs.pow(k).coeff(d)
     # second sequence family: sums from k=1 of squared binomials
     lhs = moment(m, 2, n) - 0**m
@@ -411,7 +412,7 @@ def _boyadzhiev(m, n):
     """sum_j C(k,j) j^n x^j = sum_j C(k,j) j! S(n,j) x^j (1+x)^(k-j),
     polynomial identity in x"""
     # the paper's power n is the grid's m and its row k is the grid's n
-    lhs = Poly([comb(n, j) * j**m for j in range(n + 1)])
+    lhs = Poly.from_ints([comb(n, j) * j**m for j in range(n + 1)])
     rhs = Poly()
     for j in range(min(m, n) + 1):
         rhs = rhs + (
@@ -468,7 +469,7 @@ def _cab3(m, n, lam):
     """negative-order Apostol-Euler numbers:
     E_n^(-k)(lam) = k! 2^(-k) y1(n,k;lam)"""
     # the paper's index n is the grid's m and its order k is the grid's n
-    series = EgfSeries([1] + [0] * m) + EgfSeries.exp(1, m).scale(lam)
+    series = EgfSeries.one(m) + EgfSeries.exp(1, m).scale(lam)
     lhs = series.scale(Fraction(1, 2)).pow(n).coeff(m)
     return lhs, factorial(n) * Fraction(1, 2**n) * y1(m, n, lam)
 
@@ -516,10 +517,10 @@ def _cusick_sym(m, n, p):
     """symmetry recurrence S_(n,m) = sum_k (-1)^k C(m,k)
     n^(m-k) S_(n,k)"""
     rhs = sum(
-        (-1) ** k * comb(m, k) * n ** (m - k) * franel(p, k, n, F1)
+        (-1) ** k * comb(m, k) * n ** (m - k) * _y6(k, n, 1, 1, p)
         for k in range(m + 1)
     )
-    return franel(p, m, n, F1), rhs
+    return _y6(m, n, 1, 1, p), rhs
 
 
 @_identity(
@@ -661,7 +662,7 @@ def _py6ab(m, n, p, lam):
 def _inp1(m, n, p, lam):
     """Riemann integral over [0,1], coefficient form"""
     a, b = _ratio(lam)
-    lhs = poly_integral01(_p_poly(m, n, a, b, p))
+    lhs = _integral01(_p_poly(m, n, a, b, p))
     return lhs, _coefficient_integral(m, n, p, a, b)
 
 
@@ -670,7 +671,7 @@ def _inp2(m, n, p, lam, *, corrected):
     """Riemann integral, summation form; printed drops both
     the 1/n! and the +1 in the exponent"""
     a, b = _ratio(lam)
-    lhs = poly_integral01(_p_poly(m, n, a, b, p))
+    lhs = _integral01(_p_poly(m, n, a, b, p))
     return lhs, _riemann_sum(m, n, p, a, b, corrected)
 
 
@@ -712,11 +713,11 @@ def _p1_corollary(m, n, p, lam, *, corrected):
     the corrected statement is the x=1 evaluation of the
     coefficient form"""
     a, b = _ratio(lam)
-    lhs = _p_poly(m, n, a, b, p)(1)
+    lhs = _poly_at(_p_poly(m, n, a, b, p), 1, 1)
     if corrected:
         return lhs, _y6_sum(n, p, a, b, [(comb(m, k), 1) for k in range(m + 1)])
-    rhs = Fraction(m + 1, factorial(n)) * _coefficient_integral(m, n, p, a, b)
-    return lhs, rhs + _y6_value(m, n, a, b, p)
+    rhs = Fraction(m + 1, factorial(n)) * _coefficient_integral(m, n, p, a, b).fraction()
+    return lhs, rhs + _y6_value(m, n, a, b, p).fraction()
 
 
 def _bernoulli_values(m: int, n: int) -> tuple[list[int], int]:
@@ -736,7 +737,7 @@ def _inp3_4(m, n, p, lam, *, corrected):
     """Bernoulli-moment functional of the polynomial family; printed
     right side lacks the 1/n!"""
     a, b = _ratio(lam)
-    lhs = volkenborn(_p_poly(m, n, a, b, p))
+    lhs = _volkenborn(_p_poly(m, n, a, b, p))
     values, den = _table(_bernoulli_values, m, n)
     return lhs, _binom_sum(n, p, a, b, values, den * factorial(n) if corrected else den)
 
@@ -746,7 +747,7 @@ def _inp5_6(m, n, p, lam, *, corrected):
     """Euler-moment functional of the polynomial family; printed right
     side lacks the 1/n!"""
     a, b = _ratio(lam)
-    lhs = fermionic(_p_poly(m, n, a, b, p))
+    lhs = _fermionic(_p_poly(m, n, a, b, p))
     values, den = _table(_euler_values, m, n)
     return lhs, _binom_sum(n, p, a, b, values, den * factorial(n) if corrected else den)
 
@@ -915,7 +916,7 @@ def _yp3_euler_operator(m, n, p, lam):
     """m-th iterate of x d/dx on the coefficient polynomial,
     evaluated at lam"""
     a, b = _ratio(lam)
-    return _table(_euler_operator_r, m, n, p)(lam), _y6_value(m, n, a, b, p)
+    return _poly_at(_table(_euler_operator_r, m, n, p), a, b), _y6_value(m, n, a, b, p)
 
 
 @_identity("vowe_recurrence", Verdict.HOLDS_PRINTED, _ns(1, 10))

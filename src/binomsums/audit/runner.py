@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-from ..exact_core import EgfSeries
+from ..exact_core import EgfSeries, _Unreduced
 from .config import AuditConfig, ConfigError
 from .registry import (
     IdentityEntry,
@@ -39,6 +39,8 @@ def _fmt(value: Any) -> str:
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, _Unreduced):
+        return str(value.fraction())
     if isinstance(value, EgfSeries):
         return _fmt(list(value.coeffs))
     return repr(value)
@@ -87,7 +89,8 @@ class AuditReport:
 
 
 def _first_failure(form, points: list[dict]) -> Optional[tuple[dict, Any, Any]]:
-    """The first point where the form's two sides differ, with both sides."""
+    """The first point where the form's two sides differ, with both sides;
+    an ``_Unreduced`` side compares by cross-multiplying, with no gcd."""
     for pt in points:
         lhs, rhs = form(**pt)
         if lhs != rhs:

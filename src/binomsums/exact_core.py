@@ -9,7 +9,8 @@ indices must be ``int`` and, unless documented otherwise, >= 0
 (``_check_indices``).  Inside, ``Poly`` and ``EgfSeries`` hold Python-int
 numerators over one reduced denominator (the representation of FLINT's
 ``fmpq_poly``), so their arithmetic runs on ints and a ``Fraction`` is
-built only where a value leaves the object.
+built only where a value leaves the object.  The scalar kernels return an
+``_Unreduced`` quotient, which their public functions reduce.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "Poly",
     "EgfSeries",
     "GammaHalfValue",
@@ -43,6 +42,27 @@ def _frac(x: Scalar) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+
+
+class _Unreduced:
+    """The rational num/den, den != 0, with no gcd taken: a kernel's value
+    that the audit only compares.  Equality cross-multiplies with a quotient,
+    an int or a Fraction; for a float, or anything else, it is NotImplemented."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num, self.den = num, den
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is _Unreduced:
+            return self.num * other.den == other.num * self.den
+        if isinstance(other, (int, Fraction)):
+            return self.num * other.denominator == other.numerator * self.den
+        return NotImplemented
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
 
 def _check_ints(**indices: object) -> None:
@@ -261,15 +281,7 @@ class Poly:
         return p
 
     def __call__(self, x: Scalar) -> Fraction:
-        # Horner in integers: for x = a/b, sum_i c_i a^i b^(d-i) over den b^d.
-        a, b = _ratio(x)
-        it = reversed(self.nums)
-        acc = next(it, 0)
-        b_pow = 1
-        for c in it:
-            b_pow *= b
-            acc = acc * a + c * b_pow
-        return Fraction(acc, self.den * b_pow)
+        return _poly_at(self, *_ratio(x)).fraction()
 
     def derivative(self) -> "Poly":
         nums = self.nums
@@ -292,6 +304,17 @@ class Poly:
 
 
 _X = _poly([0, 1], 1)
+
+
+def _poly_at(q: Poly, a: int, b: int) -> _Unreduced:
+    """q(a/b) for b > 0 by Horner in integers: sum_i c_i a^i b^(d-i) / q.den b^d."""
+    it = reversed(q.nums)
+    acc = next(it, 0)
+    b_pow = 1
+    for c in it:
+        b_pow *= b
+        acc = acc * a + c * b_pow
+    return _Unreduced(acc, q.den * b_pow)
 
 
 def _int_values(q: Poly, count: int) -> list[int]:
@@ -542,6 +565,10 @@ def gamma_half(a: Scalar) -> GammaHalfValue:
 
 def poly_integral01(p: Poly) -> Fraction:
     """Exact integral of p over [0, 1]."""
+    return _integral01(p).fraction()
+
+
+def _integral01(p: Poly) -> _Unreduced:
     scale = lcm(*range(1, len(p.nums) + 1))
     total = sum(c * (scale // (i + 1)) for i, c in enumerate(p.nums))
-    return Fraction(total, p.den * scale)
+    return _Unreduced(total, p.den * scale)

@@ -37,7 +37,7 @@ from .classic_numbers import (
     euler_poly,
     frobenius_euler,
 )
-from .exact_core import Poly, Scalar, _check_indices, _frac, _int_values, _ratio
+from .exact_core import Poly, Scalar, _Unreduced, _check_indices, _frac, _int_values, _ratio
 
 __all__ = [
     "p_poly",
@@ -110,7 +110,7 @@ def raw_sum_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     return Poly.from_ints(coeffs, den)
 
 
-def _mahler_functional(q: Poly, weight: Callable[[int], int], den: int) -> Fraction:
+def _mahler_functional(q: Poly, weight: Callable[[int], int], den: int) -> _Unreduced:
     """sum_j D^j q(0) weight(j)/den, D the forward difference: the integral
     of q = sum_j D^j q(0) C(x,j) against a measure whose integral of
     C(x,j) is weight(j)/den.  The D^j q(0) are taken in integers from the
@@ -120,12 +120,16 @@ def _mahler_functional(q: Poly, weight: Callable[[int], int], den: int) -> Fract
     for j in range(len(values)):
         total += values[0] * weight(j)
         values = [b - a for a, b in zip(values, values[1:])]
-    return Fraction(total, q.den * den)
+    return _Unreduced(total, q.den * den)
 
 
 def volkenborn(q: Poly) -> Fraction:
     """Volkenborn integral, x^i -> B_i (Bernoulli numbers), from the Mahler
     expansion: the integral of C(x,j) is (-1)^j/(j+1)."""
+    return _volkenborn(q).fraction()
+
+
+def _volkenborn(q: Poly) -> _Unreduced:
     big_l = lcm(*range(1, len(q.nums) + 1))
     return _mahler_functional(q, lambda j: (-1) ** j * (big_l // (j + 1)), big_l)
 
@@ -133,6 +137,10 @@ def volkenborn(q: Poly) -> Fraction:
 def fermionic(q: Poly) -> Fraction:
     """Fermionic p-adic integral, x^i -> E_i(0) (Euler polynomial at 0), from
     the Mahler expansion: the integral of C(x,j) is (-1/2)^j."""
+    return _fermionic(q).fraction()
+
+
+def _fermionic(q: Poly) -> _Unreduced:
     d = len(q.nums)
     return _mahler_functional(q, lambda j: (-1) ** j << (d - j), 1 << d)
 

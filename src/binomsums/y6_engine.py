@@ -6,15 +6,15 @@ terms C(n,k)^p a^k b^(n-k) by their exact ratio ((n-k)/(k+1))^p a/b, so
 each step multiplies and divides a big integer by a small one.  Its bounded
 memo holds S, keyed on lam's integer parts so a lookup hashes no
 ``Fraction``; it is pure caching and safe under concurrent readers.  Each
-caller divides S at most once: ``y6`` (and its p = 1 slice ``y1``) by
-n! b^n in ``_y6_value``, ``franel`` by b^n only, and ``moment`` (lam = 1)
-is S.  The registry splits lam once per grid point and calls ``_y6`` or
-``_y6_value`` itself.  ``y6_egf`` builds the same numbers through series
-arithmetic, as an independent route: it weights each e^{kt} of
-``EgfSeries.exp`` by the integer C(n,k)^p a^k b^(n-k), from ``comb`` and
-powers rather than ``_y6``'s ratio walk, sums the weighted series as
-integers over n! b^n and reduces once.  It calls no ``_y6``, so a fault in
-the kernel cannot cancel in ``y6G``, which sets the two routes side by side.
+caller divides S at most once: ``y6`` (and its p = 1 slice ``y1``) reduces
+the unreduced S / n! b^n of ``_y6_value``, ``franel`` divides by b^n only,
+and ``moment`` (lam = 1) is S.  The registry splits lam once per grid point
+and calls ``_y6`` or ``_y6_value`` itself.  ``y6_egf`` builds the same
+numbers through series arithmetic, as an independent route: it weights each
+e^{kt} of ``EgfSeries.exp`` by the integer C(n,k)^p a^k b^(n-k), from
+``comb`` and powers rather than ``_y6``'s ratio walk, sums the weighted
+series as integers over n! b^n and reduces once.  It calls no ``_y6``, so a
+fault in the kernel cannot cancel in ``y6G``, which compares the two.
 
 ``franel_recurrence`` gives a prefix of the Franel numbers sum_k C(n,k)^p,
 p = 3 or 4, in O(N) integer steps by Franel's recurrences (1894, 1895),
@@ -35,6 +35,7 @@ from .exact_core import (
     EgfSeries,
     Poly,
     Scalar,
+    _Unreduced,
     _check_indices,
     _check_ints,
     _ratio,
@@ -89,12 +90,12 @@ class RationalFunction:
 
 def y6(m: int, n: int, lam: Scalar, p: int) -> Fraction:
     """(1/n!) sum_k C(n,k)^p k^m lam^k with 0^0 = 1."""
-    return _y6_value(m, n, *_ratio(lam), p)
+    return _y6_value(m, n, *_ratio(lam), p).fraction()
 
 
-def _y6_value(m: int, n: int, a: int, b: int, p: int) -> Fraction:
-    """y6(m,n;a/b,p): the kernel's integer n! b^n y6, divided once."""
-    return Fraction(_y6(m, n, a, b, p), factorial(n) * b**n)  # _y6 checks n first
+def _y6_value(m: int, n: int, a: int, b: int, p: int) -> _Unreduced:
+    """y6(m,n;a/b,p): the kernel's integer n! b^n y6 over n! b^n, unreduced."""
+    return _Unreduced(_y6(m, n, a, b, p), factorial(n) * b**n)  # _y6 checks n first
 
 
 # keyed on lam's integer parts, so a lookup hashes no Fraction; typed: an

@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomsums import cli, y6_engine
+import binomsums
+from binomsums import (
+    audit,
+    classic_numbers,
+    cli,
+    exact_core,
+    hypergeom,
+    p_polynomials,
+    y6_engine,
+)
 from binomsums.audit import (
     AuditConfig,
     ConfigError,
@@ -34,7 +43,8 @@ from binomsums.classic_numbers import (
     euler_poly_order,
     stirling2,
 )
-from binomsums.exact_core import Poly
+from binomsums.exact_core import Poly, _Unreduced, poly_integral01
+from binomsums.p_polynomials import fermionic, volkenborn
 from binomsums.y6_engine import bnk, franel, y6
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -96,7 +106,8 @@ class TestRegistry:
                         Fraction(comb(n, j)) ** p * lam**j * g(j) for j in range(n + 1)
                     )
                     got = registry._binom_sum(n, p, a, b, values, den)
-                    assert got == expected and isinstance(got, Fraction)
+                    assert got == expected and type(got) is _Unreduced
+                    assert got.fraction() == expected
                     # an outer divisor folded into the denominator
                     got = registry._binom_sum(n, p, a, b, values, den * outer)
                     assert got == expected / outer
@@ -146,7 +157,7 @@ class TestRegistry:
         assert registry._power_sum(m, upper, lam) == total
         shifted = sum((lam**j * (x0 + j) ** m for j in range(upper)), Fraction(0))
         value = registry._power_sum(m, upper, lam, x0)
-        assert value == shifted and type(value) is Fraction
+        assert value == shifted and type(value) is _Unreduced
         if upper and lam not in (0, 1):
             lhs, _ = registry._mirimanoff_frobenius(m, upper, x0, lam, corrected=True)
             assert lhs == shifted
@@ -204,6 +215,66 @@ class TestRegistry:
     def test_binom_sum_is_independent_of_the_routes_it_checks(self):
         names = set(registry._binom_sum.__code__.co_names)
         assert not names & {"y6", "p_poly", "raw_sum_poly", "r_poly"}
+
+    def test_scalar_sides_build_no_fraction(self, monkeypatch):
+        # these holding forms return unreduced integer quotients on both
+        # sides, compared by cross-multiplying: once the tables and memos
+        # are filled, a grid point builds no Fraction
+        names = {
+            "inP1", "inP3_4", "inP5_6", "inP8a", "sec6_stirling",
+            "sec6_bernoulli", "sec6_euler", "yp3_euler_operator",
+        }
+        config = AuditConfig(default=GridSpec(m_max=3, n_max=3, p_max=2))
+        forms = [
+            (e.printed if e.corrected is None else e.corrected,
+             list(e.grid(config.for_entry(e.id))))
+            for e in build_registry()
+            if e.id in names
+        ]
+        assert len(forms) == len(names)
+        calls = []
+        fraction_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        with registry._tables():
+            for form, points in forms:
+                for pt in points:
+                    form(**pt)
+            with monkeypatch.context() as mp:
+                mp.setattr(Fraction, "__new__", staticmethod(counting_new))
+                Fraction(1, 3)
+                assert len(calls) == 1  # the patch counts
+                calls.clear()
+                sides = [form(**pt) for form, points in forms for pt in points]
+                assert all(lhs == rhs for lhs, rhs in sides)
+        assert calls == []
+        assert len(sides) == 2108
+
+    def test_public_values_stay_canonical_fractions(self):
+        # the public wrappers reduce what the kernels leave unreduced
+        # (4/2, 6/6, -2/4, 6/6 and 2/2 here), and no module exports the
+        # quotient type
+        values = [
+            (y6(0, 2, 1, 1), (2, 1)),
+            (poly_integral01(Poly([0, 0, 3])), (1, 1)),
+            (fermionic(Poly.monomial(1)), (-1, 2)),
+            (volkenborn(Poly([0, 0, 6])), (1, 1)),
+            (Poly([0, 2])(Fraction(1, 2)), (1, 1)),
+        ]
+        for value, parts in values:
+            assert type(value) is Fraction
+            assert (value.numerator, value.denominator) == parts
+        modules = [
+            binomsums, exact_core, classic_numbers, y6_engine, p_polynomials,
+            hypergeom, audit, audit.config, registry, audit.runner, cli,
+        ]
+        for mod in modules:
+            exported = getattr(mod, "__all__", ())
+            assert "_Unreduced" not in exported
+            assert all(getattr(mod, name) is not _Unreduced for name in exported)
 
     def test_audit_all_is_the_union_of_the_module_lists(self):
         from binomsums import audit
@@ -386,7 +457,7 @@ class TestRunner:
         assert not registry._TABLES
         monkeypatch.setattr(registry, "stirling2", lambda n, k: 2 * stirling2(n, k))
         after = registry._sec6_stirling(m=2, n=3, p=1, lam=1)[1]
-        assert after == 2 * before != 0
+        assert after == 2 * before.fraction() != 0
         assert not registry._TABLES
 
     def test_determinism_modulo_run_metadata(self):

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binomsums.audit.runner import _fmt
+
 from binomsums.exact_core import (
     EgfSeries,
     GammaHalfValue,
     Poly,
     Scalar,
+    _Unreduced,
     _frac,
     _int_values,
     binomial_general,
@@ -145,6 +148,44 @@ class TestEgfSeries:
     def test_negative_pow_uses_reciprocal(self):
         s = EgfSeries.exp(2, 5)
         assert s.pow(-3) == EgfSeries.exp(-6, 5)
+
+
+small_ints = st.one_of(st.just(0), st.integers(min_value=-10**6, max_value=10**6))
+nonzero_ints = st.integers(min_value=-10**6, max_value=10**6).filter(bool)
+
+
+class TestUnreduced:
+    @given(small_ints, nonzero_ints, small_ints, nonzero_ints)
+    @example(0, 3, 0, -5)
+    @example(2, -4, -1, 2)
+    def test_equality_agrees_with_fraction(self, a, b, c, d):
+        x, value = _Unreduced(a, b), Fraction(a, b)
+        cases = [(_Unreduced(c, d), Fraction(c, d)), (Fraction(c, d),) * 2, (c, c)]
+        for other, reference in cases:
+            expected = value == reference
+            assert (x == other) is expected and (other == x) is expected
+            assert (x != other) is not expected and (other != x) is not expected
+
+    @given(small_ints, nonzero_ints, nonzero_ints)
+    def test_scaled_parts_are_equal(self, a, b, k):
+        x = _Unreduced(a * k, b * k)
+        assert x == _Unreduced(a, b) and x == Fraction(a, b)
+        assert x.fraction() == Fraction(a, b) and type(x.fraction()) is Fraction
+        if b == 1 or a == 0:
+            assert x == a
+
+    @given(small_ints, nonzero_ints)
+    def test_never_equals_a_float(self, a, b):
+        x = _Unreduced(a, b)
+        assert (x == a / b) is False and (a / b == x) is False
+        assert x != a / b
+        assert (_Unreduced(1, 2) == 0.5) is False
+
+    @given(small_ints, nonzero_ints)
+    def test_formats_as_the_reduced_fraction(self, a, b):
+        x = _Unreduced(a, b)
+        assert _fmt(x) == str(Fraction(a, b))
+        assert _fmt([x, (x,)]) == _fmt([Fraction(a, b), (Fraction(a, b),)])
 
 
 class TestGammaHalf:
@@ -634,7 +675,9 @@ def test_package_all_is_the_union_of_the_module_lists():
 
     modules = [exact_core, classic_numbers, y6_engine, p_polynomials, hypergeom]
     names = [name for mod in modules for name in mod.__all__]
-    assert len(names) == len(set(names)) == 51
+    assert len(names) == len(set(names)) == 50
+    # Rational, a second name for Fraction, is no longer exported
+    assert not hasattr(binomsums, "Rational")
     assert sorted(binomsums.__all__) == sorted(names)
     for mod in modules:
         for name in mod.__all__:

@@ -26,7 +26,7 @@ from binomsums.audit import (
     run_audit,
     runner,
 )
-from binomsums.exact_core import EgfSeries, Poly
+from binomsums.exact_core import EgfSeries, Poly, _Unreduced
 from binomsums.y6_engine import RationalFunction
 
 HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
@@ -34,9 +34,12 @@ HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
 
 def _bump(value):
     """Add 1 to the first leaf; lists and tuples recurse into element 0.
-    A series gains 1 in its constant term."""
+    A series gains 1 in its constant term, a quotient num/den becomes
+    (num + den)/den."""
     if isinstance(value, (Fraction, int, Poly)):
         return value + 1
+    if isinstance(value, _Unreduced):
+        return _Unreduced(value.num + value.den, value.den)
     if isinstance(value, EgfSeries):
         return value + EgfSeries.one(value.order)
     if isinstance(value, (list, tuple)) and value:
@@ -197,7 +200,10 @@ def test_faulty_binom_sum_flips_its_consumers(monkeypatch, clean_audit):
 
     def off_at_two(n, p, a, b, values, den):
         value = kernel(n, p, a, b, values, den)
-        return value + Fraction(1, den) if n == 2 else value
+        if n != 2:
+            return value
+        # value + 1/den, left unreduced like the kernel's own quotient
+        return _Unreduced(value.num * den + value.den, value.den * den)
 
     monkeypatch.setattr(registry, "_binom_sum", off_at_two)
     flipped = {
