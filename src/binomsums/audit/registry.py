@@ -48,7 +48,9 @@ denominator, and a scalar side is that unreduced quotient
 no ``Fraction``: ``_binom_sum`` (whose callers fold any outer divisor into
 the denominator of its values), ``_y6_sum``, ``_y6_value`` and the
 library's ``_integral01``, ``_poly_at``, ``_volkenborn`` and
-``_fermionic``; ``cusick_sym`` compares the kernel's ints.  An entry over
+``_fermionic``; ``cusick_sym`` compares the kernel's ints.  The polynomial
+family's sides are the unreduced rows (``exact_core._UnreducedPoly``) of
+``_p_poly``, over n! b^n, and ``_raw_sum``, over b^n.  An entry over
 a lam grid splits lam = a/b once per point and passes a and b to these
 and the memoized ``_y6`` and ``_p_poly``, whose lookups hash no
 ``Fraction``.  A side's lam-invariant part is a table, built by
@@ -94,6 +96,7 @@ from ..exact_core import (
     EgfSeries,
     Poly,
     _Unreduced,
+    _UnreducedPoly,
     _int_values,
     _integral01,
     _poly_at,
@@ -110,12 +113,12 @@ from ..hypergeom import (
 from ..p_polynomials import (
     _fermionic,
     _p_poly,
+    _raw_sum,
     _volkenborn,
     euler_operator,
     mirimanoff_frobenius_sum,
     power_sum_closed,
     r_poly,
-    raw_sum_poly,
     vowe,
 )
 from ..y6_engine import (
@@ -620,10 +623,11 @@ def _changhee_theorem(n):
 def _yp1yp2_bridge(m, n, p, lam, *, corrected):
     """the two defining forms of the polynomial family; the
     printed pair omits the 1/n!"""
-    lhs = _p_poly(m, n, *_ratio(lam), p)
-    if corrected:
-        lhs = factorial(n) * lhs
-    return lhs, raw_sum_poly(m, n, lam, p)
+    a, b = _ratio(lam)
+    lhs = _p_poly(m, n, a, b, p)
+    if corrected:  # n! P: P's numerators over b^n in place of n! b^n
+        lhs = _UnreducedPoly(lhs.nums, b**n)
+    return lhs, _raw_sum(m, n, a, b, p)
 
 
 @_identity(
@@ -636,14 +640,17 @@ def _py6a(m, n, p, lam, *, corrected):
     of n, the derivation forces the falling factorial of m"""
     top = m if corrected else n
     a, b = _ratio(lam)
+    # every P(m-k) shares P(m)'s denominator n! b^n: compare numerators
     d = _p_poly(m, n, a, b, p)
+    nums, den = d.nums, d.den
     lhs, rhs = [], []
     fall = 1
     for k in range(1, m + 1):
-        d = d.derivative()
-        lhs.append(d)
+        nums = [i * nums[i] for i in range(1, len(nums))]
+        lhs.append(_UnreducedPoly(nums, den))
         fall *= top - k + 1
-        rhs.append(fall * _p_poly(m - k, n, a, b, p))
+        row = _p_poly(m - k, n, a, b, p).nums
+        rhs.append(_UnreducedPoly([fall * c for c in row], den))
     return lhs, rhs
 
 
@@ -651,11 +658,12 @@ def _py6a(m, n, p, lam, *, corrected):
 def _py6ab(m, n, p, lam):
     """t-derivative recurrence for the polynomial family"""
     a, b = _ratio(lam)
-    lhs = _p_poly(m + 1, n, a, b, p) - Poly.x() * _p_poly(m, n, a, b, p)
+    # P(m+1) - x P(m) over their common n! b^n; its x^(m+1) term is 0
+    hi, lo = _p_poly(m + 1, n, a, b, p), _p_poly(m, n, a, b, p)
+    lhs = [h - l for h, l in zip(hi.nums, (0, *lo.nums))]
     # coefficients C(m,i) y6(m-i+1,n;lam,p), as integers over n! b^n
-    ys = [comb(m, i) * _y6(m - i + 1, n, a, b, p) for i in range(m + 1)]
-    rhs = Poly.from_ints(ys, factorial(n) * b**n)
-    return lhs, rhs
+    ys = [comb(m, i) * _y6(m - i + 1, n, a, b, p) for i in range(m + 1)] + [0]
+    return _UnreducedPoly(lhs, hi.den), _UnreducedPoly(ys, hi.den)
 
 
 @_identity("inP1", Verdict.HOLDS_PRINTED, _MNPL)
@@ -769,7 +777,7 @@ def _mirimanoff_grid(spec: GridSpec) -> Iterator[dict]:
     Verdict.HOLDS_CORRECTED_ONLY,
     _mirimanoff_grid,
     singular=lambda lam, **_: (
-        "closed form undefined at u in {0, 1}" if lam in (0, 1) else None
+        "closed form undefined at u in {0, 1}" if _ratio(lam) in ((0, 1), (1, 1)) else None
     ),
 )
 def _mirimanoff_frobenius(m, n, x0, lam, *, corrected):
@@ -788,7 +796,9 @@ def _mirimanoff_frobenius(m, n, x0, lam, *, corrected):
     Verdict.HOLDS_CORRECTED_ONLY,
     _grid("m", "n", "lam", m_min=1, n_min=1),
     singular=lambda lam, **_: (
-        "Apostol-Bernoulli closed form undefined at lambda = 1" if lam == 1 else None
+        "Apostol-Bernoulli closed form undefined at lambda = 1"
+        if _ratio(lam) == (1, 1)
+        else None
     ),
 )
 def _apostol_powersum(m, n, lam, *, corrected):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-from ..exact_core import EgfSeries, _Unreduced
+from ..exact_core import EgfSeries, _Unreduced, _UnreducedPoly
 from .config import AuditConfig, ConfigError
 from .registry import (
     IdentityEntry,
@@ -41,6 +41,8 @@ def _fmt(value: Any) -> str:
         return str(value)
     if isinstance(value, _Unreduced):
         return str(value.fraction())
+    if isinstance(value, _UnreducedPoly):
+        return repr(value.poly())
     if isinstance(value, EgfSeries):
         return _fmt(list(value.coeffs))
     return repr(value)

@@ -10,13 +10,15 @@ indices must be ``int`` and, unless documented otherwise, >= 0
 numerators over one reduced denominator (the representation of FLINT's
 ``fmpq_poly``), so their arithmetic runs on ints and a ``Fraction`` is
 built only where a value leaves the object.  The scalar kernels return an
-``_Unreduced`` quotient, which their public functions reduce.
+``_Unreduced`` quotient and the polynomial kernels an ``_UnreducedPoly``,
+which their public functions reduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -63,6 +65,29 @@ class _Unreduced:
 
     def fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
+
+
+class _UnreducedPoly:
+    """sum nums[i] x^i / den, den != 0, with no gcd taken and trailing zeros
+    allowed: a kernel's value that the audit only compares.  Equality with a
+    Poly or another one compares the numerator tuples where den and length
+    agree, else cross-multiplies; with anything else it is NotImplemented."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: Iterable[int], den: int):
+        self.nums, self.den = tuple(nums), den
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not _UnreducedPoly and not isinstance(other, Poly):
+            return NotImplemented
+        a, b, da, db = self.nums, other.nums, self.den, other.den
+        if da == db and len(a) == len(b):
+            return a == b
+        return all(x * db == y * da for x, y in zip_longest(a, b, fillvalue=0))
+
+    def poly(self) -> "Poly":
+        return _poly(list(self.nums), self.den)
 
 
 def _check_ints(**indices: object) -> None:

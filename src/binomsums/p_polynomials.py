@@ -6,9 +6,11 @@ binomial-square polynomial family with the Euler operator.
 
 For lam = a/b, ``p_poly`` sums its coefficients n! b^n y6(i,n;lam,p) as
 integers over the single denominator n! b^n, and ``raw_sum_poly`` expands
-its own defining sum as integers over b^n.  Neither calls ``y6`` or shares
-a helper with it or with the other, so the audit's identities between the
-polynomial family and ``y6`` compare independent routes.
+its own defining sum as integers over b^n; their kernels ``_p_poly`` and
+``_raw_sum`` return these rows unreduced (``exact_core._UnreducedPoly``).
+Neither calls ``y6`` or shares a helper with it or with the other, so the
+audit's identities between the polynomial family and ``y6`` compare
+independent routes.
 
 ``volkenborn`` and ``fermionic`` integrate a polynomial through its Mahler
 expansion sum_j D^j q(0) C(x,j) and use no Bernoulli or Euler number, so
@@ -20,8 +22,8 @@ parts and looks them up in the bounded ``lru_cache`` of ``_p_poly``, so a
 lookup hashes a tuple of ints, not a ``Fraction``.  The audit asks for each
 polynomial many times (P(m-k) in the derivative identity, P(m) and P(m+1)
 in the recurrence, one per integral form), and a default audit builds each
-of its 2,520 distinct polynomials once.  A ``Poly`` is immutable, so every
-caller may share the cached value.
+of its 2,520 distinct rows once.  The cache holds the unreduced row, its
+numerators a tuple over n! b^n, and ``p_poly`` reduces a copy per call.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .classic_numbers import (
     euler_poly,
     frobenius_euler,
 )
-from .exact_core import Poly, Scalar, _Unreduced, _check_indices, _frac, _int_values, _ratio
+from .exact_core import (
+    Poly, Scalar, _Unreduced, _UnreducedPoly, _check_indices, _frac, _int_values, _ratio
+)
 
 __all__ = [
     "p_poly",
@@ -54,17 +58,16 @@ __all__ = [
 
 def p_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     """sum_{k=0}^{m} C(m,k) x^{m-k} y6(k,n;lam,p)."""
-    a, b = _ratio(lam)
-    return _p_poly(m, n, a, b, p)
+    return _p_poly(m, n, *_ratio(lam), p).poly()
 
 
 # keyed on lam's integer parts, so a lookup hashes no Fraction; typed: an
 # index Fraction(2) or 2.0 must miss the entry of 2 and be refused; bounded
 # to cap memory
 @lru_cache(maxsize=8192, typed=True)
-def _p_poly(m: int, n: int, a: int, b: int, p: int) -> Poly:
+def _p_poly(m: int, n: int, a: int, b: int, p: int) -> _UnreducedPoly:
     """p_poly(m,n;a/b,p) for lam = a/b in lowest terms with b > 0, as
-    ``exact_core._ratio`` gives it."""
+    ``exact_core._ratio`` gives it, as m + 1 numerators over n! b^n."""
     _check_indices(m=m, n=n, p=p)
     # Horner in b: after step k, row[i] = sum_{j<=k} C(n,j)^p j^i a^j b^(k-j),
     # so at the end row[i] = n! b^n y6(i,n;lam,p).
@@ -77,7 +80,7 @@ def _p_poly(m: int, n: int, a: int, b: int, p: int) -> Poly:
             term *= k
         binom = binom * (n - k) // (k + 1)
         a_k *= a
-    return Poly.from_ints(
+    return _UnreducedPoly(
         [comb(m, i) * row[m - i] for i in range(m + 1)], factorial(n) * b**n
     )
 
@@ -92,7 +95,11 @@ def raw_sum_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
     Equals n! times p_poly (the two defining forms differ by that factor).
     """
     _check_indices(m=m, n=n, p=p)
-    a, b = _ratio(lam)
+    return _raw_sum(m, n, *_ratio(lam), p).poly()
+
+
+def _raw_sum(m: int, n: int, a: int, b: int, p: int) -> _UnreducedPoly:
+    """raw_sum_poly(m,n;a/b,p) for b > 0, as m + 1 numerators over b^n."""
     # b^n times the sum: term j has the integer weight C(n,j)^p a^j b^(n-j)
     # and (x+j)^m = sum_i C(m,i) j^(m-i) x^i.
     binom_m = [comb(m, i) for i in range(m + 1)]
@@ -107,7 +114,7 @@ def raw_sum_poly(m: int, n: int, lam: Scalar, p: int) -> Poly:
         binom = binom * (n - j) // (j + 1)
         a_j *= a
         b_rest //= b
-    return Poly.from_ints(coeffs, den)
+    return _UnreducedPoly(coeffs, den)
 
 
 def _mahler_functional(q: Poly, weight: Callable[[int], int], den: int) -> _Unreduced:
@@ -155,10 +162,11 @@ def power_sum_closed(m: int, upper: int, lam: Scalar) -> Fraction:
     if upper == 0:
         return Fraction(0)
     lam = _frac(lam)
-    if lam == 1:
+    ratio = _ratio(lam)  # tested as ints: no Fraction.__eq__
+    if ratio == (1, 1):
         b = bernoulli_poly(m + 1)
         return (b(upper) - b(0)) / (m + 1)
-    if lam == -1:
+    if ratio == (-1, 1):
         e = euler_poly(m)
         return ((-1) ** (upper - 1) * e(upper) + e(0)) / 2
     b = apostol_bernoulli(m + 1, lam)
@@ -192,7 +200,7 @@ def mirimanoff_frobenius_sum(m: int, n: int, x0: Scalar, u: Scalar) -> Fraction:
     (u^n H_m(x0+n; 1/u) - H_m(x0; 1/u)) / (u - 1)."""
     _check_indices(m=m, n=n)
     u = _frac(u)
-    if u in (0, 1):
+    if _ratio(u) in ((0, 1), (1, 1)):
         raise ValueError("u must not be 0 or 1")
     x0 = _frac(x0)
     h = frobenius_euler(m, 1 / u)

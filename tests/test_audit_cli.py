@@ -43,8 +43,8 @@ from binomsums.classic_numbers import (
     euler_poly_order,
     stirling2,
 )
-from binomsums.exact_core import Poly, _Unreduced, poly_integral01
-from binomsums.p_polynomials import fermionic, volkenborn
+from binomsums.exact_core import Poly, _Unreduced, _UnreducedPoly, poly_integral01
+from binomsums.p_polynomials import fermionic, p_poly, raw_sum_poly, volkenborn
 from binomsums.y6_engine import bnk, franel, y6
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -253,10 +253,55 @@ class TestRegistry:
         assert calls == []
         assert len(sides) == 2108
 
+    def test_poly_sides_build_no_reduced_poly(self, monkeypatch):
+        # the polynomial family's identities compare unreduced rows over
+        # n! b^n or b^n: once _p_poly is filled, a grid point takes no gcd
+        names = {"py6a", "py6ab", "Yp1Yp2_bridge"}
+        config = AuditConfig(default=GridSpec(m_max=3, n_max=3, p_max=2))
+        forms = [
+            (e.printed if e.corrected is None else e.corrected,
+             list(e.grid(config.for_entry(e.id))))
+            for e in build_registry()
+            if e.id in names
+        ]
+        assert len(forms) == len(names)
+        calls = []
+        make_poly = exact_core._poly
+
+        def counting_poly(nums, den):
+            calls.append((nums, den))
+            return make_poly(nums, den)
+
+        with registry._tables():
+            for form, points in forms:
+                for pt in points:
+                    form(**pt)
+            with monkeypatch.context() as mp:
+                mp.setattr(exact_core, "_poly", counting_poly)
+                Poly.x() * 2
+                assert len(calls) == 1  # the patch counts
+                calls.clear()
+                sides = [form(**pt) for form, points in forms for pt in points]
+                assert all(lhs == rhs for lhs, rhs in sides)
+        assert calls == []
+        assert len(sides) == 924
+
     def test_public_values_stay_canonical_fractions(self):
         # the public wrappers reduce what the kernels leave unreduced
-        # (4/2, 6/6, -2/4, 6/6 and 2/2 here), and no module exports the
-        # quotient type
+        # (4/2, 6/6, -2/4, 6/6 and 2/2 here, and rows over n! b^n and b^n
+        # with a trailing zero at lam = -1), and no module exports the
+        # quotient types
+        polys = [
+            p_poly(2, 3, Fraction(1, 2), 2),
+            p_poly(2, 3, -1, 1),
+            raw_sum_poly(2, 3, Fraction(-2, 3), 1),
+            raw_sum_poly(2, 3, -1, 1),
+        ]
+        for poly in polys:
+            canonical = Poly(poly.coeffs)
+            assert type(poly) is Poly
+            assert (poly.nums, poly.den) == (canonical.nums, canonical.den)
+        assert polys[1].degree < 2 and polys[3].degree < 2
         values = [
             (y6(0, 2, 1, 1), (2, 1)),
             (poly_integral01(Poly([0, 0, 3])), (1, 1)),
@@ -273,8 +318,9 @@ class TestRegistry:
         ]
         for mod in modules:
             exported = getattr(mod, "__all__", ())
-            assert "_Unreduced" not in exported
-            assert all(getattr(mod, name) is not _Unreduced for name in exported)
+            for kind in (_Unreduced, _UnreducedPoly):
+                assert kind.__name__ not in exported
+                assert all(getattr(mod, name) is not kind for name in exported)
 
     def test_audit_all_is_the_union_of_the_module_lists(self):
         from binomsums import audit

@@ -18,6 +18,7 @@ from binomsums.exact_core import (
     Poly,
     Scalar,
     _Unreduced,
+    _UnreducedPoly,
     _frac,
     _int_values,
     binomial_general,
@@ -26,6 +27,7 @@ from binomsums.exact_core import (
     pochhammer,
     poly_integral01,
 )
+from binomsums.p_polynomials import _p_poly, p_poly
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=8
@@ -186,6 +188,66 @@ class TestUnreduced:
         x = _Unreduced(a, b)
         assert _fmt(x) == str(Fraction(a, b))
         assert _fmt([x, (x,)]) == _fmt([Fraction(a, b), (Fraction(a, b),)])
+
+
+row_nums = st.lists(st.integers(min_value=-6, max_value=6), max_size=5)
+row_dens = st.integers(min_value=-6, max_value=6).filter(bool)
+
+
+def _reference(nums, den) -> Poly:
+    return Poly([Fraction(c, den) for c in nums])
+
+
+class TestUnreducedPoly:
+    @given(row_nums, row_dens, row_nums, row_dens)
+    @example([1, 2, 0], 3, [1, 2], 3)
+    @example([2, 4, 0], -4, [-1, -2], 2)
+    @example([0, 0], 5, [], -1)
+    @example([1, 2], 3, [1, 3], 3)
+    def test_equality_agrees_with_poly(self, a, da, b, db):
+        # a tuple side against a list side, of any lengths and den signs
+        x, y = _UnreducedPoly(tuple(a), da), _UnreducedPoly(b, db)
+        expected = _reference(a, da) == _reference(b, db)
+        for other in (y, y.poly()):
+            assert (x == other) is expected and (other == x) is expected
+            assert (x != other) is not expected and (other != x) is not expected
+
+    @given(row_nums, row_dens, row_dens, st.integers(min_value=0, max_value=2))
+    def test_scaled_and_padded_rows_are_equal(self, a, d, k, pad):
+        x = _UnreducedPoly(tuple(a), d)
+        y = _UnreducedPoly([k * c for c in a] + [0] * pad, k * d)
+        assert x == y and y == x and not x != y
+        assert x == x.poly() and x.poly() == x
+        ref = _reference(a, d)
+        assert type(x.poly()) is Poly
+        assert (x.poly().nums, x.poly().den) == (ref.nums, ref.den)
+
+    def test_a_zero_leading_row_entry_leaves_a_trailing_zero(self):
+        # lam = -1 with odd p and odd n: the x^m coefficient n! y6(0,n;-1,p)
+        # = sum_k C(n,k)^p (-1)^k is 0, and the cached row keeps it
+        for m, n, p in [(0, 1, 1), (2, 3, 1), (3, 5, 3), (4, 3, 3)]:
+            row, poly = _p_poly(m, n, -1, 1, p), p_poly(m, n, -1, p)
+            assert len(row.nums) == m + 1 and row.nums[-1] == 0
+            assert poly.degree < m
+            assert row == poly and poly == row and row.poly() == poly
+            trimmed = _UnreducedPoly(list(row.nums[:-1]), row.den)
+            assert row == trimmed and trimmed == row
+            bumped = _UnreducedPoly((*row.nums[:-1], 1), row.den)
+            assert row != bumped and bumped != poly
+
+    @given(row_nums, row_dens)
+    def test_never_equals_a_scalar_or_a_list(self, a, d):
+        x = _UnreducedPoly(tuple(a), d)
+        c = Fraction(a[0] if a else 0, d)
+        for other in (c, c.numerator, float(c), list(a), tuple(a), _Unreduced(0, 1)):
+            assert (x == other) is False and (other == x) is False
+            assert x != other and other != x
+
+    @given(row_nums, row_dens)
+    def test_formats_as_the_reduced_poly(self, a, d):
+        x, ref = _UnreducedPoly(tuple(a), d), _reference(a, d)
+        assert _fmt(x) == repr(x.poly()) == repr(ref)
+        assert _fmt([x, (x,)]) == _fmt([ref, (ref,)])
 
 
 class TestGammaHalf:

@@ -26,7 +26,7 @@ from binomsums.audit import (
     run_audit,
     runner,
 )
-from binomsums.exact_core import EgfSeries, Poly, _Unreduced
+from binomsums.exact_core import EgfSeries, Poly, _Unreduced, _UnreducedPoly
 from binomsums.y6_engine import RationalFunction
 
 HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
@@ -35,11 +35,15 @@ HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
 def _bump(value):
     """Add 1 to the first leaf; lists and tuples recurse into element 0.
     A series gains 1 in its constant term, a quotient num/den becomes
-    (num + den)/den."""
+    (num + den)/den and an unreduced polynomial gains den in nums[0]."""
     if isinstance(value, (Fraction, int, Poly)):
         return value + 1
     if isinstance(value, _Unreduced):
         return _Unreduced(value.num + value.den, value.den)
+    if isinstance(value, _UnreducedPoly):
+        nums = list(value.nums) or [0]
+        nums[0] += value.den
+        return _UnreducedPoly(nums, value.den)
     if isinstance(value, EgfSeries):
         return value + EgfSeries.one(value.order)
     if isinstance(value, (list, tuple)) and value:
@@ -225,6 +229,51 @@ def test_faulty_binom_sum_flips_its_consumers(monkeypatch, clean_audit):
         "mirimanoff_frobenius",
     )
     assert flipped == dict.fromkeys(names, Verdict.FAILS_BOTH)
+
+
+def _flipped_by(monkeypatch, name, fault):
+    """The verdicts that change when both the polynomial kernel ``name``
+    and the registry's import of it are replaced by ``fault(kernel)``."""
+    fault = fault(getattr(p_polynomials, name))
+    monkeypatch.setattr(p_polynomials, name, fault)
+    monkeypatch.setattr(registry, name, fault)
+    return {
+        e.id: verdict
+        for e in build_registry()
+        if (verdict := evaluate_entry(e, SMALL).verdict) is not e.expected
+    }
+
+
+def _doubled(kernel):
+    # v -> 2v + 1 on every numerator: no scaling of the row can cancel it
+    def faulty(m, n, a, b, p):
+        row = kernel(m, n, a, b, p)
+        return _UnreducedPoly([2 * v + 1 for v in row.nums], row.den)
+
+    return faulty
+
+
+def test_faulty_p_poly_flips_its_consumers(monkeypatch, clean_audit):
+    # every entry that reads the polynomial family through _p_poly sets it
+    # against raw_sum, y6, _binom_sum or closed forms, which do not call it
+    flipped = _flipped_by(monkeypatch, "_p_poly", _doubled)
+    names = (
+        "Yp1Yp2_bridge",
+        "py6a",
+        "py6ab",
+        "inP1",
+        "inP2",
+        "inP3_4",
+        "inP5_6",
+        "P1_corollary",
+    )
+    assert flipped == dict.fromkeys(names, Verdict.FAILS_BOTH)
+
+
+def test_faulty_raw_sum_flips_only_the_bridge(monkeypatch, clean_audit):
+    # the raw defining sum is read by one entry, against _p_poly
+    flipped = _flipped_by(monkeypatch, "_raw_sum", _doubled)
+    assert flipped == {"Yp1Yp2_bridge": Verdict.FAILS_BOTH}
 
 
 def test_faulty_pfq_flips_every_pfq_consumer(monkeypatch, clean_audit):

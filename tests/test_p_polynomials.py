@@ -18,7 +18,7 @@ from binomsums.classic_numbers import (
 )
 from binomsums import p_polynomials
 from binomsums.audit import run_audit
-from binomsums.exact_core import Poly, Scalar, _check_ints, _frac
+from binomsums.exact_core import Poly, Scalar, _check_ints, _frac, _ratio
 from binomsums.p_polynomials import (
     euler_operator,
     fermionic,
@@ -136,9 +136,12 @@ class TestPPoly:
 
     def test_independent_of_y6(self):
         # the audit compares p_poly with y6, so it must not be built from it
-        for fn in (p_poly, p_polynomials._p_poly):
+        for fn in (p_poly, p_polynomials._p_poly, p_polynomials._raw_sum):
             names = inspect.unwrap(fn).__code__.co_names
             assert "y6" not in names and "_y6" not in names
+        # Yp1Yp2_bridge sets the two kernels against each other
+        assert "_p_poly" not in p_polynomials._raw_sum.__code__.co_names
+        assert "_raw_sum" not in inspect.unwrap(p_polynomials._p_poly).__code__.co_names
         assert not hasattr(p_polynomials, "y6")
 
     def test_negative_indices_rejected(self):
@@ -157,9 +160,12 @@ class TestPPoly:
 
     def test_int_and_fraction_lambda_share_one_entry(self):
         p_poly.cache_clear()
-        assert p_poly(2, 3, 2, 2) is p_poly(2, 3, Fraction(2), 2)
+        assert p_poly(2, 3, 2, 2) == p_poly(2, 3, Fraction(2), 2)
         info = p_poly.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        # p_poly reduces a copy; the cached row itself is the one shared
+        a, b = _ratio(Fraction(2))
+        assert p_polynomials._p_poly(2, 3, a, b, 2) is p_polynomials._p_poly(2, 3, 2, 1, 2)
 
     def test_float_lambda_adds_no_entry(self):
         p_poly.cache_clear()
