@@ -85,8 +85,9 @@ def load_config(path: str | Path | None) -> AuditConfig:
             raise ConfigError(f"line {lineno}: key {key!r} given twice")
         seen.add((section, key))
         if section is None:
+            # no top-level key follows a section, so every section starts from
+            # the final top-level spec, which run_audit's effect check needs
             default = _apply(default, key, value, lineno)
-            # sections seen so far inherit nothing retroactively by design
         else:
             overrides[section] = _apply(overrides[section], key, value, lineno)
     return AuditConfig(default=default, overrides=overrides)

@@ -8,20 +8,11 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-from ..exact_core import EgfSeries, _Unreduced, _UnreducedPoly
 from .config import AuditConfig, ConfigError
-from .registry import (
-    IdentityEntry,
-    Verdict,
-    _Fixed,
-    _never_singular,
-    _tables,
-    build_registry,
-)
+from .registry import IdentityEntry, Verdict, _never_singular, _tables, build_registry
 
 __all__ = [
     "EntryResult",
@@ -37,15 +28,7 @@ __all__ = [
 def _fmt(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, _Unreduced):
-        return str(value.fraction())
-    if isinstance(value, _UnreducedPoly):
-        return repr(value.poly())
-    if isinstance(value, EgfSeries):
-        return _fmt(list(value.coeffs))
-    return repr(value)
+    return str(value)
 
 
 def _fmt_point(pt: dict) -> dict:
@@ -174,6 +157,11 @@ def run_audit(
     be at least 1 and changes neither the thread count nor the result:
     every entry is pure-Python big-integer arithmetic, which the
     interpreter lock would only interleave.
+
+    Before any entry runs, each ``config`` section, matched or not, is
+    checked by its effect: every key in which it differs from the default
+    must change the entry's points when set alone over the default, and a
+    section that differs in no key is refused too (``ConfigError``).
     """
     config = config or AuditConfig()
     if threads < 1:
@@ -185,10 +173,19 @@ def run_audit(
         raise ConfigError(
             f"config overrides reference unknown ids: {sorted(unknown)}"
         )
-    fixed = sorted(i for i in config.overrides if isinstance(grids[i], _Fixed))
-    if fixed:
+    base, idle = config.default, []
+    for i, spec in config.overrides.items():
+        changed = {k: v for k, v in vars(spec).items() if v != getattr(base, k)}
+        if not changed:
+            idle.append(f"[{i}]")
+            continue
+        points = list(grids[i](base))
+        for k, v in changed.items():
+            if list(grids[i](replace(base, **{k: v}))) == points:
+                idle.append(f"[{i}] {k}")
+    if idle:
         raise ConfigError(
-            f"config overrides reference ids whose grid reads no bounds: {fixed}"
+            f"config overrides that change no grid point: {', '.join(sorted(idle))}"
         )
     entries = [e for e in registry if fnmatch.fnmatch(e.id, pattern)]
     if not entries:

@@ -18,7 +18,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable
 
-from .exact_core import Poly, Scalar, _check_indices, _check_ints, _common, _frac
+from .exact_core import Poly, Scalar, _check_indices, _check_ints, _common, _frac, _ratio
 
 __all__ = [
     "FamilyTag",
@@ -192,7 +192,7 @@ def apostol_bernoulli(n: int, lam: Scalar) -> Poly:
     """Apostol-Bernoulli polynomial from t e^{xt}/(lam e^t - 1)."""
     _check_indices(n=n)
     lam = _frac(lam)
-    if lam == 1:
+    if _ratio(lam) == (1, 1):
         raise ValueError("lambda = 1 is the classical case; use bernoulli_poly_order")
     # the factor t shifts the numbers, a_n = n b_{n-1}; no weights at n = 0
     return _geometric_poly(Fraction(n), lam - 1, lam, n - 1)
@@ -212,7 +212,7 @@ def frobenius_euler(n: int, u: Scalar) -> Poly:
     """Frobenius-Euler polynomial H_n(x; u) from (1-u) e^{xt}/(e^t - u)."""
     _check_indices(n=n)
     u = _frac(u)
-    if u == 1:
+    if _ratio(u) == (1, 1):
         raise ValueError("u = 1 is excluded (generating function degenerates)")
     return _geometric_poly(1 - u, 1 - u, Fraction(1), n)
 

@@ -66,6 +66,9 @@ class _Unreduced:
     def fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
+    def __str__(self) -> str:
+        return str(self.fraction())
+
 
 class _UnreducedPoly:
     """sum nums[i] x^i / den, den != 0, with no gcd taken and trailing zeros
@@ -88,6 +91,9 @@ class _UnreducedPoly:
 
     def poly(self) -> "Poly":
         return _poly(list(self.nums), self.den)
+
+    def __str__(self) -> str:
+        return repr(self.poly())
 
 
 def _check_ints(**indices: object) -> None:
@@ -522,6 +528,9 @@ class EgfSeries:
 
     def __repr__(self) -> str:
         return f"EgfSeries({list(self.coeffs)!r})"
+
+    def __str__(self) -> str:
+        return "[" + ", ".join(map(str, self.coeffs)) + "]"
 
 
 @dataclass(frozen=True)

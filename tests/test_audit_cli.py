@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -47,7 +50,22 @@ from binomsums.exact_core import Poly, _Unreduced, _UnreducedPoly, poly_integral
 from binomsums.p_polynomials import fermionic, p_poly, raw_sum_poly, volkenborn
 from binomsums.y6_engine import bnk, franel, y6
 
+ROOT = Path(__file__).resolve().parents[1]
+
+_spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+# a value other than the default for each GridSpec key, small enough that an
+# entry whose points it changes still runs quickly
+OTHER_VALUE = {"m_max": 3, "n_max": 3, "p_max": 1, "lambdas": (Fraction(5, 7),)}
+ENTRY_KEYS = [
+    pytest.param(entry, f.name, id=f"{entry.id}-{f.name}")
+    for entry in build_registry()
+    for f in dataclasses.fields(GridSpec)
+]
 
 EXPECTED_IDS = {
     "golombek", "CC2", "Bs1", "boyadzhiev", "altStirling", "CB1_xu",
@@ -578,7 +596,7 @@ class TestCli:
             "new = set(sys.modules) - before; "
             "print(' '.join(sorted(new & {'concurrent.futures', 'uuid'})))"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        src = str(ROOT / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -669,17 +687,77 @@ class TestCli:
 
     @pytest.mark.parametrize("entry", ["chu", "dixon", "xu_x", "fd_ogf", "ogf_12"])
     def test_run_section_for_a_fixed_grid_exits_two(self, tmp_path, capsys, entry):
-        # a fixed grid never reads its GridSpec, so its section would be
-        # accepted and then have no effect
+        # a fixed grid never reads its GridSpec, so no key of its section
+        # changes a point
         path = tmp_path / "fixed.cfg"
         path.write_text(f"n_max = 4\n[{entry}]\nn_max = 3\n")
         assert cli.main(["run", "--filter", entry, "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: config overrides reference ids whose grid reads no bounds: "
-            f"['{entry}']\n"
+            f"error: config overrides that change no grid point: [{entry}] n_max\n"
         )
+
+    @pytest.mark.parametrize("entry, key", ENTRY_KEYS)
+    def test_run_section_key_is_accepted_exactly_when_it_changes_the_points(
+        self, tmp_path, capsys, entry, key
+    ):
+        value, default = OTHER_VALUE[key], GridSpec()
+        assert value != getattr(default, key)
+        changed = dataclasses.replace(default, **{key: value})
+        moves = list(entry.grid(changed)) != list(entry.grid(default))
+        text = ", ".join(map(str, value)) if key == "lambdas" else str(value)
+        path = tmp_path / "one_key.cfg"
+        path.write_text(f"[{entry.id}]\n{key} = {text}\n")
+        code = cli.main(["run", "--filter", entry.id, "--config", str(path)])
+        captured = capsys.readouterr()
+        if moves:
+            assert (code, captured.err) == (0, "")
+        else:
+            assert (code, captured.out) == (2, "")
+            assert captured.err == (
+                f"error: config overrides that change no grid point: [{entry.id}] {key}\n"
+            )
+
+    def test_run_names_every_idle_override_before_any_entry_runs(self, tmp_path, capsys):
+        # sections the filter does not match are checked too, and a section
+        # that only repeats a top-level value differs in no key
+        path = tmp_path / "idle.cfg"
+        path.write_text(
+            "n_max = 4\n[y6G]\nm_max = 3\n[CC2]\np_max = 1\nm_max = 3\n"
+            "[sec6_bernoulli]\nn_max = 4\n"
+        )
+        assert cli.main(["run", "--filter", "golombek", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: config overrides that change no grid point: "
+            "[CC2] p_max, [sec6_bernoulli], [y6G] m_max\n"
+        )
+
+    @pytest.mark.parametrize("entry_id, key", [("chu", "n_max"), ("CC2", "p_max")])
+    def test_run_audit_refuses_an_idle_section_under_the_tracer(self, entry_id, key):
+        # the tracer replaces each entry's grid by a wrapper of its own
+        original = next(e.grid for e in build_registry() if e.id == entry_id)
+        config = AuditConfig(overrides={entry_id: GridSpec(**{key: OTHER_VALUE[key]})})
+        tr = tracer.Tracer()
+        try:
+            tr.install()
+            traced = next(e.grid for e in audit.runner.build_registry() if e.id == entry_id)
+            assert traced is not original
+            with pytest.raises(ConfigError, match=rf"\[{entry_id}\] {key}$"):
+                audit.runner.run_audit(config, pattern=entry_id)
+        finally:
+            tr.uninstall()
+        assert audit.runner.build_registry is registry.build_registry
+
+    def test_readme_config_example_runs(self, tmp_path, capsys):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.cfg"
+        path.write_text(example)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["gridTotals"]["mismatches"] == 0
 
     def test_run_huge_grid_bound_exits_two(self, tmp_path, capsys):
         # a bound past a C index must be refused as configuration, not end

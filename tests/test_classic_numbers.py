@@ -261,12 +261,17 @@ class TestDeformedFamilies:
         assert poly(x + 1) - u * poly(x) == (1 - u) * x**n
 
     def test_singular_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            apostol_bernoulli(3, 1)
+        for one in (1, Fraction(1), Fraction(4, 4)):
+            with pytest.raises(ValueError):
+                apostol_bernoulli(3, one)
+            with pytest.raises(ValueError):
+                frobenius_euler(3, one)
         with pytest.raises(ValueError):
             apostol_euler(3, -1)
-        with pytest.raises(ValueError):
-            frobenius_euler(3, 1)
+        # a float is refused before the singular test sees it
+        for family in (apostol_bernoulli, frobenius_euler):
+            with pytest.raises(TypeError):
+                family(3, 1.0)
 
     @pytest.mark.parametrize(
         "family, args",

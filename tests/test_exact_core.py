@@ -151,6 +151,11 @@ class TestEgfSeries:
         s = EgfSeries.exp(2, 5)
         assert s.pow(-3) == EgfSeries.exp(-6, 5)
 
+    def test_prints_its_coefficients(self):
+        s = EgfSeries([1, Fraction(1, 2)])
+        assert str(s) == "[1, 1/2]"
+        assert repr(s) == "EgfSeries([Fraction(1, 1), Fraction(1, 2)])"
+
 
 small_ints = st.one_of(st.just(0), st.integers(min_value=-10**6, max_value=10**6))
 nonzero_ints = st.integers(min_value=-10**6, max_value=10**6).filter(bool)
@@ -188,6 +193,11 @@ class TestUnreduced:
         x = _Unreduced(a, b)
         assert _fmt(x) == str(Fraction(a, b))
         assert _fmt([x, (x,)]) == _fmt([Fraction(a, b), (Fraction(a, b),)])
+
+    @given(small_ints, nonzero_ints)
+    def test_prints_as_the_reduced_fraction(self, a, b):
+        assert str(_Unreduced(a, b)) == str(Fraction(a, b))
+        assert str(_Unreduced(6, 4)) == "3/2"
 
 
 row_nums = st.lists(st.integers(min_value=-6, max_value=6), max_size=5)
@@ -248,6 +258,13 @@ class TestUnreducedPoly:
         x, ref = _UnreducedPoly(tuple(a), d), _reference(a, d)
         assert _fmt(x) == repr(x.poly()) == repr(ref)
         assert _fmt([x, (x,)]) == _fmt([ref, (ref,)])
+
+    def test_prints_as_the_reduced_poly(self):
+        # trailing zeros and a den with a common factor print as Poly does
+        x = _UnreducedPoly((2, 4, 0, 0), 4)
+        assert str(x) == repr(Poly([Fraction(1, 2), 1])) == repr(x.poly())
+        assert str(_UnreducedPoly((0, 0, 0), 7)) == repr(Poly()) == "Poly(0)"
+        assert str(_UnreducedPoly((), 3)) == "Poly(0)"
 
 
 class TestGammaHalf:

@@ -111,3 +111,64 @@ def test_the_check_sees_imports_inside_functions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_import_inside_a_function(path):
     assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _class_names(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def foreign_type_tests(source: str, classes: set[str]) -> list[str]:
+    """Imports from ``exact_core``, and ``isinstance`` tests naming one of
+    ``classes`` (bare or as an attribute), each with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {(node.module or "").split(".")[-1], *(a.name for a in node.names)}
+            if "exact_core" in names:
+                found.append((node.lineno, "import from exact_core"))
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[-1] == "exact_core" for a in node.names):
+                found.append((node.lineno, "import from exact_core"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            for sub in ast.walk(node.args[1]):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if name in classes:
+                    found.append((node.lineno, f"isinstance {name}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_check_sees_foreign_type_tests():
+    source = (
+        "from ..exact_core import EgfSeries\n"
+        "from .. import exact_core\n"
+        "import binomsums.exact_core as ec\n"
+        "from .registry import build_registry\n"
+        "def f(v, g):\n"
+        "    if isinstance(v, (list, tuple)):\n"
+        "        return isinstance(v, (EgfSeries, ec._Unreduced))\n"
+        "    return isinstance(g, registry._Fixed)\n"
+    )
+    assert foreign_type_tests(source, {"EgfSeries", "_Unreduced", "_Fixed"}) == [
+        "line 1: import from exact_core",
+        "line 2: import from exact_core",
+        "line 3: import from exact_core",
+        "line 7: isinstance EgfSeries",
+        "line 7: isinstance _Unreduced",
+        "line 8: isinstance _Fixed",
+    ]
+
+
+def test_runner_tests_no_exact_core_or_registry_type():
+    # the runner prints a side through ``str`` and checks a config section
+    # by its effect, so a new side or grid type needs no runner edit
+    pkg = SRC / "binomsums"
+    classes = _class_names(pkg / "exact_core.py") | _class_names(pkg / "audit" / "registry.py")
+    assert {"Poly", "EgfSeries", "_Unreduced", "IdentityEntry"} <= classes
+    runner = (pkg / "audit" / "runner.py").read_text(encoding="utf-8")
+    assert foreign_type_tests(runner, classes) == []
