@@ -41,7 +41,7 @@ def _apply(spec: GridSpec, key: str, value: str, lineno: int) -> GridSpec:
     try:
         if key in ("m_max", "n_max", "p_max"):
             bound = int(value)
-            if bound > 10_000:  # each grid axis is built as a tuple
+            if bound > 10_000:  # a matched entry lists all of its points
                 raise ValueError(f"{bound} is above the largest grid bound 10000")
             return replace(spec, **{key: bound})
         if key == "lambdas":

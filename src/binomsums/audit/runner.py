@@ -9,6 +9,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Any, Optional
 
 from .config import AuditConfig, ConfigError
@@ -179,9 +180,11 @@ def run_audit(
         if not changed:
             idle.append(f"[{i}]")
             continue
-        points = list(grids[i](base))
         for k, v in changed.items():
-            if list(grids[i](replace(base, **{k: v}))) == points:
+            # points are dicts, never the None that pads the shorter grid;
+            # both grids are drawn only up to their first difference
+            pairs = zip_longest(grids[i](base), grids[i](replace(base, **{k: v})))
+            if all(x == y for x, y in pairs):
                 idle.append(f"[{i}] {k}")
     if idle:
         raise ConfigError(

@@ -4,8 +4,10 @@ The Stirling numbers of both kinds are read from integer triangles grown
 by their row recurrences.  The Bernoulli, Euler, Apostol and
 Frobenius-Euler families, generated by e^{xt} g(e^t - 1), are Stirling
 transforms of the coefficients of g, summed in integers along rows of the
-second-kind triangle; the tests check each against its generating function
-expanded by :class:`binomsums.exact_core.EgfSeries`.
+second-kind triangle.  B_n and E_n(0) are entry n of the same transform as
+their polynomials, from the same weights.  The tests check each family
+against its generating function expanded by
+:class:`binomsums.exact_core.EgfSeries`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import threading
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable
@@ -106,11 +109,15 @@ def stirling1(n: int, k: int) -> Fraction:
 # Bernoulli / Euler families as Stirling transforms: for e^{xt} g(e^t - 1)
 # the numbers are a_i = sum_j S(i,j) w_j, where w_j = j! [u^j] g(u)
 
+def _transform(w: list[int], i: int) -> int:
+    """a_i = sum_j S(i,j) w_j, one integer dot product along row i."""
+    return sum(map(mul, _STIRLING2.row(i), w))
+
+
 def _stirling_poly(w: list[int], den: int) -> Poly:
     """sum_i C(n,i) a_{n-i} x^i for a_i = sum_j S(i,j) w_j / den, n = len(w) - 1."""
     n = len(w) - 1
-    a = [sum(map(mul, _STIRLING2.row(i), w)) for i in range(n + 1)]
-    return Poly.from_ints([comb(n, i) * a[n - i] for i in range(n + 1)], den)
+    return Poly.from_ints([comb(n, i) * _transform(w, n - i) for i in range(n + 1)], den)
 
 
 def _geometric_poly(scale: Fraction, c: Fraction, d: Fraction, n: int) -> Poly:
@@ -138,17 +145,19 @@ def bernoulli_poly_order(n: int, k: int) -> Poly:
     return _stirling_poly(*_common(w))
 
 
+def _euler_weights(n: int, k: int) -> list[int]:
+    """Weights of g(u) = (1 + u/2)^{-k}, w_j = (-k)(-k-1)...(-k-j+1) / 2^j,
+    as integers over 2^n for j = 0..n."""
+    falls = accumulate((-k - j for j in range(n)), mul, initial=1)
+    return [fall << (n - j) for j, fall in enumerate(falls)]
+
+
 @lru_cache(maxsize=None, typed=True)
 def euler_poly_order(n: int, k: int) -> Poly:
     """Euler polynomial of order k (k may be negative)."""
     _check_indices(n=n)
     _check_ints(k=k)
-    # g(u) = (1 + u/2)^{-k}: w_j = (-k)(-k-1)...(-k-j+1) / 2^j, over 2^n
-    w, fall = [], 1
-    for j in range(n + 1):
-        w.append(fall << (n - j))
-        fall *= -k - j
-    return _stirling_poly(w, 1 << n)
+    return _stirling_poly(_euler_weights(n, k), 1 << n)
 
 
 def bernoulli_poly(n: int) -> Poly:
@@ -159,30 +168,24 @@ def euler_poly(n: int) -> Poly:
     return euler_poly_order(n, 1)
 
 
-def _alternating_transform(n: int, den: int, weight: Callable[[int], int]) -> Fraction:
-    """sum_j (-1)^j j! S(n,j) weight(j) / den: one integer dot product."""
-    total, fact = 0, 1
-    for j, s in enumerate(_STIRLING2.row(n)):
-        total += (-1) ** j * s * fact * weight(j)
-        fact *= j + 1
-    return Fraction(total, den)
-
-
 @lru_cache(maxsize=None, typed=True)
 def bernoulli_number(n: int) -> Fraction:
     """Classical Bernoulli number B_n (B_1 = -1/2), by Worpitzky's formula
-    B_n = sum_j (-1)^j j! S(n,j)/(j+1)."""
+    B_n = sum_j (-1)^j j! S(n,j)/(j+1): the weights over L = lcm(1..n+1)
+    are the integers (-1)^j j! L/(j+1)."""
     _check_indices(n=n)
     big_l = lcm(*range(1, n + 2))
-    return _alternating_transform(n, big_l, lambda j: big_l // (j + 1))
+    w = [(-1) ** j * factorial(j) * (big_l // (j + 1)) for j in range(n + 1)]
+    return Fraction(_transform(w, n), big_l)
 
 
 @lru_cache(maxsize=None, typed=True)
 def euler_number0(n: int) -> Fraction:
     """E_n(0) = sum_j (-1)^j j! S(n,j)/2^j, the Euler polynomial at 0 (the
-    'Euler numbers' of the Daehee/Changhee sums)."""
+    'Euler numbers' of the Daehee/Changhee sums): the constant term of
+    ``euler_poly_order(n, 1)``, from the same weights."""
     _check_indices(n=n)
-    return _alternating_transform(n, 1 << n, lambda j: 1 << (n - j))
+    return Fraction(_transform(_euler_weights(n, 1), n), 1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +205,7 @@ def apostol_euler(n: int, lam: Scalar) -> Poly:
     """Apostol-Euler polynomial from 2 e^{xt}/(lam e^t + 1)."""
     _check_indices(n=n)
     lam = _frac(lam)
-    if lam == -1:
+    if _ratio(lam) == (-1, 1):
         raise ValueError("lambda = -1 is the classical case; use euler_poly_order")
     return _geometric_poly(Fraction(2), lam + 1, lam, n)
 
@@ -240,14 +243,11 @@ def y_seq(n: int, lam: Scalar) -> Fraction:
     """Y_n from 2/(lam^2 t + lam - 1), by geometric expansion."""
     _check_indices(n=n)
     lam = _frac(lam)
-    if lam == 1:
+    if _ratio(lam) == (1, 1):
         raise ValueError("lambda = 1 is a pole of the generating function")
     # 2/(lam-1) * 1/(1 + lam^2 t/(lam-1)); ordinary coefficient times n!.
-    term = Fraction(2) / (lam - 1)
-    ratio = -(lam**2) / (lam - 1)
-    for _ in range(n):
-        term *= ratio
-    return factorial(n) * term
+    d = lam - 1
+    return factorial(n) * 2 / d * (-(lam**2) / d) ** n
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -106,6 +106,15 @@ _SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], list]]] 
 }
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is None."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     for entry in build_registry():
         print(f"{entry.id:24s} {entry.expected.value:22s} {entry.paper_ref}")
@@ -123,11 +132,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "csv": render_csv,
     }
     text = renderers[args.format](report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write(text, args.out)
     return EXIT_OK if report.all_expected else EXIT_VERDICT_MISMATCH
 
 
@@ -163,11 +168,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write(text, args.out)
     return EXIT_OK
 
 

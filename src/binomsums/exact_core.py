@@ -469,9 +469,7 @@ class EgfSeries:
         return _egf([x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "EgfSeries") -> "EgfSeries":
-        self._check_order(other)
-        a, b, den = _align(self.nums, self.den, other.nums, other.den)
-        return _egf([x - y for x, y in zip(a, b)], den)
+        return self + other.scale(-1)
 
     def scale(self, c: Scalar) -> "EgfSeries":
         num, den = _ratio(c)
@@ -584,16 +582,12 @@ def gamma_half(a: Scalar) -> GammaHalfValue:
             return GammaHalfValue.pole()
         return GammaHalfValue(Fraction(factorial(n - 1)), 0)
     if a.denominator == 2:
-        # a = 1/2 + m with m integer; walk the recurrence from Gamma(1/2).
+        # a = 1/2 + m: Gamma(a) = (1/2)_m sqrt(pi), and for m < 0
+        # Gamma(1/2) = (a)_{-m} Gamma(a)
         m = int(a - Fraction(1, 2))
-        r = Fraction(1)
         if m >= 0:
-            for i in range(m):
-                r *= Fraction(1, 2) + i
-        else:
-            for i in range(1, -m + 1):
-                r /= Fraction(1, 2) - i
-        return GammaHalfValue(r, 1)
+            return GammaHalfValue(pochhammer(Fraction(1, 2), m), 1)
+        return GammaHalfValue(1 / pochhammer(a, -m), 1)
     raise ValueError(f"gamma_half needs an integer or half-integer, got {a}")
 
 

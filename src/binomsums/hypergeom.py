@@ -9,7 +9,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact_core import Scalar, _check_indices, _check_ints, _frac, gamma_half
+from .exact_core import Scalar, _check_indices, _check_ints, _frac, _ratio, gamma_half
 from .y6_engine import y6
 
 __all__ = [
@@ -116,7 +116,7 @@ def ogf_series(case: OgfCase, lam: Scalar | None, order: int) -> list[Fraction]:
     _check_indices(order=order)
     if case is OgfCase.LAM_P0:
         lam = _frac(lam)
-        if lam == 1:
+        if _ratio(lam) == (1, 1):
             raise ValueError("lambda = 1 is singular for the p = 0 form")
         return [
             (lam ** (n + 1) - 1) / ((lam - 1) * factorial(n))

@@ -247,6 +247,6 @@ def franel_recurrence(p: int, stop: int) -> list[int]:
 def _franel_range(p: int, m: int, lam: Scalar, rng: range) -> list:
     """Franel numbers n! y6(m,n;lam,p) for n in rng, by Franel's recurrence
     where ``_FRANEL_STEPS`` has p and m = 0, lam = 1, else term by term."""
-    if m == 0 and lam == 1 and p in _FRANEL_STEPS and rng.start >= 0:
+    if m == 0 and _ratio(lam) == (1, 1) and p in _FRANEL_STEPS and rng.start >= 0:
         return franel_recurrence(p, rng.stop)[rng.start :]
     return [franel(p, m, n, lam) for n in rng]

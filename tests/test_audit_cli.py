@@ -102,6 +102,13 @@ class TestRegistry:
             points = list(entry.grid(config.for_entry(entry.id)))
             assert points, entry.id
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_alternating_closed_form_matches_the_sum(self, p):
+        # the right side of AWolf (p = 2), alt3 and dixon (p = 3)
+        for n in range(40):
+            total = sum((-1) ** k * comb(n, k) ** p for k in range(n + 1))
+            assert registry._alternating_closed(p, n) == total
+
     @pytest.mark.parametrize("lam", ["0", "1", "-2", "-1/2", "7/3"])
     def test_binom_sum_matches_the_fraction_loop(self, lam):
         lam = Fraction(lam)
@@ -450,6 +457,17 @@ class TestRunner:
         assert result.skipped
         assert all("lambda" in item["reason"] for item in result.skipped)
 
+    def test_ogf_00_skips_lambda_one_by_its_integer_parts(self):
+        (entry,) = [e for e in build_registry() if e.id == "ogf_00"]
+        reason = "ordinary closed form singular at lambda = 1"
+        for one in (1, Fraction(1), Fraction(4, 4)):
+            assert entry.singular(lam=one) == reason
+        assert entry.singular(lam=Fraction(2)) is None
+        with pytest.raises(TypeError):
+            entry.singular(lam=1.0)
+        (result,) = run_audit(pattern="ogf_00").results
+        assert [s["reason"] for s in result.skipped] == [reason]
+
     def test_empty_grid_is_config_error(self):
         entry = IdentityEntry(
             id="hollow",
@@ -573,6 +591,32 @@ class TestRunner:
         csv_text = render_csv(report)
         assert csv_text.splitlines()[0].startswith("id,")
         assert "chu,HOLDS_PRINTED" in csv_text
+
+    def test_config_check_draws_an_unmatched_grid_only_to_its_first_change(
+        self, monkeypatch
+    ):
+        # inP1's grid runs m slowest, so m_max = 2000 first changes a point
+        # just past the default grid's last one
+        from binomsums.audit import runner as runner_module
+
+        (inp1,) = [e for e in build_registry() if e.id == "inP1"]
+        default_points = len(list(inp1.grid(GridSpec())))
+        drawn = []
+
+        def counted(spec):
+            for pt in inp1.grid(spec):
+                drawn.append(pt)
+                yield pt
+
+        entries = [
+            dataclasses.replace(e, grid=counted) if e is inp1 else e
+            for e in build_registry()
+        ]
+        monkeypatch.setattr(runner_module, "build_registry", lambda: entries)
+        config = AuditConfig(overrides={"inP1": GridSpec(m_max=2000)})
+        assert run_audit(config, pattern="chu").all_expected
+        assert default_points == 2268
+        assert len(drawn) <= 2 * default_points + 2
 
 
 class TestCli:
@@ -968,6 +1012,14 @@ class TestSeqFranelFastPath:
         out = _seq_output(["franel", "--params", params, "--range", "0..30"], capsys)
         expected = [franel(p, m, n, lam) for n in rng]
         assert out == _per_term_text("csv", rng, {}, expected)
+
+    def test_lambda_one_is_read_from_its_integer_parts(self):
+        rng = range(0, 8)
+        expected = [franel(3, 0, n, Fraction(1)) for n in rng]
+        for one in (1, Fraction(1), Fraction(4, 4)):
+            assert y6_engine._franel_range(3, 0, one, rng) == expected
+        with pytest.raises(TypeError):
+            y6_engine._franel_range(3, 0, 1.0, rng)
 
 
 class TestSeqDigitLimit:

@@ -266,12 +266,17 @@ class TestDeformedFamilies:
                 apostol_bernoulli(3, one)
             with pytest.raises(ValueError):
                 frobenius_euler(3, one)
-        with pytest.raises(ValueError):
-            apostol_euler(3, -1)
+        for minus_one in (-1, Fraction(-1), Fraction(-4, 4)):
+            with pytest.raises(ValueError):
+                apostol_euler(3, minus_one)
         # a float is refused before the singular test sees it
-        for family in (apostol_bernoulli, frobenius_euler):
+        for family, singular in (
+            (apostol_bernoulli, 1.0),
+            (frobenius_euler, 1.0),
+            (apostol_euler, -1.0),
+        ):
             with pytest.raises(TypeError):
-                family(3, 1.0)
+                family(3, singular)
 
     @pytest.mark.parametrize(
         "family, args",
@@ -441,8 +446,11 @@ class TestAuxiliaryFamilies:
             assert y_seq(n, lam) == factorial(n) * c
 
     def test_y_seq_rejects_lambda_one(self):
-        with pytest.raises(ValueError):
-            y_seq(3, 1)
+        for one in (1, Fraction(1), Fraction(4, 4)):
+            with pytest.raises(ValueError):
+                y_seq(3, one)
+        with pytest.raises(TypeError):
+            y_seq(3, 1.0)
 
     def test_legendre_recurrence_and_endpoints(self):
         assert legendre(0) == Poly([1])

@@ -166,8 +166,11 @@ class TestOgfClosedForms:
             )
 
     def test_p0_singular_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            ogf_series(OgfCase.LAM_P0, Fraction(1), 8)
+        for one in (1, Fraction(1), Fraction(4, 4)):
+            with pytest.raises(ValueError):
+                ogf_series(OgfCase.LAM_P0, one, 8)
+        with pytest.raises(TypeError):
+            ogf_series(OgfCase.LAM_P0, 1.0, 8)
 
     def test_p1_case(self):
         for lam in lam_values:

@@ -6,10 +6,17 @@ point. A ``HOLDS_PRINTED`` entry must then stop reporting
 ``HOLDS_PRINTED``, and a ``HOLDS_CORRECTED_ONLY`` entry must report
 ``FAILS_BOTH``. The runner stops at the first failing point, so each case
 evaluates only the points before the perturbed one.
+
+Each fault test replaces one kernel by a faulty copy wherever a module
+binds it and pins every entry whose verdict then changes on a small grid:
+the fault must reach the entries that read the kernel, and no two sides
+may share it and cancel.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,7 +30,6 @@ from binomsums.audit import (
     build_registry,
     evaluate_entry,
     registry,
-    run_audit,
     runner,
 )
 from binomsums.exact_core import EgfSeries, Poly, _Unreduced, _UnreducedPoly
@@ -92,156 +98,149 @@ def test_bump_rejects_empty_sides_and_unknown_leaves(value):
         _bump([value])
 
 
-def _clear_number_caches():
-    for fn in vars(classic_numbers).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
-
-
 SMALL = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
 
 
-@pytest.fixture(scope="module")
-def clean_audit():
-    # a clean audit first fills every memo and table it can, so a fault
-    # test below sees the same flips whichever tests ran before it
-    assert run_audit(SMALL).all_expected
+def _modules():
+    return [
+        mod
+        for name, mod in list(sys.modules.items())
+        if name == "binomsums" or name.startswith("binomsums.")
+    ]
 
 
-def test_corrupted_stirling_table_flips_the_moment_functionals(
-    monkeypatch, clean_audit
-):
-    # S(n,1) + 1 in every second-kind row corrupts the Bernoulli and Euler
-    # numbers and polynomials; the functionals integrate p_poly through its
-    # Mahler expansion, so the moment identities must stop holding
-    def next_row(row, n):
-        out = classic_numbers._stirling2_next(row, n)
-        out[1] += 1
-        return out
+def _clear_memos():
+    for mod in _modules():
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
-    entries = {e.id: e for e in build_registry()}
+
+@contextmanager
+def _faulted(monkeypatch, owner, name, fault):
+    """Inside the block, ``owner.name`` is ``fault(owner.name)`` wherever a
+    loaded ``binomsums`` module binds the original. Every memo is cleared
+    before and after, so none hides the fault or keeps a faulty value."""
+    original = getattr(owner, name)
+    faulty = fault(original)
+    _clear_memos()
     try:
         with monkeypatch.context() as mp:
-            corrupted = classic_numbers._Triangle(next_row)
-            mp.setattr(classic_numbers, "_STIRLING2", corrupted)
-            _clear_number_caches()
-            verdicts = {
-                name: evaluate_entry(entries[name], SMALL).verdict
-                for name in ("inP3_4", "inP5_6", "faulhaber")
-            }
+            for mod in _modules():
+                for attr, obj in list(vars(mod).items()):
+                    if obj is original:
+                        mp.setattr(mod, attr, faulty)
+            yield
     finally:
-        _clear_number_caches()
-    assert verdicts == dict.fromkeys(verdicts, Verdict.FAILS_BOTH)
+        _clear_memos()
 
 
-def test_faulty_int_values_flips_the_moment_entries(monkeypatch, clean_audit):
+def _flipped(monkeypatch, owner, name, fault):
+    """{id: verdict} of every entry whose verdict on ``SMALL`` changes
+    under the fault."""
+    with _faulted(monkeypatch, owner, name, fault):
+        return {
+            e.id: verdict
+            for e in build_registry()
+            if (verdict := evaluate_entry(e, SMALL).verdict) is not e.expected
+        }
+
+
+def _fails(names: str):
+    """Every entry in the space-separated ``names`` at ``FAILS_BOTH``."""
+    return dict.fromkeys(names.split(), Verdict.FAILS_BOTH)
+
+
+def test_corrupted_stirling_table_flips_every_number_family(monkeypatch):
+    # S(n,1) + 1 in every second-kind row corrupts S(n,k) and what is built
+    # on it: the Bernoulli, Euler, Apostol and Frobenius-Euler numbers and
+    # polynomials and the t polynomials; the moment functionals integrate
+    # p_poly through its Mahler expansion, so they must stop holding too
+    def corrupted(table):
+        def next_row(row, n):
+            out = classic_numbers._stirling2_next(row, n)
+            out[1] += 1
+            return out
+
+        return classic_numbers._Triangle(next_row)
+
+    flipped = _flipped(monkeypatch, classic_numbers, "_STIRLING2", corrupted)
+    assert flipped == _fails(
+        "Bs1 Caa3 altStirling alt_euler_sum apostol_powersum boyadzhiev "
+        "catalan_CN changhee_theorem faulhaber fd_ogf inP3_4 inP5_6 "
+        "legendre_P0 mirimanoff_frobenius sec6_bernoulli sec6_euler "
+        "sec6_stirling tpoly xu_x"
+    )
+
+
+def test_faulty_int_values_flips_the_moment_entries(monkeypatch):
     # _int_values gives both the Mahler values of p_poly and the values of
     # B_m/E_m at j on the two sides of inP3_4/inP5_6, and the inner sums of
     # the Section 6 double sums: q(1) off by one must fail them, not cancel
-    def off_at_one(q, count):
-        values = exact_core._int_values(q, count)
-        if count > 1:
-            values[1] += q.den
-        return values
+    def off_at_one(kernel):
+        def faulty(q, count):
+            values = kernel(q, count)
+            if count > 1:
+                values[1] += q.den
+            return values
 
-    entries = {e.id: e for e in build_registry()}
-    monkeypatch.setattr(p_polynomials, "_int_values", off_at_one)
-    monkeypatch.setattr(registry, "_int_values", off_at_one)
-    names = ("inP3_4", "inP5_6", "sec6_bernoulli", "sec6_euler")
-    verdicts = {name: evaluate_entry(entries[name], SMALL).verdict for name in names}
-    assert verdicts == dict.fromkeys(names, Verdict.FAILS_BOTH)
+        return faulty
+
+    flipped = _flipped(monkeypatch, exact_core, "_int_values", off_at_one)
+    assert flipped == _fails("inP3_4 inP5_6 sec6_bernoulli sec6_euler")
 
 
-def test_faulty_y6_kernel_flips_its_consumers(monkeypatch, clean_audit):
+def _off_at_one_two(kernel):
+    def faulty(m, n, a, b, p):
+        return kernel(m, n, a, b, p) + ((m, n) == (1, 2))
+
+    return faulty
+
+
+def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
     # S = n! b^n y6 off by one at (m, n) = (1, 2) reaches the entries that
     # read y6, franel, moment or the registry's own _y6 sums; their other
     # sides (p_poly, _binom_sum, closed forms) must not share the fault
-    kernel = y6_engine._y6
-
-    def off_at_one_two(m, n, a, b, p):
-        return kernel(m, n, a, b, p) + ((m, n) == (1, 2))
-
-    entries = {e.id: e for e in build_registry()}
-    monkeypatch.setattr(y6_engine, "_y6", off_at_one_two)
-    monkeypatch.setattr(registry, "_y6", off_at_one_two)
-    names = (
-        "golombek",
-        "CC2",
-        "altStirling",
-        "Cab3",
-        "y6G",
-        "cusick_sym",
-        "py6ab",
-        "inP1",
-        "inP8a",
-        "P1_corollary",
-        "sec6_stirling",
-        "sec6_bernoulli",
-        "sec6_euler",
-        "yp3_euler_operator",
+    flipped = _flipped(monkeypatch, y6_engine, "_y6", _off_at_one_two)
+    assert flipped == _fails(
+        "CC2 Cab3 P1_corollary altStirling cusick_sym golombek inP1 inP8a "
+        "py6ab sec6_bernoulli sec6_euler sec6_stirling y6G "
+        "yp3_euler_operator"
     )
-    results = {name: evaluate_entry(entries[name], SMALL) for name in names}
-    verdicts = {name: result.verdict for name, result in results.items()}
-    assert verdicts == dict.fromkeys(names, Verdict.FAILS_BOTH)
     # y6G compares EgfSeries; its counterexample prints the coefficient
     # lists that its sides were before, when they were lists of Fractions
-    found = results["y6G"].counterexample
-    point = found["point"]
-    n, p, lam = int(point["n"]), int(point["p"]), Fraction(point["lam"])
-    a, b = lam.numerator, lam.denominator
-    lhs = list(y6_engine.y6_egf(n, lam, p, 12).coeffs)
-    rhs = [y6_engine._y6_value(m, n, a, b, p) for m in range(13)]
+    (y6g,) = [e for e in build_registry() if e.id == "y6G"]
+    with _faulted(monkeypatch, y6_engine, "_y6", _off_at_one_two):
+        found = evaluate_entry(y6g, SMALL).counterexample
+        point = found["point"]
+        n, p, lam = int(point["n"]), int(point["p"]), Fraction(point["lam"])
+        a, b = lam.numerator, lam.denominator
+        lhs = list(y6_engine.y6_egf(n, lam, p, 12).coeffs)
+        rhs = [y6_engine._y6_value(m, n, a, b, p) for m in range(13)]
     assert found["printedLhs"] == runner._fmt(lhs)
     assert found["printedRhs"] == runner._fmt(rhs)
     assert lhs != rhs
 
 
-def test_faulty_binom_sum_flips_its_consumers(monkeypatch, clean_audit):
+def test_faulty_binom_sum_flips_its_consumers(monkeypatch):
     # _binom_sum off by 1/den at n = 2 reaches the Riemann, Mahler and
     # Section 6 sums and, at p = 0, the four power sums; their other sides
     # (p_poly, y6 and the closed forms) must not share the fault
-    kernel = registry._binom_sum
+    def off_at_two(kernel):
+        def faulty(n, p, a, b, values, den):
+            value = kernel(n, p, a, b, values, den)
+            if n != 2:
+                return value
+            # value + 1/den, left unreduced like the kernel's own quotient
+            return _Unreduced(value.num * den + value.den, value.den * den)
 
-    def off_at_two(n, p, a, b, values, den):
-        value = kernel(n, p, a, b, values, den)
-        if n != 2:
-            return value
-        # value + 1/den, left unreduced like the kernel's own quotient
-        return _Unreduced(value.num * den + value.den, value.den * den)
+        return faulty
 
-    monkeypatch.setattr(registry, "_binom_sum", off_at_two)
-    flipped = {
-        e.id: verdict
-        for e in build_registry()
-        if (verdict := evaluate_entry(e, SMALL).verdict) is not e.expected
-    }
-    names = (
-        "inP2",
-        "inP8a",
-        "inP3_4",
-        "inP5_6",
-        "sec6_stirling",
-        "sec6_bernoulli",
-        "sec6_euler",
-        "faulhaber",
-        "apostol_powersum",
-        "alt_euler_sum",
-        "mirimanoff_frobenius",
+    flipped = _flipped(monkeypatch, registry, "_binom_sum", off_at_two)
+    assert flipped == _fails(
+        "alt_euler_sum apostol_powersum faulhaber inP2 inP3_4 inP5_6 inP8a "
+        "mirimanoff_frobenius sec6_bernoulli sec6_euler sec6_stirling"
     )
-    assert flipped == dict.fromkeys(names, Verdict.FAILS_BOTH)
-
-
-def _flipped_by(monkeypatch, name, fault):
-    """The verdicts that change when both the polynomial kernel ``name``
-    and the registry's import of it are replaced by ``fault(kernel)``."""
-    fault = fault(getattr(p_polynomials, name))
-    monkeypatch.setattr(p_polynomials, name, fault)
-    monkeypatch.setattr(registry, name, fault)
-    return {
-        e.id: verdict
-        for e in build_registry()
-        if (verdict := evaluate_entry(e, SMALL).verdict) is not e.expected
-    }
 
 
 def _doubled(kernel):
@@ -253,37 +252,28 @@ def _doubled(kernel):
     return faulty
 
 
-def test_faulty_p_poly_flips_its_consumers(monkeypatch, clean_audit):
+def test_faulty_p_poly_flips_its_consumers(monkeypatch):
     # every entry that reads the polynomial family through _p_poly sets it
     # against raw_sum, y6, _binom_sum or closed forms, which do not call it
-    flipped = _flipped_by(monkeypatch, "_p_poly", _doubled)
-    names = (
-        "Yp1Yp2_bridge",
-        "py6a",
-        "py6ab",
-        "inP1",
-        "inP2",
-        "inP3_4",
-        "inP5_6",
-        "P1_corollary",
+    flipped = _flipped(monkeypatch, p_polynomials, "_p_poly", _doubled)
+    assert flipped == _fails(
+        "P1_corollary Yp1Yp2_bridge inP1 inP2 inP3_4 inP5_6 py6a py6ab"
     )
-    assert flipped == dict.fromkeys(names, Verdict.FAILS_BOTH)
 
 
-def test_faulty_raw_sum_flips_only_the_bridge(monkeypatch, clean_audit):
+def test_faulty_raw_sum_flips_only_the_bridge(monkeypatch):
     # the raw defining sum is read by one entry, against _p_poly
-    flipped = _flipped_by(monkeypatch, "_raw_sum", _doubled)
-    assert flipped == {"Yp1Yp2_bridge": Verdict.FAILS_BOTH}
+    flipped = _flipped(monkeypatch, p_polynomials, "_raw_sum", _doubled)
+    assert flipped == _fails("Yp1Yp2_bridge")
 
 
-def test_faulty_pfq_flips_every_pfq_consumer(monkeypatch, clean_audit):
+def test_faulty_pfq_flips_every_pfq_consumer(monkeypatch):
     # y6bb and the Franel entries all take their pFq side from
     # hypergeom.pfq_terminating, through y6_hyper; 2v + 1 cannot cancel
-    kernel = hypergeom.pfq_terminating
-    monkeypatch.setattr(hypergeom, "pfq_terminating", lambda spec: 2 * kernel(spec) + 1)
-    flipped = {
-        e.id
-        for e in build_registry()
-        if evaluate_entry(e, SMALL).verdict is not e.expected
-    }
-    assert flipped == {"y6bb", "franel3", "franel4"}
+    flipped = _flipped(
+        monkeypatch,
+        hypergeom,
+        "pfq_terminating",
+        lambda kernel: lambda spec: 2 * kernel(spec) + 1,
+    )
+    assert flipped == _fails("franel3 franel4 y6bb")

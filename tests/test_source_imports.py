@@ -1,4 +1,5 @@
-"""Every import in ``src/`` is used and sits at module level.
+"""Every import in ``src/`` is used and sits at module level, and every
+private helper is called.
 
 No linter is part of the toolchain, so this walks each module's syntax tree
 with the standard library only. A name bound by an import counts as used
@@ -6,7 +7,10 @@ when it is read anywhere in the module (as a name or as the base of an
 attribute) or listed in the module's ``__all__``. ``from __future__`` and
 star imports bind no checked name. An import inside a function hides an
 edge of the module graph, such as one that closes an import cycle, so no
-function body holds one.
+function body holds one. A module-level private function or class with no
+decorator must be loaded by name (as a name or an attribute) somewhere in
+``src/`` outside its own definition; a decorated one, such as a registry
+evaluator, is reached through its decorator.
 """
 
 from __future__ import annotations
@@ -172,3 +176,50 @@ def test_runner_tests_no_exact_core_or_registry_type():
     assert {"Poly", "EgfSeries", "_Unreduced", "IdentityEntry"} <= classes
     runner = (pkg / "audit" / "runner.py").read_text(encoding="utf-8")
     assert foreign_type_tests(runner, classes) == []
+
+
+def unloaded_helpers(sources: dict[str, str]) -> list[str]:
+    """``module: name`` of every module-level private function or class
+    with no decorator that no code in ``sources`` loads outside its own
+    definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loads = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and not node.decorator_list
+            ):
+                own = {id(sub) for sub in ast.walk(node)}
+                if not any(name == node.name and id(n) not in own for n, name in loads):
+                    found.append(f"{module}: {node.name}")
+    return found
+
+
+def test_the_check_sees_unloaded_helpers():
+    sources = {
+        "a": (
+            "def _used(): pass\n"
+            "def _dead(): return _dead()\n"
+            "class _Shape: pass\n"
+            "@register\n"
+            "def _evaluator(): pass\n"
+            "def _only_in_b(): pass\n"
+            "def public(): return _used()\n"
+        ),
+        "b": "from .a import _only_in_b\nx = mod._Shape\nf = _only_in_b\n",
+    }
+    assert unloaded_helpers(sources) == ["a: _dead"]
+
+
+def test_no_unloaded_private_helper():
+    sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in MODULES}
+    assert unloaded_helpers(sources) == []

@@ -16,6 +16,7 @@ from binomsums.classic_numbers import (  # noqa: E402
     stirling1,
     stirling2,
 )
+from binomsums.exact_core import gamma_half  # noqa: E402
 from binomsums.p_polynomials import r_poly  # noqa: E402
 
 N_MAX = 30
@@ -55,3 +56,15 @@ def test_r_poly_coefficients(n):
             _frac(sympy.binomial(n, k) ** p / sympy.factorial(n)) for k in range(n + 1)
         ]
         assert list(r_poly(n, p).coeffs) == expected
+
+
+@pytest.mark.parametrize("k", range(-21, 22))
+def test_gamma_at_integers_and_half_integers(k):
+    value = gamma_half(Fraction(k, 2))
+    expected = sympy.gamma(sympy.Rational(k, 2))
+    if k <= 0 and k % 2 == 0:
+        assert value.is_pole and expected is sympy.zoo
+        return
+    assert not value.is_pole
+    assert value.sqrt_pi_exponent == k % 2
+    assert value.rational_part == _frac(expected / sympy.sqrt(sympy.pi) ** (k % 2))
