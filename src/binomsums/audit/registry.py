@@ -35,9 +35,12 @@ it also gives the left sides of the four power-sum entries (through
 Frobenius-Euler closed forms that never call it;
 ``test_faulty_binom_sum_flips_its_consumers`` shows that a fault in it is
 not cancelled.  A ``Poly`` g reaches it through ``exact_core._int_values``,
-which also gives the Mahler values of ``volkenborn`` and ``fermionic`` in
-``inP3_4``/``inP5_6``; ``test_faulty_int_values_flips_the_moment_entries``
-shows that a fault there is not cancelled.  ``p_poly`` sums its own integer
+which gives the values of B_m and E_m on the right sides of
+``inP3_4``/``inP5_6``; their left sides dot P with the Volkenborn and
+fermionic moment rows, built from Mahler weights with no Bernoulli or Euler
+number and no ``_int_values``.
+``test_faulty_int_values_flips_the_moment_entries`` shows that a fault
+there reaches both entries.  ``p_poly`` sums its own integer
 coefficients and does not call ``y6``, so ``py6ab``, ``inP1`` and
 ``P1_corollary``, which set the polynomial family against ``y6`` values
 (through ``_y6_sum``), compare independent routes.
@@ -49,8 +52,12 @@ An entry over a lam grid splits lam = a/b once per point and passes a and
 b on, so the memoized ``_y6`` and ``_p_poly`` hash no ``Fraction``.  A
 side's lam-invariant part is a table, built by ``_table(build, *ints)``
 once per int key and entry evaluation; each table belongs to one side of
-its identity.  A ``_grid`` yields its points lazily, so the runner's
-config check draws them only up to the first difference.
+its identity.  So a linear functional of the polynomial family (the
+integral over [0,1], Volkenborn, fermionic) is its moment row, built once
+per degree, and one integer dot product with P's numerators per point
+(``exact_core._functional``); the ``_y6_sum`` weights and the Riemann
+values (j+1)^e - j^e are tables too.  A ``_grid`` yields its points lazily,
+so the runner's config check draws them only up to the first difference.
 """
 
 from __future__ import annotations
@@ -84,8 +91,9 @@ from ..exact_core import (
     Poly,
     _Unreduced,
     _UnreducedPoly,
+    _functional,
     _int_values,
-    _integral01,
+    _integral01_row,
     _poly_at,
     _ratio,
     pochhammer,
@@ -98,10 +106,10 @@ from ..hypergeom import (
     y6_hyper,
 )
 from ..p_polynomials import (
-    _fermionic,
+    _fermionic_row,
     _p_poly,
     _raw_sum,
-    _volkenborn,
+    _volkenborn_row,
     euler_operator,
     mirimanoff_frobenius_sum,
     power_sum_closed,
@@ -296,25 +304,39 @@ def _binom_sum(n: int, p: int, a: int, b: int, values: list[int], den: int) -> _
     return _Unreduced(total, den * b ** max(n, 0))
 
 
-def _y6_sum(n: int, p: int, a: int, b: int, weights: list[tuple[int, int]]) -> _Unreduced:
-    """sum_k (c_k/d_k) y6(k,n;a/b,p) over the pairs weights[k] = (c_k, d_k),
-    summed as integers over L = lcm(d_k) and put over L n! b^n, unreduced."""
-    den = lcm(*[d for _, d in weights])
-    total = sum(c * (den // d) * _y6(k, n, a, b, p) for k, (c, d) in enumerate(weights))
+def _y6_sum(n: int, p: int, a: int, b: int, weights: list[int], den: int) -> _Unreduced:
+    """sum_k (weights[k]/den) y6(k,n;a/b,p), summed as integers and put
+    over den n! b^n, unreduced."""
+    total = sum(w * _y6(k, n, a, b, p) for k, w in enumerate(weights))
     return _Unreduced(total, den * factorial(n) * b**n)
+
+
+def _binomials(m: int) -> list[int]:
+    """C(m,k) for k = 0..m."""
+    return [comb(m, k) for k in range(m + 1)]
+
+
+def _integral_weights(m: int) -> tuple[list[int], int]:
+    """C(m,k)/(m-k+1) for k = 0..m, as integers over L = lcm(1..m+1)."""
+    big_l = lcm(*range(1, m + 2))
+    return [comb(m, k) * (big_l // (m - k + 1)) for k in range(m + 1)], big_l
 
 
 def _coefficient_integral(m: int, n: int, p: int, a: int, b: int) -> _Unreduced:
     """Integral over [0,1] of the polynomial family, term by term from its
     y6 coefficients: sum_k C(m,k) y6(k,n;a/b,p)/(m-k+1)."""
-    return _y6_sum(n, p, a, b, [(comb(m, k), m - k + 1) for k in range(m + 1)])
+    return _y6_sum(n, p, a, b, *_table(_integral_weights, m))
+
+
+def _riemann_values(e: int, n: int) -> list[int]:
+    """(j+1)^e - j^e for j = 0..n."""
+    return [(j + 1) ** e - j**e for j in range(n + 1)]
 
 
 def _riemann_sum(m: int, n: int, p: int, a: int, b: int, corrected: bool) -> _Unreduced:
     """Summation form of the Riemann integral; the printed form drops the
     1/n! and the +1 in the exponent."""
-    e = m + 1 if corrected else m
-    values = [(j + 1) ** e - j**e for j in range(n + 1)]
+    values = _table(_riemann_values, m + 1 if corrected else m, n)
     return _binom_sum(n, p, a, b, values, (m + 1) * (factorial(n) if corrected else 1))
 
 
@@ -645,7 +667,7 @@ def _py6ab(m, n, p, lam):
 def _inp1(m, n, p, lam):
     """Riemann integral over [0,1], coefficient form"""
     a, b = _ratio(lam)
-    lhs = _integral01(_p_poly(m, n, a, b, p))
+    lhs = _functional(_p_poly(m, n, a, b, p), _table(_integral01_row, m + 1))
     return lhs, _coefficient_integral(m, n, p, a, b)
 
 
@@ -654,7 +676,7 @@ def _inp2(m, n, p, lam, *, corrected):
     """Riemann integral, summation form; printed drops both
     the 1/n! and the +1 in the exponent"""
     a, b = _ratio(lam)
-    lhs = _integral01(_p_poly(m, n, a, b, p))
+    lhs = _functional(_p_poly(m, n, a, b, p), _table(_integral01_row, m + 1))
     return lhs, _riemann_sum(m, n, p, a, b, corrected)
 
 
@@ -683,8 +705,9 @@ def _inp8a(m, n, p, lam, *, corrected):
     """expanded integral identity; corrected form restores the
     1/n! and the full inner sum with C(m+1,l)"""
     a, b = _ratio(lam)
-    weights = [(comb(m, k) * (m + 1), m - k + 1) for k in range(m + 1)]
-    lhs = _y6_sum(n, p, a, b, weights)
+    # (m+1) sum_k C(m,k)/(m-k+1) y6(k): L = lcm(1..m+1) is a multiple of m+1
+    weights, big_l = _table(_integral_weights, m)
+    lhs = _y6_sum(n, p, a, b, weights, big_l // (m + 1))
     # printed: sum_{l<m} C(m,l) j^l; corrected: sum_{l<=m} C(m+1,l) j^l
     values = _table(_inp8a_values, m + 1 if corrected else m, n)
     return lhs, _binom_sum(n, p, a, b, values, factorial(n) if corrected else 1)
@@ -698,7 +721,7 @@ def _p1_corollary(m, n, p, lam, *, corrected):
     a, b = _ratio(lam)
     lhs = _poly_at(_p_poly(m, n, a, b, p), 1, 1)
     if corrected:
-        return lhs, _y6_sum(n, p, a, b, [(comb(m, k), 1) for k in range(m + 1)])
+        return lhs, _y6_sum(n, p, a, b, _table(_binomials, m), 1)
     rhs = Fraction(m + 1, factorial(n)) * _coefficient_integral(m, n, p, a, b).fraction()
     return lhs, rhs + _y6_value(m, n, a, b, p).fraction()
 
@@ -720,7 +743,7 @@ def _inp3_4(m, n, p, lam, *, corrected):
     """Bernoulli-moment functional of the polynomial family; printed
     right side lacks the 1/n!"""
     a, b = _ratio(lam)
-    lhs = _volkenborn(_p_poly(m, n, a, b, p))
+    lhs = _functional(_p_poly(m, n, a, b, p), _table(_volkenborn_row, m + 1))
     values, den = _table(_bernoulli_values, m, n)
     return lhs, _binom_sum(n, p, a, b, values, den * factorial(n) if corrected else den)
 
@@ -730,7 +753,7 @@ def _inp5_6(m, n, p, lam, *, corrected):
     """Euler-moment functional of the polynomial family; printed right
     side lacks the 1/n!"""
     a, b = _ratio(lam)
-    lhs = _fermionic(_p_poly(m, n, a, b, p))
+    lhs = _functional(_p_poly(m, n, a, b, p), _table(_fermionic_row, m + 1))
     values, den = _table(_euler_values, m, n)
     return lhs, _binom_sum(n, p, a, b, values, den * factorial(n) if corrected else den)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -593,10 +594,20 @@ def gamma_half(a: Scalar) -> GammaHalfValue:
 
 def poly_integral01(p: Poly) -> Fraction:
     """Exact integral of p over [0, 1]."""
-    return _integral01(p).fraction()
+    return _functional(p, _integral01_row(len(p.nums))).fraction()
 
 
-def _integral01(p: Poly) -> _Unreduced:
-    scale = lcm(*range(1, len(p.nums) + 1))
-    total = sum(c * (scale // (i + 1)) for i, c in enumerate(p.nums))
-    return _Unreduced(total, p.den * scale)
+def _integral01_row(d: int) -> tuple[list[int], int]:
+    """The moments 1/(k+1), k < d, of the integral over [0, 1], as integers
+    over L = lcm(1..d)."""
+    big_l = lcm(*range(1, d + 1))
+    return [big_l // (k + 1) for k in range(d)], big_l
+
+
+def _functional(q: Poly, row: tuple[list[int], int]) -> _Unreduced:
+    """A linear functional of the polynomial q (a ``Poly`` or an
+    ``_UnreducedPoly``) from its moment row (mu, den), mu[k]/den being its
+    value on x^k for k < len(q.nums): one integer dot product over
+    q.den den, unreduced."""
+    mu, den = row
+    return _Unreduced(sum(map(mul, q.nums, mu)), q.den * den)

@@ -12,10 +12,16 @@ Neither calls ``y6`` or shares a helper with it or with the other, so the
 audit's identities between the polynomial family and ``y6`` compare
 independent routes.
 
-``volkenborn`` and ``fermionic`` integrate a polynomial through its Mahler
-expansion sum_j D^j q(0) C(x,j) and use no Bernoulli or Euler number, so
-the moment identities set them against the Bernoulli and Euler
-polynomials, built from Stirling numbers, as independent routes.
+``volkenborn``, ``fermionic`` and ``exact_core.poly_integral01`` are linear
+functionals, each given by its moment row: its values on x^k, k < d, as
+integers over one denominator, so that the functional of a polynomial of
+d coefficients is one integer dot product (``exact_core._functional``).
+The Volkenborn and fermionic rows come from the Mahler expansion
+q = sum_j D^j q(0) C(x,j) and the integrals of C(x,j), in O(d^2) and with
+no Bernoulli or Euler number, so the moment identities set them against
+the Bernoulli and Euler polynomials, built from Stirling numbers, as
+independent routes.  The public functions build the row per call; the
+audit builds each row once per degree and entry evaluation.
 
 ``p_poly`` is memoized like ``y6``: it splits lam once into its integer
 parts and looks them up in the bounded ``lru_cache`` of ``_p_poly``, so a
@@ -31,7 +37,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Callable
 
 from .classic_numbers import (
     apostol_bernoulli,
@@ -40,7 +45,7 @@ from .classic_numbers import (
     frobenius_euler,
 )
 from .exact_core import (
-    Poly, Scalar, _Unreduced, _UnreducedPoly, _check_indices, _frac, _int_values, _ratio
+    Poly, Scalar, _UnreducedPoly, _check_indices, _frac, _functional, _ratio
 )
 
 __all__ = [
@@ -117,39 +122,48 @@ def _raw_sum(m: int, n: int, a: int, b: int, p: int) -> _UnreducedPoly:
     return _UnreducedPoly(coeffs, den)
 
 
-def _mahler_functional(q: Poly, weight: Callable[[int], int], den: int) -> _Unreduced:
-    """sum_j D^j q(0) weight(j)/den, D the forward difference: the integral
-    of q = sum_j D^j q(0) C(x,j) against a measure whose integral of
-    C(x,j) is weight(j)/den.  The D^j q(0) are taken in integers from the
-    values q(0..deg q) over q.den, as ``_int_values`` gives them."""
-    values = _int_values(q, len(q.nums))
-    total = 0
-    for j in range(len(values)):
-        total += values[0] * weight(j)
-        values = [b - a for a, b in zip(values, values[1:])]
-    return _Unreduced(total, q.den * den)
+def _mahler_row(weights: list[int], den: int) -> tuple[list[int], int]:
+    """The moment row of the functional whose value on C(x,j) is
+    weights[j]/den, j < d = len(weights), over den.
+
+    With q = sum_j D^j q(0) C(x,j) (Mahler) and D^j q(0) =
+    sum_i (-1)^(j-i) C(j,i) q(i), the functional is sum_i W_i q(i) for
+    W_i = sum_{j>=i} (-1)^(j-i) C(j,i) weights[j], and its value on x^k is
+    mu_k = sum_i W_i i^k (0^0 = 1)."""
+    d = len(weights)
+    mu = [0] * d
+    for i in range(d):
+        term, c = 0, 1
+        for j in range(i, d):  # c = (-1)^(j-i) C(j,i)
+            term += c * weights[j]
+            c = -c * (j + 1) // (j + 1 - i)
+        for k in range(d):  # term = W_i i^k
+            mu[k] += term
+            term *= i
+    return mu, den
 
 
 def volkenborn(q: Poly) -> Fraction:
-    """Volkenborn integral, x^i -> B_i (Bernoulli numbers), from the Mahler
-    expansion: the integral of C(x,j) is (-1)^j/(j+1)."""
-    return _volkenborn(q).fraction()
+    """Volkenborn integral, x^k -> B_k (Bernoulli numbers)."""
+    return _functional(q, _volkenborn_row(len(q.nums))).fraction()
 
 
-def _volkenborn(q: Poly) -> _Unreduced:
-    big_l = lcm(*range(1, len(q.nums) + 1))
-    return _mahler_functional(q, lambda j: (-1) ** j * (big_l // (j + 1)), big_l)
+def _volkenborn_row(d: int) -> tuple[list[int], int]:
+    """The Volkenborn moments B_k, k < d, over L = lcm(1..d), from the
+    Mahler weights: the integral of C(x,j) is (-1)^j/(j+1)."""
+    big_l = lcm(*range(1, d + 1))
+    return _mahler_row([(-1) ** j * (big_l // (j + 1)) for j in range(d)], big_l)
 
 
 def fermionic(q: Poly) -> Fraction:
-    """Fermionic p-adic integral, x^i -> E_i(0) (Euler polynomial at 0), from
-    the Mahler expansion: the integral of C(x,j) is (-1/2)^j."""
-    return _fermionic(q).fraction()
+    """Fermionic p-adic integral, x^k -> E_k(0) (Euler polynomial at 0)."""
+    return _functional(q, _fermionic_row(len(q.nums))).fraction()
 
 
-def _fermionic(q: Poly) -> _Unreduced:
-    d = len(q.nums)
-    return _mahler_functional(q, lambda j: (-1) ** j << (d - j), 1 << d)
+def _fermionic_row(d: int) -> tuple[list[int], int]:
+    """The fermionic moments E_k(0), k < d, over 2^d, from the Mahler
+    weights: the integral of C(x,j) is (-1/2)^j."""
+    return _mahler_row([(-1) ** j << (d - j) for j in range(d)], 1 << d)
 
 
 def power_sum_closed(m: int, upper: int, lam: Scalar) -> Fraction:

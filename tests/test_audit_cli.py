@@ -510,6 +510,16 @@ class TestRunner:
             ("inP3_4", "_bernoulli_values", 81),
             ("inP5_6", "_euler_values", 81),
             ("yp3_euler_operator", "_euler_operator_r", 216),
+            # one row per degree d = m + 1 for m = 0..8
+            ("inP1", "_integral01_row", 9),
+            ("inP3_4", "_volkenborn_row", 9),
+            ("inP5_6", "_fermionic_row", 9),
+            # one weight row per m = 0..8
+            ("inP1", "_integral_weights", 9),
+            ("P1_corollary", "_binomials", 9),
+            # (e, n) = (0, 0) before the printed form fails at the first
+            # point, then (m + 1, n) for the 81 pairs of the corrected form
+            ("inP2", "_riemann_values", 82),
         ],
     )
     def test_tables_are_built_once_per_evaluation(

@@ -174,9 +174,10 @@ def test_corrupted_stirling_table_flips_every_number_family(monkeypatch):
 
 
 def test_faulty_int_values_flips_the_moment_entries(monkeypatch):
-    # _int_values gives both the Mahler values of p_poly and the values of
-    # B_m/E_m at j on the two sides of inP3_4/inP5_6, and the inner sums of
-    # the Section 6 double sums: q(1) off by one must fail them, not cancel
+    # _int_values gives the values of B_m/E_m at j on the right sides of
+    # inP3_4/inP5_6, whose left sides take moment rows and no _int_values,
+    # and the inner sums of the Section 6 double sums: q(1) off by one must
+    # fail them
     def off_at_one(kernel):
         def faulty(q, count):
             values = kernel(q, count)
@@ -188,6 +189,32 @@ def test_faulty_int_values_flips_the_moment_entries(monkeypatch):
 
     flipped = _flipped(monkeypatch, exact_core, "_int_values", off_at_one)
     assert flipped == _fails("inP3_4 inP5_6 sec6_bernoulli sec6_euler")
+
+
+def _off_on_x(builder):
+    # mu_1 + 1: the functional's value on x is off by 1/den
+    def faulty(d):
+        mu, den = builder(d)
+        return [mu[0], mu[1] + 1, *mu[2:]] if d > 1 else mu, den
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "owner, builder, flips",
+    [
+        (exact_core, "_integral01_row", "inP1 inP2"),
+        (p_polynomials, "_volkenborn_row", "inP3_4"),
+        (p_polynomials, "_fermionic_row", "inP5_6"),
+    ],
+)
+def test_faulty_moment_row_flips_the_entries_that_read_it(
+    monkeypatch, owner, builder, flips
+):
+    # a moment row gives the left sides of its entries only; the right sides
+    # (y6 sums, Riemann sums, Bernoulli and Euler values) never build it
+    flipped = _flipped(monkeypatch, owner, builder, _off_on_x)
+    assert flipped == _fails(flips)
 
 
 def _off_at_one_two(kernel):

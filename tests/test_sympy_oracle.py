@@ -1,9 +1,13 @@
-"""Differential tests of the number tables against sympy, an independent
-oracle that is optional: the module is skipped where sympy is missing."""
+"""Differential tests of the number tables, the Bernoulli and Euler
+polynomials and the p-adic integrals against sympy, an independent oracle
+that is optional: the module is skipped where sympy is missing."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import pytest
 
@@ -12,12 +16,20 @@ from sympy.functions.combinatorial.numbers import stirling  # noqa: E402
 
 from binomsums.classic_numbers import (  # noqa: E402
     bernoulli_number,
+    bernoulli_poly,
     euler_number0,
+    euler_poly,
     stirling1,
     stirling2,
 )
-from binomsums.exact_core import gamma_half  # noqa: E402
-from binomsums.p_polynomials import r_poly  # noqa: E402
+from binomsums.exact_core import Poly, gamma_half  # noqa: E402
+from binomsums.p_polynomials import (  # noqa: E402
+    _fermionic_row,
+    _volkenborn_row,
+    fermionic,
+    r_poly,
+    volkenborn,
+)
 
 N_MAX = 30
 # the Bernoulli and Euler numbers are one dot product each, so go further
@@ -30,6 +42,27 @@ def _frac(value) -> Fraction:
     return Fraction(int(rational.p), int(rational.q))
 
 
+def _bernoulli0(n: int) -> Fraction:
+    """B_n(0) = B_n with B_1 = -1/2, from sympy's numbers, which take
+    B_1 = +1/2 (sympy.bernoulli(n, 0) is the same value but evaluates the
+    polynomial, about 10 s for n <= 200)."""
+    expected = _frac(sympy.bernoulli(n))
+    return -expected if n == 1 else expected
+
+
+@lru_cache(maxsize=None)
+def _euler0(n: int) -> Fraction:
+    """E_n(0) from sympy, which evaluates the Euler polynomial (about 2 s
+    for n <= 200): computed once for the two tests that read it."""
+    return _frac(sympy.euler(n, 0))
+
+
+def test_sympy_takes_b1_positive():
+    # the convention _bernoulli0 corrects for (sympy >= 1.12)
+    assert sympy.bernoulli(1) == sympy.Rational(1, 2)
+    assert sympy.bernoulli(1, 0) == sympy.Rational(-1, 2)
+
+
 @pytest.mark.parametrize("n", range(N_MAX + 1))
 def test_stirling_numbers(n):
     for k in range(n + 1):
@@ -39,14 +72,67 @@ def test_stirling_numbers(n):
 
 @pytest.mark.parametrize("n", range(NUMBERS_MAX + 1))
 def test_bernoulli_numbers(n):
-    # sympy takes B_1 = +1/2; here B_1 = -1/2
-    expected = _frac(sympy.bernoulli(n))
-    assert bernoulli_number(n) == (-expected if n == 1 else expected)
+    assert bernoulli_number(n) == _bernoulli0(n)
 
 
 @pytest.mark.parametrize("n", range(NUMBERS_MAX + 1))
 def test_euler_numbers_at_zero(n):
-    assert euler_number0(n) == _frac(sympy.euler(n, 0))
+    assert euler_number0(n) == _euler0(n)
+
+
+def test_p_adic_moments():
+    # volkenborn(x^k) = B_k(0) and fermionic(x^k) = E_k(0) for k <= 200.
+    # volkenborn(x^k) is entry k of the moment row of degree k + 1, and an
+    # entry does not depend on the row's length, so one row of each gives
+    # every k; the public functions are checked on a few monomials
+    for row, expected, functional in (
+        (_volkenborn_row(NUMBERS_MAX + 1), _bernoulli0, volkenborn),
+        (_fermionic_row(NUMBERS_MAX + 1), _euler0, fermionic),
+    ):
+        mu, den = row
+        assert [Fraction(v, den) for v in mu] == [
+            expected(k) for k in range(NUMBERS_MAX + 1)
+        ]
+        for k in (0, 1, 2, 3, 10, 57, NUMBERS_MAX):
+            assert functional(Poly.monomial(k)) == Fraction(mu[k], den)
+
+
+def _coeffs(expr) -> list[Fraction]:
+    """The coefficients of a sympy polynomial in x, constant term first."""
+    coeffs = sympy.Poly(expr, sympy.Symbol("x")).all_coeffs()[::-1]
+    return [_frac(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("n", range(25))
+def test_bernoulli_and_euler_polynomials(n):
+    x = sympy.Symbol("x")
+    assert list(bernoulli_poly(n).coeffs) == _coeffs(sympy.bernoulli(n, x))
+    assert list(euler_poly(n).coeffs) == _coeffs(sympy.euler(n, x))
+
+
+def _mahler_functional(values: list[Fraction], weight, den: int) -> Fraction:
+    """The former route to the p-adic integrals, kept as a reference:
+    sum_j D^j q(0) weight(j)/den from the values q(0..deg q), D the
+    forward difference."""
+    total = Fraction(0)
+    for j in range(len(values)):
+        total += values[0] * weight(j)
+        values = [b - a for a, b in zip(values, values[1:])]
+    return total / den
+
+
+def test_p_adic_integrals_of_a_degree_300_polynomial():
+    rng = random.Random(300)
+    q = Poly([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(301)])
+    d = len(q.nums)
+    values = [q(x) for x in range(d)]
+    big_l = lcm(*range(1, d + 1))
+    assert volkenborn(q) == _mahler_functional(
+        values, lambda j: (-1) ** j * (big_l // (j + 1)), big_l
+    )
+    assert fermionic(q) == _mahler_functional(
+        values, lambda j: (-1) ** j << (d - j), 1 << d
+    )
 
 
 @pytest.mark.parametrize("n", range(N_MAX + 1))
