@@ -40,7 +40,11 @@ which gives the values of B_m and E_m on the right sides of
 fermionic moment rows, built from Mahler weights with no Bernoulli or Euler
 number and no ``_int_values``.
 ``test_faulty_int_values_flips_the_moment_entries`` shows that a fault
-there reaches both entries.  ``p_poly`` sums its own integer
+there reaches both entries.  ``_int_values`` evaluates through
+``exact_core._poly_at``, the one Horner, as ``Poly.__call__``,
+``P1_corollary`` and ``yp3_euler_operator`` do;
+``test_faulty_horner_flips_every_polynomial_value`` pins the 15 entries
+that a fault in it reaches.  ``p_poly`` sums its own integer
 coefficients and does not call ``y6``, so ``py6ab``, ``inP1`` and
 ``P1_corollary``, which set the polynomial family against ``y6`` values
 (through ``_y6_sum``), compare independent routes.

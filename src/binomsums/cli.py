@@ -7,7 +7,8 @@ Subcommands:
 - ``audit seq``: print exact terms of a named sequence family.
 
 Exit codes: 0 when every verdict matches its pinned expectation, 1 when a
-verdict deviates, 2 on usage or configuration errors.
+verdict deviates, 2 on usage or configuration errors and on input too
+large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -221,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; try a smaller range or grid", file=sys.stderr)
         return EXIT_USAGE
 
 

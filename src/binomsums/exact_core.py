@@ -9,9 +9,12 @@ indices must be ``int`` and, unless documented otherwise, >= 0
 (``_check_indices``).  Inside, ``Poly`` and ``EgfSeries`` hold Python-int
 numerators over one reduced denominator (the representation of FLINT's
 ``fmpq_poly``), so their arithmetic runs on ints and a ``Fraction`` is
-built only where a value leaves the object.  The scalar kernels return an
-``_Unreduced`` quotient and the polynomial kernels an ``_UnreducedPoly``,
-which their public functions reduce.
+built only where a value leaves the object.  Their private base
+``_IntRow`` owns that form: ``from_ints``, ``coeffs``, equality, hashing
+and scaling by a scalar.  ``_poly_at`` is the one Horner; every
+polynomial value, ``_int_values`` included, goes through it.  The scalar
+kernels return an ``_Unreduced`` quotient and the polynomial kernels an
+``_UnreducedPoly``, which their public functions reduce.
 """
 
 from __future__ import annotations
@@ -108,11 +111,11 @@ def _check_ints(**indices: object) -> None:
 def _check_indices(**indices: object) -> None:
     """The gate of every public index that must be an int >= 0: a non-int
     raises ``TypeError`` and a negative value ``ValueError``, before any
-    cache or arithmetic sees it."""
+    cache or arithmetic sees it.  The first index that fails decides
+    which error is raised; a valid call makes no nested call."""
     for name, value in indices.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if value < 0:
+        if type(value) is not int or value < 0:
+            _check_ints(**{name: value})
             if len(indices) == 1:
                 raise ValueError(f"{name} must be >= 0")
             raise ValueError("indices must be >= 0")
@@ -160,12 +163,56 @@ def _align(a: Sequence[int], da: int, b: Sequence[int], db: int):
     return [c * fa for c in a], [c * fb for c in b], da * fa
 
 
-def _check_int_parts(nums: list, den: object) -> None:
-    """Refuse numerators or a den that are not ints (bool included): a
-    Fraction or float part would break the canonical integer form."""
-    if type(den) is not int or not set(map(type, nums)) <= {int}:
-        bad = next(x for x in (den, *nums) if type(x) is not int)
-        raise TypeError(f"from_ints needs int parts, got {type(bad).__name__}")
+class _IntRow:
+    """Integer numerators ``nums`` over one positive denominator ``den``
+    that shares no factor with all of them: the canonical form that
+    :class:`Poly` and :class:`EgfSeries` store.  The form is unique, so
+    equality and hashing compare integers; ``coeffs`` builds the
+    ``Fraction`` coefficients on demand.  Rows are built by the reducing
+    constructor of their class (``_poly`` or ``_egf``), or by
+    ``_canonical`` where the arithmetic already left them canonical."""
+
+    __slots__ = ("nums", "den")
+
+    @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int = 1):
+        """The row nums[i] / den.  Numerators and den must be ints (bool
+        excluded): a Fraction or float part would break the integer form."""
+        nums = list(nums)
+        if type(den) is not int or not set(map(type, nums)) <= {int}:
+            bad = next(x for x in (den, *nums) if type(x) is not int)
+            raise TypeError(f"from_ints needs int parts, got {type(bad).__name__}")
+        if not nums and cls is EgfSeries:
+            raise ValueError("EgfSeries needs at least the constant term")
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        return (_poly if cls is Poly else _egf)(nums, den)
+
+    @classmethod
+    def _canonical(cls, nums: Iterable[int], den: int):
+        """The row nums / den, already canonical, stored without a gcd."""
+        row = object.__new__(cls)
+        row.nums, row.den = tuple(nums), den
+        return row
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.nums])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self.nums == other.nums and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def _scale(self, c: Scalar):
+        """The row times the scalar c."""
+        num, den = _ratio(c)
+        nums = [num * a for a in self.nums]
+        return (_poly if type(self) is Poly else _egf)(nums, self.den * den)
 
 
 def _poly(nums: list[int], den: int) -> "Poly":
@@ -184,32 +231,20 @@ def _egf(nums: list[int], den: int) -> "EgfSeries":
     return s
 
 
-class Poly:
+class Poly(_IntRow):
     """Dense univariate polynomial with exact rational coefficients.
 
-    Stored as integer numerators ``nums`` over one positive denominator
-    ``den`` that shares no factor with all of them, with no trailing zero
+    Stored in the canonical form of :class:`_IntRow` with no trailing zero
     numerator; the zero polynomial is ``()`` over 1 and has degree -1.
-    That form is unique, so equality and hashing compare integers.
-    ``coeffs`` builds the ``Fraction`` coefficients on demand.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.nums, self.den = _common(cs)
-
-    @classmethod
-    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "Poly":
-        """The polynomial sum nums[i] x^i / den."""
-        nums = list(nums)
-        _check_int_parts(nums, den)
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        return _poly(nums, den)
 
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
@@ -226,11 +261,6 @@ class Poly:
         return _X
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple([Fraction(c, den) for c in self.nums])
-
-    @property
     def degree(self) -> int:
         return len(self.nums) - 1
 
@@ -243,14 +273,11 @@ class Poly:
         return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self == Poly([other])
-        return NotImplemented
+            other = Poly([other])
+        return super().__eq__(other)
 
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
+    __hash__ = _IntRow.__hash__  # an __eq__ of its own would unset it
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, Poly):
@@ -271,9 +298,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = object.__new__(Poly)
-        p.nums, p.den = tuple([-c for c in self.nums]), self.den
-        return p
+        return Poly._canonical([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (Poly, int, Fraction)):
@@ -287,8 +312,7 @@ class Poly:
         if isinstance(other, Poly):
             return _poly(_convolve(self.nums, other.nums), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            num, den = _ratio(other)
-            return _poly([c * num for c in self.nums], self.den * den)
+            return self._scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -307,10 +331,8 @@ class Poly:
             raise ValueError("negative polynomial power")
         # By Gauss's lemma the content of nums**e is the content of nums
         # to the e, which stays coprime to den**e: no reduction is needed.
-        p = object.__new__(Poly)
-        p.nums = tuple(_power(self.nums, e, _convolve)) if e else (1,)
-        p.den = self.den**e
-        return p
+        nums = _power(self.nums, e, _convolve) if e else (1,)
+        return Poly._canonical(nums, self.den**e)
 
     def __call__(self, x: Scalar) -> Fraction:
         return _poly_at(self, *_ratio(x)).fraction()
@@ -350,14 +372,8 @@ def _poly_at(q: Poly, a: int, b: int) -> _Unreduced:
 
 
 def _int_values(q: Poly, count: int) -> list[int]:
-    """The integer numerators q(x) q.den at x = 0..count-1, by Horner."""
-    values = []
-    for x in range(count):
-        v = 0
-        for c in reversed(q.nums):
-            v = v * x + c
-        values.append(v)
-    return values
+    """The integer numerators q(x) q.den at x = 0..count-1."""
+    return [_poly_at(q, x, 1).num for x in range(count)]
 
 
 def _power(base, e: int, mul):
@@ -386,37 +402,20 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-class EgfSeries:
+class EgfSeries(_IntRow):
     """Truncated series sum c_n t^n / n!, with coefficients (c_0, ..., c_N).
 
-    Stored like :class:`Poly`, as integer numerators ``nums`` over one
-    canonical denominator ``den``; ``coeffs`` gives the ``Fraction`` form.
+    Stored in the canonical form of :class:`_IntRow`, trailing zeros kept.
     Products use the binomial convolution; two series must share the
     truncation order before they can be combined.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence[Scalar]):
         if len(coeffs) == 0:
             raise ValueError("EgfSeries needs at least the constant term")
         self.nums, self.den = _common([_frac(c) for c in coeffs])
-
-    @classmethod
-    def from_ints(cls, nums: Iterable[int], den: int = 1) -> "EgfSeries":
-        """The series with coefficients nums[n] / den."""
-        nums = list(nums)
-        _check_int_parts(nums, den)
-        if not nums:
-            raise ValueError("EgfSeries needs at least the constant term")
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        return _egf(nums, den)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple([Fraction(c, den) for c in self.nums])
 
     def coeff(self, n: int) -> Fraction:
         _check_indices(n=n)
@@ -446,17 +445,7 @@ class EgfSeries:
             for n in range(order, -1, -1):
                 out[n] *= q_pow
                 q_pow *= q
-        s = object.__new__(EgfSeries)
-        s.nums, s.den = tuple(out), q**order
-        return s
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EgfSeries):
-            return self.nums == other.nums and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
+        return EgfSeries._canonical(out, q**order)
 
     def _check_order(self, other: "EgfSeries") -> None:
         if self.order != other.order:
@@ -472,9 +461,7 @@ class EgfSeries:
     def __sub__(self, other: "EgfSeries") -> "EgfSeries":
         return self + other.scale(-1)
 
-    def scale(self, c: Scalar) -> "EgfSeries":
-        num, den = _ratio(c)
-        return _egf([num * a for a in self.nums], self.den * den)
+    scale = _IntRow._scale
 
     def __mul__(self, other: "EgfSeries") -> "EgfSeries":
         self._check_order(other)
@@ -514,9 +501,7 @@ class EgfSeries:
                 r = [c * grow for c in r]
                 den *= grow
             r.append(num * (den // d))
-        s = object.__new__(EgfSeries)
-        s.nums, s.den = tuple(r), den
-        return s
+        return EgfSeries._canonical(r, den)
 
     def pow(self, e: int) -> "EgfSeries":
         """Integer power; negative exponents go through the reciprocal."""

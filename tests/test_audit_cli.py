@@ -602,6 +602,23 @@ class TestRunner:
         assert csv_text.splitlines()[0].startswith("id,")
         assert "chu,HOLDS_PRINTED" in csv_text
 
+    def test_markdown_lists_every_printed_counterexample(self):
+        # each entry whose printed form fails, with the point and both
+        # printed sides of its JSON counterexample, and no other entry
+        report = run_audit()
+        entries = json.loads(render_json(report))["entries"]
+        expected = []
+        for e in entries:
+            if e["verdict"] != Verdict.HOLDS_PRINTED.value:
+                found = e["counterexample"]
+                expected.append(
+                    f"- **{e['id']}** at {found['point']}: "
+                    f"lhs = {found['printedLhs']}, rhs = {found['printedRhs']}"
+                )
+        assert len(expected) == 12
+        _, section = render_markdown(report).split("## Printed-form counterexamples\n\n")
+        assert section.splitlines() == expected
+
     def test_config_check_draws_an_unmatched_grid_only_to_its_first_change(
         self, monkeypatch
     ):

@@ -26,13 +26,14 @@ oracles = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracles)
 
 
-def _cli(*args: str) -> None:
+def _cli(*args: str, check: bool = True, **kwargs) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "binomsums.cli", *args],
         env={**os.environ, "PYTHONPATH": path},
         timeout=300,
-        check=True,
+        check=check,
+        **kwargs,
     )
 
 
@@ -73,3 +74,22 @@ def test_seq_matches_the_oracle_values(tmp_path, args, count, expected):
     _cli("seq", *args, "--range", f"0..{count - 1}", "--out", str(out))
     rows = oracles.parse_csv(out.read_text())
     assert oracles.check_values(rows, [str(expected(n)) for n in range(count)]) == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_running_out_of_memory_exits_two_without_a_traceback():
+    # franel_recurrence keeps every term of 0..3,000,000, far beyond a
+    # 400 MB address space: the child runs out of memory within seconds
+    import resource
+
+    limit = 400 * 2**20
+    done = _cli(
+        "seq", "franel", "--range", "0..3000000",
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

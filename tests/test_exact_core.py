@@ -720,6 +720,12 @@ class TestEgfSeriesAgainstReference:
         assert new.coeffs[1] == Fraction(-1, 2)
         assert new.den.bit_length() < 200
 
+    def test_a_series_never_equals_a_polynomial(self):
+        # both store the same integer row, but equality needs the same type
+        s, p = EgfSeries([1, Fraction(1, 2)]), Poly([1, Fraction(1, 2)])
+        assert (s.nums, s.den) == (p.nums, p.den)
+        assert s != p and p != s
+
     def test_from_ints_is_canonical(self):
         s = EgfSeries.from_ints([2, -4, 0], 6)
         assert s == EgfSeries([Fraction(1, 3), Fraction(-2, 3), 0])

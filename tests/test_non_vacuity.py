@@ -154,8 +154,9 @@ def _fails(names: str):
 def test_corrupted_stirling_table_flips_every_number_family(monkeypatch):
     # S(n,1) + 1 in every second-kind row corrupts S(n,k) and what is built
     # on it: the Bernoulli, Euler, Apostol and Frobenius-Euler numbers and
-    # polynomials and the t polynomials; the moment functionals integrate
-    # p_poly through its Mahler expansion, so they must stop holding too
+    # polynomials and the t polynomials; inP3_4 and inP5_6 flip through the
+    # B_m and E_m values on their right sides (their left sides take moment
+    # rows, which no Stirling number builds)
     def corrupted(table):
         def next_row(row, n):
             out = classic_numbers._stirling2_next(row, n)
@@ -189,6 +190,27 @@ def test_faulty_int_values_flips_the_moment_entries(monkeypatch):
 
     flipped = _flipped(monkeypatch, exact_core, "_int_values", off_at_one)
     assert flipped == _fails("inP3_4 inP5_6 sec6_bernoulli sec6_euler")
+
+
+def test_faulty_horner_flips_every_polynomial_value(monkeypatch):
+    # _poly_at is the one Horner: Poly.__call__, _int_values (the B_m, E_m
+    # and Section 6 value tables), P1_corollary's p_poly(1) and
+    # yp3_euler_operator's r polynomial all evaluate through it, so
+    # v -> 2v + 1 must fail every entry that evaluates a polynomial on one
+    # side only
+    def doubled(kernel):
+        def faulty(q, a, b):
+            v = kernel(q, a, b)
+            return _Unreduced(2 * v.num + v.den, v.den)
+
+        return faulty
+
+    flipped = _flipped(monkeypatch, exact_core, "_poly_at", doubled)
+    assert flipped == _fails(
+        "Caa3 P1_corollary alt_euler_sum apostol_powersum changhee_theorem "
+        "faulhaber inP3_4 inP5_6 legendre_P0 legendre_P2 mirimanoff_frobenius "
+        "sec6_bernoulli sec6_euler tpoly yp3_euler_operator"
+    )
 
 
 def _off_on_x(builder):

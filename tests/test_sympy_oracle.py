@@ -1,5 +1,6 @@
-"""Differential tests of the number tables, the Bernoulli and Euler
-polynomials and the p-adic integrals against sympy, an independent oracle
+"""Differential tests of the number tables, the Bernoulli, Euler and
+Legendre polynomials, the p-adic integrals, the rising and falling
+factorials and the terminating pFq against sympy, an independent oracle
 that is optional: the module is skipped where sympy is missing."""
 
 from __future__ import annotations
@@ -15,14 +16,24 @@ sympy = pytest.importorskip("sympy")
 from sympy.functions.combinatorial.numbers import stirling  # noqa: E402
 
 from binomsums.classic_numbers import (  # noqa: E402
+    FamilyTag,
     bernoulli_number,
     bernoulli_poly,
+    classic_sequence,
     euler_number0,
     euler_poly,
+    legendre,
     stirling1,
     stirling2,
 )
-from binomsums.exact_core import Poly, gamma_half  # noqa: E402
+from binomsums.exact_core import (  # noqa: E402
+    Poly,
+    binomial_general,
+    falling_factorial,
+    gamma_half,
+    pochhammer,
+)
+from binomsums.hypergeom import PfqSpec, pfq_terminating  # noqa: E402
 from binomsums.p_polynomials import (  # noqa: E402
     _fermionic_row,
     _volkenborn_row,
@@ -154,3 +165,52 @@ def test_gamma_at_integers_and_half_integers(k):
     assert not value.is_pole
     assert value.sqrt_pi_exponent == k % 2
     assert value.rational_part == _frac(expected / sympy.sqrt(sympy.pi) ** (k % 2))
+
+
+def test_legendre_polynomials():
+    x = sympy.Symbol("x")
+    for n in range(25):
+        assert list(legendre(n).coeffs) == _coeffs(sympy.legendre(n, x))
+
+
+def test_catalan_numbers():
+    for n in range(40):
+        assert classic_sequence(FamilyTag.CATALAN, n) == _frac(sympy.catalan(n))
+
+
+def _rational(x) -> sympy.Rational:
+    """An int or Fraction as a sympy Rational."""
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@pytest.mark.parametrize(
+    "z", [Fraction(-7, 3), Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(5)], ids=str
+)
+def test_factorials_and_binomials(z):
+    for v in range(10):
+        assert pochhammer(z, v) == _frac(sympy.rf(_rational(z), v))
+        assert falling_factorial(z, v) == _frac(sympy.ff(_rational(z), v))
+        assert binomial_general(z, v) == _frac(sympy.binomial(_rational(z), v))
+
+
+@pytest.mark.parametrize("z", [Fraction(1, 3), Fraction(-2)], ids=str)
+@pytest.mark.parametrize(
+    "upper, lower",
+    [
+        ((Fraction(1, 2),), (Fraction(3, 2),)),
+        ((Fraction(1, 3), 2), (Fraction(5, 2), Fraction(-7, 3))),
+    ],
+    ids=["2F1", "3F2"],
+)
+def test_terminating_pfq(upper, lower, z):
+    # pFq(-n, upper; lower; z) for n < 6, which sympy expands to a rational
+    for n in range(6):
+        expected = sympy.hyperexpand(
+            sympy.hyper(
+                [_rational(a) for a in (-n, *upper)],
+                [_rational(b) for b in lower],
+                _rational(z),
+            )
+        )
+        assert pfq_terminating(PfqSpec((-n, *upper), lower, z)) == _frac(expected)
