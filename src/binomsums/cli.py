@@ -17,13 +17,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .audit.config import AuditConfig, ConfigError, load_config
 from .audit.registry import build_registry
 from .audit.runner import render_csv, render_json, render_markdown, run_audit
 from .classic_numbers import FamilyTag, classic_sequence
-from .y6_engine import _franel_range, bnk, moment, y6
+from .y6_engine import _franel_range, _sums, _y6_range, bnk
 
 EXIT_OK = 0
 EXIT_VERDICT_MISMATCH = 1
@@ -77,22 +77,22 @@ def _int_param(params: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
-def _y6_terms(rng: range, ps: dict) -> list:
+def _y6_terms(rng: range, ps: dict) -> Iterable:
     """y6(m,n;lam,p) over a range."""
     m, p = _int_param(ps, "m", 0), _int_param(ps, "p", 2)
-    lam = ps.get("lam", Fraction(1))
-    return [y6(m, n, lam, p) for n in rng]
+    return _y6_range(m, ps.get("lam", Fraction(1)), p, rng)
 
 
 # Each family with the ``--params`` keys it reads and its terms over a range.
-_SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], list]]] = {
+_SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], Iterable]]] = {
     "bnk": (("d",), lambda rng, ps: [bnk(_int_param(ps, "d"), n) for n in rng]),
     "y6": (("m", "lam", "p"), _y6_terms),
     "moment": (
         ("m", "p"),
-        lambda rng, ps: [
-            moment(_int_param(ps, "m", 0), _int_param(ps, "p", 2), n) for n in rng
-        ],
+        # sum_k C(n,k)^p k^m, the kernel's integers at lam = 1
+        lambda rng, ps: _sums(
+            _int_param(ps, "m", 0), 1, 1, _int_param(ps, "p", 2), rng
+        ),
     ),
     **{
         tag.value: ((), lambda rng, ps, t=tag: [classic_sequence(t, n) for n in rng])

@@ -16,11 +16,15 @@ e^{kt} of ``EgfSeries.exp`` by the integer C(n,k)^p a^k b^(n-k), from
 series as integers over n! b^n and reduces once.  It calls no ``_y6``, so a
 fault in the kernel cannot cancel in ``y6G``, which compares the two.
 
-``franel_recurrence`` gives a prefix of the Franel numbers sum_k C(n,k)^p,
-p = 3 or 4, in O(N) integer steps by Franel's recurrences (1894, 1895),
-checking every division; ``audit seq franel`` takes it via ``_franel_range``.
-``franel`` stays the direct ``y6`` sum, so the audit's Franel entries and
-the recurrence remain independent routes to the same numbers.
+``audit seq`` takes the kernel's integers over a whole range from ``_sums``:
+where ``recurrences`` has a certified row for p (for every lam, or at lam = 1
+and m = 0), the row is unrolled from seed columns of ``_y6`` in O(N) steps,
+with every division checked, and the terms are yielded from the range's
+start; other slices (p = 0, p >= 5, p = 4 away from lam = 1, m = 0) sum term
+by term.  ``franel_recurrence`` gives a prefix of the Franel numbers
+sum_k C(n,k)^p, p = 3 or 4, the same way.  ``y6``, ``franel``, ``moment`` and
+the audit keep the direct sum, so the audit's Franel entries and the
+recurrences remain independent routes to the same numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
+from typing import Iterator
 
 from .classic_numbers import stirling1, stirling2
 from .exact_core import (
@@ -40,6 +46,7 @@ from .exact_core import (
     _check_ints,
     _ratio,
 )
+from .recurrences import row_for, unroll
 
 __all__ = [
     "RationalFunction",
@@ -207,46 +214,50 @@ def franel(p: int, m: int, n: int, lam: Scalar) -> Fraction:
     return Fraction(_y6(m, n, a, b, p), b**n)
 
 
-# Franel's recurrences lead(n) f(n+1) = cur(n) f(n) + prev(n) f(n-1); both
-# hold at n = 0 with f(-1) = 0, since prev(0) = 0.
-_FRANEL_STEPS = {
-    3: lambda n: ((n + 1) ** 2, 7 * n * n + 7 * n + 2, 8 * n * n),
-    4: lambda n: (
-        (n + 1) ** 3,
-        2 * (2 * n + 1) * (3 * n * n + 3 * n + 1),
-        4 * n * (4 * n - 1) * (4 * n + 1),
-    ),
-}
-
-
 def franel_recurrence(p: int, stop: int) -> list[int]:
     """Franel numbers sum_k C(n,k)^p for n = 0..stop-1 and p = 3 or 4.
 
-    Unrolls Franel's recurrence from f(0) = 1; a division that is not exact
-    raises ``ArithmeticError``.
+    Unrolls the certified row of ``recurrences`` at x = 1 (Franel's
+    recurrence) from f(0) = 1; a division that is not exact raises
+    ``ArithmeticError``.
     """
     _check_ints(p=p)
     _check_indices(stop=stop)
-    if p not in _FRANEL_STEPS:
+    if p not in (3, 4):
         raise ValueError(f"Franel recurrence is known for p = 3, 4 only, got p = {p}")
-    step = _FRANEL_STEPS[p]
-    terms = [1] if stop else []
-    prev = 0
-    for n in range(stop - 1):
-        lead, cur_c, prev_c = step(n)
-        value, rem = divmod(cur_c * terms[n] + prev_c * prev, lead)
-        if rem:
-            raise ArithmeticError(
-                f"Franel recurrence p = {p} is not exact at n = {n + 1}"
-            )
-        prev = terms[n]
-        terms.append(value)
-    return terms
+    return list(_sums(0, 1, 1, p, range(stop)))
 
 
-def _franel_range(p: int, m: int, lam: Scalar, rng: range) -> list:
-    """Franel numbers n! y6(m,n;lam,p) for n in rng, by Franel's recurrence
-    where ``_FRANEL_STEPS`` has p and m = 0, lam = 1, else term by term."""
-    if m == 0 and _ratio(lam) == (1, 1) and p in _FRANEL_STEPS and rng.start >= 0:
-        return franel_recurrence(p, rng.stop)[rng.start :]
-    return [franel(p, m, n, lam) for n in rng]
+def _sums(m: int, a: int, b: int, p: int, rng: range) -> Iterator[int]:
+    """The kernel's integers n! b^n y6(m,n;a/b,p) for n in rng, a step-1
+    range: unrolled by the certified row that ``recurrences.row_for`` picks,
+    seeded with ``_y6``, or else ``_y6`` term by term.  The indices are
+    checked at once, with the message ``_y6`` gives."""
+    _check_indices(m=m, n=rng.start, p=p)
+    row = row_for(p, m, a, b)
+    if row is None:
+        return (_y6(m, n, a, b, p) for n in rng)
+    order = len(row.telescoper) - 1
+    seeds = [[_y6(j, n, a, b, p) for j in range(m + 1)] for n in range(order)]
+    return unroll(row, m, a, b, seeds, rng)
+
+
+def _y6_range(m: int, lam: Scalar, p: int, rng: range) -> Iterator[Fraction]:
+    """y6(m,n;lam,p) for n in rng, each as ``y6`` gives it."""
+    a, b = _ratio(lam)
+    terms = _sums(m, a, b, p, rng)
+    # n! b^n, one multiplication a step
+    dens = accumulate(
+        rng[1:], lambda den, n: den * n * b, initial=factorial(rng.start) * b**rng.start
+    )
+    return map(Fraction, terms, dens)
+
+
+def _franel_range(p: int, m: int, lam: Scalar, rng: range) -> Iterator[Scalar]:
+    """Franel numbers n! y6(m,n;lam,p) for n in rng, equal to what
+    ``franel`` gives; the integers themselves when lam is an integer."""
+    a, b = _ratio(lam)
+    terms = _sums(m, a, b, p, rng)
+    if b == 1:
+        return terms
+    return map(Fraction, terms, (b**n for n in rng))

@@ -10,6 +10,8 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, lcm
 from pathlib import Path
@@ -48,7 +50,7 @@ from binomsums.classic_numbers import (
 )
 from binomsums.exact_core import Poly, _Unreduced, _UnreducedPoly, poly_integral01
 from binomsums.p_polynomials import fermionic, p_poly, raw_sum_poly, volkenborn
-from binomsums.y6_engine import bnk, franel, y6
+from binomsums.y6_engine import bnk, franel, moment, y6
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -982,11 +984,13 @@ def _seq_output(argv: list[str], capsys) -> str:
     return capsys.readouterr().out
 
 
-def _per_term_text(fmt: str, rng: range, params: dict, values: list) -> str:
+def _per_term_text(
+    family: str, fmt: str, rng: range, params: dict, values: list
+) -> str:
     """``audit seq`` output rendered from values computed term by term."""
     if fmt == "json":
         doc = {
-            "family": "franel",
+            "family": family,
             "params": {k: str(v) for k, v in params.items()},
             "values": [{"n": n, "value": str(v)} for n, v in zip(rng, values)],
         }
@@ -994,59 +998,161 @@ def _per_term_text(fmt: str, rng: range, params: dict, values: list) -> str:
     return "n,value\n" + "".join(f"{n},{v}\n" for n, v in zip(rng, values))
 
 
-class TestSeqFranelFastPath:
-    """m = 0, lam = 1, p = 3, 4 takes the recurrence; the bytes must be
-    those of the direct sum evaluated term by term."""
+def _count_unrolls(monkeypatch) -> list:
+    """The rows ``y6_engine`` unrolls from now on, in call order."""
+    rows = []
+    kernel = y6_engine.unroll
+    monkeypatch.setattr(
+        y6_engine,
+        "unroll",
+        lambda row, *args: rows.append((row.p, row.x)) or kernel(row, *args),
+    )
+    return rows
+
+
+def _direct(family: str, params: dict):
+    """n -> the family's value by its own direct-sum function, with the
+    defaults ``audit seq`` applies."""
+    m, lam = int(params.get("m", 0)), params.get("lam", Fraction(1))
+    if family == "y6":
+        return lambda n: y6(m, n, lam, int(params.get("p", 2)))
+    if family == "franel":
+        return lambda n: franel(int(params.get("p", 3)), m, n, lam)
+    return lambda n: moment(m, int(params.get("p", 2)), n)
+
+
+def _seq_matches_the_direct_sum(family, params_text, lo, hi, fmt, capsys):
+    argv = [family, "--range", f"{lo}..{hi}", "--format", fmt]
+    if params_text:
+        argv += ["--params", params_text]
+    params = cli._parse_params([params_text])
+    rng = range(lo, hi + 1)
+    expected = [_direct(family, params)(n) for n in rng]
+    expected_text = _per_term_text(family, fmt, rng, params, expected)
+    assert _seq_output(argv, capsys) == expected_text
+
+
+class TestSeqRecurrences:
+    """``audit seq`` y6, franel and moment unroll the certified row that
+    ``recurrences.row_for`` picks; the bytes must be those of the direct sum
+    evaluated term by term, for every lam and from any start."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("lam", ["0", "1", "-1", "2", "1/2", "5/11", "-7/13"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bytes_match_the_direct_sum(self, p, lam, fmt, monkeypatch, capsys):
+        rows = _count_unrolls(monkeypatch)
+        families = [
+            ("y6", f"m={{m}},lam={lam},p={p}"),
+            ("franel", f"p={p},m={{m}},lam={lam}"),
+        ]
+        if lam == "1":
+            families.append(("moment", f"m={{m}},p={p}"))
+        for m in range(5):
+            for lo, hi in [(0, 30), (250, 260)]:
+                for family, params in families:
+                    _seq_matches_the_direct_sum(
+                        family, params.format(m=m), lo, hi, fmt, capsys
+                    )
+        expected = {(p, None): 10 * len(families)}
+        if (p, lam) == (3, "1"):  # at m = 0 the row at x = 1 serves
+            expected = {(3, None): 8 * len(families), (3, 1): 2 * len(families)}
+        assert Counter(rows) == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "lo, hi, p", [(0, 600, 3), (250, 260, 3), (0, 200, 4)]
     )
-    def test_bytes_match_the_per_term_route(
+    def test_franel_numbers_take_the_row_at_one(
         self, lo, hi, p, fmt, monkeypatch, capsys
     ):
-        calls = []
-        kernel = y6_engine.franel_recurrence
-        monkeypatch.setattr(
-            y6_engine, "franel_recurrence", lambda *a: calls.append(a) or kernel(*a)
-        )
-        argv = ["franel", "--range", f"{lo}..{hi}", "--format", fmt]
-        params = {}
-        if p != 3:
-            argv += ["--params", f"p={p}"]
-            params = {"p": Fraction(p)}
-        rng = range(lo, hi + 1)
-        expected = [franel(p, 0, n, Fraction(1)) for n in rng]
-        assert _seq_output(argv, capsys) == _per_term_text(fmt, rng, params, expected)
-        assert calls == [(p, hi + 1)]
+        rows = _count_unrolls(monkeypatch)
+        _seq_matches_the_direct_sum("franel", f"p={p}", lo, hi, fmt, capsys)
+        assert rows == [(p, 1)]
 
     @pytest.mark.parametrize(
-        "params, p, m, lam",
+        "family, params, row",
         [
-            ("p=2", 2, 0, Fraction(1)),
-            ("m=1", 3, 1, Fraction(1)),
-            ("lam=2", 3, 0, Fraction(2)),
+            ("franel", "", (3, 1)),
+            ("franel", "m=1", (3, None)),
+            ("franel", "p=1,lam=-7/13", (1, None)),
+            ("y6", "p=4", (4, 1)),
+            ("y6", "p=3,lam=2/2", (3, 1)),
+            ("y6", "m=3,p=3,lam=5/11", (3, None)),
+            ("y6", "", (2, None)),
+            ("moment", "p=4", (4, 1)),
+            ("moment", "m=2,p=1", (1, None)),
+        ],
+    )
+    def test_each_slice_with_a_row_takes_it(
+        self, family, params, row, monkeypatch, capsys
+    ):
+        rows = _count_unrolls(monkeypatch)
+        _seq_matches_the_direct_sum(family, params, 0, 30, "csv", capsys)
+        assert rows == [row]
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("franel", "p=0"),
+            ("franel", "p=5"),
+            ("franel", "p=4,m=1"),
+            ("franel", "p=4,lam=2"),
+            ("y6", "p=0,lam=5/11"),
+            ("y6", "m=2,lam=-7/13,p=6"),
+            ("y6", "p=4,lam=1/2"),
+            ("moment", "m=1,p=4"),
+            ("moment", "p=5"),
         ],
     )
     def test_other_slices_take_the_direct_sum(
-        self, params, p, m, lam, monkeypatch, capsys
+        self, family, params, monkeypatch, capsys
     ):
         def refuse(*args):
-            raise AssertionError("recurrence used outside its slice")
+            raise AssertionError("a recurrence used outside its rows")
 
-        monkeypatch.setattr(y6_engine, "franel_recurrence", refuse)
-        rng = range(0, 31)
-        out = _seq_output(["franel", "--params", params, "--range", "0..30"], capsys)
-        expected = [franel(p, m, n, lam) for n in rng]
-        assert out == _per_term_text("csv", rng, {}, expected)
+        monkeypatch.setattr(y6_engine, "unroll", refuse)
+        _seq_matches_the_direct_sum(family, params, 0, 30, "csv", capsys)
 
-    def test_lambda_one_is_read_from_its_integer_parts(self):
+    def test_lambda_one_is_read_from_its_integer_parts(self, monkeypatch):
+        rows = _count_unrolls(monkeypatch)
         rng = range(0, 8)
         expected = [franel(3, 0, n, Fraction(1)) for n in rng]
         for one in (1, Fraction(1), Fraction(4, 4)):
-            assert y6_engine._franel_range(3, 0, one, rng) == expected
+            assert list(y6_engine._franel_range(3, 0, one, rng)) == expected
+        assert rows == [(3, 1)] * 3
         with pytest.raises(TypeError):
             y6_engine._franel_range(3, 0, 1.0, rng)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["y6", "--range=-1..2"], "indices must be >= 0"),
+            (["y6", "--params", "m=-1"], "indices must be >= 0"),
+            (["y6", "--params", "p=-2,lam=1/2"], "indices must be >= 0"),
+            (["franel", "--params", "m=-1"], "indices must be >= 0"),
+            (["franel", "--params", "p=-3"], "indices must be >= 0"),
+            (["moment", "--params", "m=-2,p=3"], "indices must be >= 0"),
+            (["y6", "--params", "lam=nan"], "not a rational number: 'nan'"),
+            (["franel", "--params", "p=3/2"], "parameter 'p' must be an integer"),
+        ],
+    )
+    def test_refusals_keep_their_message(self, argv, message, capsys):
+        assert cli.main(["seq", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_a_late_window_holds_no_earlier_term(self, capsys):
+        # franel(3, 0, n, 1) has about 3n bits: the 4,000 terms before the
+        # window would take about 3 MB, the six in it about 9 kB
+        tracemalloc.start()
+        try:
+            assert cli.main(["seq", "franel", "--range", "4000..4005"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == f"4000,{y6_engine._y6(0, 4000, 1, 1, 3)}"
+        assert peak < 512 * 1024
 
 
 class TestSeqDigitLimit:

@@ -78,8 +78,9 @@ def test_seq_matches_the_oracle_values(tmp_path, args, count, expected):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
 def test_running_out_of_memory_exits_two_without_a_traceback():
-    # franel_recurrence keeps every term of 0..3,000,000, far beyond a
-    # 400 MB address space: the child runs out of memory within seconds
+    # _cmd_seq keeps the rows of 0..3,000,000, each term of about 3n bits,
+    # far beyond a 400 MB address space: the child runs out of memory
+    # within seconds
     import resource
 
     limit = 400 * 2**20

@@ -41,6 +41,7 @@ from binomsums.p_polynomials import (  # noqa: E402
     r_poly,
     volkenborn,
 )
+from binomsums.recurrences import ROWS  # noqa: E402
 
 N_MAX = 30
 # the Bernoulli and Euler numbers are one dot product each, so go further
@@ -214,3 +215,86 @@ def test_terminating_pfq(upper, lower, z):
             )
         )
         assert pfq_terminating(PfqSpec((-n, *upper), lower, z)) == _frac(expected)
+
+
+_N, _K, _X = sympy.symbols("n k x")
+
+
+def _nested(poly, variables):
+    """A nested coefficient tuple, outermost variable first, as an expression."""
+    if not isinstance(poly, tuple):
+        return poly
+    v, rest = variables[0], variables[1:]
+    return sum(v**e * _nested(c, rest) for e, c in enumerate(poly))
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: f"p{row.p}-x{row.x}")
+def test_certificates_as_rational_function_identities(row):
+    # sum_i c_i F(n+i,k)/F(n,k) = R(n,k+1) F(n,k+1)/F(n,k) - R(n,k) in the
+    # field Q(n,k,x), for F(n,k) = C(n,k)^p x^k, with the ratios of F taken
+    # by sympy's combsimp and R = k^p A / prod_j (n+j-k)^p, not through the
+    # cleared polynomial that check_certificate evaluates
+    field, n, k, x = sympy.field("n,k,x", sympy.ZZ)
+    if row.x is not None:
+        x = field(row.x)
+    p, s = row.p, row.span
+
+    def ratio(di, dk):
+        f = sympy.binomial(_N + di, _K + dk) / sympy.binomial(_N, _K)
+        return field.from_expr(sympy.combsimp(f**p)) * x**dk
+
+    def cert(k):
+        den = field(1)
+        for j in range(1, s + 1):
+            den *= (n + j - k) ** p
+        return k**p * _nested(row.certificate, (x, k, n)) / den
+
+    lhs = sum(
+        (_nested(c, (x, n)) * ratio(i, 0) for i, c in enumerate(row.telescoper)),
+        field(0),
+    )
+    assert lhs == cert(k + 1) * ratio(0, 1) - cert(k)
+
+
+def _flat(poly) -> list:
+    """The coefficients of a nested tuple, depth first."""
+    if not isinstance(poly, tuple):
+        return [poly]
+    return [c for sub in poly for c in _flat(sub)]
+
+
+def _unknowns(poly, names):
+    """The nested tuple's shape with an unknown in place of each coefficient."""
+    if type(poly) is int:
+        return next(names)
+    return tuple(_unknowns(c, names) for c in poly)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [row for row in ROWS if (row.p, row.x) in {(2, None), (3, 1)}],
+    ids=lambda row: f"p{row.p}-x{row.x}",
+)
+def test_rows_are_rederived_by_nullspace(row):
+    # in the stored row's shape, the cleared identity of check_certificate
+    # has a one-dimensional solution space, spanned by the stored row
+    x = _X if row.x is None else sympy.Integer(row.x)
+    p, s = row.p, row.span
+    names = sympy.numbered_symbols("u")
+    telescoper = _unknowns(row.telescoper, names)
+    certificate = _unknowns(row.certificate, names)
+    lhs = sum(
+        _nested(c, (x, _N))
+        * sympy.Mul(*[(_N + j) ** p for j in range(1, i + 1)])
+        * sympy.Mul(*[(_N + j - _K) ** p for j in range(i + 1, s + 1)])
+        for i, c in enumerate(telescoper)
+    )
+    a_next = _nested(certificate, (x, _K + 1, _N))
+    rhs = x * (_N + s - _K) ** p * a_next - _K**p * _nested(certificate, (x, _K, _N))
+    unknowns = _flat(telescoper) + _flat(certificate)
+    equations = sympy.Poly(sympy.expand(lhs - rhs), _N, _K, _X).coeffs()
+    matrix, _ = sympy.linear_eq_to_matrix(equations, unknowns)
+    (vector,) = matrix.nullspace()
+    stored = _flat(row.telescoper) + _flat(row.certificate)
+    scale = stored[-1] / vector[-1]
+    assert [v * scale for v in vector] == stored

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binomsums import p_polynomials, y6_engine
+from binomsums import p_polynomials, recurrences, y6_engine
 from binomsums.audit import (
     AuditConfig,
     GridSpec,
@@ -361,9 +361,13 @@ class TestFranelRecurrence:
             franel_recurrence(3, 10.0)
 
     def test_inexact_step_raises(self, monkeypatch):
-        # f(1) = 2 f(0) / 3 is not an integer
-        monkeypatch.setitem(y6_engine._FRANEL_STEPS, 3, lambda n: (3, 2, 0))
-        with pytest.raises(ArithmeticError, match="not exact at n = 1"):
+        # c_1(0) = -15 in place of -16: 4 f(2) = 8 f(0) + 15 f(1) = 38
+        row = next(r for r in recurrences.ROWS if (r.p, r.x) == (3, 1))
+        c0, (c1,), c2 = row.telescoper
+        bad = row._replace(telescoper=(c0, ((c1[0] + 1, *c1[1:]),), c2))
+        rows = tuple(bad if r is row else r for r in recurrences.ROWS)
+        monkeypatch.setattr(recurrences, "ROWS", rows)
+        with pytest.raises(ArithmeticError, match="not exact at n = 2"):
             franel_recurrence(3, 4)
 
     def test_is_public_for_the_tracer(self):
