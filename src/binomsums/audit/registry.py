@@ -22,46 +22,60 @@ sides stay independent code paths, and no entry evaluates one routine on
 both sides; a shared bug would otherwise cancel and the audit would prove
 nothing.  Each sum has one kernel, and an entry reaches it through the
 library: ``CC2`` sets ``bnk``'s integer loop against ``y6`` (through
-``y1``), ``Cab3`` the series route against ``y6``, and ``golombek`` and
-``altStirling`` take ``bnk``, ``moment`` and ``franel`` against the series,
-the closed forms and S(n,k).  ``changhee_theorem`` keeps its own
-``Fraction`` sum of s(n,k) E_k(0) on purpose: ``legendre_P0`` checks the
-same identity through ``classic_sequence``'s integer sum, so a fault in
-that sum fails one entry and not the other.  ``_binom_sum`` sums
-C(n,j)^p lam^j g(j) directly and calls none of ``y6``, ``p_poly``,
-``raw_sum_poly`` or ``r_poly``, the routes it is compared with.  At p = 0
-it also gives the left sides of the four power-sum entries (through
-``_power_sum``), against Bernoulli, Euler, Apostol-Bernoulli and
-Frobenius-Euler closed forms that never call it;
+``y1``), ``Cab3`` the series route (the n-th power of the row of 1 + lam
+e^t under ``exact_core._binomial_convolve``) against ``_y6``, ``y6G`` the
+power rows of ``y6_engine._y6_egf`` against ``_y6``'s ratio walk,
+``boyadzhiev`` the row C(k,j) j^n against ``_boyadzhiev_row``'s expansion
+over S(n,j), and ``golombek`` and ``altStirling`` take ``bnk``, ``moment``
+and ``franel`` against the series, the closed forms and S(n,k).
+``changhee_theorem`` keeps its own ``Fraction`` sum of s(n,k) E_k(0) on
+purpose: ``legendre_P0`` checks the same identity through
+``classic_sequence``'s integer sum, so a fault in that sum fails one entry
+and not the other.  ``_binom_sum`` sums C(n,j)^p lam^j g(j) directly and
+calls none of ``y6``, ``p_poly``, ``raw_sum_poly`` or ``r_poly``, the
+routes it is compared with.  At p = 0 it also gives the left sides of the
+four power-sum entries (through ``_power_sum``), against Bernoulli, Euler,
+Apostol-Bernoulli and Frobenius-Euler closed forms that never call it: the
+right sides of ``mirimanoff_frobenius`` and ``apostol_powersum`` are
+``p_polynomials._mirimanoff_frobenius_sum`` and ``_power_sum_closed``,
+which evaluate their polynomial through ``_poly_at``;
 ``test_faulty_binom_sum_flips_its_consumers`` shows that a fault in it is
-not cancelled.  A ``Poly`` g reaches it through ``exact_core._int_values``,
-which gives the values of B_m and E_m on the right sides of
-``inP3_4``/``inP5_6``; their left sides dot P with the Volkenborn and
-fermionic moment rows, built from Mahler weights with no Bernoulli or Euler
-number and no ``_int_values``.
+not cancelled, and ``test_faulty_integer_closed_side_flips_its_readers``
+pins the entries that read each integer closed side.  A ``Poly`` g reaches
+it through ``exact_core._int_values``, which gives the values of B_m and
+E_m on the right sides of ``inP3_4``/``inP5_6``; their left sides dot P
+with the Volkenborn and fermionic moment rows, built from Mahler weights
+with no Bernoulli or Euler number and no ``_int_values``.
 ``test_faulty_int_values_flips_the_moment_entries`` shows that a fault
 there reaches both entries.  ``_int_values`` evaluates through
 ``exact_core._poly_at``, the one Horner, as ``Poly.__call__``,
 ``P1_corollary`` and ``yp3_euler_operator`` do;
 ``test_faulty_horner_flips_every_polynomial_value`` pins the 15 entries
-that a fault in it reaches.  ``p_poly`` sums its own integer
-coefficients and does not call ``y6``, so ``py6ab``, ``inP1`` and
-``P1_corollary``, which set the polynomial family against ``y6`` values
-(through ``_y6_sum``), compare independent routes.
+that a fault in it reaches.  ``p_poly`` sums its own integer coefficients
+and does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``,
+which set the polynomial family against ``y6`` values (through
+``_y6_sum``), compare independent routes.
 
 Speed: the sums over the large grids are taken in integers over one common
 denominator, and a side is left as that unreduced quotient or row and
 compared by cross-multiplying, with no gcd and no ``Fraction`` per point.
-An entry over a lam grid splits lam = a/b once per point and passes a and
-b on, so the memoized ``_y6`` and ``_p_poly`` hash no ``Fraction``.  A
-side's lam-invariant part is a table, built by ``_table(build, *ints)``
+So are the power-sum closed forms, ``boyadzhiev``'s expansion, the series
+of ``y6G`` (an ``_UnreducedSeries``) and ``Cab3``, and ``CB1_xu``.  The
+sides that still build a ``Fraction`` per point are on grids of at most 81
+points (the B(n,k) entries, the Franel, Legendre and OGF slices,
+``faulhaber``) or are ``y6bb``'s pFq form, which goes through the
+``Fraction``-valued ``pfq_terminating``: a warm default audit builds about
+7.3 k.  An entry over a lam grid splits lam = a/b once per point and passes
+a and b on, so the memoized ``_y6`` and ``_p_poly`` hash no ``Fraction``.
+A side's lam-invariant part is a table, built by ``_table(build, *ints)``
 once per int key and entry evaluation; each table belongs to one side of
 its identity.  So a linear functional of the polynomial family (the
 integral over [0,1], Volkenborn, fermionic) is its moment row, built once
 per degree, and one integer dot product with P's numerators per point
-(``exact_core._functional``); the ``_y6_sum`` weights and the Riemann
-values (j+1)^e - j^e are tables too.  A ``_grid`` yields its points lazily,
-so the runner's config check draws them only up to the first difference.
+(``exact_core._functional``); the ``_y6_sum`` weights, the Riemann values
+(j+1)^e - j^e and the closed forms' polynomials, per (m, a, b), are tables
+too.  A ``_grid`` yields its points lazily, so the runner's config check
+draws them only up to the first difference.
 """
 
 from __future__ import annotations
@@ -83,7 +97,6 @@ from ..classic_numbers import (
     euler_number0,
     euler_poly,
     euler_poly_order,
-    frobenius_euler,
     legendre,
     stirling1,
     stirling2,
@@ -95,10 +108,13 @@ from ..exact_core import (
     Poly,
     _Unreduced,
     _UnreducedPoly,
+    _UnreducedSeries,
+    _binomial_convolve,
     _functional,
     _int_values,
     _integral01_row,
     _poly_at,
+    _power,
     _ratio,
     pochhammer,
 )
@@ -111,17 +127,20 @@ from ..hypergeom import (
 )
 from ..p_polynomials import (
     _fermionic_row,
+    _frobenius_poly,
+    _mirimanoff_frobenius_sum,
     _p_poly,
+    _power_sum_closed,
+    _power_sum_poly,
     _raw_sum,
     _volkenborn_row,
     euler_operator,
-    mirimanoff_frobenius_sum,
     power_sum_closed,
     r_poly,
     vowe,
 )
 from ..y6_engine import (
-    _y6, _y6_value, b_ogf, bnk, franel, moment, t_poly, y1, y6, y6_egf
+    _y6, _y6_egf, _y6_value, b_ogf, bnk, franel, moment, t_poly, y1, y6
 )
 from .config import GridSpec
 
@@ -413,22 +432,26 @@ def _bs1(m, n):
     return bnk(m, n), rhs
 
 
+def _boyadzhiev_row(m: int, n: int) -> _UnreducedPoly:
+    """sum_j C(n,j) j! S(m,j) x^j (1+x)^(n-j) as its n + 1 integer
+    coefficients, over 1: the weight of x^j times C(n-j, i-j) at x^i."""
+    row = [0] * (n + 1)
+    for j in range(min(m, n) + 1):
+        weight = comb(n, j) * factorial(j) * stirling2(m, j).numerator
+        c = 1
+        for i in range(j, n + 1):  # c = C(n-j, i-j)
+            row[i] += weight * c
+            c = c * (n - i) // (i - j + 1)
+    return _UnreducedPoly(row, 1)
+
+
 @_identity("boyadzhiev", Verdict.HOLDS_PRINTED, _MN8)
 def _boyadzhiev(m, n):
     """sum_j C(k,j) j^n x^j = sum_j C(k,j) j! S(n,j) x^j (1+x)^(k-j),
     polynomial identity in x"""
     # the paper's power n is the grid's m and its row k is the grid's n
-    lhs = Poly.from_ints([comb(n, j) * j**m for j in range(n + 1)])
-    rhs = Poly()
-    for j in range(min(m, n) + 1):
-        rhs = rhs + (
-            comb(n, j)
-            * factorial(j)
-            * stirling2(m, j)
-            * Poly.monomial(j)
-            * Poly([1, 1]) ** (n - j)
-        )
-    return lhs, rhs
+    lhs = _UnreducedPoly([comb(n, j) * j**m for j in range(n + 1)], 1)
+    return lhs, _boyadzhiev_row(m, n)
 
 
 @_identity("altStirling", Verdict.HOLDS_PRINTED, _MN10)
@@ -440,8 +463,8 @@ def _alt_stirling(m, n):
 @_identity("CB1_xu", Verdict.HOLDS_PRINTED, _DK)
 def _cb1_xu(d, k):
     """recurrence sum_v m_v B(d-v,k) = 2^(k-d) C(k,d) with m_v = s(d,d-v)/d!"""
-    lhs = sum(stirling1(d, d - v) / factorial(d) * bnk(d - v, k) for v in range(d))
-    return lhs, Fraction(2) ** (k - d) * comb(k, d)
+    lhs = sum(stirling1(d, d - v).numerator * bnk(d - v, k).numerator for v in range(d))
+    return _Unreduced(lhs, factorial(d)), _Unreduced(comb(k, d) << k, 1 << d)
 
 
 @_identity("tpoly", Verdict.HOLDS_PRINTED, _DK)
@@ -475,9 +498,12 @@ def _cab3(m, n, lam):
     """negative-order Apostol-Euler numbers:
     E_n^(-k)(lam) = k! 2^(-k) y1(n,k;lam)"""
     # the paper's index n is the grid's m and its order k is the grid's n
-    series = EgfSeries.one(m) + EgfSeries.exp(1, m).scale(lam)
-    lhs = series.scale(Fraction(1, 2)).pow(n).coeff(m)
-    return lhs, factorial(n) * Fraction(1, 2**n) * y1(m, n, lam)
+    a, b = _ratio(lam)
+    # 1 + lam e^t has the EGF row a + b, a, ..., a over b; its n-th power,
+    # by binomial convolution, is over b^n, and both sides are over (2b)^n
+    row = _power([a + b] + [a] * m, n, _binomial_convolve) if n else [1] + [0] * m
+    den = (2 * b) ** n
+    return _Unreduced(row[m], den), _Unreduced(_y6(m, n, a, b, 1), den)
 
 
 @_identity("Caa3", Verdict.HOLDS_PRINTED, _MN8)
@@ -495,14 +521,17 @@ def _y6g(n, p, lam):
     """EGF coefficients = m-th derivatives at 0"""
     order = 12
     a, b = _ratio(lam)
+    # both rows are numerators over n! b^n
+    den = factorial(n) * b**n
     ys = [_y6(m, n, a, b, p) for m in range(order + 1)]
-    return y6_egf(n, lam, p, order), EgfSeries.from_ints(ys, factorial(n) * b**n)
+    lhs = _UnreducedSeries(_y6_egf(n, a, b, p, order), den)
+    return lhs, _UnreducedSeries(ys, den)
 
 
 @_identity("y6bb", Verdict.HOLDS_PRINTED, _grid("n", "p", "lam", n_cap=10, p_min=1))
 def _y6bb(n, p, lam):
     """hypergeometric form: p copies of -n over p-1 ones, argument (-1)^p lam"""
-    return y6_hyper(n, lam, p), y6(0, n, lam, p)
+    return y6_hyper(n, lam, p), _y6_value(0, n, *_ratio(lam), p)
 
 
 @_identity("chu", Verdict.HOLDS_PRINTED, _ns(21))
@@ -766,10 +795,13 @@ def _inp5_6(m, n, p, lam, *, corrected):
 # power sums
 
 
+_X0S = (Fraction(0), F1, Fraction(1, 2))
+
+
 def _mirimanoff_grid(spec: GridSpec) -> Iterator[dict]:
     for m in range(min(spec.m_max, 6) + 1):
         for n in range(1, min(spec.n_max, 6) + 1):
-            for x0 in (Fraction(0), Fraction(1), Fraction(1, 2)):
+            for x0 in _X0S:
                 for lam in spec.lambdas:
                     yield {"m": m, "n": n, "x0": x0, "lam": lam}
 
@@ -785,12 +817,19 @@ def _mirimanoff_grid(spec: GridSpec) -> Iterator[dict]:
 def _mirimanoff_frobenius(m, n, x0, lam, *, corrected):
     """geometric power sum via Frobenius-Euler polynomials;
     printed repeats the shifted argument in both terms"""
-    u = lam
-    lhs = _power_sum(m, n, u, x0)
+    (a, b), (c, d) = _ratio(lam), _ratio(x0)
+    lhs = _power_sum(m, n, lam, x0)
+    h = _table(_frobenius_poly, m, a, b)
     if corrected:
-        return lhs, mirimanoff_frobenius_sum(m, n, x0, u)
-    h = frobenius_euler(m, 1 / u)
-    return lhs, (u**n * h(x0 + n) - h(x0 + n)) / (u - 1)
+        return lhs, _mirimanoff_frobenius_sum(h, n, c, d, a, b)
+    # (u^n - 1) h(x0+n) / (u - 1)
+    top = _poly_at(h, c + n * d, d)
+    return lhs, _Unreduced(top.num * (a**n - b**n) * b, top.den * b**n * (a - b))
+
+
+def _apostol_poly(m: int, a: int, b: int) -> Poly:
+    """The Apostol-Bernoulli polynomial A_m(x; a/b)."""
+    return apostol_bernoulli(m, Fraction(a, b))
 
 
 @_identity(
@@ -806,11 +845,15 @@ def _mirimanoff_frobenius(m, n, x0, lam, *, corrected):
 def _apostol_powersum(m, n, lam, *, corrected):
     """geometric power sum via Apostol-Bernoulli polynomials;
     printed exponent lam^m instead of lam^N"""
+    a, b = _ratio(lam)
     lhs = _power_sum(m - 1, n, lam)
     if corrected:
-        return lhs, power_sum_closed(m - 1, n, lam)
-    a = apostol_bernoulli(m, lam)
-    return lhs, (lam**m * a(n) - a(0)) / m
+        q = _table(_power_sum_poly, m - 1, a, b)
+        return lhs, _power_sum_closed(q, m - 1, n, a, b)
+    # (lam^m A_m(n) - A_m(0)) / m, with A_m(n) and A_m(0) over one denominator
+    q = _table(_apostol_poly, m, a, b)
+    top, bottom = _poly_at(q, n, 1).num, _poly_at(q, 0, 1).num
+    return lhs, _Unreduced(a**m * top - b**m * bottom, q.den * b**m * m)
 
 
 @_identity("faulhaber", Verdict.HOLDS_PRINTED, _POWER_SUM)

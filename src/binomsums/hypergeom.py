@@ -38,7 +38,7 @@ class PfqSpec:
 
 
 def _is_nonpositive_int(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
+    return x.denominator == 1 and x.numerator <= 0
 
 
 def pfq_terminating(spec: PfqSpec) -> Fraction:
@@ -48,7 +48,7 @@ def pfq_terminating(spec: PfqSpec) -> Fraction:
     parameters.  Lower parameters that are non-positive integers are only
     allowed when their pole index lies strictly beyond M.
     """
-    tops = [-int(a) for a in spec.upper if _is_nonpositive_int(a)]
+    tops = [-a.numerator for a in spec.upper if _is_nonpositive_int(a)]
     if not tops:
         raise ValueError("series does not terminate: no non-positive integer "
                          "upper parameter")
@@ -62,15 +62,17 @@ def pfq_terminating(spec: PfqSpec) -> Fraction:
     # step multiplies that by the ratio's denominator, which is nonzero for
     # k < M by the pole check above.
     zn, zd = spec.z.numerator, spec.z.denominator
+    upper = [(a.numerator, a.denominator) for a in spec.upper]
+    lower = [(b.numerator, b.denominator) for b in spec.lower]
     total = term = den = 1
     for k in range(M):
         num, div = zn, zd * (k + 1)
-        for a in spec.upper:
-            num *= a.numerator + k * a.denominator
-            div *= a.denominator
-        for b in spec.lower:
-            num *= b.denominator
-            div *= b.numerator + k * b.denominator
+        for a, d in upper:
+            num *= a + k * d
+            div *= d
+        for b, d in lower:
+            num *= d
+            div *= b + k * d
         term *= num
         den *= div
         total = total * div + term
@@ -85,7 +87,9 @@ def y6_hyper(n: int, lam: Scalar, p: int) -> Fraction:
     if p < 1:
         raise ValueError("the hypergeometric form needs p >= 1")
     lam = _frac(lam)
-    spec = PfqSpec([-n] * p, [1] * (p - 1), (-1) ** p * lam)
+    # one Fraction per distinct parameter, which PfqSpec keeps as it is
+    top, one = Fraction(-n), Fraction(1)
+    spec = PfqSpec((top,) * p, (one,) * (p - 1), -lam if p % 2 else lam)
     return pfq_terminating(spec) / factorial(n)
 
 

@@ -23,6 +23,15 @@ the Bernoulli and Euler polynomials, built from Stirling numbers, as
 independent routes.  The public functions build the row per call; the
 audit builds each row once per degree and entry evaluation.
 
+The closed-form power sums ``power_sum_closed`` and
+``mirimanoff_frobenius_sum`` take their polynomial (Bernoulli, Euler,
+Apostol-Bernoulli or Frobenius-Euler) from ``_power_sum_poly`` or
+``_frobenius_poly``, evaluate it with ``exact_core._poly_at`` at integer
+points and at x0 = c/d, and combine the integer values in their kernels
+``_power_sum_closed`` and ``_mirimanoff_frobenius_sum``, which return an
+``exact_core._Unreduced``.  The audit keeps each polynomial in a table per
+(m, a, b) and calls the kernels itself.
+
 ``p_poly`` is memoized like ``y6``: it splits lam once into its integer
 parts and looks them up in the bounded ``lru_cache`` of ``_p_poly``, so a
 lookup hashes a tuple of ints, not a ``Fraction``.  The audit asks for each
@@ -45,7 +54,14 @@ from .classic_numbers import (
     frobenius_euler,
 )
 from .exact_core import (
-    Poly, Scalar, _UnreducedPoly, _check_indices, _frac, _functional, _ratio
+    Poly,
+    Scalar,
+    _Unreduced,
+    _UnreducedPoly,
+    _check_indices,
+    _functional,
+    _poly_at,
+    _ratio,
 )
 
 __all__ = [
@@ -170,21 +186,39 @@ def power_sum_closed(m: int, upper: int, lam: Scalar) -> Fraction:
     """sum_{j=0}^{upper-1} lam^j j^m via the closed forms.
 
     lam=1 goes through Bernoulli polynomials, lam=-1 through Euler
-    polynomials, and general lam through Apostol-Bernoulli polynomials.
+    polynomials, and general lam through Apostol-Bernoulli polynomials:
+    ``_power_sum_poly`` picks the polynomial and ``_power_sum_closed``
+    evaluates the closed form in integers.
     """
     _check_indices(m=m, upper=upper)
     if upper == 0:
         return Fraction(0)
-    lam = _frac(lam)
-    ratio = _ratio(lam)  # tested as ints: no Fraction.__eq__
-    if ratio == (1, 1):
-        b = bernoulli_poly(m + 1)
-        return (b(upper) - b(0)) / (m + 1)
-    if ratio == (-1, 1):
-        e = euler_poly(m)
-        return ((-1) ** (upper - 1) * e(upper) + e(0)) / 2
-    b = apostol_bernoulli(m + 1, lam)
-    return (lam**upper * b(upper) - b(0)) / (m + 1)
+    a, b = _ratio(lam)
+    return _power_sum_closed(_power_sum_poly(m, a, b), m, upper, a, b).fraction()
+
+
+def _power_sum_poly(m: int, a: int, b: int) -> Poly:
+    """The polynomial of ``power_sum_closed``'s branch for lam = a/b, b > 0:
+    B_(m+1) at lam = 1, E_m at lam = -1, else the Apostol-Bernoulli A_(m+1)."""
+    if (a, b) == (1, 1):
+        return bernoulli_poly(m + 1)
+    if (a, b) == (-1, 1):
+        return euler_poly(m)
+    return apostol_bernoulli(m + 1, Fraction(a, b))
+
+
+def _power_sum_closed(q: Poly, m: int, upper: int, a: int, b: int) -> _Unreduced:
+    """sum_{j<upper} (a/b)^j j^m from q = ``_power_sum_poly(m, a, b)``:
+    (q(upper) - q(0))/(m+1) at lam = 1, ((-1)^(upper-1) q(upper) + q(0))/2 at
+    lam = -1 and (lam^upper q(upper) - q(0))/(m+1) otherwise.  q(upper) and
+    q(0) are ``_poly_at`` quotients over the one denominator q.den, so the
+    value is their integer combination, unreduced."""
+    top, bottom = _poly_at(q, upper, 1).num, _poly_at(q, 0, 1).num
+    if (a, b) == (1, 1):
+        return _Unreduced(top - bottom, q.den * (m + 1))
+    if (a, b) == (-1, 1):
+        return _Unreduced((-1) ** (upper + 1) * top + bottom, q.den * 2)
+    return _Unreduced(a**upper * top - b**upper * bottom, q.den * b**upper * (m + 1))
 
 
 # typed: Fraction(2) must miss the entry of 2 and be refused
@@ -211,11 +245,29 @@ def euler_operator(q: Poly, iterations: int = 1) -> Poly:
 
 def mirimanoff_frobenius_sum(m: int, n: int, x0: Scalar, u: Scalar) -> Fraction:
     """sum_{j=0}^{n-1} u^j (x0+j)^m via Frobenius-Euler polynomials:
-    (u^n H_m(x0+n; 1/u) - H_m(x0; 1/u)) / (u - 1)."""
+    (u^n H_m(x0+n; 1/u) - H_m(x0; 1/u)) / (u - 1), evaluated in integers by
+    ``_mirimanoff_frobenius_sum`` on ``_frobenius_poly``'s polynomial."""
     _check_indices(m=m, n=n)
-    u = _frac(u)
-    if _ratio(u) in ((0, 1), (1, 1)):
+    a, b = _ratio(u)
+    if (a, b) in ((0, 1), (1, 1)):
         raise ValueError("u must not be 0 or 1")
-    x0 = _frac(x0)
-    h = frobenius_euler(m, 1 / u)
-    return (u**n * h(x0 + n) - h(x0)) / (u - 1)
+    h = _frobenius_poly(m, a, b)
+    return _mirimanoff_frobenius_sum(h, n, *_ratio(x0), a, b).fraction()
+
+
+def _frobenius_poly(m: int, a: int, b: int) -> Poly:
+    """H_m(x; 1/u) for u = a/b, a != 0 and b > 0."""
+    return frobenius_euler(m, Fraction(b, a))
+
+
+def _mirimanoff_frobenius_sum(
+    h: Poly, n: int, c: int, d: int, a: int, b: int
+) -> _Unreduced:
+    """(u^n h(x0+n) - h(x0)) / (u - 1) for h = ``_frobenius_poly(m, a, b)``,
+    u = a/b != 1 and x0 = c/d with d > 0.  h(x0+n) and h(x0) are
+    ``_poly_at`` quotients over the one denominator h.den d^deg, so the
+    value is (a^n h(x0+n) - b^n h(x0)) b / (b^n (a-b)) in their numerators,
+    unreduced; n = 0 is the empty sum 0."""
+    top = _poly_at(h, c + n * d, d)
+    bottom = _poly_at(h, c, d).num
+    return _Unreduced((a**n * top.num - b**n * bottom) * b, top.den * b**n * (a - b))

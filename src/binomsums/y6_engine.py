@@ -10,11 +10,12 @@ caller divides S at most once: ``y6`` (and its p = 1 slice ``y1``) reduces
 the unreduced S / n! b^n of ``_y6_value``, ``franel`` divides by b^n only,
 and ``moment`` (lam = 1) is S.  The registry splits lam once per grid point
 and calls ``_y6`` or ``_y6_value`` itself.  ``y6_egf`` builds the same
-numbers through series arithmetic, as an independent route: it weights each
-e^{kt} of ``EgfSeries.exp`` by the integer C(n,k)^p a^k b^(n-k), from
+numbers through series arithmetic, as an independent route: it weights the
+power row k^j of each e^{kt} by the integer C(n,k)^p a^k b^(n-k), from
 ``comb`` and powers rather than ``_y6``'s ratio walk, sums the weighted
-series as integers over n! b^n and reduces once.  It calls no ``_y6``, so a
-fault in the kernel cannot cancel in ``y6G``, which compares the two.
+rows as integers over n! b^n in ``_y6_egf`` and reduces once.  It calls no
+``_y6``, so a fault in the kernel cannot cancel in ``y6G``, which compares
+the two, with ``_y6_egf``'s row left unreduced.
 
 ``audit seq`` takes the kernel's integers over a whole range from ``_sums``:
 where ``recurrences`` has a certified row for p (for every lam, or at lam = 1
@@ -133,21 +134,29 @@ y6.cache_clear = _y6.cache_clear
 def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
     """Truncated EGF (1/n!) sum_k C(n,k)^p lam^k e^{kt}.
 
-    Entry m is y6(m, n, lam, p), reached through the series e^{kt} of
-    ``EgfSeries.exp`` rather than the kernel ``_y6``, so the
-    coefficient/derivative equivalence is an actual cross-check.
+    Entry m is y6(m, n, lam, p), reached through the series e^{kt},
+    whose coefficients are the integer powers k^j, rather than the kernel
+    ``_y6``, so the coefficient/derivative equivalence is an actual
+    cross-check.  ``_y6_egf`` sums the series in integers.
     """
     _check_indices(n=n, p=p, order=order)
     a, b = _ratio(lam)
-    # For lam = a/b the sum is sum_k C(n,k)^p a^k b^(n-k) e^{kt} over
-    # n! b^n: the weights are integers, so the series add as integers and
-    # are reduced once, at the end.
-    nums = [0] * (order + 1)
-    for k in range(n + 1):
-        weight = comb(n, k) ** p * a**k * b ** (n - k)
-        for j, power in enumerate(EgfSeries.exp(k, order).nums):
-            nums[j] += weight * power
-    return EgfSeries.from_ints(nums, factorial(n) * b**n)
+    return EgfSeries.from_ints(_y6_egf(n, a, b, p, order), factorial(n) * b**n)
+
+
+def _y6_egf(n: int, a: int, b: int, p: int, order: int) -> list[int]:
+    """The order + 1 numerators of y6_egf(n, a/b, p, order) over n! b^n,
+    b > 0: the sum of C(n,k)^p a^k b^(n-k) e^{kt}, whose weights are
+    integers, so the series add as integers."""
+    # Coefficient j of e^{kt} is k^j: the weighted power row is walked by
+    # one multiplication by k a step.  e^{0t} = 1 adds b^n to entry 0 only.
+    nums = [b**n] + [0] * order
+    for k in range(1, n + 1):
+        term = comb(n, k) ** p * a**k * b ** (n - k)
+        for j in range(order + 1):
+            nums[j] += term
+            term *= k
+    return nums
 
 
 @lru_cache(maxsize=None, typed=True)

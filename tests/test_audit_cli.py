@@ -48,7 +48,9 @@ from binomsums.classic_numbers import (
     euler_poly_order,
     stirling2,
 )
-from binomsums.exact_core import Poly, _Unreduced, _UnreducedPoly, poly_integral01
+from binomsums.exact_core import (
+    Poly, _Unreduced, _UnreducedPoly, _UnreducedSeries, poly_integral01
+)
 from binomsums.p_polynomials import fermionic, p_poly, raw_sum_poly, volkenborn
 from binomsums.y6_engine import bnk, franel, moment, y6
 
@@ -345,7 +347,7 @@ class TestRegistry:
         ]
         for mod in modules:
             exported = getattr(mod, "__all__", ())
-            for kind in (_Unreduced, _UnreducedPoly):
+            for kind in (_Unreduced, _UnreducedPoly, _UnreducedSeries):
                 assert kind.__name__ not in exported
                 assert all(getattr(mod, name) is not kind for name in exported)
 

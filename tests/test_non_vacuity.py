@@ -32,7 +32,7 @@ from binomsums.audit import (
     registry,
     runner,
 )
-from binomsums.exact_core import EgfSeries, Poly, _Unreduced, _UnreducedPoly
+from binomsums.exact_core import Poly, _Unreduced, _UnreducedPoly, _UnreducedSeries
 from binomsums.y6_engine import RationalFunction
 
 HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
@@ -40,18 +40,16 @@ HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
 
 def _bump(value):
     """Add 1 to the first leaf; lists and tuples recurse into element 0.
-    A series gains 1 in its constant term, a quotient num/den becomes
-    (num + den)/den and an unreduced polynomial gains den in nums[0]."""
+    A quotient num/den becomes (num + den)/den, and an unreduced polynomial
+    or series gains den in nums[0], 1 in its constant term."""
     if isinstance(value, (Fraction, int, Poly)):
         return value + 1
     if isinstance(value, _Unreduced):
         return _Unreduced(value.num + value.den, value.den)
-    if isinstance(value, _UnreducedPoly):
+    if isinstance(value, (_UnreducedPoly, _UnreducedSeries)):
         nums = list(value.nums) or [0]
         nums[0] += value.den
-        return _UnreducedPoly(nums, value.den)
-    if isinstance(value, EgfSeries):
-        return value + EgfSeries.one(value.order)
+        return type(value)(nums, value.den)
     if isinstance(value, (list, tuple)) and value:
         return type(value)([_bump(value[0]), *value[1:]])
     raise TypeError(f"cannot perturb {value!r}")
@@ -256,8 +254,9 @@ def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
         "py6ab sec6_bernoulli sec6_euler sec6_stirling y6G "
         "yp3_euler_operator"
     )
-    # y6G compares EgfSeries; its counterexample prints the coefficient
-    # lists that its sides were before, when they were lists of Fractions
+    # y6G compares unreduced series rows; its counterexample prints the
+    # coefficient lists that its sides were before, when they were lists of
+    # Fractions
     (y6g,) = [e for e in build_registry() if e.id == "y6G"]
     with _faulted(monkeypatch, y6_engine, "_y6", _off_at_one_two):
         found = evaluate_entry(y6g, SMALL).counterexample
@@ -326,3 +325,33 @@ def test_faulty_pfq_flips_every_pfq_consumer(monkeypatch):
         lambda kernel: lambda spec: 2 * kernel(spec) + 1,
     )
     assert flipped == _fails("franel3 franel4 y6bb")
+
+
+def _twice_plus_one(kernel):
+    # v -> 2v + 1 on a quotient, and on every numerator of a row
+    def faulty(*args):
+        value = kernel(*args)
+        if isinstance(value, _Unreduced):
+            return _Unreduced(2 * value.num + value.den, value.den)
+        if isinstance(value, _UnreducedPoly):
+            return _UnreducedPoly([2 * v + 1 for v in value.nums], value.den)
+        return [2 * v + 1 for v in value]
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "owner, kernel, flips",
+    [
+        (p_polynomials, "_mirimanoff_frobenius_sum", "mirimanoff_frobenius"),
+        (p_polynomials, "_power_sum_closed", "alt_euler_sum apostol_powersum"),
+        (y6_engine, "_y6_egf", "y6G"),
+        (registry, "_boyadzhiev_row", "boyadzhiev"),
+        (exact_core, "_binomial_convolve", "Cab3 golombek"),
+    ],
+)
+def test_faulty_integer_closed_side_flips_its_readers(monkeypatch, owner, kernel, flips):
+    # each integer closed side is read by the entries pinned here, against a
+    # brute-force sum or the y6 kernel that never calls it
+    flipped = _flipped(monkeypatch, owner, kernel, _twice_plus_one)
+    assert flipped == _fails(flips)
