@@ -24,7 +24,7 @@ nothing.  Each sum has one kernel, and an entry reaches it through the
 library: ``CC2`` sets ``bnk``'s integer loop against ``y6`` (through
 ``y1``), ``Cab3`` the series route (the n-th power of the row of 1 + lam
 e^t under ``exact_core._binomial_convolve``) against ``_y6``, ``y6G`` the
-power rows of ``y6_engine._y6_egf`` against ``_y6``'s ratio walk,
+Horner row of ``y6_engine._moment_row`` against ``_y6``'s ratio walk,
 ``boyadzhiev`` the row C(k,j) j^n against ``_boyadzhiev_row``'s expansion
 over S(n,j), and ``golombek`` and ``altStirling`` take ``bnk``, ``moment``
 and ``franel`` against the series, the closed forms and S(n,k).
@@ -51,10 +51,10 @@ there reaches both entries.  ``_int_values`` evaluates through
 ``exact_core._poly_at``, the one Horner, as ``Poly.__call__``,
 ``P1_corollary`` and ``yp3_euler_operator`` do;
 ``test_faulty_horner_flips_every_polynomial_value`` pins the 15 entries
-that a fault in it reaches.  ``p_poly`` sums its own integer coefficients
-and does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``,
-which set the polynomial family against ``y6`` values (through
-``_y6_sum``), compare independent routes.
+that a fault in it reaches.  ``p_poly`` reweights the same Horner row and
+does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``, which
+set the polynomial family against ``y6`` values (through ``_y6_sum``),
+compare independent routes, as ``y6G`` does.
 
 Speed: the sums over the large grids are taken in integers over one common
 denominator, and a side is left as that unreduced quotient or row and
@@ -140,7 +140,7 @@ from ..p_polynomials import (
     vowe,
 )
 from ..y6_engine import (
-    _y6, _y6_egf, _y6_value, b_ogf, bnk, franel, moment, t_poly, y1, y6
+    _moment_row, _y6, _y6_value, b_ogf, bnk, franel, moment, t_poly, y1, y6
 )
 from .config import GridSpec
 
@@ -524,7 +524,7 @@ def _y6g(n, p, lam):
     # both rows are numerators over n! b^n
     den = factorial(n) * b**n
     ys = [_y6(m, n, a, b, p) for m in range(order + 1)]
-    lhs = _UnreducedSeries(_y6_egf(n, a, b, p, order), den)
+    lhs = _UnreducedSeries(_moment_row(order, n, a, b, p), den)
     return lhs, _UnreducedSeries(ys, den)
 
 

@@ -210,7 +210,6 @@ def apostol_euler(n: int, lam: Scalar) -> Poly:
     return _geometric_poly(Fraction(2), lam + 1, lam, n)
 
 
-@lru_cache(maxsize=None, typed=True)
 def frobenius_euler(n: int, u: Scalar) -> Poly:
     """Frobenius-Euler polynomial H_n(x; u) from (1-u) e^{xt}/(e^t - u)."""
     _check_indices(n=n)
@@ -250,16 +249,18 @@ def y_seq(n: int, lam: Scalar) -> Fraction:
     return factorial(n) * 2 / d * (-(lam**2) / d) ** n
 
 
-@lru_cache(maxsize=None, typed=True)
 def legendre(n: int) -> Poly:
     """Legendre polynomial via 2^{-n} sum_k C(n,k)^2 (x-1)^{n-k} (x+1)^k."""
     _check_indices(n=n)
-    xm1 = Poly([-1, 1])
-    xp1 = Poly([1, 1])
-    acc = Poly()
-    for k in range(n + 1):
-        acc = acc + comb(n, k) ** 2 * (xm1 ** (n - k)) * (xp1**k)
-    return acc / Fraction(2**n)
+    # Horner in (x+1)/(x-1), cleared of denominators: from k = n down,
+    # acc <- (x+1) acc + C(n,k)^2 (x-1)^{n-k}, with xm1 = (x-1)^{n-k}
+    acc: list[int] = []
+    xm1 = [1]
+    for k in range(n, -1, -1):
+        w = comb(n, k) ** 2
+        acc = [a + c + w * e for a, c, e in zip([0] + acc, acc + [0], xm1)]
+        xm1 = [a - c for a, c in zip([0] + xm1, xm1 + [0])]
+    return Poly.from_ints(acc, 1 << n)
 
 
 def mirimanoff(m: int, n: int, shift: int = 0) -> Poly:

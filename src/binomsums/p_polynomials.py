@@ -4,13 +4,14 @@ Covers the polynomial itself, its raw (un-normalized) summation form, the
 Riemann/p-adic linear functionals, closed-form power sums, and the
 binomial-square polynomial family with the Euler operator.
 
-For lam = a/b, ``p_poly`` sums its coefficients n! b^n y6(i,n;lam,p) as
-integers over the single denominator n! b^n, and ``raw_sum_poly`` expands
-its own defining sum as integers over b^n; their kernels ``_p_poly`` and
-``_raw_sum`` return these rows unreduced (``exact_core._UnreducedPoly``).
-Neither calls ``y6`` or shares a helper with it or with the other, so the
-audit's identities between the polynomial family and ``y6`` compare
-independent routes.
+For lam = a/b, ``p_poly`` takes its coefficients n! b^n y6(i,n;lam,p) as
+integers over the single denominator n! b^n from ``y6_engine._moment_row``,
+the Horner row that ``y6_egf`` also reads, and reweights them by C(m,i);
+``raw_sum_poly`` expands its own defining sum as integers over b^n.  Their
+kernels ``_p_poly`` and ``_raw_sum`` return these rows unreduced
+(``exact_core._UnreducedPoly``).  Neither calls ``y6``'s kernel ``_y6`` or
+shares a helper with it or with the other, so the audit's identities
+between the polynomial family and ``y6`` compare independent routes.
 
 ``volkenborn``, ``fermionic`` and ``exact_core.poly_integral01`` are linear
 functionals, each given by its moment row: its values on x^k, k < d, as
@@ -63,6 +64,7 @@ from .exact_core import (
     _poly_at,
     _ratio,
 )
+from .y6_engine import _moment_row
 
 __all__ = [
     "p_poly",
@@ -90,17 +92,7 @@ def _p_poly(m: int, n: int, a: int, b: int, p: int) -> _UnreducedPoly:
     """p_poly(m,n;a/b,p) for lam = a/b in lowest terms with b > 0, as
     ``exact_core._ratio`` gives it, as m + 1 numerators over n! b^n."""
     _check_indices(m=m, n=n, p=p)
-    # Horner in b: after step k, row[i] = sum_{j<=k} C(n,j)^p j^i a^j b^(k-j),
-    # so at the end row[i] = n! b^n y6(i,n;lam,p).
-    row = [0] * (m + 1)
-    binom = a_k = 1
-    for k in range(n + 1):
-        term = binom**p * a_k  # times k^i as i runs up
-        for i in range(m + 1):
-            row[i] = row[i] * b + term
-            term *= k
-        binom = binom * (n - k) // (k + 1)
-        a_k *= a
+    row = _moment_row(m, n, a, b, p)
     return _UnreducedPoly(
         [comb(m, i) * row[m - i] for i in range(m + 1)], factorial(n) * b**n
     )
@@ -221,8 +213,6 @@ def _power_sum_closed(q: Poly, m: int, upper: int, a: int, b: int) -> _Unreduced
     return _Unreduced(a**upper * top - b**upper * bottom, q.den * b**upper * (m + 1))
 
 
-# typed: Fraction(2) must miss the entry of 2 and be refused
-@lru_cache(maxsize=None, typed=True)
 def r_poly(n: int, p: int) -> Poly:
     """(1/n!) sum_k C(n,k)^p x^k."""
     _check_indices(n=n, p=p)

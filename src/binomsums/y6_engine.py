@@ -10,12 +10,13 @@ caller divides S at most once: ``y6`` (and its p = 1 slice ``y1``) reduces
 the unreduced S / n! b^n of ``_y6_value``, ``franel`` divides by b^n only,
 and ``moment`` (lam = 1) is S.  The registry splits lam once per grid point
 and calls ``_y6`` or ``_y6_value`` itself.  ``y6_egf`` builds the same
-numbers through series arithmetic, as an independent route: it weights the
-power row k^j of each e^{kt} by the integer C(n,k)^p a^k b^(n-k), from
-``comb`` and powers rather than ``_y6``'s ratio walk, sums the weighted
-rows as integers over n! b^n in ``_y6_egf`` and reduces once.  It calls no
+numbers by an independent route: ``_moment_row`` adds the power rows k^j of
+the e^{kt}, weighted by C(n,k)^p a^k, by Horner in b, and ``y6_egf`` reduces
+that row once over n! b^n.  ``p_polynomials._p_poly`` reweights
+the same row by C(m,i) into the polynomial family.  The row calls no
 ``_y6``, so a fault in the kernel cannot cancel in ``y6G``, which compares
-the two, with ``_y6_egf``'s row left unreduced.
+the unreduced row with ``_y6``'s values, or in the entries that set the
+polynomial family against ``y6``.
 
 ``audit seq`` takes the kernel's integers over a whole range from ``_sums``:
 where ``recurrences`` has a certified row for p (for every lam, or at lam = 1
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
 from typing import Iterator
 
 from .classic_numbers import stirling1, stirling2
@@ -137,29 +138,31 @@ def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
     Entry m is y6(m, n, lam, p), reached through the series e^{kt},
     whose coefficients are the integer powers k^j, rather than the kernel
     ``_y6``, so the coefficient/derivative equivalence is an actual
-    cross-check.  ``_y6_egf`` sums the series in integers.
+    cross-check.  ``_moment_row`` sums the series in integers.
     """
     _check_indices(n=n, p=p, order=order)
     a, b = _ratio(lam)
-    return EgfSeries.from_ints(_y6_egf(n, a, b, p, order), factorial(n) * b**n)
+    return EgfSeries.from_ints(_moment_row(order, n, a, b, p), factorial(n) * b**n)
 
 
-def _y6_egf(n: int, a: int, b: int, p: int, order: int) -> list[int]:
-    """The order + 1 numerators of y6_egf(n, a/b, p, order) over n! b^n,
-    b > 0: the sum of C(n,k)^p a^k b^(n-k) e^{kt}, whose weights are
-    integers, so the series add as integers."""
-    # Coefficient j of e^{kt} is k^j: the weighted power row is walked by
-    # one multiplication by k a step.  e^{0t} = 1 adds b^n to entry 0 only.
-    nums = [b**n] + [0] * order
-    for k in range(1, n + 1):
-        term = comb(n, k) ** p * a**k * b ** (n - k)
-        for j in range(order + 1):
-            nums[j] += term
+def _moment_row(m: int, n: int, a: int, b: int, p: int) -> list[int]:
+    """The integers n! b^n y6(i,n;a/b,p) for i = 0..m, b > 0: the sum of
+    the power rows k^i of e^{kt} weighted by C(n,k)^p a^k b^(n-k)."""
+    # Horner in b: after step k, row[i] = sum_{j<=k} C(n,j)^p j^i a^j b^(k-j),
+    # so at the end row[i] = n! b^n y6(i,n;lam,p).  The power row k^i is
+    # walked by one multiplication by k a step; e^{0t} = 1 adds to row[0] only.
+    row = [0] * (m + 1)
+    binom = a_k = 1
+    for k in range(n + 1):
+        term = binom**p * a_k  # times k^i as i runs up
+        for i in range(m + 1):
+            row[i] = row[i] * b + term
             term *= k
-    return nums
+        binom = binom * (n - k) // (k + 1)
+        a_k *= a
+    return row
 
 
-@lru_cache(maxsize=None, typed=True)
 def bnk(d: int, k: int) -> Fraction:
     """Golombek's sum B(d,k) = sum_{j=0}^{k} C(k,j) j^d (0^0 = 1)."""
     _check_indices(d=d, k=k)
@@ -172,20 +175,19 @@ def bnk(d: int, k: int) -> Fraction:
     return Fraction(total)
 
 
-@lru_cache(maxsize=None, typed=True)
 def t_poly(d: int) -> Poly:
     """Polynomial T_d with B(d,k) = 2^{k-d} T_d(k); zero constant term,
-    coefficient of k^{d-l} given by sum_{j=l}^{d} s(j,l) S(d,j) 2^{d-j}."""
+    coefficient of k^l given by sum_{j=l}^{d} s(j,l) S(d,j) 2^{d-j}."""
     _check_ints(d=d)
     if d < 1:
         raise ValueError("T_d is defined for d >= 1")
-    coeffs = [Fraction(0)] * (d + 1)
+    nums = [0] * (d + 1)
     for l in range(1, d + 1):
-        coeffs[l] = sum(
-            (stirling1(j, l) * stirling2(d, j) * 2 ** (d - j) for j in range(l, d + 1)),
-            Fraction(0),
+        nums[l] = sum(
+            stirling1(j, l).numerator * stirling2(d, j).numerator << (d - j)
+            for j in range(l, d + 1)
         )
-    return Poly(coeffs)
+    return Poly.from_ints(nums)
 
 
 def b_ogf(d: int) -> RationalFunction:

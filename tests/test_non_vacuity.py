@@ -345,7 +345,15 @@ def _twice_plus_one(kernel):
     [
         (p_polynomials, "_mirimanoff_frobenius_sum", "mirimanoff_frobenius"),
         (p_polynomials, "_power_sum_closed", "alt_euler_sum apostol_powersum"),
-        (y6_engine, "_y6_egf", "y6G"),
+        # the Horner moment row feeds y6_egf and, reweighted by C(m,i),
+        # _p_poly; py6a does not flip, since its derivative identity
+        # d^k/dx^k P(m) = m!/(m-k)! P(m-k) holds for the polynomials that
+        # any moment row gives
+        (
+            y6_engine,
+            "_moment_row",
+            "P1_corollary Yp1Yp2_bridge inP1 inP2 inP3_4 inP5_6 py6ab y6G",
+        ),
         (registry, "_boyadzhiev_row", "boyadzhiev"),
         (exact_core, "_binomial_convolve", "Cab3 golombek"),
     ],

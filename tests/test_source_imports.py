@@ -223,3 +223,61 @@ def test_the_check_sees_unloaded_helpers():
 def test_no_unloaded_private_helper():
     sources = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8") for path in MODULES}
     assert unloaded_helpers(sources) == []
+
+
+def memoized(source: str) -> list[str]:
+    """Names of the functions, nested ones too, decorated with
+    ``lru_cache`` or ``cache``, bare, called or as an attribute."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in fn.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = getattr(target, "id", None) or getattr(target, "attr", None)
+                if name in ("lru_cache", "cache"):
+                    found.append((fn.lineno, fn.name))
+    return [name for _, name in sorted(found)]
+
+
+def test_the_check_sees_memos():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None, typed=True)\n"
+        "def a(n): pass\n"
+        "@functools.lru_cache\n"
+        "def b(n): pass\n"
+        "@cache\n"
+        "def c(n): pass\n"
+        "@property\n"
+        "def d(self): pass\n"
+        "def e(n):\n"
+        "    @functools.lru_cache(8)\n"
+        "    def f(k): pass\n"
+    )
+    assert memoized(source) == ["a", "b", "c", "f"]
+
+
+# Calls / distinct keys are for one default audit on one thread. A memo that
+# only hides a slow kernel is deleted rather than listed here.
+MEMOS = {
+    "y6_engine._y6": "56,694 calls on 4,121 keys; about 95 ms an audit without it",
+    "p_polynomials._p_poly": "29,407 calls on 2,520 keys; about 150 ms without it",
+    "classic_numbers.stirling1": "1,123 calls on 66 keys; the stirling1 hit ratio metric",
+    "classic_numbers.stirling2": "3,187 calls on 84 keys; the cache entries metric",
+    "classic_numbers.bernoulli_number": "without it `audit seq daehee` grows as O(N^3)",
+    "classic_numbers.euler_number0": "without it `audit seq changhee` grows as O(N^3)",
+    "classic_numbers.bernoulli_poly_order": "271 calls on 39 keys; about 3 ms an audit",
+    "classic_numbers.euler_poly_order": "361 calls on 114 keys; about 3 ms an audit",
+}
+
+
+def test_every_memo_is_listed_with_its_reason():
+    pkg = SRC / "binomsums"
+    found = {
+        f"{'.'.join(path.relative_to(pkg).with_suffix('').parts)}.{name}"
+        for path in MODULES
+        for name in memoized(path.read_text(encoding="utf-8"))
+    }
+    assert found == set(MEMOS)
+    assert all(MEMOS.values())

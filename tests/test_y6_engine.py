@@ -19,6 +19,7 @@ from binomsums.audit import (
     evaluate_entry,
     run_audit,
 )
+from binomsums.classic_numbers import stirling1, stirling2
 from binomsums.exact_core import Poly, _frac
 from binomsums.y6_engine import (
     RationalFunction,
@@ -226,12 +227,11 @@ class TestKernelAtLargeN:
         assert y6_engine._y6.__wrapped__(m, n, a, b, p) == plain_kernel(m, n, a, b, p)
 
     def test_bnk_rows(self):
-        bnk_row = bnk.__wrapped__
         for k in range(301):
             row = [comb(k, j) for j in range(k + 1)]
             for d in range(5):
                 expected = sum(c * j**d for j, c in enumerate(row))
-                assert bnk_row(d, k) == expected, (d, k)
+                assert bnk(d, k) == expected, (d, k)
 
 
 class TestBnk:
@@ -257,10 +257,23 @@ class TestBnk:
             t_poly(0)
 
     def test_t_poly_bridge(self):
-        for d in range(1, 7):
+        for d in range(1, 13):
             poly = t_poly(d)
             for k in range(13):
                 assert bnk(d, k) == Fraction(2) ** (k - d) * poly(k)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_t_poly_is_its_stirling_sum(self, d):
+        # coefficient of k^l: sum_{j=l}^{d} s(j,l) S(d,j) 2^(d-j), in Fractions
+        coeffs = [Fraction(0)] + [
+            sum(
+                (stirling1(j, l) * stirling2(d, j) * 2 ** (d - j)
+                 for j in range(l, d + 1)),
+                Fraction(0),
+            )
+            for l in range(1, d + 1)
+        ]
+        assert t_poly(d) == Poly(coeffs)
 
     def test_first_t_polys(self):
         assert t_poly(1) == Poly([0, 1])
