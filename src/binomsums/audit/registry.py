@@ -27,7 +27,12 @@ e^t under ``exact_core._binomial_convolve``) against ``_y6``, ``y6G`` the
 Horner row of ``y6_engine._moment_row`` against ``_y6``'s ratio walk,
 ``boyadzhiev`` the row C(k,j) j^n against ``_boyadzhiev_row``'s expansion
 over S(n,j), and ``golombek`` and ``altStirling`` take ``bnk``, ``moment``
-and ``franel`` against the series, the closed forms and S(n,k).
+and ``franel`` against the series, the closed forms and S(n,k).  The
+integer sides read s(n,k) and S(n,k) from the rows of the triangles
+``classic_numbers._STIRLING1`` and ``_STIRLING2``: ``_boyadzhiev_row``,
+``Bs1``, ``CB1_xu``, ``t_poly`` and the Section 6 tables.
+``altStirling``, ``changhee_theorem`` and ``fd_ogf`` (through ``b_ogf``)
+take the ``Fraction``-valued ``stirling1`` and ``stirling2``, and
 ``changhee_theorem`` keeps its own ``Fraction`` sum of s(n,k) E_k(0) on
 purpose: ``legendre_P0`` checks the same identity through
 ``classic_sequence``'s integer sum, so a fault in that sum fails one entry
@@ -90,6 +95,8 @@ from math import comb, factorial, lcm
 from typing import Any, Callable, Iterator, Optional
 
 from ..classic_numbers import (
+    _STIRLING1,
+    _STIRLING2,
     apostol_bernoulli,
     bernoulli_poly,
     bernoulli_poly_order,
@@ -426,8 +433,8 @@ def _cc2(m, n):
 def _bs1(m, n):
     """B(m,n) as a Stirling-weighted sum: sum_j C(n,j) j! 2^(n-j) S(m,j)"""
     rhs = sum(
-        comb(n, j) * factorial(j) * 2 ** (n - j) * stirling2(m, j)
-        for j in range(m + 1)
+        comb(n, j) * factorial(j) * 2 ** (n - j) * s
+        for j, s in enumerate(_STIRLING2.row(m)[: n + 1])
     )
     return bnk(m, n), rhs
 
@@ -436,8 +443,8 @@ def _boyadzhiev_row(m: int, n: int) -> _UnreducedPoly:
     """sum_j C(n,j) j! S(m,j) x^j (1+x)^(n-j) as its n + 1 integer
     coefficients, over 1: the weight of x^j times C(n-j, i-j) at x^i."""
     row = [0] * (n + 1)
-    for j in range(min(m, n) + 1):
-        weight = comb(n, j) * factorial(j) * stirling2(m, j).numerator
+    for j, s in enumerate(_STIRLING2.row(m)[: n + 1]):
+        weight = comb(n, j) * factorial(j) * s
         c = 1
         for i in range(j, n + 1):  # c = C(n-j, i-j)
             row[i] += weight * c
@@ -463,14 +470,14 @@ def _alt_stirling(m, n):
 @_identity("CB1_xu", Verdict.HOLDS_PRINTED, _DK)
 def _cb1_xu(d, k):
     """recurrence sum_v m_v B(d-v,k) = 2^(k-d) C(k,d) with m_v = s(d,d-v)/d!"""
-    lhs = sum(stirling1(d, d - v).numerator * bnk(d - v, k).numerator for v in range(d))
+    lhs = sum(s * bnk(j, k).numerator for j, s in enumerate(_STIRLING1.row(d)[1:], 1))
     return _Unreduced(lhs, factorial(d)), _Unreduced(comb(k, d) << k, 1 << d)
 
 
 @_identity("tpoly", Verdict.HOLDS_PRINTED, _DK)
 def _tpoly(d, k):
     """B(d,k) = 2^(k-d) T_d(k)"""
-    return bnk(d, k), Fraction(2) ** (k - d) * t_poly(d)(k)
+    return bnk(d, k), Fraction(2) ** (k - d) * _table(t_poly, d)(k)
 
 
 @_identity("xu_x", Verdict.HOLDS_PRINTED, _fixed([{"d": d} for d in range(1, 7)]))
@@ -884,8 +891,8 @@ def _stirling_values(m: int, n: int) -> list[int]:
     values = []
     for k in range(n + 1):
         total, fall = 0, 1
-        for l in range(k + 1):
-            total += stirling2(m, l).numerator * fall
+        for l, s in enumerate(_STIRLING2.row(m)[: k + 1]):
+            total += s * fall
             fall *= k - l
         values.append(comb(n, k) * total)
     return values
@@ -911,7 +918,7 @@ def _sec6_bernoulli_values(m: int, n: int) -> tuple[list[int], int]:
     inner = sum(
         (
             comb(m + n, v)
-            * stirling2(v, n).numerator
+            * _STIRLING2.row(v)[n]
             * bernoulli_poly_order(m + n - v, n)
             for v in range(n, m + n + 1)
         ),

@@ -1,8 +1,10 @@
 """Classical number and polynomial families over exact rationals.
 
-The Stirling numbers of both kinds are read from integer triangles grown
-by their row recurrences.  The Bernoulli, Euler, Apostol and
-Frobenius-Euler families, generated by e^{xt} g(e^t - 1), are Stirling
+The Stirling numbers of both kinds live only in integer triangles grown
+by their row recurrences: ``stirling1`` and ``stirling2`` build a
+``Fraction`` from the row on each call, and integer code reads the rows of
+``_STIRLING1`` and ``_STIRLING2`` directly.  The Bernoulli, Euler, Apostol
+and Frobenius-Euler families, generated by e^{xt} g(e^t - 1), are Stirling
 transforms of the coefficients of g, summed in integers along rows of the
 second-kind triangle.  B_n and E_n(0) are entry n of the same transform as
 their polynomials, from the same weights.  The tests check each family
@@ -87,7 +89,6 @@ _STIRLING1 = _Triangle(_stirling1_next)
 _STIRLING2 = _Triangle(_stirling2_next)
 
 
-@lru_cache(maxsize=None, typed=True)
 def stirling2(n: int, v: int) -> Fraction:
     """Stirling numbers of the second kind S(n,v)."""
     _check_indices(n=n, v=v)
@@ -96,7 +97,6 @@ def stirling2(n: int, v: int) -> Fraction:
     return Fraction(_STIRLING2.row(n)[v])
 
 
-@lru_cache(maxsize=None, typed=True)
 def stirling1(n: int, k: int) -> Fraction:
     """Signed Stirling numbers of the first kind s(n,k)."""
     _check_indices(n=n, k=k)

@@ -38,7 +38,7 @@ from itertools import accumulate
 from math import factorial
 from typing import Iterator
 
-from .classic_numbers import stirling1, stirling2
+from .classic_numbers import _STIRLING1, _STIRLING2, stirling2
 from .exact_core import (
     EgfSeries,
     Poly,
@@ -184,7 +184,7 @@ def t_poly(d: int) -> Poly:
     nums = [0] * (d + 1)
     for l in range(1, d + 1):
         nums[l] = sum(
-            stirling1(j, l).numerator * stirling2(d, j).numerator << (d - j)
+            _STIRLING1.row(j)[l] * _STIRLING2.row(d)[j] << (d - j)
             for j in range(l, d + 1)
         )
     return Poly.from_ints(nums)

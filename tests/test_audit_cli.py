@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -551,7 +552,9 @@ class TestRunner:
         # kernel patched between two direct calls is read by the second
         before = registry._sec6_stirling(m=2, n=3, p=1, lam=1)[1]
         assert not registry._TABLES
-        monkeypatch.setattr(registry, "stirling2", lambda n, k: 2 * stirling2(n, k))
+        table = registry._STIRLING2
+        doubled = SimpleNamespace(row=lambda n: [2 * s for s in table.row(n)])
+        monkeypatch.setattr(registry, "_STIRLING2", doubled)
         after = registry._sec6_stirling(m=2, n=3, p=1, lam=1)[1]
         assert after == 2 * before.fraction() != 0
         assert not registry._TABLES

@@ -101,8 +101,6 @@ class TestStirling:
                 monkeypatch.setattr(
                     classic_numbers, name, classic_numbers._Triangle(next_row)
                 )
-            stirling1.cache_clear()
-            stirling2.cache_clear()
 
         def touch(start, ns):
             start.wait(timeout=60)

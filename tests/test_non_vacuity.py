@@ -172,6 +172,27 @@ def test_corrupted_stirling_table_flips_every_number_family(monkeypatch):
     )
 
 
+def test_corrupted_first_kind_table_flips_its_readers(monkeypatch):
+    # s(n,1) + 1 in every first-kind row corrupts s(n,k) and what is built
+    # on it: the m_v of CB1_xu, the t polynomials, the Daehee and Changhee
+    # sums (catalan_CN, legendre_P0 and changhee_theorem), the
+    # order-k Bernoulli polynomials (sec6_bernoulli) and the Bernoulli
+    # polynomials behind faulhaber's and inP3_4's closed sides
+    def corrupted(table):
+        def next_row(row, n):
+            out = classic_numbers._stirling1_next(row, n)
+            out[1] += 1
+            return out
+
+        return classic_numbers._Triangle(next_row)
+
+    flipped = _flipped(monkeypatch, classic_numbers, "_STIRLING1", corrupted)
+    assert flipped == _fails(
+        "CB1_xu catalan_CN changhee_theorem faulhaber inP3_4 legendre_P0 "
+        "sec6_bernoulli tpoly xu_x"
+    )
+
+
 def test_faulty_int_values_flips_the_moment_entries(monkeypatch):
     # _int_values gives the values of B_m/E_m at j on the right sides of
     # inP3_4/inP5_6, whose left sides take moment rows and no _int_values,
