@@ -6,16 +6,22 @@ statement contains a misprint.  The expected verdict is pinned so
 regressions in either direction are caught.
 
 Declaring an entry: decorate a module-level evaluator with
-``@_identity(id, expected, grid, singular=...)``.  The evaluator takes the
-grid point as keyword parameters (``def _chu(n)``) and returns
-``(lhs, rhs)``; lists and tuples compare elementwise.  Its docstring, with
-runs of whitespace collapsed to one space, is the entry's ``paper_ref``.
-An entry pinned ``HOLDS_CORRECTED_ONLY`` has a keyword-only ``corrected``
-flag: the evaluator returns the printed form when it is false and the
-corrected form when it is true, and the registry binds ``printed`` and
-``corrected`` to the two.  ``singular`` also takes the point as keywords
-and returns a skip reason or None.  Entries are registered in source
-order, which is the order of ``audit list`` and of the report.
+``@_identity(id, expected, grid, singular=...)``.  A grid point is a tuple
+of values, and the grid's ``axes`` name them in order (``("n",)`` for
+``_ns``, ``("m", "n", "p", "lam")`` for ``_MNPL``).  The evaluator takes
+the point positionally, its parameters named as the axes (``def
+_chu(n)``), and returns ``(lhs, rhs)``; lists and tuples compare
+elementwise.  Its docstring, with runs of whitespace collapsed to one
+space, is the entry's ``paper_ref``.  An entry pinned
+``HOLDS_CORRECTED_ONLY`` takes a ``corrected`` flag as its first
+parameter, before the axes: the evaluator returns the printed form when
+it is false and the corrected form when it is true, and the registry
+binds ``printed`` and ``corrected`` to the two.  ``_identity`` refuses an
+evaluator whose parameters are not these.  ``singular`` also takes the
+point positionally and returns a skip reason or None.  The runner names a
+point's values by the axes only when it reports the point.  Entries are
+registered in source order, which is the order of ``audit list`` and of
+the report.
 
 Independence: where an identity compares two routes to one value, the two
 sides stay independent code paths, and no entry evaluates one routine on
@@ -78,13 +84,14 @@ its identity.  So a linear functional of the polynomial family (the
 integral over [0,1], Volkenborn, fermionic) is its moment row, built once
 per degree, and one integer dot product with P's numerators per point
 (``exact_core._functional``); the ``_y6_sum`` weights, the Riemann values
-(j+1)^e - j^e and the closed forms' polynomials, per (m, a, b), are tables
-too.  A ``_grid`` yields its points lazily, so the runner's config check
-draws them only up to the first difference.
+(j+1)^e - j^e, the closed forms' polynomials, per (m, a, b), and the rows
+of B(d,k), per d, are tables too.  A ``_grid`` yields its points lazily, so
+the runner's config check draws them only up to the first difference.
 """
 
 from __future__ import annotations
 
+import inspect
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -153,7 +160,7 @@ from .config import GridSpec
 
 __all__ = ["Verdict", "IdentityEntry", "build_registry"]
 
-Grid = Callable[[GridSpec], Iterator[dict]]
+Grid = Callable[[GridSpec], Iterator[tuple]]
 
 
 class Verdict(Enum):
@@ -162,7 +169,7 @@ class Verdict(Enum):
     FAILS_BOTH = "FAILS_BOTH"
 
 
-def _never_singular(**pt) -> None:
+def _never_singular(*pt) -> None:
     """The default ``singular``: no grid point is skipped.  The runner
     recognises it by identity and then calls no filter at all."""
     return None
@@ -177,6 +184,8 @@ class IdentityEntry:
     grid: Grid
     corrected: Optional[Callable[..., tuple[Any, Any]]] = None
     singular: Callable[..., Optional[str]] = _never_singular
+    # the names of a grid point's values, in order
+    axes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.expected is Verdict.HOLDS_CORRECTED_ONLY and self.corrected is None:
@@ -192,15 +201,22 @@ def _identity(
     grid: Grid,
     singular: Callable[..., Optional[str]] = _never_singular,
 ):
-    """Register the decorated evaluator as entry ``entry_id``."""
+    """Register the decorated evaluator as entry ``entry_id``; its
+    parameters must be the grid's ``axes``, after ``corrected`` for an
+    entry pinned ``HOLDS_CORRECTED_ONLY``."""
 
     def register(fn):
         if any(e.id == entry_id for e in _ENTRIES):
             raise RuntimeError(f"duplicate registry id {entry_id!r}")
+        flag = ("corrected",) if expected is Verdict.HOLDS_CORRECTED_ONLY else ()
+        params = tuple(inspect.signature(fn).parameters)
+        if params != flag + grid.axes:
+            raise RuntimeError(
+                f"{entry_id}: evaluator parameters {params} are not {flag + grid.axes}"
+            )
         printed, corrected = fn, None
-        if expected is Verdict.HOLDS_CORRECTED_ONLY:
-            printed = partial(fn, corrected=False)
-            corrected = partial(fn, corrected=True)
+        if flag:
+            printed, corrected = partial(fn, False), partial(fn, True)
         _ENTRIES.append(
             IdentityEntry(
                 id=entry_id,
@@ -208,6 +224,7 @@ def _identity(
                 expected=expected,
                 printed=printed,
                 grid=grid,
+                axes=grid.axes,
                 corrected=corrected,
                 singular=singular,
             )
@@ -241,31 +258,43 @@ def _grid(
     """Cartesian grid over the named parameters, taken in the order
     m, n, p, lam and bounded by the GridSpec and optional per-entry caps."""
 
-    def points(spec: GridSpec) -> Iterator[dict]:
+    names = tuple(name for name in ("m", "n", "p", "lam") if name in use)
+
+    @_axes(*names)
+    def points(spec: GridSpec) -> Iterator[tuple]:
         axes = {
             "m": range(m_min, _capped(spec.m_max, m_cap) + 1),
             "n": range(n_min, _capped(spec.n_max, n_cap) + 1),
             "p": range(p_min, _capped(spec.p_max, p_cap) + 1),
             "lam": spec.lambdas if lams is None else lams,
         }
-        names = [name for name in axes if name in use]
-        used = [axes[name] for name in names]
-        return (dict(zip(names, values)) for values in product(*used))
+        return product(*(axes[name] for name in names))
 
     return points
+
+
+def _axes(*names: str) -> Callable[[Grid], Grid]:
+    """Decorator naming the values of the grid's points, in order, as
+    ``grid.axes``, which ``_identity`` copies to the entry."""
+
+    def name(grid: Grid) -> Grid:
+        grid.axes = names
+        return grid
+
+    return name
 
 
 def _capped(limit: int, cap: int | None) -> int:
     return limit if cap is None else min(limit, cap)
 
 
-def _fixed(points: list[dict]) -> Grid:
+def _fixed(axes: tuple[str, ...], points: list[tuple]) -> Grid:
     """A grid that never reads its GridSpec: the same points under any config."""
-    return lambda spec: iter(points)
+    return _axes(*axes)(lambda spec: iter(points))
 
 
 def _ns(*bounds: int) -> Grid:
-    return _fixed([{"n": n} for n in range(*bounds)])
+    return _fixed(("n",), [(n,) for n in range(*bounds)])
 
 
 # the polynomial family's grid, shared by its integral representations
@@ -276,10 +305,12 @@ _POWER_SUM = _grid("m", "n", m_min=1, n_min=1, n_cap=12)
 _SEC6 = _grid(
     "m", "n", "p", "lam", m_cap=5, n_cap=5, p_cap=2, lams=(FM1, F1, Fraction(2))
 )
-_DK = _fixed([{"d": d, "k": k} for d in range(1, 7) for k in range(13)])
+# the B(d,k) grid's k runs over 0.._DK_K
+_DK_K = 12
+_DK = _fixed(("d", "k"), [(d, k) for d in range(1, 7) for k in range(_DK_K + 1)])
 _N11 = _ns(11)
 _N13 = _ns(13)
-_NO_PARAMETERS = _fixed([{}])
+_NO_PARAMETERS = _fixed((), [()])
 
 
 # the tables of the entry evaluation under way; None outside one
@@ -396,17 +427,20 @@ def _power_sum(m: int, upper: int, lam: Fraction, x0: Fraction = Fraction(0)) ->
 # B(n,k) = sum_j C(k,j) j^n and the Stirling numbers
 
 
-def _golombek_grid(spec: GridSpec) -> Iterator[dict]:
+@_axes("d", "k", "m", "n")
+def _golombek_grid(spec: GridSpec) -> Iterator[tuple]:
+    """Points (d, k) of B(d,k), then (m, n) of the closed sequences, each
+    padded with None to the four axes."""
     for d in range(1, min(4, spec.m_max + 1)):
         for k in range(0, min(12, max(spec.n_max, 8)) + 1):
-            yield {"d": d, "k": k}
+            yield d, k, None, None
     for m in range(0, 4):
         for n in range(2, min(10, max(spec.n_max, 4)) + 1):
-            yield {"m": m, "n": n}
+            yield None, None, m, n
 
 
 @_identity("golombek", Verdict.HOLDS_PRINTED, _golombek_grid)
-def _golombek(d=None, k=None, m=None, n=None):
+def _golombek(d, k, m, n):
     """B(n,k) sum vs derivative of (e^t+1)^k; closed sequences
     (k=0 term subtracted explicitly where the source sums from 1)"""
     if d is not None:
@@ -467,10 +501,18 @@ def _alt_stirling(m, n):
     return franel(1, m, n, FM1), (-1) ** n * factorial(n) * stirling2(m, n)
 
 
+def _bnk_row(d: int, k_max: int) -> list[Fraction]:
+    """B(d,k) for k = 0..k_max, each from ``bnk``'s own loop."""
+    return [bnk(d, k) for k in range(k_max + 1)]
+
+
 @_identity("CB1_xu", Verdict.HOLDS_PRINTED, _DK)
 def _cb1_xu(d, k):
     """recurrence sum_v m_v B(d-v,k) = 2^(k-d) C(k,d) with m_v = s(d,d-v)/d!"""
-    lhs = sum(s * bnk(j, k).numerator for j, s in enumerate(_STIRLING1.row(d)[1:], 1))
+    lhs = sum(
+        s * _table(_bnk_row, j, _DK_K)[k].numerator
+        for j, s in enumerate(_STIRLING1.row(d)[1:], 1)
+    )
     return _Unreduced(lhs, factorial(d)), _Unreduced(comb(k, d) << k, 1 << d)
 
 
@@ -480,20 +522,21 @@ def _tpoly(d, k):
     return bnk(d, k), Fraction(2) ** (k - d) * _table(t_poly, d)(k)
 
 
-@_identity("xu_x", Verdict.HOLDS_PRINTED, _fixed([{"d": d} for d in range(1, 7)]))
+@_identity("xu_x", Verdict.HOLDS_PRINTED, _fixed(("d",), [(d,) for d in range(1, 7)]))
 def _xu_x(d):
     """T_d coefficients x_(d-l) = sum_j s(j,l) S(d,j) 2^(d-j)"""
     # coefficients from the Stirling formula vs interpolation of the
     # scaled values 2^(d-k) B(d,k)
-    pts = [(Fraction(k), Fraction(2) ** (d - k) * bnk(d, k)) for k in range(d + 1)]
+    row = _table(_bnk_row, d, d)
+    pts = [(Fraction(k), Fraction(2) ** (d - k) * v) for k, v in enumerate(row)]
     return t_poly(d), lagrange_poly(pts)
 
 
-@_identity("fd_ogf", Verdict.HOLDS_PRINTED, _fixed([{"d": d} for d in range(7)]))
+@_identity("fd_ogf", Verdict.HOLDS_PRINTED, _fixed(("d",), [(d,) for d in range(7)]))
 def _fd_ogf(d):
     """ordinary generating function of k -> B(d,k):
     sum_j j! S(d,j) x^j/(1-2x)^(j+1)"""
-    return b_ogf(d).series(12), [bnk(d, k) for k in range(13)]
+    return b_ogf(d).series(12), _table(_bnk_row, d, 12)
 
 
 @_identity(
@@ -657,7 +700,7 @@ def _changhee_theorem(n):
 
 
 @_identity("Yp1Yp2_bridge", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
-def _yp1yp2_bridge(m, n, p, lam, *, corrected):
+def _yp1yp2_bridge(corrected, m, n, p, lam):
     """the two defining forms of the polynomial family; the
     printed pair omits the 1/n!"""
     a, b = _ratio(lam)
@@ -672,7 +715,7 @@ def _yp1yp2_bridge(m, n, p, lam, *, corrected):
     Verdict.HOLDS_CORRECTED_ONLY,
     _grid("m", "n", "p", "lam", m_min=1, p_cap=3),
 )
-def _py6a(m, n, p, lam, *, corrected):
+def _py6a(corrected, m, n, p, lam):
     """k-fold x-derivative; printed uses the falling factorial
     of n, the derivation forces the falling factorial of m"""
     top = m if corrected else n
@@ -712,7 +755,7 @@ def _inp1(m, n, p, lam):
 
 
 @_identity("inP2", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
-def _inp2(m, n, p, lam, *, corrected):
+def _inp2(corrected, m, n, p, lam):
     """Riemann integral, summation form; printed drops both
     the 1/n! and the +1 in the exponent"""
     a, b = _ratio(lam)
@@ -721,7 +764,7 @@ def _inp2(m, n, p, lam, *, corrected):
 
 
 @_identity("inP8", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
-def _inp8(m, n, p, lam, *, corrected):
+def _inp8(corrected, m, n, p, lam):
     """equating the two integral forms; the corrected content
     is the term identity C(m+1,l)/(m+1) = C(m,l)/(m-l+1)"""
     if corrected:
@@ -732,7 +775,7 @@ def _inp8(m, n, p, lam, *, corrected):
         )
     a, b = _ratio(lam)
     lhs = _coefficient_integral(m, n, p, a, b)
-    return lhs, _riemann_sum(m, n, p, a, b, corrected=False)
+    return lhs, _riemann_sum(m, n, p, a, b, False)
 
 
 def _inp8a_values(top: int, n: int) -> list[int]:
@@ -741,7 +784,7 @@ def _inp8a_values(top: int, n: int) -> list[int]:
 
 
 @_identity("inP8a", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
-def _inp8a(m, n, p, lam, *, corrected):
+def _inp8a(corrected, m, n, p, lam):
     """expanded integral identity; corrected form restores the
     1/n! and the full inner sum with C(m+1,l)"""
     a, b = _ratio(lam)
@@ -754,7 +797,7 @@ def _inp8a(m, n, p, lam, *, corrected):
 
 
 @_identity("P1_corollary", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
-def _p1_corollary(m, n, p, lam, *, corrected):
+def _p1_corollary(corrected, m, n, p, lam):
     """value at x=1; printed mixes normalizations and fails,
     the corrected statement is the x=1 evaluation of the
     coefficient form"""
@@ -779,7 +822,7 @@ def _euler_values(m: int, n: int) -> tuple[list[int], int]:
 
 
 @_identity("inP3_4", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
-def _inp3_4(m, n, p, lam, *, corrected):
+def _inp3_4(corrected, m, n, p, lam):
     """Bernoulli-moment functional of the polynomial family; printed
     right side lacks the 1/n!"""
     a, b = _ratio(lam)
@@ -789,7 +832,7 @@ def _inp3_4(m, n, p, lam, *, corrected):
 
 
 @_identity("inP5_6", Verdict.HOLDS_CORRECTED_ONLY, _MNPL)
-def _inp5_6(m, n, p, lam, *, corrected):
+def _inp5_6(corrected, m, n, p, lam):
     """Euler-moment functional of the polynomial family; printed right
     side lacks the 1/n!"""
     a, b = _ratio(lam)
@@ -805,23 +848,21 @@ def _inp5_6(m, n, p, lam, *, corrected):
 _X0S = (Fraction(0), F1, Fraction(1, 2))
 
 
-def _mirimanoff_grid(spec: GridSpec) -> Iterator[dict]:
-    for m in range(min(spec.m_max, 6) + 1):
-        for n in range(1, min(spec.n_max, 6) + 1):
-            for x0 in _X0S:
-                for lam in spec.lambdas:
-                    yield {"m": m, "n": n, "x0": x0, "lam": lam}
+@_axes("m", "n", "x0", "lam")
+def _mirimanoff_grid(spec: GridSpec) -> Iterator[tuple]:
+    ms, ns = range(min(spec.m_max, 6) + 1), range(1, min(spec.n_max, 6) + 1)
+    return product(ms, ns, _X0S, spec.lambdas)
 
 
 @_identity(
     "mirimanoff_frobenius",
     Verdict.HOLDS_CORRECTED_ONLY,
     _mirimanoff_grid,
-    singular=lambda lam, **_: (
+    singular=lambda m, n, x0, lam: (
         "closed form undefined at u in {0, 1}" if _ratio(lam) in ((0, 1), (1, 1)) else None
     ),
 )
-def _mirimanoff_frobenius(m, n, x0, lam, *, corrected):
+def _mirimanoff_frobenius(corrected, m, n, x0, lam):
     """geometric power sum via Frobenius-Euler polynomials;
     printed repeats the shifted argument in both terms"""
     (a, b), (c, d) = _ratio(lam), _ratio(x0)
@@ -843,13 +884,13 @@ def _apostol_poly(m: int, a: int, b: int) -> Poly:
     "apostol_powersum",
     Verdict.HOLDS_CORRECTED_ONLY,
     _grid("m", "n", "lam", m_min=1, n_min=1),
-    singular=lambda lam, **_: (
+    singular=lambda m, n, lam: (
         "Apostol-Bernoulli closed form undefined at lambda = 1"
         if _ratio(lam) == (1, 1)
         else None
     ),
 )
-def _apostol_powersum(m, n, lam, *, corrected):
+def _apostol_powersum(corrected, m, n, lam):
     """geometric power sum via Apostol-Bernoulli polynomials;
     printed exponent lam^m instead of lam^N"""
     a, b = _ratio(lam)
@@ -871,7 +912,7 @@ def _faulhaber(m, n):
 
 
 @_identity("alt_euler_sum", Verdict.HOLDS_CORRECTED_ONLY, _POWER_SUM)
-def _alt_euler_sum(m, n, *, corrected):
+def _alt_euler_sum(corrected, m, n):
     """alternating power sum via Euler polynomials; printed
     form has a sign slip and a degree off by one"""
     if corrected:

@@ -9,7 +9,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from itertools import starmap, zip_longest
 from typing import Any, Optional
 
 from .config import AuditConfig, ConfigError
@@ -32,8 +32,10 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _fmt_point(pt: dict) -> dict:
-    return {k: str(v) for k, v in pt.items()}
+def _fmt_point(axes: tuple[str, ...], pt: tuple) -> dict:
+    """The point as {axis: str(value)}, leaving out the None that pads a
+    point to axes it does not use."""
+    return {name: str(v) for name, v in zip(axes, pt) if v is not None}
 
 
 @dataclass
@@ -74,13 +76,12 @@ class AuditReport:
         }
 
 
-def _first_failure(form, points: list[dict]) -> Optional[tuple[dict, Any, Any]]:
+def _first_failure(form, points: list[tuple]) -> Optional[tuple[tuple, Any, Any]]:
     """The first point where the form's two sides differ, with both sides;
     an ``_Unreduced`` side compares by cross-multiplying, with no gcd."""
-    for pt in points:
-        lhs, rhs = form(**pt)
+    for i, (lhs, rhs) in enumerate(starmap(form, points)):
         if lhs != rhs:
-            return pt, lhs, rhs
+            return points[i], lhs, rhs
     return None
 
 
@@ -97,9 +98,9 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
     if entry.singular is not _never_singular:
         active = []
         for pt in points:
-            reason = entry.singular(**pt)
+            reason = entry.singular(*pt)
             if reason is not None:
-                skipped.append({"point": _fmt_point(pt), "reason": reason})
+                skipped.append({"point": _fmt_point(entry.axes, pt), "reason": reason})
             else:
                 active.append(pt)
     if not points:
@@ -122,7 +123,7 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
     else:
         pt, lhs, rhs = printed_fail
         counterexample = {
-            "point": _fmt_point(pt),
+            "point": _fmt_point(entry.axes, pt),
             "printedLhs": _fmt(lhs),
             "printedRhs": _fmt(rhs),
         }
@@ -134,7 +135,7 @@ def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
                 cpt, clhs, crhs = corrected_fail
                 counterexample["correctedLhs"] = _fmt(clhs)
                 counterexample["correctedRhs"] = _fmt(crhs)
-                counterexample["correctedPoint"] = _fmt_point(cpt)
+                counterexample["correctedPoint"] = _fmt_point(entry.axes, cpt)
 
     return EntryResult(
         id=entry.id,
@@ -181,7 +182,7 @@ def run_audit(
             idle.append(f"[{i}]")
             continue
         for k, v in changed.items():
-            # points are dicts, never the None that pads the shorter grid;
+            # points are tuples, never the None that pads the shorter grid;
             # both grids are drawn only up to their first difference
             pairs = zip_longest(grids[i](base), grids[i](replace(base, **{k: v})))
             if all(x == y for x, y in pairs):

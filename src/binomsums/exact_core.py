@@ -133,6 +133,13 @@ def _check_ints(**indices: object) -> None:
             raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _check_type(name: str, value: object, cls: type) -> None:
+    """Refuse an argument that is not a ``cls`` with ``TypeError``, before
+    it fails inside with an ``AttributeError``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_indices(**indices: object) -> None:
     """The gate of every public index that must be an int >= 0: a non-int
     raises ``TypeError`` and a negative value ``ValueError``, before any
@@ -609,6 +616,7 @@ def gamma_half(a: Scalar) -> GammaHalfValue:
 
 def poly_integral01(p: Poly) -> Fraction:
     """Exact integral of p over [0, 1]."""
+    _check_type("p", p, Poly)
     return _functional(p, _integral01_row(len(p.nums))).fraction()
 
 

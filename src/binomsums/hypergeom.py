@@ -9,7 +9,9 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
 
-from .exact_core import Scalar, _check_indices, _check_ints, _frac, _ratio, gamma_half
+from .exact_core import (
+    Scalar, _check_indices, _check_ints, _check_type, _frac, _ratio, gamma_half
+)
 from .y6_engine import y6
 
 __all__ = [
@@ -48,6 +50,7 @@ def pfq_terminating(spec: PfqSpec) -> Fraction:
     parameters.  Lower parameters that are non-positive integers are only
     allowed when their pole index lies strictly beyond M.
     """
+    _check_type("spec", spec, PfqSpec)
     tops = [-a.numerator for a in spec.upper if _is_nonpositive_int(a)]
     if not tops:
         raise ValueError("series does not terminate: no non-positive integer "

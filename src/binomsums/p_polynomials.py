@@ -60,6 +60,7 @@ from .exact_core import (
     _Unreduced,
     _UnreducedPoly,
     _check_indices,
+    _check_type,
     _functional,
     _poly_at,
     _ratio,
@@ -153,6 +154,7 @@ def _mahler_row(weights: list[int], den: int) -> tuple[list[int], int]:
 
 def volkenborn(q: Poly) -> Fraction:
     """Volkenborn integral, x^k -> B_k (Bernoulli numbers)."""
+    _check_type("q", q, Poly)
     return _functional(q, _volkenborn_row(len(q.nums))).fraction()
 
 
@@ -165,6 +167,7 @@ def _volkenborn_row(d: int) -> tuple[list[int], int]:
 
 def fermionic(q: Poly) -> Fraction:
     """Fermionic p-adic integral, x^k -> E_k(0) (Euler polynomial at 0)."""
+    _check_type("q", q, Poly)
     return _functional(q, _fermionic_row(len(q.nums))).fraction()
 
 
@@ -227,6 +230,7 @@ def vowe(n: int) -> Poly:
 
 def euler_operator(q: Poly, iterations: int = 1) -> Poly:
     """Apply x d/dx the given number of times."""
+    _check_type("q", q, Poly)
     _check_indices(iterations=iterations)
     for _ in range(iterations):
         q = Poly.x() * q.derivative()

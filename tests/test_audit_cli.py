@@ -43,7 +43,7 @@ from binomsums.audit import (
 )
 from binomsums.audit import registry
 from binomsums.audit.registry import IdentityEntry
-from binomsums.audit.runner import render_csv, render_json, render_markdown
+from binomsums.audit.runner import _fmt_point, render_csv, render_json, render_markdown
 from binomsums.classic_numbers import (
     bernoulli_poly_order,
     euler_poly_order,
@@ -158,10 +158,10 @@ class TestRegistry:
                         comb(m, k) * Fraction(m + 1, m - k + 1) * ys[k]
                         for k in range(m + 1)
                     )
-                    assert registry._inp8a(m, n, p, lam, corrected=True)[0] == expanded
+                    assert registry._inp8a(True, m, n, p, lam)[0] == expanded
                     at_one = sum(comb(m, k) * ys[k] for k in range(m + 1))
                     assert (
-                        registry._p1_corollary(m, n, p, lam, corrected=True)[1]
+                        registry._p1_corollary(True, m, n, p, lam)[1]
                         == at_one
                     )
                     recurrence = Poly(
@@ -189,7 +189,7 @@ class TestRegistry:
         value = registry._power_sum(m, upper, lam, x0)
         assert value == shifted and type(value) is _Unreduced
         if upper and lam not in (0, 1):
-            lhs, _ = registry._mirimanoff_frobenius(m, upper, x0, lam, corrected=True)
+            lhs, _ = registry._mirimanoff_frobenius(True, m, upper, x0, lam)
             assert lhs == shifted
 
     @given(
@@ -272,13 +272,13 @@ class TestRegistry:
         with registry._tables():
             for form, points in forms:
                 for pt in points:
-                    form(**pt)
+                    form(*pt)
             with monkeypatch.context() as mp:
                 mp.setattr(Fraction, "__new__", staticmethod(counting_new))
                 Fraction(1, 3)
                 assert len(calls) == 1  # the patch counts
                 calls.clear()
-                sides = [form(**pt) for form, points in forms for pt in points]
+                sides = [form(*pt) for form, points in forms for pt in points]
                 assert all(lhs == rhs for lhs, rhs in sides)
         assert calls == []
         assert len(sides) == 2108
@@ -305,13 +305,13 @@ class TestRegistry:
         with registry._tables():
             for form, points in forms:
                 for pt in points:
-                    form(**pt)
+                    form(*pt)
             with monkeypatch.context() as mp:
                 mp.setattr(exact_core, "_poly", counting_poly)
                 Poly.x() * 2
                 assert len(calls) == 1  # the patch counts
                 calls.clear()
-                sides = [form(**pt) for form, points in forms for pt in points]
+                sides = [form(*pt) for form, points in forms for pt in points]
                 assert all(lhs == rhs for lhs, rhs in sides)
         assert calls == []
         assert len(sides) == 924
@@ -374,6 +374,83 @@ class TestRegistry:
                 printed=lambda: (0, 0),
                 grid=lambda spec: iter([{}]),
             )
+
+    def test_identity_refuses_parameters_that_are_not_the_axes(self, monkeypatch):
+        monkeypatch.setattr(registry, "_ENTRIES", [])
+        grid = registry._grid("m", "n", m_cap=1, n_cap=1)
+        assert grid.axes == ("m", "n")
+
+        def chu(m, n):
+            """x"""
+            return 0, 0
+
+        def fixed(corrected, m, n):
+            """x"""
+            return 0, 0
+
+        registry._identity("ok", Verdict.HOLDS_PRINTED, grid)(chu)
+        registry._identity("fix", Verdict.HOLDS_CORRECTED_ONLY, grid)(fixed)
+        assert [(e.id, e.axes) for e in registry._ENTRIES] == [
+            ("ok", ("m", "n")), ("fix", ("m", "n"))
+        ]
+        bad = [
+            (Verdict.HOLDS_PRINTED, lambda n, m: (0, 0)),  # out of order
+            (Verdict.HOLDS_PRINTED, lambda m: (0, 0)),  # an axis missing
+            (Verdict.HOLDS_PRINTED, lambda m, n, p: (0, 0)),  # one too many
+            (Verdict.HOLDS_PRINTED, lambda corrected, m, n: (0, 0)),
+            (Verdict.HOLDS_CORRECTED_ONLY, lambda m, n: (0, 0)),
+            (Verdict.HOLDS_CORRECTED_ONLY, lambda m, n, *, corrected: (0, 0)),
+        ]
+        for i, (expected, fn) in enumerate(bad):
+            fn.__doc__ = "x"
+            with pytest.raises(RuntimeError, match="evaluator parameters"):
+                registry._identity(f"bad{i}", expected, grid)(fn)
+        assert len(registry._ENTRIES) == 2
+
+    @pytest.mark.parametrize("entry", build_registry(), ids=lambda e: e.id)
+    def test_every_point_has_one_value_per_axis(self, entry):
+        points = list(entry.grid(AuditConfig().for_entry(entry.id)))
+        assert points
+        assert all(type(pt) is tuple and len(pt) == len(entry.axes) for pt in points)
+
+    def test_golombek_points_are_named_by_their_own_axes(self):
+        (entry,) = [e for e in build_registry() if e.id == "golombek"]
+        names = Counter(
+            tuple(_fmt_point(entry.axes, pt))
+            for pt in entry.grid(AuditConfig().for_entry(entry.id))
+        )
+        # (d, k) for d = 1..3, k = 0..8, then (m, n) for m = 0..3, n = 2..8
+        assert names == {("d", "k"): 27, ("m", "n"): 28}
+
+    @pytest.mark.parametrize(
+        "entry_id, points, reason",
+        [
+            (
+                "mirimanoff_frobenius",
+                [
+                    f'"m": "{m}", "n": "{n}", "x0": "{x0}", "lam": "1"'
+                    for m in range(7)
+                    for n in range(1, 7)
+                    for x0 in ("0", "1", "1/2")
+                ],
+                "closed form undefined at u in {0, 1}",
+            ),
+            (
+                "apostol_powersum",
+                [
+                    f'"m": "{m}", "n": "{n}", "lam": "1"'
+                    for m in range(1, 9)
+                    for n in range(1, 9)
+                ],
+                "Apostol-Bernoulli closed form undefined at lambda = 1",
+            ),
+            ("ogf_00", ['"lam": "1"'], "ordinary closed form singular at lambda = 1"),
+        ],
+    )
+    def test_skipped_points_keep_their_json_text(self, entry_id, points, reason):
+        (result,) = run_audit(pattern=entry_id).results
+        items = (f'{{"point": {{{pt}}}, "reason": "{reason}"}}' for pt in points)
+        assert json.dumps(result.skipped) == "[" + ", ".join(items) + "]"
 
 
 class TestConfig:
@@ -478,9 +555,10 @@ class TestRunner:
             id="hollow",
             paper_ref="x",
             expected=Verdict.HOLDS_PRINTED,
-            printed=lambda **pt: (0, 0),
-            grid=lambda spec: iter([{"lam": Fraction(1)}]),
-            singular=lambda **pt: "always singular",
+            printed=lambda *pt: (0, 0),
+            grid=lambda spec: iter([(Fraction(1),)]),
+            axes=("lam",),
+            singular=lambda *pt: "always singular",
         )
         with pytest.raises(ConfigError, match="every grid point is singular"):
             evaluate_entry(entry, AuditConfig())
@@ -498,11 +576,11 @@ class TestRunner:
         pt = next(
             pt
             for pt in entry.grid(AuditConfig().for_entry(entry.id))
-            if entry.singular(**pt) is None
+            if entry.singular(*pt) is None
         )
         for form in (entry.printed, entry.corrected):
             if form is not None:
-                lhs, rhs = form(**pt)
+                lhs, rhs = form(*pt)
                 assert shape(lhs) == shape(rhs)
 
     @pytest.mark.parametrize(
@@ -525,6 +603,10 @@ class TestRunner:
             # (e, n) = (0, 0) before the printed form fails at the first
             # point, then (m + 1, n) for the 81 pairs of the corrected form
             ("inP2", "_riemann_values", 82),
+            # one B(d,k) row per d = 1..6, read at the 13 k of each
+            ("CB1_xu", "_bnk_row", 6),
+            ("xu_x", "_bnk_row", 6),
+            ("fd_ogf", "_bnk_row", 7),
         ],
     )
     def test_tables_are_built_once_per_evaluation(

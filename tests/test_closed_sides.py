@@ -50,9 +50,9 @@ def test_mirimanoff_sides_equal_the_fraction_formulas(lam):
                 assert corrected == direct
                 assert _same(mirimanoff_frobenius_sum(m, n, x0, u), corrected)
                 args = (m, n, x0, lam)
-                lhs, rhs = registry._mirimanoff_frobenius(*args, corrected=True)
+                lhs, rhs = registry._mirimanoff_frobenius(True, *args)
                 assert _same(lhs, direct) and _same(rhs, corrected)
-                _, rhs = registry._mirimanoff_frobenius(*args, corrected=False)
+                _, rhs = registry._mirimanoff_frobenius(False, *args)
                 assert _same(rhs, printed)
 
 
@@ -65,9 +65,9 @@ def test_apostol_sides_equal_the_fraction_formulas(lam):
             direct = sum(terms, Fraction(0))
             closed = power_sum_closed(m - 1, n, lam)
             assert type(closed) is Fraction and closed == direct
-            lhs, rhs = registry._apostol_powersum(m, n, lam, corrected=True)
+            lhs, rhs = registry._apostol_powersum(True, m, n, lam)
             assert _same(lhs, direct) and _same(rhs, closed)
-            _, rhs = registry._apostol_powersum(m, n, lam, corrected=False)
+            _, rhs = registry._apostol_powersum(False, m, n, lam)
             assert _same(rhs, (lam**m * a(n) - a(0)) / m)
 
 

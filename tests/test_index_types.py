@@ -36,18 +36,23 @@ from binomsums.exact_core import (
     binomial_general,
     falling_factorial,
     pochhammer,
+    poly_integral01,
 )
 from binomsums.hypergeom import (
     OgfCase,
+    PfqSpec,
     alternating_square_gamma,
     ogf_reference,
     ogf_series,
+    pfq_terminating,
     y6_hyper,
 )
 from binomsums.p_polynomials import (
     euler_operator,
+    fermionic,
     mirimanoff_frobenius_sum,
     power_sum_closed,
+    volkenborn,
     vowe,
 )
 from binomsums.y6_engine import (
@@ -212,3 +217,24 @@ def test_float_index_does_not_poison_bnk():
     with pytest.raises(TypeError):
         bnk(60.0, 3)
     assert bnk(60, 3) == sum(comb(3, j) * j**60 for j in range(4))
+
+
+OBJECT_CALLS = [
+    (poly_integral01, Poly([1, 2])),
+    (volkenborn, Poly([1, 2])),
+    (fermionic, Poly([1, 2])),
+    (euler_operator, Poly([1, 2])),
+    (pfq_terminating, PfqSpec((-2,), (), 1)),
+]
+
+
+@pytest.mark.parametrize("bad", [3, 1.5, [1, 2]], ids=["int", "float", "list"])
+@pytest.mark.parametrize(
+    "fn, good", [pytest.param(fn, good, id=fn.__name__) for fn, good in OBJECT_CALLS]
+)
+def test_object_argument_of_the_wrong_type_is_a_type_error(fn, good, bad):
+    # the five public functions that take a Poly or a PfqSpec refuse any
+    # other object as the rest of the API does, not with an AttributeError
+    fn(good)
+    with pytest.raises(TypeError, match=f"must be a {type(good).__name__}"):
+        fn(bad)

@@ -55,9 +55,9 @@ def _bump(value):
     raise TypeError(f"cannot perturb {value!r}")
 
 
-def _perturbed(evaluator, first: dict, side: int):
-    def wrapped(**pt):
-        sides = list(evaluator(**pt))
+def _perturbed(evaluator, first: tuple, side: int):
+    def wrapped(*pt):
+        sides = list(evaluator(*pt))
         if pt == first:
             sides[side] = _bump(sides[side])
         return tuple(sides)
@@ -72,7 +72,7 @@ def test_perturbed_side_flips_the_verdict(entry, side):
     first = next(
         pt
         for pt in entry.grid(config.for_entry(entry.id))
-        if entry.singular(**pt) is None
+        if entry.singular(*pt) is None
     )
     if entry.expected is Verdict.HOLDS_PRINTED:
         mutant = replace(entry, printed=_perturbed(entry.printed, first, side))
