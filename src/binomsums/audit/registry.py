@@ -47,9 +47,9 @@ calls none of ``y6``, ``p_poly``, ``raw_sum_poly`` or ``r_poly``, the
 routes it is compared with.  At p = 0 it also gives the left sides of the
 four power-sum entries (through ``_power_sum``), against Bernoulli, Euler,
 Apostol-Bernoulli and Frobenius-Euler closed forms that never call it: the
-right sides of ``mirimanoff_frobenius`` and ``apostol_powersum`` are
-``p_polynomials._mirimanoff_frobenius_sum`` and ``_power_sum_closed``,
-which evaluate their polynomial through ``_poly_at``;
+right sides of the four are ``p_polynomials._mirimanoff_frobenius_sum``,
+``_power_sum_closed`` or a quotient of two ``_poly_at`` values, so each
+evaluates its polynomial through ``_poly_at``;
 ``test_faulty_binom_sum_flips_its_consumers`` shows that a fault in it is
 not cancelled, and ``test_faulty_integer_closed_side_flips_its_readers``
 pins the entries that read each integer closed side.  A ``Poly`` g reaches
@@ -70,23 +70,26 @@ compare independent routes, as ``y6G`` does.
 Speed: the sums over the large grids are taken in integers over one common
 denominator, and a side is left as that unreduced quotient or row and
 compared by cross-multiplying, with no gcd and no ``Fraction`` per point.
-So are the power-sum closed forms, ``boyadzhiev``'s expansion, the series
-of ``y6G`` (an ``_UnreducedSeries``) and ``Cab3``, and ``CB1_xu``.  The
+So are the power-sum closed forms, ``faulhaber``'s and ``alt_euler_sum``'s
+printed sides among them, ``boyadzhiev``'s expansion, the series of
+``y6G`` (an ``_UnreducedSeries``) and ``Cab3``, and ``CB1_xu``.  The
 sides that still build a ``Fraction`` per point are on grids of at most 81
-points (the B(n,k) entries, the Franel, Legendre and OGF slices,
-``faulhaber``) or are ``y6bb``'s pFq form, which goes through the
-``Fraction``-valued ``pfq_terminating``: a warm default audit builds about
-7.3 k.  An entry over a lam grid splits lam = a/b once per point and passes
-a and b on, so the memoized ``_y6`` and ``_p_poly`` hash no ``Fraction``.
+points (the B(n,k) entries, the Franel, Legendre and OGF slices) or are
+``y6bb``'s pFq form, which goes through the ``Fraction``-valued
+``pfq_terminating``: a warm default audit builds about 7.3 k.  An entry
+over a lam grid splits lam = a/b once per point and passes a and b on, so
+the memoized ``_y6`` and ``_p_poly`` hash no ``Fraction``.
 A side's lam-invariant part is a table, built by ``_table(build, *ints)``
 once per int key and entry evaluation; each table belongs to one side of
 its identity.  So a linear functional of the polynomial family (the
 integral over [0,1], Volkenborn, fermionic) is its moment row, built once
 per degree, and one integer dot product with P's numerators per point
 (``exact_core._functional``); the ``_y6_sum`` weights, the Riemann values
-(j+1)^e - j^e, the closed forms' polynomials, per (m, a, b), and the rows
-of B(d,k), per d, are tables too.  A ``_grid`` yields its points lazily, so
-the runner's config check draws them only up to the first difference.
+(j+1)^e - j^e, the closed forms' polynomials, per (m, a, b), the
+Bernoulli and Euler polynomials, per degree and order, and the rows of
+B(d,k), per d, are tables too: ``classic_numbers`` keeps no memo of its
+own.  A ``_grid`` yields its points lazily, so the runner's config check
+draws them only up to the first difference.
 """
 
 from __future__ import annotations
@@ -149,7 +152,6 @@ from ..p_polynomials import (
     _raw_sum,
     _volkenborn_row,
     euler_operator,
-    power_sum_closed,
     r_poly,
     vowe,
 )
@@ -302,8 +304,11 @@ _MNPL = _grid("m", "n", "p", "lam", p_cap=3)
 _MN8 = _grid("m", "n", m_cap=8, n_cap=8)
 _MN10 = _grid("m", "n", m_cap=10, n_cap=10)
 _POWER_SUM = _grid("m", "n", m_min=1, n_min=1, n_cap=12)
+# the Section 6 grid's n runs over 0.._SEC6_N
+_SEC6_N = 5
 _SEC6 = _grid(
-    "m", "n", "p", "lam", m_cap=5, n_cap=5, p_cap=2, lams=(FM1, F1, Fraction(2))
+    "m", "n", "p", "lam",
+    m_cap=5, n_cap=_SEC6_N, p_cap=2, lams=(FM1, F1, Fraction(2)),
 )
 # the B(d,k) grid's k runs over 0.._DK_K
 _DK_K = 12
@@ -811,13 +816,13 @@ def _p1_corollary(corrected, m, n, p, lam):
 
 def _bernoulli_values(m: int, n: int) -> tuple[list[int], int]:
     """B_m(0..n) as integers over one denominator."""
-    q = bernoulli_poly(m)
+    q = _table(bernoulli_poly, m)
     return _int_values(q, n + 1), q.den
 
 
 def _euler_values(m: int, n: int) -> tuple[list[int], int]:
     """E_m(0..n) as integers over one denominator."""
-    q = euler_poly(m)
+    q = _table(euler_poly, m)
     return _int_values(q, n + 1), q.den
 
 
@@ -907,8 +912,10 @@ def _apostol_powersum(corrected, m, n, lam):
 @_identity("faulhaber", Verdict.HOLDS_PRINTED, _POWER_SUM)
 def _faulhaber(m, n):
     """classical power-sum formula via Bernoulli polynomials"""
-    b = bernoulli_poly(m)
-    return _power_sum(m - 1, n, F1), (b(n) - b(0)) / m
+    # (B_m(n) - B_m(0)) / m, with B_m(n) and B_m(0) over one denominator
+    q = _table(bernoulli_poly, m)
+    top, bottom = _poly_at(q, n, 1).num, _poly_at(q, 0, 1).num
+    return _power_sum(m - 1, n, F1), _Unreduced(top - bottom, q.den * m)
 
 
 @_identity("alt_euler_sum", Verdict.HOLDS_CORRECTED_ONLY, _POWER_SUM)
@@ -916,9 +923,13 @@ def _alt_euler_sum(corrected, m, n):
     """alternating power sum via Euler polynomials; printed
     form has a sign slip and a degree off by one"""
     if corrected:
-        return _power_sum(m, n, FM1), power_sum_closed(m, n, FM1)
-    e = euler_poly(m)
-    return _power_sum(m - 1, n, FM1), ((-1) ** (n - 1) * e(n) - e(0)) / 2
+        q = _table(_power_sum_poly, m, -1, 1)
+        return _power_sum(m, n, FM1), _power_sum_closed(q, m, n, -1, 1)
+    # ((-1)^(n-1) E_m(n) - E_m(0)) / 2, over one denominator
+    q = _table(euler_poly, m)
+    top, bottom = _poly_at(q, n, 1).num, _poly_at(q, 0, 1).num
+    rhs = _Unreduced((-1) ** (n - 1) * top - bottom, q.den * 2)
+    return _power_sum(m - 1, n, FM1), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +971,7 @@ def _sec6_bernoulli_values(m: int, n: int) -> tuple[list[int], int]:
         (
             comb(m + n, v)
             * _STIRLING2.row(v)[n]
-            * bernoulli_poly_order(m + n - v, n)
+            * _table(bernoulli_poly_order, m + n - v, n)
             for v in range(n, m + n + 1)
         ),
         Poly(),
@@ -983,7 +994,9 @@ def _sec6_euler_values(m: int, n: int) -> tuple[list[int], int]:
     which n! 2^n is folded."""
     inner = sum(
         (
-            comb(m, v) * bnk(v, n).numerator * euler_poly_order(m - v, n)
+            comb(m, v)
+            * _table(_bnk_row, v, _SEC6_N)[n].numerator
+            * _table(euler_poly_order, m - v, n)
             for v in range(m + 1)
         ),
         Poly(),

@@ -10,6 +10,13 @@ second-kind triangle.  B_n and E_n(0) are entry n of the same transform as
 their polynomials, from the same weights.  The tests check each family
 against its generating function expanded by
 :class:`binomsums.exact_core.EgfSeries`.
+
+Nothing here is memoized but the two triangles.  The Daehee and Changhee
+numbers, sum_k s(n,k) B_k and sum_k s(n,k) E_k(0), come from one range
+kernel, ``_classic_range``: it takes B_k or E_k(0) once for each k below
+the range's end and dots them with row n of the first-kind triangle for
+each n of the range.  ``classic_sequence`` is its one-term case and
+``audit seq`` reads whole ranges from it.
 """
 
 from __future__ import annotations
@@ -17,11 +24,10 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterator
 
 from .exact_core import Poly, Scalar, _check_indices, _check_ints, _common, _frac, _ratio
 
@@ -131,7 +137,6 @@ def _geometric_poly(scale: Fraction, c: Fraction, d: Fraction, n: int) -> Poly:
     return _stirling_poly(w, b * y ** (n + 1))
 
 
-@lru_cache(maxsize=None, typed=True)
 def bernoulli_poly_order(n: int, k: int) -> Poly:
     """Bernoulli polynomial of order k (k may be negative)."""
     _check_indices(n=n)
@@ -152,7 +157,6 @@ def _euler_weights(n: int, k: int) -> list[int]:
     return [fall << (n - j) for j, fall in enumerate(falls)]
 
 
-@lru_cache(maxsize=None, typed=True)
 def euler_poly_order(n: int, k: int) -> Poly:
     """Euler polynomial of order k (k may be negative)."""
     _check_indices(n=n)
@@ -168,7 +172,6 @@ def euler_poly(n: int) -> Poly:
     return euler_poly_order(n, 1)
 
 
-@lru_cache(maxsize=None, typed=True)
 def bernoulli_number(n: int) -> Fraction:
     """Classical Bernoulli number B_n (B_1 = -1/2), by Worpitzky's formula
     B_n = sum_j (-1)^j j! S(n,j)/(j+1): the weights over L = lcm(1..n+1)
@@ -179,7 +182,6 @@ def bernoulli_number(n: int) -> Fraction:
     return Fraction(_transform(w, n), big_l)
 
 
-@lru_cache(maxsize=None, typed=True)
 def euler_number0(n: int) -> Fraction:
     """E_n(0) = sum_j (-1)^j j! S(n,j)/2^j, the Euler polynomial at 0 (the
     'Euler numbers' of the Daehee/Changhee sums): the constant term of
@@ -225,8 +227,17 @@ def frobenius_euler(n: int, u: Scalar) -> Poly:
 def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
     """Catalan, Daehee or Changhee number, each by its defining sum."""
     _check_indices(n=n)
+    return next(_classic_range(tag, range(n, n + 1)))
+
+
+def _classic_range(tag: FamilyTag, rng: range) -> Iterator[Fraction]:
+    """The numbers of ``classic_sequence`` for the indices of a step-1
+    range, checked from ``rng.start``: B_k or E_k(0) is taken once for
+    each k < rng.stop, and each term is one integer dot product with a row
+    of the first-kind triangle."""
+    _check_indices(n=rng.start)
     if tag is FamilyTag.CATALAN:
-        return Fraction(comb(2 * n, n), n + 1)
+        return (Fraction(comb(2 * n, n), n + 1) for n in rng)
     # Daehee: sum_k s(n,k) B_k; Changhee: sum_k s(n,k) E_k(0)
     if tag is FamilyTag.DAEHEE:
         number = bernoulli_number
@@ -234,8 +245,8 @@ def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
         number = euler_number0
     else:
         raise ValueError(f"unknown family {tag!r}")
-    nums, den = _common([number(k) for k in range(n + 1)])
-    return Fraction(sum(map(mul, _STIRLING1.row(n), nums)), den)
+    nums, den = _common([number(k) for k in range(rng.stop)])
+    return (Fraction(sum(map(mul, _STIRLING1.row(n), nums)), den) for n in rng)
 
 
 def y_seq(n: int, lam: Scalar) -> Fraction:

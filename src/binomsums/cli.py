@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 from .audit.config import AuditConfig, ConfigError, load_config
 from .audit.registry import build_registry
 from .audit.runner import render_csv, render_json, render_markdown, run_audit
-from .classic_numbers import FamilyTag, classic_sequence
+from .classic_numbers import FamilyTag, _classic_range
 from .y6_engine import _franel_range, _sums, _y6_range, bnk
 
 EXIT_OK = 0
@@ -95,7 +95,7 @@ _SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], Iterable
         ),
     ),
     **{
-        tag.value: ((), lambda rng, ps, t=tag: [classic_sequence(t, n) for n in rng])
+        tag.value: ((), lambda rng, ps, t=tag: _classic_range(t, rng))
         for tag in FamilyTag
     },
     "franel": (

@@ -607,6 +607,13 @@ class TestRunner:
             ("CB1_xu", "_bnk_row", 6),
             ("xu_x", "_bnk_row", 6),
             ("fd_ogf", "_bnk_row", 7),
+            ("sec6_euler", "_bnk_row", 6),
+            # one polynomial per degree or (degree, order) the entry reads
+            ("faulhaber", "bernoulli_poly", 8),
+            ("inP3_4", "bernoulli_poly", 9),
+            ("inP5_6", "euler_poly", 9),
+            ("sec6_bernoulli", "bernoulli_poly_order", 36),
+            ("sec6_euler", "euler_poly_order", 36),
         ],
     )
     def test_tables_are_built_once_per_evaluation(
@@ -1042,6 +1049,15 @@ class TestCli:
     def test_seq_negative_index_names_the_index(self, family, capsys):
         assert cli.main(["seq", family, "--range=-1..1"]) == 2
         assert capsys.readouterr().err == "error: indices must be >= 0\n"
+
+    @pytest.mark.parametrize("family", ["catalan", "daehee", "changhee"])
+    def test_seq_negative_start_of_a_classic_family_exits_two(self, family, capsys):
+        # the range kernel checks its first index before it yields a term,
+        # so no row is written under a shifted label
+        assert cli.main(["seq", family, "--range=-1..3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 0\n"
 
     @pytest.mark.parametrize(
         "family, params",

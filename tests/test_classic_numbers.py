@@ -419,6 +419,18 @@ class TestClassicSequences:
                 (-1) ** n * factorial(n), 2**n
             )
 
+    @pytest.mark.parametrize("tag", list(FamilyTag))
+    @pytest.mark.parametrize("start, stop", [(0, 12), (5, 12), (9, 10)])
+    def test_range_kernel_is_the_term_by_term_sequence(self, tag, start, stop):
+        rng = range(start, stop)
+        expected = [classic_sequence(tag, n) for n in rng]
+        assert list(classic_numbers._classic_range(tag, rng)) == expected
+
+    @pytest.mark.parametrize("tag", list(FamilyTag))
+    def test_range_kernel_checks_its_start(self, tag):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            classic_numbers._classic_range(tag, range(-1, 3))
+
 
 class TestAuxiliaryFamilies:
     @given(

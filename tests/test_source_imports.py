@@ -263,10 +263,6 @@ def test_the_check_sees_memos():
 MEMOS = {
     "y6_engine._y6": "56,694 calls on 4,121 keys; about 95 ms an audit without it",
     "p_polynomials._p_poly": "29,407 calls on 2,520 keys; about 150 ms without it",
-    "classic_numbers.bernoulli_number": "without it `audit seq daehee` grows as O(N^3)",
-    "classic_numbers.euler_number0": "without it `audit seq changhee` grows as O(N^3)",
-    "classic_numbers.bernoulli_poly_order": "271 calls on 39 keys; about 3 ms an audit",
-    "classic_numbers.euler_poly_order": "361 calls on 114 keys; about 3 ms an audit",
 }
 
 
