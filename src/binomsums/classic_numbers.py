@@ -13,10 +13,11 @@ against its generating function expanded by
 
 Nothing here is memoized but the two triangles.  The Daehee and Changhee
 numbers, sum_k s(n,k) B_k and sum_k s(n,k) E_k(0), come from one range
-kernel, ``_classic_range``: it takes B_k or E_k(0) once for each k below
-the range's end and dots them with row n of the first-kind triangle for
-each n of the range.  ``classic_sequence`` is its one-term case and
-``audit seq`` reads whole ranges from it.
+kernel, ``_classic_range``: it takes B_k or E_k(0) for each k below the
+range's end from one walk of the second-kind rows and dots them with each
+row of one walk of the first-kind rows, storing no row of either.
+``classic_sequence`` is its one-term case and ``audit seq`` reads whole
+ranges from it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable, Iterator
@@ -63,8 +64,10 @@ class FamilyTag(Enum):
 class _Triangle:
     """Rows 0..N of an integer triangle given by a row recurrence.
 
-    Rows are only ever appended, so a row once built never changes; the
-    table grows under a lock only as far as the largest row requested.
+    ``row`` reads the stored table: rows are only ever appended, so a row
+    once built never changes, and the table grows under a lock only as far
+    as the largest row requested.  ``walk`` builds rows with the same
+    recurrence and stores none, for a caller that reads each row once.
     """
 
     def __init__(self, next_row: Callable[[list[int], int], list[int]]):
@@ -79,6 +82,11 @@ class _Triangle:
                 while len(rows) <= n:
                     rows.append(self._next_row(rows[-1], len(rows) - 1))
         return rows[n]
+
+    def walk(self, stop: int) -> Iterator[list[int]]:
+        """Rows 0..stop-1 in order, each built from the one before by the
+        table's recurrence; none is stored."""
+        return islice(accumulate(range(stop - 1), self._next_row, initial=[1]), stop)
 
 
 def _stirling1_next(row: list[int], n: int) -> list[int]:
@@ -172,13 +180,18 @@ def euler_poly(n: int) -> Poly:
     return euler_poly_order(n, 1)
 
 
+def _bernoulli_weights(n: int) -> tuple[list[int], int]:
+    """Worpitzky's weights (-1)^j j!/(j+1) for j = 0..n as integers over
+    L = lcm(1..n+1): B_k = sum_j S(k,j) w_j / L for every k <= n."""
+    big_l = lcm(*range(1, n + 2))
+    return [(-1) ** j * factorial(j) * (big_l // (j + 1)) for j in range(n + 1)], big_l
+
+
 def bernoulli_number(n: int) -> Fraction:
     """Classical Bernoulli number B_n (B_1 = -1/2), by Worpitzky's formula
-    B_n = sum_j (-1)^j j! S(n,j)/(j+1): the weights over L = lcm(1..n+1)
-    are the integers (-1)^j j! L/(j+1)."""
+    B_n = sum_j (-1)^j j! S(n,j)/(j+1)."""
     _check_indices(n=n)
-    big_l = lcm(*range(1, n + 2))
-    w = [(-1) ** j * factorial(j) * (big_l // (j + 1)) for j in range(n + 1)]
+    w, big_l = _bernoulli_weights(n)
     return Fraction(_transform(w, n), big_l)
 
 
@@ -232,21 +245,35 @@ def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
 
 def _classic_range(tag: FamilyTag, rng: range) -> Iterator[Fraction]:
     """The numbers of ``classic_sequence`` for the indices of a step-1
-    range, checked from ``rng.start``: B_k or E_k(0) is taken once for
-    each k < rng.stop, and each term is one integer dot product with a row
-    of the first-kind triangle."""
+    range, checked from ``rng.start`` before the iterator is returned.
+
+    For Daehee and Changhee, one walk of the second-kind rows gives B_k or
+    E_k(0) for every k < rng.stop over one denominator (lcm(1..stop) or
+    2^(stop-1)), and one walk of the first-kind rows dots them with row n
+    for each n of the range.  Neither walk stores a row: the work is
+    O(stop^2) big-integer operations with O(stop) integers live."""
     _check_indices(n=rng.start)
     if tag is FamilyTag.CATALAN:
         return (Fraction(comb(2 * n, n), n + 1) for n in rng)
+    if not rng:  # its stop may be 0, which leaves no k for the weights
+        return iter(())
     # Daehee: sum_k s(n,k) B_k; Changhee: sum_k s(n,k) E_k(0)
+    top = rng.stop - 1
     if tag is FamilyTag.DAEHEE:
-        number = bernoulli_number
+        w, den = _bernoulli_weights(top)
     elif tag is FamilyTag.CHANGHEE:
-        number = euler_number0
+        w, den = _euler_weights(top, 1), 1 << top
     else:
         raise ValueError(f"unknown family {tag!r}")
-    nums, den = _common([number(k) for k in range(rng.stop)])
-    return (Fraction(sum(map(mul, _STIRLING1.row(n), nums)), den) for n in rng)
+    return _first_kind_sums(w, den, rng)
+
+
+def _first_kind_sums(w: list[int], den: int, rng: range) -> Iterator[Fraction]:
+    """sum_k s(n,k) a_k for n in rng, where a_k = sum_j S(k,j) w_j / den."""
+    nums = [sum(map(mul, row, w)) for row in _STIRLING2.walk(rng.stop)]
+    for n, row in enumerate(_STIRLING1.walk(rng.stop)):
+        if n >= rng.start:
+            yield Fraction(sum(map(mul, row, nums)), den)
 
 
 def y_seq(n: int, lam: Scalar) -> Fraction:

@@ -16,13 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator
 
 from .audit.config import AuditConfig, ConfigError, load_config
 from .audit.registry import build_registry
 from .audit.runner import render_csv, render_json, render_markdown, run_audit
 from .classic_numbers import FamilyTag, _classic_range
+from .exact_core import _check_indices
 from .y6_engine import _franel_range, _sums, _y6_range, bnk
 
 EXIT_OK = 0
@@ -77,15 +80,23 @@ def _int_param(params: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
-def _y6_terms(rng: range, ps: dict) -> Iterable:
+def _y6_terms(rng: range, ps: dict) -> Iterator:
     """y6(m,n;lam,p) over a range."""
     m, p = _int_param(ps, "m", 0), _int_param(ps, "p", 2)
     return _y6_range(m, ps.get("lam", Fraction(1)), p, rng)
 
 
-# Each family with the ``--params`` keys it reads and its terms over a range.
-_SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], Iterable]]] = {
-    "bnk": (("d",), lambda rng, ps: [bnk(_int_param(ps, "d"), n) for n in rng]),
+def _bnk_terms(rng: range, ps: dict) -> Iterator:
+    """B(d,k) over a range."""
+    d = _int_param(ps, "d")
+    _check_indices(d=d, k=rng.start)
+    return map(bnk, repeat(d), rng)
+
+
+# Each family with the ``--params`` keys it reads and its terms over a
+# range: a lazy iterator whose arguments are checked before it is returned.
+_SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], Iterator]]] = {
+    "bnk": (("d",), _bnk_terms),
     "y6": (("m", "lam", "p"), _y6_terms),
     "moment": (
         ("m", "p"),
@@ -107,13 +118,11 @@ _SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], Iterable
 }
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout when it is None."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+def _write(pieces: Iterable[str], out: str | None) -> None:
+    """Write ``pieces`` as they come to the file ``out``, or to stdout when
+    it is None."""
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -132,8 +141,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "md": render_markdown,
         "csv": render_csv,
     }
-    text = renderers[args.format](report)
-    _write(text, args.out)
+    _write([renderers[args.format](report)], args.out)
     return EXIT_OK if report.all_expected else EXIT_VERDICT_MISMATCH
 
 
@@ -148,29 +156,41 @@ def _cmd_seq(args: argparse.Namespace) -> int:
             f"(it reads: {allowed})"
         )
     rng = _parse_range(args.range)
-    rows = list(zip(rng, fn(rng, params)))
+    rows = zip(rng, fn(rng, params))
+    # the first term before anything is opened or written, so that a
+    # refused request leaves no output
+    first = next(rows)
+    pieces = _seq_text(args.family, params, args.format, chain([first], rows))
     # Terms may pass CPython's 4,300-digit limit on int -> str conversion
-    # (0 means no limit; interpreters before 3.10.7 have none); lift it for
-    # the formatting only.
+    # (0 means no limit; interpreters before 3.10.7 have none); lift it
+    # while the rows are written.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digit_limit:
         sys.set_int_max_str_digits(0)
     try:
-        if args.format == "json":
-            doc = {
-                "family": args.family,
-                "params": {k: str(v) for k, v in params.items()},
-                "values": [{"n": n, "value": str(v)} for n, v in rows],
-            }
-            text = json.dumps(doc, indent=2) + "\n"
-        else:
-            lines = ["n,value"] + [f"{n},{v}" for n, v in rows]
-            text = "\n".join(lines) + "\n"
+        _write(pieces, args.out)
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
-    _write(text, args.out)
     return EXIT_OK
+
+
+def _seq_text(family: str, params: dict, fmt: str, rows: Iterable) -> Iterator[str]:
+    """The CSV, or the ``indent=2`` JSON of ``json.dumps``, of the rows
+    ``(n, value)`` piece by piece, one row at a time."""
+    if fmt == "csv":
+        yield "n,value\n"
+        for n, v in rows:
+            yield f"{n},{v}\n"
+        return
+    doc = {"family": family, "params": {k: str(v) for k, v in params.items()}}
+    head = json.dumps(doc, indent=2)
+    # the document up to its closing brace, then the values array by hand
+    sep = head[:-2] + ',\n  "values": [\n'
+    for n, v in rows:
+        yield f'{sep}    {{\n      "n": {n},\n      "value": "{v}"\n    }}'
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

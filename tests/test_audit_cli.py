@@ -1004,9 +1004,8 @@ class TestCli:
         assert doc["params"]["lam"] == "-1/2"
         assert [v["value"] for v in doc["values"]] == ["0", "-1/2", "-3/4"]
 
-    def test_seq_missing_required_param_exits_two(self, capsys):
-        assert cli.main(["seq", "bnk", "--range", "0..3"]) == 2
-        capsys.readouterr()
+    def test_seq_missing_required_param_exits_two(self, tmp_path, capsys):
+        _seq_refused(["bnk", "--range", "0..3"], tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1041,14 +1040,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: parameter 'm' given twice\n"
 
-    def test_seq_bad_range_exits_two(self, capsys):
-        assert cli.main(["seq", "catalan", "--range", "5..1"]) == 2
-        capsys.readouterr()
+    def test_seq_bad_range_exits_two(self, tmp_path, capsys):
+        _seq_refused(["catalan", "--range", "5..1"], tmp_path, capsys)
 
-    @pytest.mark.parametrize("family", ["franel", "moment"])
-    def test_seq_negative_index_names_the_index(self, family, capsys):
-        assert cli.main(["seq", family, "--range=-1..1"]) == 2
-        assert capsys.readouterr().err == "error: indices must be >= 0\n"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["franel", "--range=-1..1"],
+            ["moment", "--range=-1..1"],
+            ["bnk", "--params", "d=2", "--range=-1..2"],
+        ],
+        ids=["franel", "moment", "bnk"],
+    )
+    def test_seq_negative_index_names_the_index(self, argv, tmp_path, capsys):
+        err = _seq_refused(argv, tmp_path, capsys)
+        assert err == "error: indices must be >= 0\n"
 
     @pytest.mark.parametrize("family", ["catalan", "daehee", "changhee"])
     def test_seq_negative_start_of_a_classic_family_exits_two(self, family, capsys):
@@ -1082,6 +1088,19 @@ class TestCli:
         assert capsys.readouterr().out == first
 
 
+def _seq_refused(argv: list[str], tmp_path, capsys) -> str:
+    """Run a refused ``audit seq`` request to stdout and with ``--out``:
+    each exits 2 and writes nothing.  Returns the first run's stderr."""
+    assert cli.main(["seq", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    out = tmp_path / "refused.csv"
+    assert cli.main(["seq", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", captured.err)
+    assert not out.exists()
+    return captured.err
+
+
 def _seq_output(argv: list[str], capsys) -> str:
     assert cli.main(["seq", *argv]) == 0
     return capsys.readouterr().out
@@ -1090,15 +1109,19 @@ def _seq_output(argv: list[str], capsys) -> str:
 def _per_term_text(
     family: str, fmt: str, rng: range, params: dict, values: list
 ) -> str:
-    """``audit seq`` output rendered from values computed term by term."""
+    """``audit seq`` output rendered from values computed term by term, by
+    the formatter it had before it streamed: every row first, then one
+    ``"\\n".join`` or one ``json.dumps``."""
+    rows = list(zip(rng, values))
     if fmt == "json":
         doc = {
             "family": family,
             "params": {k: str(v) for k, v in params.items()},
-            "values": [{"n": n, "value": str(v)} for n, v in zip(rng, values)],
+            "values": [{"n": n, "value": str(v)} for n, v in rows],
         }
         return json.dumps(doc, indent=2) + "\n"
-    return "n,value\n" + "".join(f"{n},{v}\n" for n, v in zip(rng, values))
+    lines = ["n,value"] + [f"{n},{v}" for n, v in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _count_unrolls(monkeypatch) -> list:
@@ -1256,6 +1279,82 @@ class TestSeqRecurrences:
         out = capsys.readouterr().out.splitlines()
         assert out[1] == f"4000,{y6_engine._y6(0, 4000, 1, 1, 3)}"
         assert peak < 512 * 1024
+
+
+class TestSeqStreaming:
+    """``audit seq`` writes each row as the family yields it, in the bytes of
+    the formatter that held every row first."""
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "family, params_text, lo, hi",
+        [
+            ("bnk", "d=3", 0, 40),
+            ("bnk", "d=0", 7, 7),
+            ("y6", "", 0, 30),
+            ("y6", "m=3,p=3,lam=5/11", 12, 40),
+            ("moment", "", 5, 5),
+            ("moment", "m=2,p=3", 0, 30),
+            ("catalan", "", 0, 30),
+            ("catalan", "", 9, 9),
+            ("daehee", "", 3, 30),
+            ("changhee", "", 0, 0),
+            ("changhee", "", 0, 30),
+            ("franel", "p=3,lam=1/2", 10, 40),
+            ("franel", "", 5000, 5000),
+        ],
+    )
+    def test_bytes_match_the_joined_text(
+        self, family, params_text, lo, hi, fmt, to_file, tmp_path, capsys
+    ):
+        params = cli._parse_params([params_text])
+        rng = range(lo, hi + 1)
+        values = list(cli._SEQ_FAMILIES[family][1](rng, params))
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # franel(5000) has about 4,500 digits
+        try:
+            expected = _per_term_text(family, fmt, rng, params, values)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        argv = ["seq", family, "--range", f"{lo}..{hi}", "--format", fmt]
+        if params_text:
+            argv += ["--params", params_text]
+        out = tmp_path / "seq.txt"
+        if to_file:
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr().out
+        if to_file:
+            assert (captured, out.read_text(encoding="utf-8")) == ("", expected)
+        else:
+            assert captured == expected and not out.exists()
+
+    def test_a_failure_after_the_first_row_keeps_the_rows_written(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def terms(rng, ps):
+            yield from (1, 2)
+            raise MemoryError
+
+        monkeypatch.setitem(cli._SEQ_FAMILIES, "catalan", ((), terms))
+        out = tmp_path / "seq.csv"
+        assert cli.main(["seq", "catalan", "--range", "0..5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        assert out.read_text() == "n,value\n0,1\n1,2\n"
+
+    def test_rows_are_not_held(self, tmp_path):
+        # franel(3, 0, n, 1) has about 3n bits, so the 3,001 rows of 0..3000
+        # take about 4 MB of text; written as they come, a few terms are live
+        out = tmp_path / "franel.csv"
+        tracemalloc.start()
+        try:
+            argv = ["seq", "franel", "--range", "0..3000", "--out", str(out)]
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size / 4
 
 
 class TestSeqDigitLimit:

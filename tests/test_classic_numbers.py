@@ -426,6 +426,20 @@ class TestClassicSequences:
         expected = [classic_sequence(tag, n) for n in rng]
         assert list(classic_numbers._classic_range(tag, rng)) == expected
 
+    @pytest.mark.parametrize("tag", [FamilyTag.DAEHEE, FamilyTag.CHANGHEE])
+    def test_range_kernel_stores_no_row(self, tag, monkeypatch):
+        # fresh triangles, so that rows another test stored hide nothing
+        for name, next_row in (
+            ("_STIRLING1", classic_numbers._stirling1_next),
+            ("_STIRLING2", classic_numbers._stirling2_next),
+        ):
+            table = classic_numbers._Triangle(next_row)
+            monkeypatch.setattr(classic_numbers, name, table)
+        tables = classic_numbers._STIRLING1, classic_numbers._STIRLING2
+        values = list(classic_numbers._classic_range(tag, range(0, 200)))
+        assert [len(t._rows) for t in tables] == [1, 1]
+        assert values[150] == classic_sequence(tag, 150)
+
     @pytest.mark.parametrize("tag", list(FamilyTag))
     def test_range_kernel_checks_its_start(self, tag):
         with pytest.raises(ValueError, match="n must be >= 0"):

@@ -77,15 +77,19 @@ def test_seq_matches_the_oracle_values(tmp_path, args, count, expected):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
-def test_running_out_of_memory_exits_two_without_a_traceback():
-    # _cmd_seq keeps the rows of 0..3,000,000, each term of about 3n bits,
-    # far beyond a 400 MB address space: the child runs out of memory
-    # within seconds
+def test_running_out_of_memory_exits_two_without_a_traceback(tmp_path):
+    # the runner lists every point of inP1's grid before it evaluates one;
+    # with m and n up to 10,000 that is billions of points, far beyond a
+    # 400 MB address space, so the child runs out of memory within seconds
+    # (audit seq writes each row as it is computed, so no range of it
+    # serves here)
     import resource
 
+    config = tmp_path / "huge.cfg"
+    config.write_text("[inP1]\nm_max = 10000\nn_max = 10000\n")
     limit = 400 * 2**20
     done = _cli(
-        "seq", "franel", "--range", "0..3000000",
+        "run", "--filter", "inP1", "--config", str(config),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         capture_output=True,
         text=True,
