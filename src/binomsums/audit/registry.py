@@ -34,9 +34,11 @@ Horner row of ``y6_engine._moment_row`` against ``_y6``'s ratio walk,
 ``boyadzhiev`` the row C(k,j) j^n against ``_boyadzhiev_row``'s expansion
 over S(n,j), and ``golombek`` and ``altStirling`` take ``bnk``, ``moment``
 and ``franel`` against the series, the closed forms and S(n,k).  The
-integer sides read s(n,k) and S(n,k) from the rows of the triangles
-``classic_numbers._STIRLING1`` and ``_STIRLING2``: ``_boyadzhiev_row``,
-``Bs1``, ``CB1_xu``, ``t_poly`` and the Section 6 tables.
+integer sides take s(n,k) and S(n,k) from the row recurrences of
+``classic_numbers._STIRLING1`` and ``_STIRLING2``, which keep no row:
+``_boyadzhiev_row``, ``Bs1`` and ``CB1_xu`` read the one row they need
+through ``_table``, ``_stirling_values`` builds it once per table, and
+``t_poly`` and ``_sec6_bernoulli_values`` walk the rows in order.
 ``altStirling``, ``changhee_theorem`` and ``fd_ogf`` (through ``b_ogf``)
 take the ``Fraction``-valued ``stirling1`` and ``stirling2``, and
 ``changhee_theorem`` keeps its own ``Fraction`` sum of s(n,k) E_k(0) on
@@ -87,8 +89,8 @@ per degree, and one integer dot product with P's numerators per point
 (``exact_core._functional``); the ``_y6_sum`` weights, the Riemann values
 (j+1)^e - j^e, the closed forms' polynomials, per (m, a, b), the
 Bernoulli and Euler polynomials, per degree and order, and the rows of
-B(d,k), per d, are tables too: ``classic_numbers`` keeps no memo of its
-own.  A ``_grid`` yields its points lazily, so the runner's config check
+B(d,k) and of the Stirling triangles, per d, are tables too:
+``classic_numbers`` keeps no memo and no row of its own.  A ``_grid`` yields its points lazily, so the runner's config check
 draws them only up to the first difference.
 """
 
@@ -100,7 +102,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from math import comb, factorial, lcm
 from typing import Any, Callable, Iterator, Optional
 
@@ -473,7 +475,7 @@ def _bs1(m, n):
     """B(m,n) as a Stirling-weighted sum: sum_j C(n,j) j! 2^(n-j) S(m,j)"""
     rhs = sum(
         comb(n, j) * factorial(j) * 2 ** (n - j) * s
-        for j, s in enumerate(_STIRLING2.row(m)[: n + 1])
+        for j, s in enumerate(_table(_STIRLING2.row, m)[: n + 1])
     )
     return bnk(m, n), rhs
 
@@ -482,7 +484,7 @@ def _boyadzhiev_row(m: int, n: int) -> _UnreducedPoly:
     """sum_j C(n,j) j! S(m,j) x^j (1+x)^(n-j) as its n + 1 integer
     coefficients, over 1: the weight of x^j times C(n-j, i-j) at x^i."""
     row = [0] * (n + 1)
-    for j, s in enumerate(_STIRLING2.row(m)[: n + 1]):
+    for j, s in enumerate(_table(_STIRLING2.row, m)[: n + 1]):
         weight = comb(n, j) * factorial(j) * s
         c = 1
         for i in range(j, n + 1):  # c = C(n-j, i-j)
@@ -516,7 +518,7 @@ def _cb1_xu(d, k):
     """recurrence sum_v m_v B(d-v,k) = 2^(k-d) C(k,d) with m_v = s(d,d-v)/d!"""
     lhs = sum(
         s * _table(_bnk_row, j, _DK_K)[k].numerator
-        for j, s in enumerate(_STIRLING1.row(d)[1:], 1)
+        for j, s in enumerate(_table(_STIRLING1.row, d)[1:], 1)
     )
     return _Unreduced(lhs, factorial(d)), _Unreduced(comb(k, d) << k, 1 << d)
 
@@ -940,10 +942,11 @@ def _stirling_values(m: int, n: int) -> list[int]:
     """sec6_stirling's inner sums over n!, for k = 0..n:
     sum_l S(m,l)/((n-k)! (k-l)!) = C(n,k) sum_l S(m,l) k!/(k-l)! / n!,
     where the weights k!/(k-l)! are the falling factorials of k."""
+    row = _STIRLING2.row(m)
     values = []
     for k in range(n + 1):
         total, fall = 0, 1
-        for l, s in enumerate(_STIRLING2.row(m)[: k + 1]):
+        for l, s in enumerate(row[: k + 1]):
             total += s * fall
             fall *= k - l
         values.append(comb(n, k) * total)
@@ -967,12 +970,11 @@ def _sec6_bernoulli_values(m: int, n: int) -> tuple[list[int], int]:
     """sec6_bernoulli's inner sums at k = 0..n over one denominator, into
     which C(m+n,n) n! is folded.  The inner sum over v is one polynomial
     in the binomial index k; S(v,n) = 0 for v < n."""
+    rows = islice(_STIRLING2.walk(m + n + 1), n, None)
     inner = sum(
         (
-            comb(m + n, v)
-            * _STIRLING2.row(v)[n]
-            * _table(bernoulli_poly_order, m + n - v, n)
-            for v in range(n, m + n + 1)
+            comb(m + n, v) * row[n] * _table(bernoulli_poly_order, m + n - v, n)
+            for v, row in enumerate(rows, n)
         ),
         Poly(),
     )

@@ -1,30 +1,31 @@
 """Classical number and polynomial families over exact rationals.
 
-The Stirling numbers of both kinds live only in integer triangles grown
-by their row recurrences: ``stirling1`` and ``stirling2`` build a
-``Fraction`` from the row on each call, and integer code reads the rows of
-``_STIRLING1`` and ``_STIRLING2`` directly.  The Bernoulli, Euler, Apostol
-and Frobenius-Euler families, generated by e^{xt} g(e^t - 1), are Stirling
-transforms of the coefficients of g, summed in integers along rows of the
-second-kind triangle.  B_n and E_n(0) are entry n of the same transform as
-their polynomials, from the same weights.  The tests check each family
-against its generating function expanded by
-:class:`binomsums.exact_core.EgfSeries`.
+The Stirling numbers of both kinds are the rows of two integer triangles,
+``_STIRLING1`` and ``_STIRLING2``, given by their row recurrences, and no
+row is kept: a reader that needs one row builds it from row 0 with
+``row``, and a reader that goes through the rows in order takes them from
+one ``walk``.  So ``stirling1`` and ``stirling2`` build row n on each call
+and take a ``Fraction`` from it.  The Bernoulli, Euler, Apostol and
+Frobenius-Euler families, generated by e^{xt} g(e^t - 1), are Stirling
+transforms of the coefficients of g, summed in integers along one walk of
+the second-kind rows (``_transforms``).  B_n and E_n(0) are entry n of the
+same transform as their polynomials, from the same weights, dotted with
+row n alone.  The tests check each family against its generating function
+expanded by :class:`binomsums.exact_core.EgfSeries`.
 
-Nothing here is memoized but the two triangles.  The Daehee and Changhee
-numbers, sum_k s(n,k) B_k and sum_k s(n,k) E_k(0), come from one range
-kernel, ``_classic_range``: it takes B_k or E_k(0) for each k below the
-range's end from one walk of the second-kind rows and dots them with each
-row of one walk of the first-kind rows, storing no row of either.
-``classic_sequence`` is its one-term case and ``audit seq`` reads whole
-ranges from it.
+Nothing here is memoized.  The Daehee and Changhee numbers, sum_k s(n,k)
+B_k and sum_k s(n,k) E_k(0), come from one range kernel,
+``_classic_range``: it takes B_k or E_k(0) for each k below the range's
+end from one walk of the second-kind rows and dots them with each row of
+one walk of the first-kind rows.  ``classic_sequence`` is its one-term
+case and ``audit seq`` reads whole ranges from it.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, islice
 from math import comb, factorial, lcm
 from operator import mul
@@ -62,30 +63,23 @@ class FamilyTag(Enum):
 # Stirling numbers
 
 class _Triangle:
-    """Rows 0..N of an integer triangle given by a row recurrence.
+    """An integer triangle given by its row recurrence: row 0 is [1] and
+    row n+1 is ``next_row(row n, n)``.
 
-    ``row`` reads the stored table: rows are only ever appended, so a row
-    once built never changes, and the table grows under a lock only as far
-    as the largest row requested.  ``walk`` builds rows with the same
-    recurrence and stores none, for a caller that reads each row once.
+    No row is kept.  ``walk`` builds rows 0..stop-1 in order for a caller
+    that reads each row once, and ``row`` gives row n as the last row of
+    the same recurrence, so each call builds it afresh from row 0: O(n^2)
+    big-integer operations with O(n) integers live.
     """
 
     def __init__(self, next_row: Callable[[list[int], int], list[int]]):
         self._next_row = next_row
-        self._lock = threading.Lock()
-        self._rows: list[list[int]] = [[1]]
 
     def row(self, n: int) -> list[int]:
-        rows = self._rows
-        if n >= len(rows):
-            with self._lock:
-                while len(rows) <= n:
-                    rows.append(self._next_row(rows[-1], len(rows) - 1))
-        return rows[n]
+        return reduce(self._next_row, range(n), [1])
 
     def walk(self, stop: int) -> Iterator[list[int]]:
-        """Rows 0..stop-1 in order, each built from the one before by the
-        table's recurrence; none is stored."""
+        """Rows 0..stop-1 in order, each built from the one before."""
         return islice(accumulate(range(stop - 1), self._next_row, initial=[1]), stop)
 
 
@@ -123,15 +117,17 @@ def stirling1(n: int, k: int) -> Fraction:
 # Bernoulli / Euler families as Stirling transforms: for e^{xt} g(e^t - 1)
 # the numbers are a_i = sum_j S(i,j) w_j, where w_j = j! [u^j] g(u)
 
-def _transform(w: list[int], i: int) -> int:
-    """a_i = sum_j S(i,j) w_j, one integer dot product along row i."""
-    return sum(map(mul, _STIRLING2.row(i), w))
+def _transforms(w: list[int]) -> list[int]:
+    """a_i = sum_j S(i,j) w_j for every i < len(w), one integer dot product
+    per row of one walk of the second-kind rows."""
+    return [sum(map(mul, row, w)) for row in _STIRLING2.walk(len(w))]
 
 
 def _stirling_poly(w: list[int], den: int) -> Poly:
     """sum_i C(n,i) a_{n-i} x^i for a_i = sum_j S(i,j) w_j / den, n = len(w) - 1."""
     n = len(w) - 1
-    return Poly.from_ints([comb(n, i) * _transform(w, n - i) for i in range(n + 1)], den)
+    a = _transforms(w)
+    return Poly.from_ints([comb(n, i) * a[n - i] for i in range(n + 1)], den)
 
 
 def _geometric_poly(scale: Fraction, c: Fraction, d: Fraction, n: int) -> Poly:
@@ -149,13 +145,15 @@ def bernoulli_poly_order(n: int, k: int) -> Poly:
     """Bernoulli polynomial of order k (k may be negative)."""
     _check_indices(n=n)
     _check_ints(k=k)
+    # column K = |k| of rows K..K+n: for k < 0, ((e^t-1)/t)^K has EGF
+    # coefficients a_i = S(i+K,K)/C(i+K,K); for k >= 0, g(u) = (log(1+u)/u)^k
+    # has weights w_j = s(j+k,k)/C(j+k,k)
+    big_k = abs(k)
+    rows = islice((_STIRLING2 if k < 0 else _STIRLING1).walk(big_k + n + 1), big_k, None)
+    col = [Fraction(row[big_k], comb(i + big_k, big_k)) for i, row in enumerate(rows)]
     if k < 0:
-        # ((e^t-1)/t)^K, K = -k, has EGF coefficients a_i = S(i+K,K)/C(i+K,K)
-        a = [Fraction(_STIRLING2.row(i - k)[-k], comb(i - k, i)) for i in range(n + 1)]
-        return Poly([comb(n, i) * a[n - i] for i in range(n + 1)])
-    # g(u) = (log(1+u)/u)^k
-    w = [Fraction(_STIRLING1.row(j + k)[k], comb(j + k, k)) for j in range(n + 1)]
-    return _stirling_poly(*_common(w))
+        return Poly([comb(n, i) * col[n - i] for i in range(n + 1)])
+    return _stirling_poly(*_common(col))
 
 
 def _euler_weights(n: int, k: int) -> list[int]:
@@ -192,7 +190,7 @@ def bernoulli_number(n: int) -> Fraction:
     B_n = sum_j (-1)^j j! S(n,j)/(j+1)."""
     _check_indices(n=n)
     w, big_l = _bernoulli_weights(n)
-    return Fraction(_transform(w, n), big_l)
+    return Fraction(sum(map(mul, _STIRLING2.row(n), w)), big_l)
 
 
 def euler_number0(n: int) -> Fraction:
@@ -200,7 +198,7 @@ def euler_number0(n: int) -> Fraction:
     'Euler numbers' of the Daehee/Changhee sums): the constant term of
     ``euler_poly_order(n, 1)``, from the same weights."""
     _check_indices(n=n)
-    return Fraction(_transform(_euler_weights(n, 1), n), 1 << n)
+    return Fraction(sum(map(mul, _STIRLING2.row(n), _euler_weights(n, 1))), 1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +268,7 @@ def _classic_range(tag: FamilyTag, rng: range) -> Iterator[Fraction]:
 
 def _first_kind_sums(w: list[int], den: int, rng: range) -> Iterator[Fraction]:
     """sum_k s(n,k) a_k for n in rng, where a_k = sum_j S(k,j) w_j / den."""
-    nums = [sum(map(mul, row, w)) for row in _STIRLING2.walk(rng.stop)]
+    nums = _transforms(w)
     for n, row in enumerate(_STIRLING1.walk(rng.stop)):
         if n >= rng.start:
             yield Fraction(sum(map(mul, row, nums)), den)

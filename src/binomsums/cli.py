@@ -8,15 +8,16 @@ Subcommands:
 
 Exit codes: 0 when every verdict matches its pinned expectation, 1 when a
 verdict deviates, 2 on usage or configuration errors and on input too
-large for the memory at hand.
+large for the memory at hand.  A reader of stdout that closes early (as
+``head`` does) changes none of these: the command stops writing quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
@@ -120,14 +121,29 @@ _SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], Iterator
 
 def _write(pieces: Iterable[str], out: str | None) -> None:
     """Write ``pieces`` as they come to the file ``out``, or to stdout when
-    it is None."""
-    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
-        fh.writelines(pieces)
+    it is None.  When the reader of stdout has gone (``| head``), the rest
+    is dropped and the command keeps its own exit code."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        return
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout points at the null device from here on, so that the flush
+        # at exit fails no second time (the recipe of the Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    for entry in build_registry():
-        print(f"{entry.id:24s} {entry.expected.value:22s} {entry.paper_ref}")
+    _write(
+        (
+            f"{entry.id:24s} {entry.expected.value:22s} {entry.paper_ref}\n"
+            for entry in build_registry()
+        ),
+        None,
+    )
     return EXIT_OK
 
 

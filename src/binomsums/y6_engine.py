@@ -181,12 +181,12 @@ def t_poly(d: int) -> Poly:
     _check_ints(d=d)
     if d < 1:
         raise ValueError("T_d is defined for d >= 1")
+    second = _STIRLING2.row(d)
     nums = [0] * (d + 1)
-    for l in range(1, d + 1):
-        nums[l] = sum(
-            _STIRLING1.row(j)[l] * _STIRLING2.row(d)[j] << (d - j)
-            for j in range(l, d + 1)
-        )
+    for j, first in enumerate(_STIRLING1.walk(d + 1)):
+        weight = second[j] << (d - j)
+        for l in range(1, j + 1):
+            nums[l] += first[l] * weight
     return Poly.from_ints(nums)
 
 

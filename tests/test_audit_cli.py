@@ -798,6 +798,38 @@ class TestCli:
         assert cli.main(["run", "--filter", "lying"]) == 1
         capsys.readouterr()
 
+    def test_a_closed_stdout_keeps_the_verdict_exit(self, monkeypatch, tmp_path, capsys):
+        # the reader of stdout has gone: the write stops quietly, stdout's
+        # descriptor is pointed at the null device and a mismatch still
+        # exits 1, where an unwritable --out exits 2
+        from binomsums.audit import runner as runner_module
+
+        lying = IdentityEntry(
+            id="lying",
+            paper_ref="x",
+            expected=Verdict.FAILS_BOTH,
+            printed=lambda: (Fraction(1), Fraction(1)),
+            grid=lambda spec: iter([()]),
+        )
+        monkeypatch.setattr(runner_module, "build_registry", lambda: [lying])
+
+        def gone(pieces):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            closed = SimpleNamespace(writelines=gone, fileno=lambda: fd)
+            with monkeypatch.context() as mp:
+                mp.setattr(sys, "stdout", closed)
+                assert cli.main(["run", "--filter", "lying"]) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert capsys.readouterr() == ("", "")
+        out = tmp_path / "missing" / "report.json"
+        assert cli.main(["run", "--filter", "lying", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_run_unmatched_filter_exits_two(self, tmp_path, capsys):
         assert cli.main(["run", "--filter", "zzz_nothing"]) == 2
         captured = capsys.readouterr()

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -72,15 +70,6 @@ def log1p_pow(k: int, order: int) -> EgfSeries:
     return EgfSeries(coeffs).pow(k)
 
 
-def stirling_tables() -> dict[int, tuple[list[Fraction], list[Fraction]]]:
-    """Rows 0..60 of both kinds, read through the public functions."""
-    return {
-        n: ([stirling1(n, k) for k in range(n + 1)],
-            [stirling2(n, k) for k in range(n + 1)])
-        for n in range(61)
-    }
-
-
 class TestStirling:
     def test_generating_functions(self):
         # s(n,k) and S(n,k) are n! [t^n] of (log(1+t))^k/k! and (e^t-1)^k/k!
@@ -92,45 +81,33 @@ class TestStirling:
                 assert stirling1(n, k) == first[n] / factorial(k)
                 assert stirling2(n, k) == second[n] / factorial(k)
 
-    def test_tables_built_by_concurrent_first_touch(self, monkeypatch):
-        def reset():
-            for name, next_row in (
-                ("_STIRLING1", classic_numbers._stirling1_next),
-                ("_STIRLING2", classic_numbers._stirling2_next),
-            ):
-                monkeypatch.setattr(
-                    classic_numbers, name, classic_numbers._Triangle(next_row)
-                )
-
-        def touch(start, ns):
-            start.wait(timeout=60)
-            return {n: (stirling1(n, n // 2), stirling2(n, n // 3)) for n in ns}
-
-        reset()
-        serial = stirling_tables()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: stirling1(400, 1),
+            lambda: stirling2(400, 1),
+            lambda: bernoulli_number(400),
+            lambda: euler_number0(400),
+        ],
+        ids=["stirling1", "stirling2", "bernoulli_number", "euler_number0"],
+    )
+    def test_one_term_keeps_no_row(self, call, monkeypatch):
+        # fresh triangles, so that rows another test built hide nothing: row
+        # 400 is built from row 0 with two rows live (about 0.2 MB), where
+        # rows 0..400 kept in a table take 12-15 MB
+        for name, next_row in (
+            ("_STIRLING1", classic_numbers._stirling1_next),
+            ("_STIRLING2", classic_numbers._stirling2_next),
+        ):
+            monkeypatch.setattr(classic_numbers, name, classic_numbers._Triangle(next_row))
+        tracemalloc.start()
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                for _ in range(50):
-                    reset()
-                    start = threading.Barrier(4)
-                    # thread i first touches rows i, i+4, ..., so the
-                    # tables grow under all four threads at once
-                    futures = [
-                        pool.submit(touch, start, range(i, 61, 4))
-                        for i in range(4)
-                    ]
-                    touched = {}
-                    for future in futures:
-                        touched.update(future.result(timeout=60))
-                    assert touched == {
-                        n: (serial[n][0][n // 2], serial[n][1][n // 3])
-                        for n in range(61)
-                    }
-                    assert stirling_tables() == serial
+            call()
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
-            sys.setswitchinterval(interval)
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert kept < 2**14
 
     def test_second_kind_vs_enumeration(self):
         for n in range(8):
@@ -425,20 +402,6 @@ class TestClassicSequences:
         rng = range(start, stop)
         expected = [classic_sequence(tag, n) for n in rng]
         assert list(classic_numbers._classic_range(tag, rng)) == expected
-
-    @pytest.mark.parametrize("tag", [FamilyTag.DAEHEE, FamilyTag.CHANGHEE])
-    def test_range_kernel_stores_no_row(self, tag, monkeypatch):
-        # fresh triangles, so that rows another test stored hide nothing
-        for name, next_row in (
-            ("_STIRLING1", classic_numbers._stirling1_next),
-            ("_STIRLING2", classic_numbers._stirling2_next),
-        ):
-            table = classic_numbers._Triangle(next_row)
-            monkeypatch.setattr(classic_numbers, name, table)
-        tables = classic_numbers._STIRLING1, classic_numbers._STIRLING2
-        values = list(classic_numbers._classic_range(tag, range(0, 200)))
-        assert [len(t._rows) for t in tables] == [1, 1]
-        assert values[150] == classic_sequence(tag, 150)
 
     @pytest.mark.parametrize("tag", list(FamilyTag))
     def test_range_kernel_checks_its_start(self, tag):

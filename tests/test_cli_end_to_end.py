@@ -26,11 +26,15 @@ oracles = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(oracles)
 
 
-def _cli(*args: str, check: bool = True, **kwargs) -> subprocess.CompletedProcess:
+def _env() -> dict[str, str]:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _cli(*args: str, check: bool = True, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "binomsums.cli", *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_env(),
         timeout=300,
         check=check,
         **kwargs,
@@ -98,3 +102,30 @@ def test_running_out_of_memory_exits_two_without_a_traceback(tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, lines",
+    [
+        (("seq", "franel", "--range", "0..3000"), 2),  # | head -n 2
+        (("run", "--filter", "chu"), 0),  # | true
+        (("list",), 0),
+    ],
+    ids=["seq", "run", "list"],
+)
+def test_a_reader_that_closes_early_leaves_the_exit_code(args, lines):
+    # the reader takes its lines and closes the pipe; the command drops the
+    # rest of its output and exits as it would have, with nothing on stderr
+    with subprocess.Popen(
+        [sys.executable, "-m", "binomsums.cli", *args],
+        env=_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        head = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert (code, err) == (0, "")
+    assert head == ["n,value\n", "0,1\n"][:lines]

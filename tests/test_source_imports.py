@@ -97,6 +97,35 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute modules the imports load."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_check_sees_imported_modules():
+    source = (
+        "import os.path, threading as t\n"
+        "from threading import Lock\n"
+        "from .threading import x\n"
+        "def f():\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+    )
+    assert imported_modules(source) == {"os", "threading", "concurrent"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_module_imports_threading(path):
+    # there is no pool of any kind and no lock: the library runs on the
+    # calling thread and keeps no shared store for one to guard
+    assert "threading" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
 def test_the_check_sees_imports_inside_functions():
     source = (
         "import os\n"
@@ -259,7 +288,8 @@ def test_the_check_sees_memos():
 
 
 # Calls / distinct keys are for one default audit on one thread. A memo that
-# only hides a slow kernel is deleted rather than listed here.
+# only hides a slow kernel is deleted rather than listed here. No other
+# store exists: the Stirling rows are walked by their recurrences, not kept.
 MEMOS = {
     "y6_engine._y6": "56,694 calls on 4,121 keys; about 95 ms an audit without it",
     "p_polynomials._p_poly": "29,407 calls on 2,520 keys; about 150 ms without it",
