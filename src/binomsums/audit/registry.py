@@ -37,12 +37,12 @@ and ``franel`` against the series, the closed forms and S(n,k).  The
 integer sides take s(n,k) and S(n,k) from the row recurrences of
 ``classic_numbers._STIRLING1`` and ``_STIRLING2``, which keep no row:
 ``_boyadzhiev_row``, ``Bs1`` and ``CB1_xu`` read the one row they need
-through ``_table``, ``_stirling_values`` builds it once per table, and
-``t_poly`` and ``_sec6_bernoulli_values`` walk the rows in order.
-``altStirling``, ``changhee_theorem`` and ``fd_ogf`` (through ``b_ogf``)
-take the ``Fraction``-valued ``stirling1`` and ``stirling2``, and
-``changhee_theorem`` keeps its own ``Fraction`` sum of s(n,k) E_k(0) on
-purpose: ``legendre_P0`` checks the same identity through
+through ``_table``, ``_stirling_values`` builds it once per table,
+``fd_ogf``'s ``b_ogf`` reads it once per call, and ``t_poly`` and
+``_sec6_bernoulli_values`` walk the rows in order.  ``altStirling`` and
+``changhee_theorem`` take the ``Fraction``-valued ``stirling2`` and
+``stirling1``, and ``changhee_theorem`` keeps its own ``Fraction`` sum of
+s(n,k) E_k(0) on purpose: ``legendre_P0`` checks the same identity through
 ``classic_sequence``'s integer sum, so a fault in that sum fails one entry
 and not the other.  ``_binom_sum`` sums C(n,j)^p lam^j g(j) directly and
 calls none of ``y6``, ``p_poly``, ``raw_sum_poly`` or ``r_poly``, the
@@ -74,11 +74,11 @@ denominator, and a side is left as that unreduced quotient or row and
 compared by cross-multiplying, with no gcd and no ``Fraction`` per point.
 So are the power-sum closed forms, ``faulhaber``'s and ``alt_euler_sum``'s
 printed sides among them, ``boyadzhiev``'s expansion, the series of
-``y6G`` (an ``_UnreducedSeries``) and ``Cab3``, and ``CB1_xu``.  The
+``y6G`` (a list of ``_Unreduced``) and ``Cab3``, and ``CB1_xu``.  The
 sides that still build a ``Fraction`` per point are on grids of at most 81
 points (the B(n,k) entries, the Franel, Legendre and OGF slices) or are
 ``y6bb``'s pFq form, which goes through the ``Fraction``-valued
-``pfq_terminating``: a warm default audit builds about 7.3 k.  An entry
+``pfq_terminating``: a warm default audit builds about 7.5 k.  An entry
 over a lam grid splits lam = a/b once per point and passes a and b on, so
 the memoized ``_y6`` and ``_p_poly`` hash no ``Fraction``.
 A side's lam-invariant part is a table, built by ``_table(build, *ints)``
@@ -127,7 +127,6 @@ from ..exact_core import (
     Poly,
     _Unreduced,
     _UnreducedPoly,
-    _UnreducedSeries,
     _binomial_convolve,
     _functional,
     _int_values,
@@ -580,9 +579,8 @@ def _y6g(n, p, lam):
     a, b = _ratio(lam)
     # both rows are numerators over n! b^n
     den = factorial(n) * b**n
-    ys = [_y6(m, n, a, b, p) for m in range(order + 1)]
-    lhs = _UnreducedSeries(_moment_row(order, n, a, b, p), den)
-    return lhs, _UnreducedSeries(ys, den)
+    lhs = [_Unreduced(v, den) for v in _moment_row(order, n, a, b, p)]
+    return lhs, [_Unreduced(_y6(m, n, a, b, p), den) for m in range(order + 1)]
 
 
 @_identity("y6bb", Verdict.HOLDS_PRINTED, _grid("n", "p", "lam", n_cap=10, p_min=1))

@@ -13,9 +13,8 @@ built only where a value leaves the object.  Their private base
 ``_IntRow`` owns that form: ``from_ints``, ``coeffs``, equality, hashing
 and scaling by a scalar.  ``_poly_at`` is the one Horner; every
 polynomial value, ``_int_values`` included, goes through it.  The scalar
-kernels return an ``_Unreduced`` quotient, the polynomial kernels an
-``_UnreducedPoly`` and the series kernels a numerator row that the audit
-compares as an ``_UnreducedSeries``; their public functions reduce them.
+kernels return an ``_Unreduced`` quotient and the polynomial kernels an
+``_UnreducedPoly``; their public functions reduce them.
 """
 
 from __future__ import annotations
@@ -99,30 +98,6 @@ class _UnreducedPoly:
 
     def __str__(self) -> str:
         return repr(self.poly())
-
-
-class _UnreducedSeries:
-    """The truncated series sum nums[i] t^i / i! over den, den != 0, with no
-    gcd taken: a kernel's value that the audit only compares.  Equality with
-    another one of the same order compares the numerator tuples where den
-    agrees, else cross-multiplies; with anything else it is NotImplemented.
-    It prints as the ``EgfSeries`` it reduces to."""
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, nums: Iterable[int], den: int):
-        self.nums, self.den = tuple(nums), den
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not _UnreducedSeries:
-            return NotImplemented
-        a, b, da, db = self.nums, other.nums, self.den, other.den
-        if len(a) != len(b):
-            return False
-        return a == b if da == db else all(x * db == y * da for x, y in zip(a, b))
-
-    def __str__(self) -> str:
-        return str(_egf(list(self.nums), self.den))
 
 
 def _check_ints(**indices: object) -> None:

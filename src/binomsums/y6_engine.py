@@ -5,8 +5,8 @@ S = n! b^n y6(m,n;lam,p) = sum_k C(n,k)^p k^m a^k b^(n-k), walking the
 terms C(n,k)^p a^k b^(n-k) by their exact ratio ((n-k)/(k+1))^p a/b, so
 each step multiplies and divides a big integer by a small one.  Its bounded
 memo holds S, keyed on lam's integer parts so a lookup hashes no
-``Fraction``; it is pure caching and safe under concurrent readers.  Each
-caller divides S at most once: ``y6`` (and its p = 1 slice ``y1``) reduces
+``Fraction``; it is pure caching.  Each caller divides S at most once:
+``y6`` (and its p = 1 slice ``y1``) reduces
 the unreduced S / n! b^n of ``_y6_value``, ``franel`` divides by b^n only,
 and ``moment`` (lam = 1) is S.  The registry splits lam once per grid point
 and calls ``_y6`` or ``_y6_value`` itself.  ``y6_egf`` builds the same
@@ -15,8 +15,8 @@ the e^{kt}, weighted by C(n,k)^p a^k, by Horner in b, and ``y6_egf`` reduces
 that row once over n! b^n.  ``p_polynomials._p_poly`` reweights
 the same row by C(m,i) into the polynomial family.  The row calls no
 ``_y6``, so a fault in the kernel cannot cancel in ``y6G``, which compares
-the unreduced row with ``_y6``'s values, or in the entries that set the
-polynomial family against ``y6``.
+the row with ``_y6``'s values, each over n! b^n, or in the entries that set
+the polynomial family against ``y6``.
 
 ``audit seq`` takes the kernel's integers over a whole range from ``_sums``:
 where ``recurrences`` has a certified row for p (for every lam, or at lam = 1
@@ -38,7 +38,7 @@ from itertools import accumulate
 from math import factorial
 from typing import Iterator
 
-from .classic_numbers import _STIRLING1, _STIRLING2, stirling2
+from .classic_numbers import _STIRLING1, _STIRLING2
 from .exact_core import (
     EgfSeries,
     Poly,
@@ -200,10 +200,11 @@ def b_ogf(d: int) -> RationalFunction:
     one_m_2x = Poly([1, -2])
     if d == 0:
         return RationalFunction(Poly([1]), one_m_2x)
+    second = _STIRLING2.row(d)
     num = Poly()
     for j in range(1, d + 1):
         num = num + (
-            factorial(j) * stirling2(d, j) * Poly.monomial(j) * one_m_2x ** (d - j)
+            factorial(j) * second[j] * Poly.monomial(j) * one_m_2x ** (d - j)
         )
     return RationalFunction(num, one_m_2x ** (d + 1))
 

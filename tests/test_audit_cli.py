@@ -49,9 +49,7 @@ from binomsums.classic_numbers import (
     euler_poly_order,
     stirling2,
 )
-from binomsums.exact_core import (
-    Poly, _Unreduced, _UnreducedPoly, _UnreducedSeries, poly_integral01
-)
+from binomsums.exact_core import Poly, _Unreduced, _UnreducedPoly, poly_integral01
 from binomsums.p_polynomials import fermionic, p_poly, raw_sum_poly, volkenborn
 from binomsums.y6_engine import bnk, franel, moment, y6
 
@@ -348,9 +346,38 @@ class TestRegistry:
         ]
         for mod in modules:
             exported = getattr(mod, "__all__", ())
-            for kind in (_Unreduced, _UnreducedPoly, _UnreducedSeries):
+            for kind in (_Unreduced, _UnreducedPoly):
                 assert kind.__name__ not in exported
                 assert all(getattr(mod, name) is not kind for name in exported)
+
+    def test_every_side_is_a_protocol_kind(self):
+        # the side protocol in the README: every leaf of a side, where lists
+        # and tuples recurse, is one of five kinds, and each kind is used
+        kinds = {int, Fraction, Poly, _Unreduced, _UnreducedPoly}
+
+        def leaves(side):
+            if isinstance(side, (list, tuple)):
+                for value in side:
+                    yield from leaves(value)
+            else:
+                yield side
+
+        config = AuditConfig(default=GridSpec(m_max=4, n_max=4, p_max=2))
+        seen, foreign = set(), set()
+        with registry._tables():
+            for e in build_registry():
+                points = [
+                    pt for pt in e.grid(config.for_entry(e.id))
+                    if e.singular(*pt) is None
+                ]
+                for form in filter(None, (e.printed, e.corrected)):
+                    for pt in points:
+                        for leaf in leaves(form(*pt)):
+                            seen.add(type(leaf))
+                            if type(leaf) not in kinds:
+                                foreign.add((e.id, type(leaf).__name__))
+        assert foreign == set()
+        assert seen == kinds
 
     def test_audit_all_is_the_union_of_the_module_lists(self):
         from binomsums import audit

@@ -19,6 +19,7 @@ import pytest
 
 from binomsums.audit import AuditConfig, GridSpec, build_registry, evaluate_entry
 from binomsums.audit import registry
+from binomsums.audit.runner import _fmt
 from binomsums.classic_numbers import apostol_bernoulli, frobenius_euler, stirling2
 from binomsums.exact_core import Poly
 from binomsums.p_polynomials import mirimanoff_frobenius_sum, power_sum_closed
@@ -78,8 +79,8 @@ def test_y6g_series_equals_y6_egf(lam):
             series = y6_egf(n, lam, p, 12)
             lhs, rhs = registry._y6g(n, p, lam)
             assert lhs == rhs
-            assert str(lhs) == str(rhs) == str(series)
-            assert [Fraction(c, lhs.den) for c in lhs.nums] == list(series.coeffs)
+            assert _fmt(lhs) == _fmt(rhs) == str(series)
+            assert [x.fraction() for x in lhs] == list(series.coeffs)
 
 
 def test_boyadzhiev_row_equals_the_poly_expansion():

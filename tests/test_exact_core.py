@@ -19,7 +19,6 @@ from binomsums.exact_core import (
     Scalar,
     _Unreduced,
     _UnreducedPoly,
-    _UnreducedSeries,
     _frac,
     _int_values,
     binomial_general,
@@ -271,11 +270,18 @@ class TestUnreducedPoly:
 series_nums = st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=5)
 
 
+def _row(nums, den) -> list:
+    return [_Unreduced(c, den) for c in nums]
+
+
 def _series(nums, den) -> EgfSeries:
     return EgfSeries([Fraction(c, den) for c in nums])
 
 
-class TestUnreducedSeries:
+class TestUnreducedRow:
+    """y6G's sides: a list of ``_Unreduced`` over one den stands for the EGF
+    row it reduces to, compared and printed as that series."""
+
     @given(series_nums, row_dens, series_nums, row_dens)
     @example([2, 4, 0], 4, [1, 2, 0], 2)
     @example([2, 4, 0], -4, [-1, -2, 0], 2)
@@ -283,22 +289,22 @@ class TestUnreducedSeries:
     @example([1, 2], 3, [1, 3], 3)
     def test_equality_agrees_with_the_series(self, a, da, b, db):
         # rows of one order compare as their series; other orders never equal
-        x, y = _UnreducedSeries(tuple(a), da), _UnreducedSeries(b, db)
+        x, y = _row(a, da), _row(b, db)
         expected = len(a) == len(b) and _series(a, da) == _series(b, db)
         assert (x == y) is expected and (y == x) is expected
         assert (x != y) is not expected and (y != x) is not expected
 
     @given(series_nums, row_dens)
     def test_never_equals_another_kind(self, a, d):
-        x, series = _UnreducedSeries(a, d), _series(a, d)
-        for other in (series, _UnreducedPoly(a, d), Poly(series.coeffs), list(a)):
+        x, series = _row(a, d), _series(a, d)
+        for other in (series, _UnreducedPoly(a, d), Poly(series.coeffs)):
             assert (x == other) is False and (other == x) is False
             assert x != other and other != x
 
     @given(series_nums, row_dens)
     def test_prints_as_the_reduced_series(self, a, d):
-        x, series = _UnreducedSeries(tuple(a), d), _series(a, d)
-        assert str(x) == str(series) == _fmt(list(series.coeffs))
+        x, series = _row(a, d), _series(a, d)
+        assert _fmt(x) == str(series) == _fmt(list(series.coeffs))
         assert _fmt([x, (x,)]) == _fmt([series, (series,)])
 
 

@@ -32,7 +32,7 @@ from binomsums.audit import (
     registry,
     runner,
 )
-from binomsums.exact_core import Poly, _Unreduced, _UnreducedPoly, _UnreducedSeries
+from binomsums.exact_core import Poly, _Unreduced, _UnreducedPoly
 from binomsums.y6_engine import RationalFunction
 
 HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
@@ -41,15 +41,15 @@ HOLDING = [e for e in build_registry() if e.expected is not Verdict.FAILS_BOTH]
 def _bump(value):
     """Add 1 to the first leaf; lists and tuples recurse into element 0.
     A quotient num/den becomes (num + den)/den, and an unreduced polynomial
-    or series gains den in nums[0], 1 in its constant term."""
+    gains den in nums[0], 1 in its constant term."""
     if isinstance(value, (Fraction, int, Poly)):
         return value + 1
     if isinstance(value, _Unreduced):
         return _Unreduced(value.num + value.den, value.den)
-    if isinstance(value, (_UnreducedPoly, _UnreducedSeries)):
+    if isinstance(value, _UnreducedPoly):
         nums = list(value.nums) or [0]
         nums[0] += value.den
-        return type(value)(nums, value.den)
+        return _UnreducedPoly(nums, value.den)
     if isinstance(value, (list, tuple)) and value:
         return type(value)([_bump(value[0]), *value[1:]])
     raise TypeError(f"cannot perturb {value!r}")
@@ -275,9 +275,8 @@ def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
         "py6ab sec6_bernoulli sec6_euler sec6_stirling y6G "
         "yp3_euler_operator"
     )
-    # y6G compares unreduced series rows; its counterexample prints the
-    # coefficient lists that its sides were before, when they were lists of
-    # Fractions
+    # y6G compares lists of quotients over n! b^n; its counterexample prints
+    # the reduced coefficient lists
     (y6g,) = [e for e in build_registry() if e.id == "y6G"]
     with _faulted(monkeypatch, y6_engine, "_y6", _off_at_one_two):
         found = evaluate_entry(y6g, SMALL).counterexample

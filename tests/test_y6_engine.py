@@ -463,7 +463,7 @@ def test_memo_lookups_hash_no_fraction(monkeypatch):
 
 
 def test_y6g_builds_no_fraction(monkeypatch):
-    # both sides of y6G are integers over n! b^n, compared as EgfSeries
+    # both sides of y6G are lists of integers over n! b^n, compared unreduced
     entry = next(e for e in build_registry() if e.id == "y6G")
     config = AuditConfig(default=GridSpec(n_max=4, p_max=3))
     calls = []
