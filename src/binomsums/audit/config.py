@@ -1,11 +1,15 @@
 """Audit configuration: default grids plus a flat key=value config file
-with per-entry overrides in bracketed sections."""
+with per-entry overrides in bracketed sections.
+
+``GridSpec`` and ``AuditConfig`` are ``NamedTuple``s: a key read from the
+file gives a new spec through ``_replace``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 __all__ = ["GridSpec", "AuditConfig", "ConfigError", "load_config", "DEFAULT_LAMBDAS"]
 
@@ -14,8 +18,7 @@ DEFAULT_LAMBDAS: tuple[Fraction, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Parameter bounds for one identity's verification grid."""
 
     m_max: int = 8
@@ -24,10 +27,12 @@ class GridSpec:
     lambdas: tuple[Fraction, ...] = DEFAULT_LAMBDAS
 
 
-@dataclass(frozen=True)
-class AuditConfig:
-    default: GridSpec = field(default_factory=GridSpec)
-    overrides: dict[str, GridSpec] = field(default_factory=dict)
+class AuditConfig(NamedTuple):
+    """The default grid and the per-entry ones; by default no entry has its
+    own, and the shared empty default is read-only."""
+
+    default: GridSpec = GridSpec()
+    overrides: Mapping[str, GridSpec] = MappingProxyType({})
 
     def for_entry(self, entry_id: str) -> GridSpec:
         return self.overrides.get(entry_id, self.default)
@@ -43,14 +48,14 @@ def _apply(spec: GridSpec, key: str, value: str, lineno: int) -> GridSpec:
             bound = int(value)
             if bound > 10_000:  # a matched entry lists all of its points
                 raise ValueError(f"{bound} is above the largest grid bound 10000")
-            return replace(spec, **{key: bound})
+            return spec._replace(**{key: bound})
         if key == "lambdas":
             lams = tuple(Fraction(v.strip()) for v in value.split(",") if v.strip())
             if not lams:
                 raise ValueError("empty lambda list")
             if len(set(lams)) < len(lams):
                 raise ValueError("a lambda is listed twice")
-            return replace(spec, lambdas=lams)
+            return spec._replace(lambdas=lams)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     raise ConfigError(f"line {lineno}: unknown key {key!r}")

@@ -17,7 +17,9 @@ space, is the entry's ``paper_ref``.  An entry pinned
 parameter, before the axes: the evaluator returns the printed form when
 it is false and the corrected form when it is true, and the registry
 binds ``printed`` and ``corrected`` to the two.  ``_identity`` refuses an
-evaluator whose parameters are not these.  ``singular`` also takes the
+evaluator whose parameters are not these, or that has ``*args``,
+keyword-only parameters or ``**kwargs``; it reads them from the
+evaluator's code object.  ``singular`` also takes the
 point positionally and returns a skip reason or None.  The runner names a
 point's values by the axes only when it reports the point.  Entries are
 registered in source order, which is the order of ``audit list`` and of
@@ -96,7 +98,6 @@ draws them only up to the first difference.
 
 from __future__ import annotations
 
-import inspect
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -206,14 +207,23 @@ def _identity(
 ):
     """Register the decorated evaluator as entry ``entry_id``; its
     parameters must be the grid's ``axes``, after ``corrected`` for an
-    entry pinned ``HOLDS_CORRECTED_ONLY``."""
+    entry pinned ``HOLDS_CORRECTED_ONLY``, and all positional."""
 
     def register(fn):
         if any(e.id == entry_id for e in _ENTRIES):
             raise RuntimeError(f"duplicate registry id {entry_id!r}")
         flag = ("corrected",) if expected is Verdict.HOLDS_CORRECTED_ONLY else ()
-        params = tuple(inspect.signature(fn).parameters)
-        if params != flag + grid.axes:
+        code = fn.__code__
+        # a code object names the positional parameters first, then the
+        # keyword-only ones, then *args and **kwargs (co_flags 0x04, 0x08);
+        # the runner passes a point positionally, so only the first may be
+        extra = (
+            code.co_kwonlyargcount
+            + bool(code.co_flags & 0x04)
+            + bool(code.co_flags & 0x08)
+        )
+        params = code.co_varnames[: code.co_argcount + extra]
+        if extra or params != flag + grid.axes:
             raise RuntimeError(
                 f"{entry_id}: evaluator parameters {params} are not {flag + grid.axes}"
             )

@@ -1,4 +1,7 @@
-"""Executes registry entries over their grids and renders reports."""
+"""Executes registry entries over their grids and renders reports.
+
+``EntryResult`` and ``AuditReport`` are ``NamedTuple``s, built once and
+never changed."""
 
 from __future__ import annotations
 
@@ -8,9 +11,8 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
 from itertools import starmap, zip_longest
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .config import AuditConfig, ConfigError
 from .registry import IdentityEntry, Verdict, _never_singular, _tables, build_registry
@@ -38,14 +40,13 @@ def _fmt_point(axes: tuple[str, ...], pt: tuple) -> dict:
     return {name: str(v) for name, v in zip(axes, pt) if v is not None}
 
 
-@dataclass
-class EntryResult:
+class EntryResult(NamedTuple):
     id: str
     paper_ref: str
     expected: Verdict
     verdict: Verdict
     points: int
-    skipped: list[dict] = field(default_factory=list)
+    skipped: Sequence[dict] = ()
     counterexample: Optional[dict] = None
 
     @property
@@ -53,8 +54,7 @@ class EntryResult:
         return self.verdict is self.expected
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     run_id: str
     timestamp: str
     elapsed_seconds: float
@@ -177,14 +177,14 @@ def run_audit(
         )
     base, idle = config.default, []
     for i, spec in config.overrides.items():
-        changed = {k: v for k, v in vars(spec).items() if v != getattr(base, k)}
+        changed = {k: v for k, v in spec._asdict().items() if v != getattr(base, k)}
         if not changed:
             idle.append(f"[{i}]")
             continue
         for k, v in changed.items():
             # points are tuples, never the None that pads the shorter grid;
             # both grids are drawn only up to their first difference
-            pairs = zip_longest(grids[i](base), grids[i](replace(base, **{k: v})))
+            pairs = zip_longest(grids[i](base), grids[i](base._replace(**{k: v})))
             if all(x == y for x, y in pairs):
                 idle.append(f"[{i}] {k}")
     if idle:

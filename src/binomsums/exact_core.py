@@ -14,17 +14,19 @@ built only where a value leaves the object.  Their private base
 and scaling by a scalar.  ``_poly_at`` is the one Horner; every
 polynomial value, ``_int_values`` included, goes through it.  The scalar
 kernels return an ``_Unreduced`` quotient and the polynomial kernels an
-``_UnreducedPoly``; their public functions reduce them.
+``_UnreducedPoly``; their public functions reduce them.  ``GammaHalfValue``
+is a ``NamedTuple``; the records that check their arguments when built
+(``hypergeom.PfqSpec``, ``y6_engine.RationalFunction``) are slotted
+``_Record`` classes, so no record generates code at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -529,8 +531,36 @@ class EgfSeries(_IntRow):
         return "[" + ", ".join(map(str, self.coeffs)) + "]"
 
 
-@dataclass(frozen=True)
-class GammaHalfValue:
+class _Record:
+    """Base of an immutable record whose ``__init__`` checks its arguments
+    and stores them with ``object.__setattr__``.  Instances compare, hash
+    and print by their ``__slots__``, in order, and refuse to change."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GammaHalfValue(NamedTuple):
     """Exact gamma value rational_part * sqrt(pi)^sqrt_pi_exponent.
 
     At non-positive integer arguments ``is_pole`` is set and the other

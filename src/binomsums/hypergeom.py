@@ -4,13 +4,20 @@ of the binomial-power-sum family."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
+from typing import Iterable
 
 from .exact_core import (
-    Scalar, _check_indices, _check_ints, _check_type, _frac, _ratio, gamma_half
+    Scalar,
+    _Record,
+    _check_indices,
+    _check_ints,
+    _check_type,
+    _frac,
+    _ratio,
+    gamma_half,
 )
 from .y6_engine import y6
 
@@ -25,18 +32,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PfqSpec:
-    """Parameter block for pFq: upper/lower parameter tuples and argument."""
+class PfqSpec(_Record):
+    """Parameter block for pFq: upper/lower parameter tuples and argument,
+    each parameter an int or ``Fraction`` and stored as a ``Fraction``."""
 
+    __slots__ = ("upper", "lower", "z")
     upper: tuple[Fraction, ...]
     lower: tuple[Fraction, ...]
     z: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(map(_frac, self.upper)))
-        object.__setattr__(self, "lower", tuple(map(_frac, self.lower)))
-        object.__setattr__(self, "z", _frac(self.z))
+    def __init__(self, upper: Iterable[Scalar], lower: Iterable[Scalar], z: Scalar):
+        object.__setattr__(self, "upper", tuple(map(_frac, upper)))
+        object.__setattr__(self, "lower", tuple(map(_frac, lower)))
+        object.__setattr__(self, "z", _frac(z))
 
 
 def _is_nonpositive_int(x: Fraction) -> bool:

@@ -31,7 +31,6 @@ recurrences remain independent routes to the same numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -43,6 +42,7 @@ from .exact_core import (
     EgfSeries,
     Poly,
     Scalar,
+    _Record,
     _Unreduced,
     _check_indices,
     _check_ints,
@@ -64,17 +64,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(_Record):
     """Ratio of two polynomials with a Maclaurin expansion when the
     denominator does not vanish at 0."""
 
+    __slots__ = ("numerator", "denominator")
     numerator: Poly
     denominator: Poly
 
-    def __post_init__(self):
-        if not self.denominator:
+    def __init__(self, numerator: Poly, denominator: Poly):
+        if not denominator:
             raise ZeroDivisionError("zero denominator")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     def series(self, order: int) -> list[Fraction]:
         """Ordinary power-series coefficients c_0..c_order."""

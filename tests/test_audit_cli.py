@@ -65,9 +65,9 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 # entry whose points it changes still runs quickly
 OTHER_VALUE = {"m_max": 3, "n_max": 3, "p_max": 1, "lambdas": (Fraction(5, 7),)}
 ENTRY_KEYS = [
-    pytest.param(entry, f.name, id=f"{entry.id}-{f.name}")
+    pytest.param(entry, name, id=f"{entry.id}-{name}")
     for entry in build_registry()
-    for f in dataclasses.fields(GridSpec)
+    for name in GridSpec._fields
 ]
 
 EXPECTED_IDS = {
@@ -427,6 +427,9 @@ class TestRegistry:
             (Verdict.HOLDS_PRINTED, lambda corrected, m, n: (0, 0)),
             (Verdict.HOLDS_CORRECTED_ONLY, lambda m, n: (0, 0)),
             (Verdict.HOLDS_CORRECTED_ONLY, lambda m, n, *, corrected: (0, 0)),
+            (Verdict.HOLDS_PRINTED, lambda m, n, *args: (0, 0)),
+            (Verdict.HOLDS_PRINTED, lambda m, n, **kw: (0, 0)),
+            (Verdict.HOLDS_PRINTED, lambda m, n, *, p: (0, 0)),  # keyword-only
         ]
         for i, (expected, fn) in enumerate(bad):
             fn.__doc__ = "x"
@@ -930,7 +933,7 @@ class TestCli:
     ):
         value, default = OTHER_VALUE[key], GridSpec()
         assert value != getattr(default, key)
-        changed = dataclasses.replace(default, **{key: value})
+        changed = default._replace(**{key: value})
         moves = list(entry.grid(changed)) != list(entry.grid(default))
         text = ", ".join(map(str, value)) if key == "lambdas" else str(value)
         path = tmp_path / "one_key.cfg"

@@ -46,6 +46,16 @@ class TestPoly:
         assert Poly.x() is Poly.x()
         assert Poly.x() == Poly([0, 1]) and Poly.x().coeffs == (0, 1)
 
+    @pytest.mark.parametrize("c", [0, -7, Fraction(-3, 4)])
+    def test_const_is_the_one_coefficient_poly(self, c):
+        assert Poly.const(c) == Poly([c])
+        assert Poly.const(c).coeffs == Poly([c]).coeffs
+        assert type(Poly.const(c)) is Poly
+
+    def test_const_refuses_a_float(self):
+        with pytest.raises(TypeError, match="got float"):
+            Poly.const(0.5)
+
     def test_evaluation_is_horner_exact(self):
         p = Poly([Fraction(1, 3), -2, 1])  # 1/3 - 2x + x^2
         assert p(Fraction(1, 2)) == Fraction(1, 3) - 1 + Fraction(1, 4)

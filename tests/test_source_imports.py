@@ -10,12 +10,16 @@ edge of the module graph, such as one that closes an import cycle, so no
 function body holds one. A module-level private function or class with no
 decorator must be loaded by name (as a name or an attribute) somewhere in
 ``src/`` outside its own definition; a decorated one, such as a registry
-evaluator, is reached through its decorator.
+evaluator, is reached through its decorator. No module imports ``inspect``
+and only the registry imports ``dataclasses``, so ``import binomsums``
+loads neither.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,6 +128,57 @@ def test_no_module_imports_threading(path):
     # there is no pool of any kind and no lock: the library runs on the
     # calling thread and keeps no shared store for one to guard
     assert "threading" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+# The records are NamedTuples or slotted classes: a dataclass costs about
+# 0.65 ms of generated code at import, and ``dataclasses`` loads ``inspect``.
+# Module -> why it may import ``dataclasses`` all the same.
+DATACLASS_IMPORTERS = {
+    "binomsums/audit/registry.py": (
+        "IdentityEntry stays a frozen dataclass: perfbench's tracer rebuilds "
+        "each entry with dataclasses.replace"
+    ),
+}
+
+
+def start_up_imports(module: str, source: str) -> set[str]:
+    """The modules of ``source`` that cost start-up time for nothing:
+    ``inspect`` anywhere, and ``dataclasses`` outside ``DATACLASS_IMPORTERS``."""
+    costly = {"inspect"} if module in DATACLASS_IMPORTERS else {"inspect", "dataclasses"}
+    return imported_modules(source) & costly
+
+
+def test_the_check_sees_dataclasses_and_inspect():
+    source = (
+        "import typing\n"
+        "import inspect as i\n"
+        "from dataclasses import dataclass\n"
+    )
+    assert start_up_imports("binomsums/hypergeom.py", source) == {"dataclasses", "inspect"}
+    assert start_up_imports("binomsums/audit/registry.py", source) == {"inspect"}
+    assert start_up_imports("binomsums/cli.py", "import typing\n") == set()
+    modules = {path.relative_to(SRC).as_posix() for path in MODULES}
+    assert set(DATACLASS_IMPORTERS) <= modules and all(DATACLASS_IMPORTERS.values())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_only_the_registry_imports_dataclasses_and_none_imports_inspect(path):
+    module = path.relative_to(SRC).as_posix()
+    assert start_up_imports(module, path.read_text(encoding="utf-8")) == set()
+
+
+def test_importing_the_library_loads_neither_dataclasses_nor_inspect():
+    # -S: no ``site``, whose own imports could load either module or hide it
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import binomsums\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert child.stdout == "[]\n"
 
 
 def test_the_check_sees_imports_inside_functions():
