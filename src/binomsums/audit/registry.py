@@ -32,14 +32,14 @@ nothing.  Each sum has one kernel, and an entry reaches it through the
 library: ``CC2`` sets ``bnk``'s integer loop against ``y6`` (through
 ``y1``), ``Cab3`` the series route (the n-th power of the row of 1 + lam
 e^t under ``exact_core._binomial_convolve``) against ``_y6``, ``y6G`` the
-Horner row of ``y6_engine._moment_row`` against ``_y6``'s ratio walk,
+Horner row of ``y6_engine._moment_row`` against ``_y6_row``'s ratio walk,
 ``boyadzhiev`` the row C(k,j) j^n against ``_boyadzhiev_row``'s expansion
 over S(n,j), and ``golombek`` and ``altStirling`` take ``bnk``, ``moment``
 and ``franel`` against the series, the closed forms and S(n,k).  The
 integer sides take s(n,k) and S(n,k) from the row recurrences of
 ``classic_numbers._STIRLING1`` and ``_STIRLING2``, which keep no row:
 ``_boyadzhiev_row``, ``Bs1`` and ``CB1_xu`` read the one row they need
-through ``_table``, ``_stirling_values`` builds it once per table,
+through ``_TABLES``, ``_stirling_values`` builds it once per table,
 ``fd_ogf``'s ``b_ogf`` reads it once per call, and ``t_poly`` and
 ``_sec6_bernoulli_values`` walk the rows in order.  ``altStirling`` and
 ``changhee_theorem`` take the ``Fraction``-valued ``stirling2`` and
@@ -67,9 +67,12 @@ there reaches both entries.  ``_int_values`` evaluates through
 ``P1_corollary`` and ``yp3_euler_operator`` do;
 ``test_faulty_horner_flips_every_polynomial_value`` pins the 15 entries
 that a fault in it reaches.  ``p_poly`` reweights the same Horner row and
-does not call ``y6``, so ``py6ab``, ``inP1`` and ``P1_corollary``, which
-set the polynomial family against ``y6`` values (through ``_y6_sum``),
-compare independent routes, as ``y6G`` does.
+calls neither y6 kernel, so ``py6ab``, ``inP1``, ``inP8a`` and
+``P1_corollary``, which set the polynomial family against rows of
+``_y6_row`` (through ``_y6_sum``, or read directly in ``py6ab``), compare
+independent routes, as ``y6G`` does.
+``test_faulty_y6_kernel_flips_its_consumers`` pins the entries that a
+fault in ``_y6`` and in ``_y6_row`` reaches: two disjoint sets.
 
 Speed: the sums over the large grids are taken in integers over one common
 denominator, and a side is left as that unreduced quotient or row and
@@ -82,10 +85,15 @@ points (the B(n,k) entries, the Franel, Legendre and OGF slices) or are
 ``y6bb``'s pFq form, which goes through the ``Fraction``-valued
 ``pfq_terminating``: a warm default audit builds about 7.5 k.  An entry
 over a lam grid splits lam = a/b once per point and passes a and b on, so
-the memoized ``_y6`` and ``_p_poly`` hash no ``Fraction``.
-A side's lam-invariant part is a table, built by ``_table(build, *ints)``
-once per int key and entry evaluation; each table belongs to one side of
-its identity.  So a linear functional of the polynomial family (the
+the memoized ``_y6``, ``_y6_row`` and ``_p_poly`` hash no ``Fraction``.  A
+sum over m of y6(k,n;lam,p) (``_y6_sum``, and the right sides of ``py6ab``
+and ``y6G``) reads one row of ``_y6_row`` and takes one ``map`` product
+with its weights, with no lookup per k; the row's top is rounded up to
+``top | 15``, so every m of an (n, lam, p) slice, in every entry that
+sums over m, reads the same memoized row.
+A side's lam-invariant part is a table, read as ``_TABLES[build, *ints]``
+(one dict subscript) and built once per int key and entry evaluation;
+each table belongs to one side of its identity.  So a linear functional of the polynomial family (the
 integral over [0,1], Volkenborn, fermionic) is its moment row, built once
 per degree, and one integer dot product with P's numerators per point
 (``exact_core._functional``); the ``_y6_sum`` weights, the Riemann values
@@ -105,6 +113,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice, product
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Any, Callable, Iterator, Optional
 
 from ..classic_numbers import (
@@ -158,7 +167,17 @@ from ..p_polynomials import (
     vowe,
 )
 from ..y6_engine import (
-    _moment_row, _y6, _y6_value, b_ogf, bnk, franel, moment, t_poly, y1, y6
+    _moment_row,
+    _y6,
+    _y6_row,
+    _y6_value,
+    b_ogf,
+    bnk,
+    franel,
+    moment,
+    t_poly,
+    y1,
+    y6,
 )
 from .config import GridSpec
 
@@ -329,38 +348,47 @@ _N13 = _ns(13)
 _NO_PARAMETERS = _fixed((), [()])
 
 
-# the tables of the entry evaluation under way; None outside one
-_TABLES: Optional[dict[tuple, Any]] = None
+class _Built(dict):
+    """Tables by subscript: ``_TABLES[build, *ints]`` is ``build(*ints)``.
+
+    A table is the lam-invariant part of one side of an identity, keyed
+    only on ints.  This store builds a missing table and keeps nothing, so
+    an evaluator called directly, as a test does, builds its tables afresh
+    on every call and reads a kernel patched before the call."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> Any:
+        build, *ints = key
+        return build(*ints)
+
+
+class _Kept(_Built):
+    """The store inside ``_tables()``: each table is built at most once,
+    keyed on (build, *ints), and kept until the block ends."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> Any:
+        value = self[key] = super().__missing__(key)
+        return value
+
+
+# the tables of the entry evaluation under way; outside one, none is kept
+_TABLES: dict[tuple, Any] = _Built()
 
 
 @contextmanager
 def _tables() -> Iterator[None]:
-    """Memoize ``_table`` inside the block, which ``runner.evaluate_entry``
-    puts round each entry, and nowhere else."""
+    """Keep each table ``_TABLES`` builds inside the block, which
+    ``runner.evaluate_entry`` puts round each entry, and nowhere else, so
+    no table outlives one evaluation."""
     global _TABLES
-    _TABLES = {}
+    _TABLES = _Kept()
     try:
         yield
     finally:
-        _TABLES = None
-
-
-def _table(build: Callable[..., Any], *key: int) -> Any:
-    """``build(*key)``, built at most once per entry evaluation.
-
-    A table is the lam-invariant part of one side of an identity, keyed
-    only on ints.  Inside ``_tables()`` it is kept in ``_TABLES``, keyed on
-    (build, *key), until the block ends; outside, as when a test calls an
-    evaluator directly, it is built afresh on every call.  So no table
-    outlives one evaluation, and a kernel patched before the call is
-    always read."""
-    if _TABLES is None:
-        return build(*key)
-    k = (build, *key)
-    value = _TABLES.get(k)
-    if value is None:
-        value = _TABLES[k] = build(*key)
-    return value
+        _TABLES = _Built()
 
 
 def _binom_sum(n: int, p: int, a: int, b: int, values: list[int], den: int) -> _Unreduced:
@@ -384,8 +412,8 @@ def _binom_sum(n: int, p: int, a: int, b: int, values: list[int], den: int) -> _
 def _y6_sum(n: int, p: int, a: int, b: int, weights: list[int], den: int) -> _Unreduced:
     """sum_k (weights[k]/den) y6(k,n;a/b,p), summed as integers and put
     over den n! b^n, unreduced."""
-    total = sum(w * _y6(k, n, a, b, p) for k, w in enumerate(weights))
-    return _Unreduced(total, den * factorial(n) * b**n)
+    row = _y6_row(n, a, b, p, (len(weights) - 1) | 15)
+    return _Unreduced(sum(map(mul, weights, row)), den * factorial(n) * b**n)
 
 
 def _binomials(m: int) -> list[int]:
@@ -402,7 +430,7 @@ def _integral_weights(m: int) -> tuple[list[int], int]:
 def _coefficient_integral(m: int, n: int, p: int, a: int, b: int) -> _Unreduced:
     """Integral over [0,1] of the polynomial family, term by term from its
     y6 coefficients: sum_k C(m,k) y6(k,n;a/b,p)/(m-k+1)."""
-    return _y6_sum(n, p, a, b, *_table(_integral_weights, m))
+    return _y6_sum(n, p, a, b, *_TABLES[_integral_weights, m])
 
 
 def _riemann_values(e: int, n: int) -> list[int]:
@@ -413,7 +441,7 @@ def _riemann_values(e: int, n: int) -> list[int]:
 def _riemann_sum(m: int, n: int, p: int, a: int, b: int, corrected: bool) -> _Unreduced:
     """Summation form of the Riemann integral; the printed form drops the
     1/n! and the +1 in the exponent."""
-    values = _table(_riemann_values, m + 1 if corrected else m, n)
+    values = _TABLES[_riemann_values, m + 1 if corrected else m, n]
     return _binom_sum(n, p, a, b, values, (m + 1) * (factorial(n) if corrected else 1))
 
 
@@ -484,7 +512,7 @@ def _bs1(m, n):
     """B(m,n) as a Stirling-weighted sum: sum_j C(n,j) j! 2^(n-j) S(m,j)"""
     rhs = sum(
         comb(n, j) * factorial(j) * 2 ** (n - j) * s
-        for j, s in enumerate(_table(_STIRLING2.row, m)[: n + 1])
+        for j, s in enumerate(_TABLES[_STIRLING2.row, m][: n + 1])
     )
     return bnk(m, n), rhs
 
@@ -493,7 +521,7 @@ def _boyadzhiev_row(m: int, n: int) -> _UnreducedPoly:
     """sum_j C(n,j) j! S(m,j) x^j (1+x)^(n-j) as its n + 1 integer
     coefficients, over 1: the weight of x^j times C(n-j, i-j) at x^i."""
     row = [0] * (n + 1)
-    for j, s in enumerate(_table(_STIRLING2.row, m)[: n + 1]):
+    for j, s in enumerate(_TABLES[_STIRLING2.row, m][: n + 1]):
         weight = comb(n, j) * factorial(j) * s
         c = 1
         for i in range(j, n + 1):  # c = C(n-j, i-j)
@@ -526,8 +554,8 @@ def _bnk_row(d: int, k_max: int) -> list[Fraction]:
 def _cb1_xu(d, k):
     """recurrence sum_v m_v B(d-v,k) = 2^(k-d) C(k,d) with m_v = s(d,d-v)/d!"""
     lhs = sum(
-        s * _table(_bnk_row, j, _DK_K)[k].numerator
-        for j, s in enumerate(_table(_STIRLING1.row, d)[1:], 1)
+        s * _TABLES[_bnk_row, j, _DK_K][k].numerator
+        for j, s in enumerate(_TABLES[_STIRLING1.row, d][1:], 1)
     )
     return _Unreduced(lhs, factorial(d)), _Unreduced(comb(k, d) << k, 1 << d)
 
@@ -535,7 +563,7 @@ def _cb1_xu(d, k):
 @_identity("tpoly", Verdict.HOLDS_PRINTED, _DK)
 def _tpoly(d, k):
     """B(d,k) = 2^(k-d) T_d(k)"""
-    return bnk(d, k), Fraction(2) ** (k - d) * _table(t_poly, d)(k)
+    return bnk(d, k), Fraction(2) ** (k - d) * _TABLES[t_poly, d](k)
 
 
 @_identity("xu_x", Verdict.HOLDS_PRINTED, _fixed(("d",), [(d,) for d in range(1, 7)]))
@@ -543,7 +571,7 @@ def _xu_x(d):
     """T_d coefficients x_(d-l) = sum_j s(j,l) S(d,j) 2^(d-j)"""
     # coefficients from the Stirling formula vs interpolation of the
     # scaled values 2^(d-k) B(d,k)
-    row = _table(_bnk_row, d, d)
+    row = _TABLES[_bnk_row, d, d]
     pts = [(Fraction(k), Fraction(2) ** (d - k) * v) for k, v in enumerate(row)]
     return t_poly(d), lagrange_poly(pts)
 
@@ -552,7 +580,7 @@ def _xu_x(d):
 def _fd_ogf(d):
     """ordinary generating function of k -> B(d,k):
     sum_j j! S(d,j) x^j/(1-2x)^(j+1)"""
-    return b_ogf(d).series(12), _table(_bnk_row, d, 12)
+    return b_ogf(d).series(12), _TABLES[_bnk_row, d, 12]
 
 
 @_identity(
@@ -590,7 +618,8 @@ def _y6g(n, p, lam):
     # both rows are numerators over n! b^n
     den = factorial(n) * b**n
     lhs = [_Unreduced(v, den) for v in _moment_row(order, n, a, b, p)]
-    return lhs, [_Unreduced(_y6(m, n, a, b, p), den) for m in range(order + 1)]
+    rhs = _y6_row(n, a, b, p, order | 15)[: order + 1]
+    return lhs, [_Unreduced(v, den) for v in rhs]
 
 
 @_identity("y6bb", Verdict.HOLDS_PRINTED, _grid("n", "p", "lam", n_cap=10, p_min=1))
@@ -757,7 +786,8 @@ def _py6ab(m, n, p, lam):
     hi, lo = _p_poly(m + 1, n, a, b, p), _p_poly(m, n, a, b, p)
     lhs = [h - l for h, l in zip(hi.nums, (0, *lo.nums))]
     # coefficients C(m,i) y6(m-i+1,n;lam,p), as integers over n! b^n
-    ys = [comb(m, i) * _y6(m - i + 1, n, a, b, p) for i in range(m + 1)] + [0]
+    row = _y6_row(n, a, b, p, (m + 1) | 15)
+    ys = [*map(mul, _TABLES[_binomials, m], row[m + 1 : 0 : -1]), 0]
     return _UnreducedPoly(lhs, hi.den), _UnreducedPoly(ys, hi.den)
 
 
@@ -765,7 +795,7 @@ def _py6ab(m, n, p, lam):
 def _inp1(m, n, p, lam):
     """Riemann integral over [0,1], coefficient form"""
     a, b = _ratio(lam)
-    lhs = _functional(_p_poly(m, n, a, b, p), _table(_integral01_row, m + 1))
+    lhs = _functional(_p_poly(m, n, a, b, p), _TABLES[_integral01_row, m + 1])
     return lhs, _coefficient_integral(m, n, p, a, b)
 
 
@@ -774,7 +804,7 @@ def _inp2(corrected, m, n, p, lam):
     """Riemann integral, summation form; printed drops both
     the 1/n! and the +1 in the exponent"""
     a, b = _ratio(lam)
-    lhs = _functional(_p_poly(m, n, a, b, p), _table(_integral01_row, m + 1))
+    lhs = _functional(_p_poly(m, n, a, b, p), _TABLES[_integral01_row, m + 1])
     return lhs, _riemann_sum(m, n, p, a, b, corrected)
 
 
@@ -804,10 +834,10 @@ def _inp8a(corrected, m, n, p, lam):
     1/n! and the full inner sum with C(m+1,l)"""
     a, b = _ratio(lam)
     # (m+1) sum_k C(m,k)/(m-k+1) y6(k): L = lcm(1..m+1) is a multiple of m+1
-    weights, big_l = _table(_integral_weights, m)
+    weights, big_l = _TABLES[_integral_weights, m]
     lhs = _y6_sum(n, p, a, b, weights, big_l // (m + 1))
     # printed: sum_{l<m} C(m,l) j^l; corrected: sum_{l<=m} C(m+1,l) j^l
-    values = _table(_inp8a_values, m + 1 if corrected else m, n)
+    values = _TABLES[_inp8a_values, m + 1 if corrected else m, n]
     return lhs, _binom_sum(n, p, a, b, values, factorial(n) if corrected else 1)
 
 
@@ -819,20 +849,20 @@ def _p1_corollary(corrected, m, n, p, lam):
     a, b = _ratio(lam)
     lhs = _poly_at(_p_poly(m, n, a, b, p), 1, 1)
     if corrected:
-        return lhs, _y6_sum(n, p, a, b, _table(_binomials, m), 1)
+        return lhs, _y6_sum(n, p, a, b, _TABLES[_binomials, m], 1)
     rhs = Fraction(m + 1, factorial(n)) * _coefficient_integral(m, n, p, a, b).fraction()
     return lhs, rhs + _y6_value(m, n, a, b, p).fraction()
 
 
 def _bernoulli_values(m: int, n: int) -> tuple[list[int], int]:
     """B_m(0..n) as integers over one denominator."""
-    q = _table(bernoulli_poly, m)
+    q = _TABLES[bernoulli_poly, m]
     return _int_values(q, n + 1), q.den
 
 
 def _euler_values(m: int, n: int) -> tuple[list[int], int]:
     """E_m(0..n) as integers over one denominator."""
-    q = _table(euler_poly, m)
+    q = _TABLES[euler_poly, m]
     return _int_values(q, n + 1), q.den
 
 
@@ -841,8 +871,8 @@ def _inp3_4(corrected, m, n, p, lam):
     """Bernoulli-moment functional of the polynomial family; printed
     right side lacks the 1/n!"""
     a, b = _ratio(lam)
-    lhs = _functional(_p_poly(m, n, a, b, p), _table(_volkenborn_row, m + 1))
-    values, den = _table(_bernoulli_values, m, n)
+    lhs = _functional(_p_poly(m, n, a, b, p), _TABLES[_volkenborn_row, m + 1])
+    values, den = _TABLES[_bernoulli_values, m, n]
     return lhs, _binom_sum(n, p, a, b, values, den * factorial(n) if corrected else den)
 
 
@@ -851,8 +881,8 @@ def _inp5_6(corrected, m, n, p, lam):
     """Euler-moment functional of the polynomial family; printed right
     side lacks the 1/n!"""
     a, b = _ratio(lam)
-    lhs = _functional(_p_poly(m, n, a, b, p), _table(_fermionic_row, m + 1))
-    values, den = _table(_euler_values, m, n)
+    lhs = _functional(_p_poly(m, n, a, b, p), _TABLES[_fermionic_row, m + 1])
+    values, den = _TABLES[_euler_values, m, n]
     return lhs, _binom_sum(n, p, a, b, values, den * factorial(n) if corrected else den)
 
 
@@ -882,7 +912,7 @@ def _mirimanoff_frobenius(corrected, m, n, x0, lam):
     printed repeats the shifted argument in both terms"""
     (a, b), (c, d) = _ratio(lam), _ratio(x0)
     lhs = _power_sum(m, n, lam, x0)
-    h = _table(_frobenius_poly, m, a, b)
+    h = _TABLES[_frobenius_poly, m, a, b]
     if corrected:
         return lhs, _mirimanoff_frobenius_sum(h, n, c, d, a, b)
     # (u^n - 1) h(x0+n) / (u - 1)
@@ -911,10 +941,10 @@ def _apostol_powersum(corrected, m, n, lam):
     a, b = _ratio(lam)
     lhs = _power_sum(m - 1, n, lam)
     if corrected:
-        q = _table(_power_sum_poly, m - 1, a, b)
+        q = _TABLES[_power_sum_poly, m - 1, a, b]
         return lhs, _power_sum_closed(q, m - 1, n, a, b)
     # (lam^m A_m(n) - A_m(0)) / m, with A_m(n) and A_m(0) over one denominator
-    q = _table(_apostol_poly, m, a, b)
+    q = _TABLES[_apostol_poly, m, a, b]
     top, bottom = _poly_at(q, n, 1).num, _poly_at(q, 0, 1).num
     return lhs, _Unreduced(a**m * top - b**m * bottom, q.den * b**m * m)
 
@@ -923,7 +953,7 @@ def _apostol_powersum(corrected, m, n, lam):
 def _faulhaber(m, n):
     """classical power-sum formula via Bernoulli polynomials"""
     # (B_m(n) - B_m(0)) / m, with B_m(n) and B_m(0) over one denominator
-    q = _table(bernoulli_poly, m)
+    q = _TABLES[bernoulli_poly, m]
     top, bottom = _poly_at(q, n, 1).num, _poly_at(q, 0, 1).num
     return _power_sum(m - 1, n, F1), _Unreduced(top - bottom, q.den * m)
 
@@ -933,10 +963,10 @@ def _alt_euler_sum(corrected, m, n):
     """alternating power sum via Euler polynomials; printed
     form has a sign slip and a degree off by one"""
     if corrected:
-        q = _table(_power_sum_poly, m, -1, 1)
+        q = _TABLES[_power_sum_poly, m, -1, 1]
         return _power_sum(m, n, FM1), _power_sum_closed(q, m, n, -1, 1)
     # ((-1)^(n-1) E_m(n) - E_m(0)) / 2, over one denominator
-    q = _table(euler_poly, m)
+    q = _TABLES[euler_poly, m]
     top, bottom = _poly_at(q, n, 1).num, _poly_at(q, 0, 1).num
     rhs = _Unreduced((-1) ** (n - 1) * top - bottom, q.den * 2)
     return _power_sum(m - 1, n, FM1), rhs
@@ -970,7 +1000,7 @@ def _sec6_stirling(m, n, p, lam):
     """double-sum expression through second-kind Stirling
     numbers and factorial weights"""
     a, b = _ratio(lam)
-    values = _table(_stirling_values, m, n)
+    values = _TABLES[_stirling_values, m, n]
     return _y6_value(m, n, a, b, p), _binom_sum(n, p - 1, a, b, values, factorial(n))
 
 
@@ -981,7 +1011,7 @@ def _sec6_bernoulli_values(m: int, n: int) -> tuple[list[int], int]:
     rows = islice(_STIRLING2.walk(m + n + 1), n, None)
     inner = sum(
         (
-            comb(m + n, v) * row[n] * _table(bernoulli_poly_order, m + n - v, n)
+            comb(m + n, v) * row[n] * _TABLES[bernoulli_poly_order, m + n - v, n]
             for v, row in enumerate(rows, n)
         ),
         Poly(),
@@ -995,7 +1025,7 @@ def _sec6_bernoulli(m, n, p, lam):
     polynomials; the dangling summation symbol is bound to
     the binomial index"""
     a, b = _ratio(lam)
-    values, den = _table(_sec6_bernoulli_values, m, n)
+    values, den = _TABLES[_sec6_bernoulli_values, m, n]
     return _y6_value(m, n, a, b, p), _binom_sum(n, p, a, b, values, den)
 
 
@@ -1005,8 +1035,8 @@ def _sec6_euler_values(m: int, n: int) -> tuple[list[int], int]:
     inner = sum(
         (
             comb(m, v)
-            * _table(_bnk_row, v, _SEC6_N)[n].numerator
-            * _table(euler_poly_order, m - v, n)
+            * _TABLES[_bnk_row, v, _SEC6_N][n].numerator
+            * _TABLES[euler_poly_order, m - v, n]
             for v in range(m + 1)
         ),
         Poly(),
@@ -1019,7 +1049,7 @@ def _sec6_euler(m, n, p, lam):
     """double-sum expression through order-n Euler polynomials
     and the B(v,n) weights; dangling index bound as above"""
     a, b = _ratio(lam)
-    values, den = _table(_sec6_euler_values, m, n)
+    values, den = _TABLES[_sec6_euler_values, m, n]
     return _y6_value(m, n, a, b, p), _binom_sum(n, p, a, b, values, den)
 
 
@@ -1042,7 +1072,7 @@ def _yp3_euler_operator(m, n, p, lam):
     """m-th iterate of x d/dx on the coefficient polynomial,
     evaluated at lam"""
     a, b = _ratio(lam)
-    return _poly_at(_table(_euler_operator_r, m, n, p), a, b), _y6_value(m, n, a, b, p)
+    return _poly_at(_TABLES[_euler_operator_r, m, n, p], a, b), _y6_value(m, n, a, b, p)
 
 
 @_identity("vowe_recurrence", Verdict.HOLDS_PRINTED, _ns(1, 10))

@@ -88,7 +88,7 @@ def _first_failure(form, points: list[tuple]) -> Optional[tuple[tuple, Any, Any]
 def evaluate_entry(entry: IdentityEntry, config: AuditConfig) -> EntryResult:
     """The entry's verdict over its grid.
 
-    The registry's tables (``registry._table``) are kept only while the
+    The registry's tables (``registry._TABLES``) are kept only while the
     entry runs, so its evaluators build each one afresh, from the kernels
     as they are now, and share it across the grid."""
     spec = config.for_entry(entry.id)

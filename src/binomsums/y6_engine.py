@@ -8,15 +8,17 @@ memo holds S, keyed on lam's integer parts so a lookup hashes no
 ``Fraction``; it is pure caching.  Each caller divides S at most once:
 ``y6`` (and its p = 1 slice ``y1``) reduces
 the unreduced S / n! b^n of ``_y6_value``, ``franel`` divides by b^n only,
-and ``moment`` (lam = 1) is S.  The registry splits lam once per grid point
-and calls ``_y6`` or ``_y6_value`` itself.  ``y6_egf`` builds the same
-numbers by an independent route: ``_moment_row`` adds the power rows k^j of
-the e^{kt}, weighted by C(n,k)^p a^k, by Horner in b, and ``y6_egf`` reduces
-that row once over n! b^n.  ``p_polynomials._p_poly`` reweights
-the same row by C(m,i) into the polynomial family.  The row calls no
-``_y6``, so a fault in the kernel cannot cancel in ``y6G``, which compares
-the row with ``_y6``'s values, each over n! b^n, or in the entries that set
-the polynomial family against ``y6``.
+and ``moment`` (lam = 1) is S.  ``_y6_row`` takes the same walk once for the
+row of S over i = 0..top, memoized per (n, lam, p) slice, and the registry's
+sums over m read that row.  The registry splits lam once per grid point
+and calls ``_y6``, ``_y6_row`` or ``_y6_value`` itself.  ``y6_egf`` builds the
+same numbers by an independent route: ``_moment_row`` adds the power rows k^j
+of the e^{kt}, weighted by C(n,k)^p a^k, by Horner in b, and ``y6_egf``
+reduces that row once over n! b^n.  ``p_polynomials._p_poly`` reweights
+the same row by C(m,i) into the polynomial family.  The Horner row calls
+neither ratio walk, so a fault in them cannot cancel in ``y6G``, which
+compares it with ``_y6_row``, each over n! b^n, or in the entries that set
+the polynomial family against y6.
 
 ``audit seq`` takes the kernel's integers over a whole range from ``_sums``:
 where ``recurrences`` has a certified row for p (for every lam, or at lam = 1
@@ -33,8 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial
+from operator import add, mul
 from typing import Iterator
 
 from .classic_numbers import _STIRLING1, _STIRLING2
@@ -132,6 +135,25 @@ def _y6(m: int, n: int, a: int, b: int, p: int) -> int:
 
 y6.cache_info = _y6.cache_info
 y6.cache_clear = _y6.cache_clear
+
+
+# one row serves a whole (n, lam, p) slice: callers round top up (top | 15)
+# so that every m of the slice reads the same key; bounded to cap memory, at
+# a size that holds the 1,575 rows of an all-entries audit at m, n <= 24
+@lru_cache(maxsize=4096, typed=True)
+def _y6_row(n: int, a: int, b: int, p: int, top: int) -> tuple[int, ...]:
+    """The integers n! b^n y6(i,n;a/b,p) for i = 0..top, lam = a/b as
+    ``exact_core._ratio`` gives it: ``_y6``'s ratio walk, once for the row."""
+    _check_indices(n=n, p=p, top=top)
+    # term_k = C(n,k)^p a^k b^(n-k) is walked as in _y6; each term adds its
+    # powers term k^i, i = 0..top, to the row.  term_0 carries 0^i, which is
+    # 1 at i = 0 only.
+    term = b**n
+    row = [term] + [0] * top
+    for k in range(1, n + 1):
+        term = term * ((n - k + 1) ** p * a) // (k**p * b)
+        row = list(map(add, row, accumulate(repeat(k, top), mul, initial=term)))
+    return tuple(row)
 
 
 def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:

@@ -19,6 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -265,12 +266,30 @@ def _off_at_one_two(kernel):
     return faulty
 
 
+def _off_at_one_of_row_two(kernel):
+    def faulty(n, a, b, p, top):
+        row = kernel(n, a, b, p, top)
+        return (row[0], row[1] + 1, *row[2:]) if n == 2 else row
+
+    return faulty
+
+
 def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
-    # S = n! b^n y6 off by one at (m, n) = (1, 2) reaches the entries that
-    # read y6, franel, moment or the registry's own _y6 sums; their other
-    # sides (p_poly, _binom_sum, closed forms) must not share the fault
-    flipped = _flipped(monkeypatch, y6_engine, "_y6", _off_at_one_two)
-    assert flipped == _fails(
+    # S = n! b^n y6 off by one at (m, n) = (1, 2), in the scalar kernel or in
+    # the row kernel, reaches the entries that read it: the scalar one through
+    # y6, franel, moment and the registry's single values, the row one through
+    # the registry's sums over m; their other sides (p_poly, _binom_sum,
+    # _moment_row, closed forms) must not share the fault
+    scalar = _flipped(monkeypatch, y6_engine, "_y6", _off_at_one_two)
+    assert scalar == _fails(
+        "CC2 Cab3 altStirling cusick_sym golombek sec6_bernoulli sec6_euler "
+        "sec6_stirling yp3_euler_operator"
+    )
+    row = _flipped(monkeypatch, y6_engine, "_y6_row", _off_at_one_of_row_two)
+    assert row == _fails("P1_corollary inP1 inP8a py6ab y6G")
+    # the two kernels split the consumers of S between them
+    assert not scalar.keys() & row.keys()
+    assert {**scalar, **row} == _fails(
         "CC2 Cab3 P1_corollary altStirling cusick_sym golombek inP1 inP8a "
         "py6ab sec6_bernoulli sec6_euler sec6_stirling y6G "
         "yp3_euler_operator"
@@ -278,13 +297,14 @@ def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
     # y6G compares lists of quotients over n! b^n; its counterexample prints
     # the reduced coefficient lists
     (y6g,) = [e for e in build_registry() if e.id == "y6G"]
-    with _faulted(monkeypatch, y6_engine, "_y6", _off_at_one_two):
+    with _faulted(monkeypatch, y6_engine, "_y6_row", _off_at_one_of_row_two):
         found = evaluate_entry(y6g, SMALL).counterexample
         point = found["point"]
         n, p, lam = int(point["n"]), int(point["p"]), Fraction(point["lam"])
         a, b = lam.numerator, lam.denominator
         lhs = list(y6_engine.y6_egf(n, lam, p, 12).coeffs)
-        rhs = [y6_engine._y6_value(m, n, a, b, p) for m in range(13)]
+        den = factorial(n) * b**n
+        rhs = [_Unreduced(v, den) for v in y6_engine._y6_row(n, a, b, p, 15)[:13]]
     assert found["printedLhs"] == runner._fmt(lhs)
     assert found["printedRhs"] == runner._fmt(rhs)
     assert lhs != rhs

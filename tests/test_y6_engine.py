@@ -131,6 +131,23 @@ class TestY6:
         assert type(value) is int
         assert value == factorial(n) * b**n * brute_y6(m, n, lam, p)
 
+    @given(
+        st.integers(min_value=0, max_value=25),
+        exact_lambdas,
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=20),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_row_is_the_scalar_kernel(self, n, lam, p, top, data):
+        # the row walk gives, column by column, the integers of the scalar walk
+        lam = Fraction(lam)
+        a, b = lam.numerator, lam.denominator
+        m = data.draw(st.integers(min_value=0, max_value=top))
+        row = y6_engine._y6_row(n, a, b, p, top)
+        assert len(row) == top + 1
+        assert row[m] == y6_engine._y6.__wrapped__(m, n, a, b, p)
+
     def test_float_lambda_rejected(self):
         with pytest.raises(TypeError):
             y6(1, 3, 0.1, 1)
@@ -148,11 +165,14 @@ class TestY6:
 
     def test_cache_is_bounded_above_a_default_audit(self):
         # every entry a default audit needs fits, so the bound evicts nothing
-        y6.cache_clear()
+        memos = (y6_engine._y6, y6_engine._y6_row)
+        for memo in memos:
+            memo.cache_clear()
         run_audit()
-        info = y6.cache_info()
-        assert info.maxsize is not None
-        assert info.misses == info.currsize < info.maxsize
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.maxsize is not None
+            assert info.misses == info.currsize < info.maxsize
 
     def test_int_and_fraction_lambda_share_one_entry(self):
         y6.cache_clear()
@@ -205,26 +225,33 @@ def plain_kernel(m: int, n: int, a: int, b: int, p: int) -> int:
     return sum(comb(n, k) ** p * k**m * a**k * b ** (n - k) for k in range(n + 1))
 
 
+LARGE_N = [
+    (3, 400, Fraction(-7, 13), 3),  # the benchmark's y6 slice
+    (3, 400, Fraction(5, 9), 3),
+    (2, 300, Fraction(3, 7), 5),  # (k+1)^5 takes two digits
+    (0, 300, Fraction(1), 5),
+    (0, 60, Fraction(0), 2),
+    (4, 60, Fraction(0), 2),
+    (0, 60, Fraction(-3, 2**40 + 1), 3),
+    (2, 60, Fraction(-(2**35) - 1, 2**40 + 1), 2),
+]
+
+
 class TestKernelAtLargeN:
     # terms thousands of bits long, and divisors (k+1)^p b past one 30-bit
     # digit, which the hypothesis tests above (n <= 25) never reach; the
-    # memo is bypassed so each case runs the kernel's loop
-    @pytest.mark.parametrize(
-        "m, n, lam, p",
-        [
-            (3, 400, Fraction(-7, 13), 3),  # the benchmark's y6 slice
-            (3, 400, Fraction(5, 9), 3),
-            (2, 300, Fraction(3, 7), 5),  # (k+1)^5 takes two digits
-            (0, 300, Fraction(1), 5),
-            (0, 60, Fraction(0), 2),
-            (4, 60, Fraction(0), 2),
-            (0, 60, Fraction(-3, 2**40 + 1), 3),
-            (2, 60, Fraction(-(2**35) - 1, 2**40 + 1), 2),
-        ],
-    )
+    # memos are bypassed so each case runs the kernels' loops
+    @pytest.mark.parametrize("m, n, lam, p", LARGE_N)
     def test_matches_the_plain_sum(self, m, n, lam, p):
         a, b = lam.numerator, lam.denominator
         assert y6_engine._y6.__wrapped__(m, n, a, b, p) == plain_kernel(m, n, a, b, p)
+
+    @pytest.mark.parametrize("m, n, lam, p", LARGE_N)
+    def test_row_matches_the_plain_sum(self, m, n, lam, p):
+        # every column of the row the registry reads for the case's m
+        a, b = lam.numerator, lam.denominator
+        row = y6_engine._y6_row.__wrapped__(n, a, b, p, m | 15)
+        assert list(row) == [plain_kernel(i, n, a, b, p) for i in range(16)]
 
     def test_bnk_rows(self):
         for k in range(301):
@@ -450,6 +477,7 @@ def test_memo_lookups_hash_no_fraction(monkeypatch):
         return fraction_hash(self)
 
     y6.cache_clear()
+    y6_engine._y6_row.cache_clear()
     p_polynomials.p_poly.cache_clear()
     with monkeypatch.context() as mp:
         mp.setattr(Fraction, "__hash__", counting_hash)
@@ -474,6 +502,7 @@ def test_y6g_builds_no_fraction(monkeypatch):
         return fraction_new(cls, *args, **kwargs)
 
     y6.cache_clear()
+    y6_engine._y6_row.cache_clear()
     with monkeypatch.context() as mp:
         mp.setattr(Fraction, "__new__", staticmethod(counting_new))
         Fraction(1, 3)
@@ -482,3 +511,17 @@ def test_y6g_builds_no_fraction(monkeypatch):
         results = [evaluate_entry(entry, config) for _ in range(2)]
     assert all(r.matches_expected and r.points == 5 * 4 * 7 for r in results)
     assert calls == []
+
+
+def test_sums_over_m_read_one_row_per_slice():
+    # inP1 reads y6 only through its sums over m: one default evaluation
+    # leaves the scalar memo empty and keeps one row per (n, lam, p) slice,
+    # however many m the slice has
+    (entry,) = [e for e in build_registry() if e.id == "inP1"]
+    config = AuditConfig()
+    slices = {(n, p, lam) for _, n, p, lam in entry.grid(config.for_entry("inP1"))}
+    y6.cache_clear()
+    y6_engine._y6_row.cache_clear()
+    assert evaluate_entry(entry, config).matches_expected
+    assert y6.cache_info().currsize == 0
+    assert 0 < y6_engine._y6_row.cache_info().currsize <= len(slices)
