@@ -32,7 +32,7 @@ nothing.  Each sum has one kernel, and an entry reaches it through the
 library: ``CC2`` sets ``bnk``'s integer loop against ``y6`` (through
 ``y1``), ``Cab3`` the series route (the n-th power of the row of 1 + lam
 e^t under ``exact_core._binomial_convolve``) against ``_y6``, ``y6G`` the
-Horner row of ``y6_engine._moment_row`` against ``_y6_row``'s ratio walk,
+moment row of ``y6_engine._moment_row`` against ``_y6_row``'s ratio walk,
 ``boyadzhiev`` the row C(k,j) j^n against ``_boyadzhiev_row``'s expansion
 over S(n,j), and ``golombek`` and ``altStirling`` take ``bnk``, ``moment``
 and ``franel`` against the series, the closed forms and S(n,k).  The
@@ -66,7 +66,7 @@ there reaches both entries.  ``_int_values`` evaluates through
 ``exact_core._poly_at``, the one Horner, as ``Poly.__call__``,
 ``P1_corollary`` and ``yp3_euler_operator`` do;
 ``test_faulty_horner_flips_every_polynomial_value`` pins the 15 entries
-that a fault in it reaches.  ``p_poly`` reweights the same Horner row and
+that a fault in it reaches.  ``p_poly`` reweights the same moment row and
 calls neither y6 kernel, so ``py6ab``, ``inP1``, ``inP8a`` and
 ``P1_corollary``, which set the polynomial family against rows of
 ``_y6_row`` (through ``_y6_sum``, or read directly in ``py6ab``), compare
@@ -91,17 +91,21 @@ and ``y6G``) reads one row of ``_y6_row`` and takes one ``map`` product
 with its weights, with no lookup per k; the row's top is rounded up to
 ``top | 15``, so every m of an (n, lam, p) slice, in every entry that
 sums over m, reads the same memoized row.
-A side's lam-invariant part is a table, read as ``_TABLES[build, *ints]``
-(one dict subscript) and built once per int key and entry evaluation;
-each table belongs to one side of its identity.  So a linear functional of the polynomial family (the
+A side's part that several points share is a table, read as
+``_TABLES[build, *ints]`` (one dict subscript) and built once per key and
+entry evaluation.  A table is keyed on ints only: where it depends on lam,
+on lam's integer parts a and b.  Each table belongs to one side of its
+identity.  So a linear functional of the polynomial family (the
 integral over [0,1], Volkenborn, fermionic) is its moment row, built once
 per degree, and one integer dot product with P's numerators per point
-(``exact_core._functional``); the ``_y6_sum`` weights, the Riemann values
-(j+1)^e - j^e, the closed forms' polynomials, per (m, a, b), the
-Bernoulli and Euler polynomials, per degree and order, and the rows of
-B(d,k) and of the Stirling triangles, per d, are tables too:
-``classic_numbers`` keeps no memo and no row of its own.  A ``_grid`` yields its points lazily, so the runner's config check
-draws them only up to the first difference.
+(``exact_core._functional``); ``_binom_sum`` is one dot product with the
+weights C(n,j)^p a^j b^(n-j) of its (n, p, a, b) slice.  The ``_y6_sum``
+weights, the Riemann values (j+1)^e - j^e, the closed forms' polynomials,
+per (m, a, b), the Bernoulli and Euler polynomials, per degree and order,
+and the rows of B(d,k) and of the Stirling triangles, per d, are tables
+too: ``classic_numbers`` keeps no memo and no row of its own.  A
+``_grid`` yields its points lazily, so the runner's config check draws
+them only up to the first difference.
 """
 
 from __future__ import annotations
@@ -351,10 +355,12 @@ _NO_PARAMETERS = _fixed((), [()])
 class _Built(dict):
     """Tables by subscript: ``_TABLES[build, *ints]`` is ``build(*ints)``.
 
-    A table is the lam-invariant part of one side of an identity, keyed
-    only on ints.  This store builds a missing table and keeps nothing, so
-    an evaluator called directly, as a test does, builds its tables afresh
-    on every call and reads a kernel patched before the call."""
+    A table is the part of one side of an identity that several grid
+    points share, keyed only on ints (lam's integer parts among them
+    where it depends on lam).  This store builds a missing table and
+    keeps nothing, so an evaluator called directly, as a test does, builds
+    its tables afresh on every call and reads a kernel patched before the
+    call."""
 
     __slots__ = ()
 
@@ -391,22 +397,23 @@ def _tables() -> Iterator[None]:
         _TABLES = _Built()
 
 
+def _binom_weights(n: int, p: int, a: int, b: int) -> list[int]:
+    """C(n,j)^p a^j b^(n-j) for j = 0..n: the integer weights of
+    ``_binom_sum`` for lam = a/b; n = -1 has none."""
+    return [comb(n, j) ** p * a**j * b ** (n - j) for j in range(n + 1)]
+
+
 def _binom_sum(n: int, p: int, a: int, b: int, values: list[int], den: int) -> _Unreduced:
     """sum_{j=0}^{n} C(n,j)^p lam^j g(j) for lam = a/b, as ``_ratio`` gives
     it, and g(j) = values[j]/den.
 
     The caller gives the integer numerators of g(0..n) over one
     denominator, into which it folds any outer divisor of the sum.  The
-    integer sum_j C(n,j)^p a^j b^(n-j) values[j] is summed by Horner in b
-    and put over den b^n, unreduced; n = -1, with no values, is the empty
-    sum 0."""
-    total = 0
-    c = a_j = 1
-    for j, u in enumerate(values):
-        total = total * b + c**p * a_j * u
-        c = c * (n - j) // (j + 1)
-        a_j *= a
-    return _Unreduced(total, den * b ** max(n, 0))
+    integer sum_j C(n,j)^p a^j b^(n-j) values[j] is one dot product with the
+    slice's weight table, put over den b^n, unreduced; n = -1, with no
+    values, is the empty sum 0."""
+    weights = _TABLES[_binom_weights, n, p, a, b]
+    return _Unreduced(sum(map(mul, weights, values)), den * b ** max(n, 0))
 
 
 def _y6_sum(n: int, p: int, a: int, b: int, weights: list[int], den: int) -> _Unreduced:

@@ -136,7 +136,7 @@ def _ratio(x: Scalar) -> tuple[int, int]:
         return x, 1
     if type(x) is not Fraction:  # a Fraction skips _frac's isinstance tests
         x = _frac(x)
-    return x.numerator, x.denominator
+    return x.as_integer_ratio()
 
 
 def _common(cs: list[Fraction]) -> tuple[tuple[int, ...], int]:

@@ -6,7 +6,7 @@ binomial-square polynomial family with the Euler operator.
 
 For lam = a/b, ``p_poly`` takes its coefficients n! b^n y6(i,n;lam,p) as
 integers over the single denominator n! b^n from ``y6_engine._moment_row``,
-the Horner row that ``y6_egf`` also reads, and reweights them by C(m,i);
+the moment row that ``y6_egf`` also reads, and reweights them by C(m,i);
 ``raw_sum_poly`` expands its own defining sum as integers over b^n.  Their
 kernels ``_p_poly`` and ``_raw_sum`` return these rows unreduced
 (``exact_core._UnreducedPoly``).  Neither calls ``y6``'s kernel ``_y6`` or
@@ -62,6 +62,7 @@ from .exact_core import (
     _check_indices,
     _check_type,
     _functional,
+    _poly,
     _poly_at,
     _ratio,
 )
@@ -232,9 +233,11 @@ def euler_operator(q: Poly, iterations: int = 1) -> Poly:
     """Apply x d/dx the given number of times."""
     _check_type("q", q, Poly)
     _check_indices(iterations=iterations)
+    # x d/dx multiplies the coefficient of x^k by k
+    nums = q.nums
     for _ in range(iterations):
-        q = Poly.x() * q.derivative()
-    return q
+        nums = [k * c for k, c in enumerate(nums)]
+    return _poly(list(nums), q.den)
 
 
 def mirimanoff_frobenius_sum(m: int, n: int, x0: Scalar, u: Scalar) -> Fraction:

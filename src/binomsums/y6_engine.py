@@ -13,9 +13,9 @@ row of S over i = 0..top, memoized per (n, lam, p) slice, and the registry's
 sums over m read that row.  The registry splits lam once per grid point
 and calls ``_y6``, ``_y6_row`` or ``_y6_value`` itself.  ``y6_egf`` builds the
 same numbers by an independent route: ``_moment_row`` adds the power rows k^j
-of the e^{kt}, weighted by C(n,k)^p a^k, by Horner in b, and ``y6_egf``
+of the e^{kt}, weighted by C(n,k)^p a^k b^(n-k), and ``y6_egf``
 reduces that row once over n! b^n.  ``p_polynomials._p_poly`` reweights
-the same row by C(m,i) into the polynomial family.  The Horner row calls
+the same row by C(m,i) into the polynomial family.  The moment row calls
 neither ratio walk, so a fault in them cannot cancel in ``y6G``, which
 compares it with ``_y6_row``, each over n! b^n, or in the entries that set
 the polynomial family against y6.
@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import factorial
+from math import comb, factorial
 from operator import add, mul
 from typing import Iterator
 
@@ -172,18 +172,14 @@ def y6_egf(n: int, lam: Scalar, p: int, order: int) -> EgfSeries:
 def _moment_row(m: int, n: int, a: int, b: int, p: int) -> list[int]:
     """The integers n! b^n y6(i,n;a/b,p) for i = 0..m, b > 0: the sum of
     the power rows k^i of e^{kt} weighted by C(n,k)^p a^k b^(n-k)."""
-    # Horner in b: after step k, row[i] = sum_{j<=k} C(n,j)^p j^i a^j b^(k-j),
-    # so at the end row[i] = n! b^n y6(i,n;lam,p).  The power row k^i is
-    # walked by one multiplication by k a step; e^{0t} = 1 adds to row[0] only.
-    row = [0] * (m + 1)
-    binom = a_k = 1
-    for k in range(n + 1):
-        term = binom**p * a_k  # times k^i as i runs up
+    # The power row k^i of e^{kt} is walked by one multiplication by k a
+    # step; e^{0t} = 1 adds b^n to row[0] only.
+    row = [b**n] + [0] * m
+    for k in range(1, n + 1):
+        term = comb(n, k) ** p * a**k * b ** (n - k)  # times k^i as i runs up
         for i in range(m + 1):
-            row[i] = row[i] * b + term
+            row[i] += term
             term *= k
-        binom = binom * (n - k) // (k + 1)
-        a_k *= a
     return row
 
 

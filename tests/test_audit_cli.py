@@ -112,10 +112,14 @@ class TestRegistry:
             total = sum((-1) ** k * comb(n, k) ** p for k in range(n + 1))
             assert registry._alternating_closed(p, n) == total
 
-    @pytest.mark.parametrize("lam", ["0", "1", "-2", "-1/2", "7/3"])
+    @pytest.mark.parametrize("lam", ["0", "1", "-1", "-2", "-1/2", "7/3"])
     def test_binom_sum_matches_the_fraction_loop(self, lam):
         lam = Fraction(lam)
         a, b = lam.numerator, lam.denominator
+        for p in range(4):
+            # n = -1 is the empty sum
+            empty = registry._binom_sum(-1, p, a, b, [], 7)
+            assert empty == 0 and type(empty) is _Unreduced
         gs = [
             lambda j: Fraction(j + 1, 3),
             lambda j: (j + 1) ** 3 - j**3,  # int-valued
@@ -139,6 +143,21 @@ class TestRegistry:
                     # an outer divisor folded into the denominator
                     got = registry._binom_sum(n, p, a, b, values, den * outer)
                     assert got == expected / outer
+
+    @pytest.mark.parametrize("lam", ["0", "1", "-1", "-2", "-1/2", "-7/3", "5/11"])
+    def test_binom_weights_are_the_terms_over_b_to_the_n(self, lam):
+        # C(n,j)^p a^j b^(n-j) is the term C(n,j)^p lam^j over b^n, with
+        # 0^0 = 1; n = -1, the empty sum, has no weights
+        lam = Fraction(lam)
+        a, b = lam.numerator, lam.denominator
+        for p in range(5):
+            assert registry._binom_weights(-1, p, a, b) == []
+            for n in range(11):
+                weights = registry._binom_weights(n, p, a, b)
+                assert all(type(w) is int for w in weights)
+                assert [Fraction(w, b**n) for w in weights] == [
+                    Fraction(comb(n, j)) ** p * lam**j for j in range(n + 1)
+                ]
 
     @pytest.mark.parametrize("lam", ["0", "1", "-2", "-1/2", "7/3"])
     def test_y6_sum_matches_the_fraction_loops(self, lam):
@@ -241,8 +260,15 @@ class TestRegistry:
                     assert registry._sec6_stirling(m, n, p, lam)[1] == expected
 
     def test_binom_sum_is_independent_of_the_routes_it_checks(self):
-        names = set(registry._binom_sum.__code__.co_names)
-        assert not names & {"y6", "p_poly", "raw_sum_poly", "r_poly"}
+        # neither the sum nor the builder of its weights calls a route that
+        # the sum is compared with
+        routes = {
+            "y6", "_y6", "_y6_row", "_y6_value", "_moment_row",
+            "p_poly", "_p_poly", "raw_sum_poly", "_raw_sum", "r_poly",
+        }
+        for fn in (registry._binom_sum, registry._binom_weights):
+            assert not set(fn.__code__.co_names) & routes, fn.__name__
+        assert "_binom_weights" in registry._binom_sum.__code__.co_names
 
     def test_scalar_sides_build_no_fraction(self, monkeypatch):
         # these holding forms return unreduced integer quotients on both
@@ -633,6 +659,14 @@ class TestRunner:
             # (e, n) = (0, 0) before the printed form fails at the first
             # point, then (m + 1, n) for the 81 pairs of the corrected form
             ("inP2", "_riemann_values", 82),
+            # one weight row per (n, p, lam) slice of the direct sums, 9 n
+            # by 4 p by 7 lam (p - 1 = 0..2 for sec6_stirling); inP2's
+            # printed form fails at a point of the first slice
+            ("inP2", "_binom_weights", 252),
+            ("inP3_4", "_binom_weights", 252),
+            ("sec6_stirling", "_binom_weights", 189),
+            # and of its power sums, p = 0: 6 upper limits by 6 lam
+            ("mirimanoff_frobenius", "_binom_weights", 36),
             # one B(d,k) row per d = 1..6, read at the 13 k of each
             ("CB1_xu", "_bnk_row", 6),
             ("xu_x", "_bnk_row", 6),
@@ -649,9 +683,8 @@ class TestRunner:
     def test_tables_are_built_once_per_evaluation(
         self, monkeypatch, entry_id, builder, builds
     ):
-        # on the default grid each lam-invariant table is built once per
-        # distinct int key, not once per grid point, and none outlives the
-        # evaluation
+        # on the default grid each table is built once per distinct int
+        # key, not once per grid point, and none outlives the evaluation
         build = getattr(registry, builder)
         keys = []
 

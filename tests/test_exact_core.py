@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomsums.audit.runner import _fmt
-
+from binomsums.classic_numbers import apostol_bernoulli, frobenius_euler
 from binomsums.exact_core import (
     EgfSeries,
     GammaHalfValue,
@@ -21,13 +22,22 @@ from binomsums.exact_core import (
     _UnreducedPoly,
     _frac,
     _int_values,
+    _ratio,
     binomial_general,
     falling_factorial,
     gamma_half,
     pochhammer,
     poly_integral01,
 )
-from binomsums.p_polynomials import _p_poly, p_poly
+from binomsums.hypergeom import y6_hyper
+from binomsums.p_polynomials import (
+    _p_poly,
+    mirimanoff_frobenius_sum,
+    p_poly,
+    power_sum_closed,
+    raw_sum_poly,
+)
+from binomsums.y6_engine import franel, y1, y6, y6_egf
 
 fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=8
@@ -363,6 +373,43 @@ class TestFactorialSymbols:
         # the negative-upper-index convention used by the closed sequences
         assert binomial_general(-1, 3) == -1
         assert binomial_general(Fraction(1, 2), 2) == Fraction(-1, 8)
+
+
+class TestRatio:
+    @given(st.one_of(st.integers(min_value=-10**30, max_value=10**30), fractions))
+    def test_int_or_fraction_gives_its_reduced_parts(self, x):
+        num, den = _ratio(x)
+        assert type(num) is int and type(den) is int and den > 0
+        assert (num, den) == (Fraction(x).numerator, Fraction(x).denominator)
+
+    @pytest.mark.parametrize(
+        "x", [0.5, 2.0, Decimal("0.5"), 1 + 0j, "1/2"], ids=repr
+    )
+    def test_anything_else_is_a_type_error(self, x):
+        with pytest.raises(TypeError, match="expected an int or Fraction"):
+            _ratio(x)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (y6, (3, 2, 0.5, 2)),
+            (y1, (3, 2, 0.5)),
+            (franel, (3, 1, 4, 0.5)),
+            (y6_egf, (3, 0.5, 2, 4)),
+            (p_poly, (2, 3, 0.5, 2)),
+            (raw_sum_poly, (2, 3, 0.5, 2)),
+            (power_sum_closed, (3, 10, 0.5)),
+            (mirimanoff_frobenius_sum, (2, 5, 0.5, Fraction(3))),
+            (mirimanoff_frobenius_sum, (2, 5, Fraction(1, 2), 3.0)),
+            (y6_hyper, (5, 0.5, 3)),
+            (apostol_bernoulli, (3, 0.5)),
+            (frobenius_euler, (3, 0.5)),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_public_lambda_functions_refuse_a_float(self, fn, args):
+        with pytest.raises(TypeError, match="expected an int or Fraction, got float"):
+            fn(*args)
 
 
 # ---------------------------------------------------------------------------

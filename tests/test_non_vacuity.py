@@ -310,6 +310,13 @@ def test_faulty_y6_kernel_flips_its_consumers(monkeypatch):
     assert lhs != rhs
 
 
+# the entries that take a side from registry._binom_sum
+BINOM_SUM_READERS = (
+    "alt_euler_sum apostol_powersum faulhaber inP2 inP3_4 inP5_6 inP8a "
+    "mirimanoff_frobenius sec6_bernoulli sec6_euler sec6_stirling"
+)
+
+
 def test_faulty_binom_sum_flips_its_consumers(monkeypatch):
     # _binom_sum off by 1/den at n = 2 reaches the Riemann, Mahler and
     # Section 6 sums and, at p = 0, the four power sums; their other sides
@@ -325,10 +332,19 @@ def test_faulty_binom_sum_flips_its_consumers(monkeypatch):
         return faulty
 
     flipped = _flipped(monkeypatch, registry, "_binom_sum", off_at_two)
-    assert flipped == _fails(
-        "alt_euler_sum apostol_powersum faulhaber inP2 inP3_4 inP5_6 inP8a "
-        "mirimanoff_frobenius sec6_bernoulli sec6_euler sec6_stirling"
+    assert flipped == _fails(BINOM_SUM_READERS)
+
+
+def test_faulty_binom_weights_flip_the_binom_sum_readers(monkeypatch):
+    # _binom_sum reads every weight from its slice's table, so v -> 2v + 1 on
+    # each weight reaches exactly the entries that a fault of the sum reaches
+    flipped = _flipped(
+        monkeypatch,
+        registry,
+        "_binom_weights",
+        lambda kernel: lambda *key: [2 * v + 1 for v in kernel(*key)],
     )
+    assert flipped == _fails(BINOM_SUM_READERS)
 
 
 def _doubled(kernel):
@@ -385,7 +401,7 @@ def _twice_plus_one(kernel):
     [
         (p_polynomials, "_mirimanoff_frobenius_sum", "mirimanoff_frobenius"),
         (p_polynomials, "_power_sum_closed", "alt_euler_sum apostol_powersum"),
-        # the Horner moment row feeds y6_egf and, reweighted by C(m,i),
+        # the moment row feeds y6_egf and, reweighted by C(m,i),
         # _p_poly; py6a does not flip, since its derivative identity
         # d^k/dx^k P(m) = m!/(m-k)! P(m-k) holds for the polynomials that
         # any moment row gives

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomsums.classic_numbers import (
@@ -277,6 +277,32 @@ class TestEulerOperatorAndVowe:
             assert euler_operator(Poly.monomial(k), 3) == k**3 * Poly.monomial(
                 k
             )
+
+    @given(
+        st.lists(small_fractions, max_size=8),
+        st.integers(min_value=0, max_value=6),
+    )
+    @example([], 3)
+    @example([7], 1)
+    @settings(max_examples=100)
+    def test_operator_is_the_iterated_x_times_derivative(self, coeffs, iterations):
+        # x d/dx as Poly arithmetic, applied `iterations` times; zero
+        # iterations give q back, and the zero polynomial stays zero
+        q = Poly(coeffs)
+        expected = q
+        for _ in range(iterations):
+            expected = Poly.x() * expected.derivative()
+        got = euler_operator(q, iterations)
+        assert got == expected and (got.nums, got.den) == (expected.nums, expected.den)
+        assert euler_operator(q, 0) == q
+
+    def test_operator_gates_are_unchanged(self):
+        with pytest.raises(TypeError, match="q must be a Poly, got list"):
+            euler_operator([1, 2])
+        with pytest.raises(TypeError, match="iterations must be an int, got float"):
+            euler_operator(Poly([1, 2]), 1.0)
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            euler_operator(Poly([1, 2]), -1)
 
     @given(
         st.integers(min_value=0, max_value=6),

@@ -1,5 +1,5 @@
 """Differential tests of the number tables, the Bernoulli, Euler and
-Legendre polynomials, the p-adic integrals, the rising and falling
+Legendre polynomials, the p-adic integrals, the Euler operator, the rising and falling
 factorials and the terminating pFq against sympy, an independent oracle
 that is optional: the module is skipped where sympy is missing."""
 
@@ -37,6 +37,7 @@ from binomsums.hypergeom import PfqSpec, pfq_terminating  # noqa: E402
 from binomsums.p_polynomials import (  # noqa: E402
     _fermionic_row,
     _volkenborn_row,
+    euler_operator,
     fermionic,
     r_poly,
     volkenborn,
@@ -193,6 +194,25 @@ def test_factorials_and_binomials(z):
         assert pochhammer(z, v) == _frac(sympy.rf(_rational(z), v))
         assert falling_factorial(z, v) == _frac(sympy.ff(_rational(z), v))
         assert binomial_general(z, v) == _frac(sympy.binomial(_rational(z), v))
+
+
+@pytest.mark.parametrize("iterations", range(6))
+def test_euler_operator_is_iterated_x_diff(iterations):
+    # (x d/dx)^iterations against sympy's x*diff applied as often, on the
+    # zero polynomial, a constant, random rational polynomials and r_poly
+    x = sympy.Symbol("x")
+    rng = random.Random(iterations)
+    qs = [Poly(), Poly([5]), r_poly(7, 2), r_poly(12, 3)] + [
+        Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)])
+        for d in (1, 2, 5, 13)
+    ]
+    for q in qs:
+        expr = sum(
+            (_rational(c) * x**k for k, c in enumerate(q.coeffs)), sympy.Integer(0)
+        )
+        for _ in range(iterations):
+            expr = sympy.expand(x * sympy.diff(expr, x))
+        assert euler_operator(q, iterations) == Poly(_coeffs(expr))
 
 
 @pytest.mark.parametrize("z", [Fraction(1, 3), Fraction(-2)], ids=str)

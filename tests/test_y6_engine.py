@@ -446,6 +446,32 @@ class TestEgfPath:
         with pytest.raises(TypeError, match="expected an int or Fraction"):
             y6_egf(3, 0.5, 2, 4)
 
+    @pytest.mark.parametrize(
+        "lam", [Fraction(-2), Fraction(-1, 2), Fraction(5, 11), Fraction(3)]
+    )
+    def test_moment_row_matches_the_horner_loop_and_the_ratio_walk(self, lam):
+        # the direct weights C(n,k)^p a^k b^(n-k) give the integers of the
+        # former Horner loop in b and of _y6_row's independent ratio walk
+        def horner(m, n, a, b, p):
+            row = [0] * (m + 1)
+            binom = a_k = 1
+            for k in range(n + 1):
+                term = binom**p * a_k
+                for i in range(m + 1):
+                    row[i] = row[i] * b + term
+                    term *= k
+                binom = binom * (n - k) // (k + 1)
+                a_k *= a
+            return row
+
+        a, b = lam.numerator, lam.denominator
+        for n, p in product(range(11), range(5)):
+            walk = y6_engine._y6_row(n, a, b, p, 15)
+            for m in (0, 1, 5, 12):
+                row = y6_engine._moment_row(m, n, a, b, p)
+                assert row == horner(m, n, a, b, p)
+                assert row == list(walk[: m + 1])
+
 
 # the polynomial family's entries and y6G, which look up y6 and p_poly at
 # every grid point
