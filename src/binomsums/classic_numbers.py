@@ -14,11 +14,11 @@ row n alone.  The tests check each family against its generating function
 expanded by :class:`binomsums.exact_core.EgfSeries`.
 
 Nothing here is memoized.  The Daehee and Changhee numbers, sum_k s(n,k)
-B_k and sum_k s(n,k) E_k(0), come from one range kernel,
-``_classic_range``: it takes B_k or E_k(0) for each k below the range's
-end from one walk of the second-kind rows and dots them with each row of
-one walk of the first-kind rows.  ``classic_sequence`` is its one-term
-case and ``audit seq`` reads whole ranges from it.
+B_k and sum_k s(n,k) E_k(0), come from one range kernel, ``classic_range``:
+it takes B_k or E_k(0) for each k below the range's end from one walk of
+the second-kind rows and dots them with each row of one walk of the
+first-kind rows.  ``classic_sequence`` is its one-term case and ``audit
+seq`` reads whole ranges from it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable, Iterator
 
-from .exact_core import Poly, Scalar, _check_indices, _check_ints, _common, _frac, _ratio
+from .exact_core import (
+    Poly, Scalar, _check_indices, _check_ints, _check_range, _check_type, _common, _frac,
+    _ratio,
+)
 
 __all__ = [
     "FamilyTag",
@@ -45,6 +48,7 @@ __all__ = [
     "apostol_bernoulli",
     "apostol_euler",
     "classic_sequence",
+    "classic_range",
     "y_seq",
     "legendre",
     "mirimanoff",
@@ -238,18 +242,21 @@ def frobenius_euler(n: int, u: Scalar) -> Poly:
 def classic_sequence(tag: FamilyTag, n: int) -> Fraction:
     """Catalan, Daehee or Changhee number, each by its defining sum."""
     _check_indices(n=n)
-    return next(_classic_range(tag, range(n, n + 1)))
+    return next(classic_range(tag, range(n, n + 1)))
 
 
-def _classic_range(tag: FamilyTag, rng: range) -> Iterator[Fraction]:
+def classic_range(tag: FamilyTag, rng: range) -> Iterator[Fraction]:
     """The numbers of ``classic_sequence`` for the indices of a step-1
-    range, checked from ``rng.start`` before the iterator is returned.
+    range.  The tag, the range and its start are checked, in that order,
+    before the iterator is returned.
 
     For Daehee and Changhee, one walk of the second-kind rows gives B_k or
     E_k(0) for every k < rng.stop over one denominator (lcm(1..stop) or
     2^(stop-1)), and one walk of the first-kind rows dots them with row n
     for each n of the range.  Neither walk stores a row: the work is
     O(stop^2) big-integer operations with O(stop) integers live."""
+    _check_type("tag", tag, FamilyTag)
+    _check_range(rng)
     _check_indices(n=rng.start)
     if tag is FamilyTag.CATALAN:
         return (Fraction(comb(2 * n, n), n + 1) for n in rng)
@@ -259,19 +266,16 @@ def _classic_range(tag: FamilyTag, rng: range) -> Iterator[Fraction]:
     top = rng.stop - 1
     if tag is FamilyTag.DAEHEE:
         w, den = _bernoulli_weights(top)
-    elif tag is FamilyTag.CHANGHEE:
+    else:  # CHANGHEE, the one tag left
         w, den = _euler_weights(top, 1), 1 << top
-    else:
-        raise ValueError(f"unknown family {tag!r}")
     return _first_kind_sums(w, den, rng)
 
 
 def _first_kind_sums(w: list[int], den: int, rng: range) -> Iterator[Fraction]:
     """sum_k s(n,k) a_k for n in rng, where a_k = sum_j S(k,j) w_j / den."""
     nums = _transforms(w)
-    for n, row in enumerate(_STIRLING1.walk(rng.stop)):
-        if n >= rng.start:
-            yield Fraction(sum(map(mul, row, nums)), den)
+    for row in islice(_STIRLING1.walk(rng.stop), rng.start, None):
+        yield Fraction(sum(map(mul, row, nums)), den)
 
 
 def y_seq(n: int, lam: Scalar) -> Fraction:

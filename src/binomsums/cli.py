@@ -25,9 +25,8 @@ from typing import Callable, Iterable, Iterator
 from .audit.config import AuditConfig, ConfigError, load_config
 from .audit.registry import build_registry
 from .audit.runner import render_csv, render_json, render_markdown, run_audit
-from .classic_numbers import FamilyTag, _classic_range
-from .exact_core import _check_indices
-from .y6_engine import _franel_range, _sums, _y6_range, bnk
+from .classic_numbers import FamilyTag, classic_range
+from .y6_engine import bnk, franel_range, y6_range
 
 EXIT_OK = 0
 EXIT_VERDICT_MISMATCH = 1
@@ -81,38 +80,31 @@ def _int_param(params: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
-def _y6_terms(rng: range, ps: dict) -> Iterator:
-    """y6(m,n;lam,p) over a range."""
-    m, p = _int_param(ps, "m", 0), _int_param(ps, "p", 2)
-    return _y6_range(m, ps.get("lam", Fraction(1)), p, rng)
-
-
-def _bnk_terms(rng: range, ps: dict) -> Iterator:
-    """B(d,k) over a range."""
-    d = _int_param(ps, "d")
-    _check_indices(d=d, k=rng.start)
-    return map(bnk, repeat(d), rng)
-
-
 # Each family with the ``--params`` keys it reads and its terms over a
-# range: a lazy iterator whose arguments are checked before it is returned.
+# range: a lazy iterator.  Bad parameters are refused at the call, or else
+# with the first term, which ``_cmd_seq`` takes before it writes anything.
 _SEQ_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[[range, dict], Iterator]]] = {
-    "bnk": (("d",), _bnk_terms),
-    "y6": (("m", "lam", "p"), _y6_terms),
+    "bnk": (("d",), lambda rng, ps: map(bnk, repeat(_int_param(ps, "d")), rng)),
+    "y6": (
+        ("m", "lam", "p"),
+        lambda rng, ps: y6_range(
+            _int_param(ps, "m", 0), ps.get("lam", 1), _int_param(ps, "p", 2), rng
+        ),
+    ),
     "moment": (
         ("m", "p"),
-        # sum_k C(n,k)^p k^m, the kernel's integers at lam = 1
-        lambda rng, ps: _sums(
-            _int_param(ps, "m", 0), 1, 1, _int_param(ps, "p", 2), rng
+        # sum_k C(n,k)^p k^m, the Franel numbers at lam = 1; m is read first
+        lambda rng, ps: franel_range(
+            m=_int_param(ps, "m", 0), p=_int_param(ps, "p", 2), lam=1, rng=rng
         ),
     ),
     **{
-        tag.value: ((), lambda rng, ps, t=tag: _classic_range(t, rng))
+        tag.value: ((), lambda rng, ps, t=tag: classic_range(t, rng))
         for tag in FamilyTag
     },
     "franel": (
         ("p", "m", "lam"),
-        lambda rng, ps: _franel_range(
+        lambda rng, ps: franel_range(
             _int_param(ps, "p", 3), _int_param(ps, "m", 0), ps.get("lam", 1), rng
         ),
     ),

@@ -3,10 +3,11 @@
 Everything downstream works over exact rationals: dense polynomials,
 truncated exponential-generating-function series, and gamma values at
 integer/half-integer arguments.  Scalars cross the API as ``int`` or
-``fractions.Fraction`` (``franel_recurrence`` returns ints, most other
-functions a ``Fraction``); a float is refused, never converted.  Integer
-indices must be ``int`` and, unless documented otherwise, >= 0
-(``_check_indices``).  Inside, ``Poly`` and ``EgfSeries`` hold Python-int
+``fractions.Fraction`` (``franel_range`` yields ints at an integer lam,
+most other functions a ``Fraction``); a float is refused, never converted.
+Integer indices must be ``int`` and, unless documented otherwise, >= 0
+(``_check_indices``); a range of them is a step-1 ``range``
+(``_check_range``).  Inside, ``Poly`` and ``EgfSeries`` hold Python-int
 numerators over one reduced denominator (the representation of FLINT's
 ``fmpq_poly``), so their arithmetic runs on ints and a ``Fraction`` is
 built only where a value leaves the object.  Their private base
@@ -115,6 +116,14 @@ def _check_type(name: str, value: object, cls: type) -> None:
     it fails inside with an ``AttributeError``."""
     if not isinstance(value, cls):
         raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
+def _check_range(rng: object) -> None:
+    """The gate of every range of indices: a non-``range`` raises
+    ``TypeError``, a step other than 1 ``ValueError``."""
+    _check_type("rng", rng, range)
+    if rng.step != 1:
+        raise ValueError(f"rng must have step 1, got {rng.step}")
 
 
 def _check_indices(**indices: object) -> None:

@@ -20,15 +20,16 @@ neither ratio walk, so a fault in them cannot cancel in ``y6G``, which
 compares it with ``_y6_row``, each over n! b^n, or in the entries that set
 the polynomial family against y6.
 
-``audit seq`` takes the kernel's integers over a whole range from ``_sums``:
-where ``recurrences`` has a certified row for p (for every lam, or at lam = 1
-and m = 0), the row is unrolled from seed columns of ``_y6`` in O(N) steps,
-with every division checked, and the terms are yielded from the range's
-start; other slices (p = 0, p >= 5, p = 4 away from lam = 1, m = 0) sum term
-by term.  ``franel_recurrence`` gives a prefix of the Franel numbers
-sum_k C(n,k)^p, p = 3 or 4, the same way.  ``y6``, ``franel``, ``moment`` and
-the audit keep the direct sum, so the audit's Franel entries and the
-recurrences remain independent routes to the same numbers.
+``y6_range`` and ``franel_range``, which ``audit seq`` reads, take the
+kernel's integers over a step-1 range of n from ``_sums``: where
+``recurrences`` has a certified row for p (for every lam, or at lam = 1 and
+m = 0), the row is unrolled from seed columns of ``_y6`` in O(N) steps, with
+every division checked, and the terms are yielded from the range's start;
+other slices (p = 0, p >= 5, p = 4 away from lam = 1, m = 0) sum term by
+term past ``_y6``'s memo, which would keep every n of the range.  ``y6``,
+``franel``, ``moment`` and the audit keep the direct sum, so the audit's
+Franel entries and the recurrences remain independent routes to the same
+numbers.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .exact_core import (
     _Unreduced,
     _check_indices,
     _check_ints,
+    _check_range,
     _ratio,
 )
 from .recurrences import row_for, unroll
@@ -63,7 +65,8 @@ __all__ = [
     "b_ogf",
     "moment",
     "franel",
-    "franel_recurrence",
+    "y6_range",
+    "franel_range",
 ]
 
 
@@ -246,36 +249,25 @@ def franel(p: int, m: int, n: int, lam: Scalar) -> Fraction:
     return Fraction(_y6(m, n, a, b, p), b**n)
 
 
-def franel_recurrence(p: int, stop: int) -> list[int]:
-    """Franel numbers sum_k C(n,k)^p for n = 0..stop-1 and p = 3 or 4.
-
-    Unrolls the certified row of ``recurrences`` at x = 1 (Franel's
-    recurrence) from f(0) = 1; a division that is not exact raises
-    ``ArithmeticError``.
-    """
-    _check_ints(p=p)
-    _check_indices(stop=stop)
-    if p not in (3, 4):
-        raise ValueError(f"Franel recurrence is known for p = 3, 4 only, got p = {p}")
-    return list(_sums(0, 1, 1, p, range(stop)))
-
-
 def _sums(m: int, a: int, b: int, p: int, rng: range) -> Iterator[int]:
     """The kernel's integers n! b^n y6(m,n;a/b,p) for n in rng, a step-1
     range: unrolled by the certified row that ``recurrences.row_for`` picks,
-    seeded with ``_y6``, or else ``_y6`` term by term.  The indices are
-    checked at once, with the message ``_y6`` gives."""
+    seeded with ``_y6``, or else summed term by term by ``_y6`` without its
+    memo.  The range and the indices are checked at once, with the messages
+    ``_y6`` gives."""
+    _check_range(rng)
     _check_indices(m=m, n=rng.start, p=p)
     row = row_for(p, m, a, b)
     if row is None:
-        return (_y6(m, n, a, b, p) for n in rng)
+        return map(_y6.__wrapped__, repeat(m), rng, repeat(a), repeat(b), repeat(p))
     order = len(row.telescoper) - 1
     seeds = [[_y6(j, n, a, b, p) for j in range(m + 1)] for n in range(order)]
     return unroll(row, m, a, b, seeds, rng)
 
 
-def _y6_range(m: int, lam: Scalar, p: int, rng: range) -> Iterator[Fraction]:
-    """y6(m,n;lam,p) for n in rng, each as ``y6`` gives it."""
+def y6_range(m: int, lam: Scalar, p: int, rng: range) -> Iterator[Fraction]:
+    """y6(m,n;lam,p) for n in rng, a step-1 range, each as ``y6`` gives
+    it; every argument is checked before the iterator is returned."""
     a, b = _ratio(lam)
     terms = _sums(m, a, b, p, rng)
     # n! b^n, one multiplication a step
@@ -285,9 +277,10 @@ def _y6_range(m: int, lam: Scalar, p: int, rng: range) -> Iterator[Fraction]:
     return map(Fraction, terms, dens)
 
 
-def _franel_range(p: int, m: int, lam: Scalar, rng: range) -> Iterator[Scalar]:
-    """Franel numbers n! y6(m,n;lam,p) for n in rng, equal to what
-    ``franel`` gives; the integers themselves when lam is an integer."""
+def franel_range(p: int, m: int, lam: Scalar, rng: range) -> Iterator[Scalar]:
+    """Franel numbers n! y6(m,n;lam,p) for n in rng, a step-1 range, as
+    ``franel`` gives them but ints when lam is an integer; every argument is
+    checked before the iterator is returned."""
     a, b = _ratio(lam)
     terms = _sums(m, a, b, p, rng)
     if b == 1:

@@ -1340,10 +1340,10 @@ class TestSeqRecurrences:
         rng = range(0, 8)
         expected = [franel(3, 0, n, Fraction(1)) for n in rng]
         for one in (1, Fraction(1), Fraction(4, 4)):
-            assert list(y6_engine._franel_range(3, 0, one, rng)) == expected
+            assert list(y6_engine.franel_range(3, 0, one, rng)) == expected
         assert rows == [(3, 1)] * 3
         with pytest.raises(TypeError):
-            y6_engine._franel_range(3, 0, 1.0, rng)
+            y6_engine.franel_range(3, 0, 1.0, rng)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1438,18 +1438,35 @@ class TestSeqStreaming:
         assert capsys.readouterr().err.startswith("error: out of memory")
         assert out.read_text() == "n,value\n0,1\n1,2\n"
 
-    def test_rows_are_not_held(self, tmp_path):
-        # franel(3, 0, n, 1) has about 3n bits, so the 3,001 rows of 0..3000
-        # take about 4 MB of text; written as they come, a few terms are live
+    @pytest.mark.parametrize(
+        "params, top, share",
+        [
+            # the row at lam = 1: franel(3, 0, n, 1) has about 3n bits, so
+            # the 3,001 rows take about 4 MB of text
+            ("", 3000, 1 / 4),
+            # the direct sum, which no row serves at p = 5: its 401 rows take
+            # 121 kB of text, and the y6 memo once kept every term
+            ("p=5", 400, 1),
+        ],
+        ids=["row", "direct"],
+    )
+    def test_rows_are_not_held(self, params, top, share, tmp_path):
+        # written as they come, a few terms are live; a short range first
+        # takes the one-time allocations and a row's seeds out of the count
         out = tmp_path / "franel.csv"
+        argv = ["seq", "franel", "--params", params, "--out", str(out)]
+        assert cli.main([*argv, "--range", "0..1"]) == 0
+        # misses as well as entries: a full memo keeps its size as it fills
+        memo = y6_engine._y6.cache_info()
         tracemalloc.start()
         try:
-            argv = ["seq", "franel", "--range", "0..3000", "--out", str(out)]
-            assert cli.main(argv) == 0
+            assert cli.main([*argv, "--range", f"0..{top}"]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < out.stat().st_size / 4
+        assert peak < out.stat().st_size * share
+        info = y6_engine._y6.cache_info()
+        assert (info.misses, info.currsize) == (memo.misses, memo.currsize)
 
 
 class TestSeqDigitLimit:

@@ -401,12 +401,12 @@ class TestClassicSequences:
     def test_range_kernel_is_the_term_by_term_sequence(self, tag, start, stop):
         rng = range(start, stop)
         expected = [classic_sequence(tag, n) for n in rng]
-        assert list(classic_numbers._classic_range(tag, rng)) == expected
+        assert list(classic_numbers.classic_range(tag, rng)) == expected
 
     @pytest.mark.parametrize("tag", list(FamilyTag))
     def test_range_kernel_checks_its_start(self, tag):
         with pytest.raises(ValueError, match="n must be >= 0"):
-            classic_numbers._classic_range(tag, range(-1, 3))
+            classic_numbers.classic_range(tag, range(-1, 3))
 
 
 class TestAuxiliaryFamilies:

@@ -12,6 +12,7 @@ from math import comb
 
 import pytest
 
+from binomsums import classic_numbers, y6_engine
 from binomsums.classic_numbers import (
     FamilyTag,
     apostol_bernoulli,
@@ -19,6 +20,7 @@ from binomsums.classic_numbers import (
     bernoulli_number,
     bernoulli_poly,
     bernoulli_poly_order,
+    classic_range,
     classic_sequence,
     euler_number0,
     euler_poly,
@@ -59,12 +61,13 @@ from binomsums.y6_engine import (
     b_ogf,
     bnk,
     franel,
-    franel_recurrence,
+    franel_range,
     moment,
     t_poly,
     y1,
     y6,
     y6_egf,
+    y6_range,
 )
 
 HALF = Fraction(1, 2)
@@ -76,7 +79,6 @@ CALLS = [
     (y6, (2, 7, HALF, 3)),
     (moment, (2, 3, 6)),
     (franel, (3, 1, 6, HALF)),
-    (franel_recurrence, (4, 9)),
     (stirling2, (9, 4)),
     (stirling1, (9, 4)),
     (bernoulli_number, (12,)),
@@ -146,6 +148,76 @@ NON_NEGATIVE_CASES = [
 def test_negative_index_is_refused(fn, args, index):
     with pytest.raises(ValueError):
         fn(*args[:index], -1, *args[index + 1 :])
+
+
+# The range functions take their indices as a step-1 range; each refuses a
+# bad argument when it is called, not when the first term is asked for.
+RANGE_CALLS = [
+    (y6_range, (2, HALF, 3)),
+    (franel_range, (4, 0, 1)),
+    (classic_range, (FamilyTag.DAEHEE,)),
+]
+
+
+def _no_terms(*args):
+    raise AssertionError("a term was computed for a refused call")
+
+
+@pytest.fixture
+def kernels_off(monkeypatch):
+    """The range functions fail past their checks: a refused call must not
+    reach the first thing they compute."""
+    monkeypatch.setattr(y6_engine, "row_for", _no_terms)
+    monkeypatch.setattr(classic_numbers, "_bernoulli_weights", _no_terms)
+
+
+@pytest.mark.parametrize(
+    "rng, error, message",
+    [
+        ([4, 5, 6], TypeError, "rng must be a range, got list"),
+        (range(4, 9, 2), ValueError, "rng must have step 1, got 2"),
+        (range(9, 4, -1), ValueError, "rng must have step 1, got -1"),
+        (range(-1, 9), ValueError, "must be >= 0"),
+    ],
+    ids=["list", "step2", "reversed", "negative"],
+)
+@pytest.mark.parametrize(
+    "fn, args", [pytest.param(fn, args, id=fn.__name__) for fn, args in RANGE_CALLS]
+)
+def test_bad_range_is_refused_at_the_call(fn, args, rng, error, message, kernels_off):
+    with pytest.raises(error, match=message):
+        fn(*args, rng)
+
+
+@pytest.mark.parametrize(
+    "fn, args, error",
+    [
+        (y6_range, (2, 0.5, 3), TypeError),
+        (y6_range, (2.0, HALF, 3), TypeError),
+        (y6_range, (2, HALF, Fraction(3)), TypeError),
+        (y6_range, (-1, HALF, 3), ValueError),
+        (y6_range, (2, HALF, -3), ValueError),
+        (franel_range, (4, 0, 1.0), TypeError),
+        (franel_range, (4.0, 0, 1), TypeError),
+        (franel_range, (4, Fraction(0), 1), TypeError),
+        (franel_range, (-4, 0, 1), ValueError),
+        (franel_range, (4, -1, 1), ValueError),
+    ],
+)
+def test_bad_argument_of_a_range_is_refused_at_the_call(fn, args, error, kernels_off):
+    with pytest.raises(error):
+        fn(*args, range(4, 9))
+
+
+def test_tag_that_is_not_a_family_is_refused():
+    # a string tag once gave [] over an empty range, and "unknown family"
+    # (a ValueError) over any other
+    message = "tag must be a FamilyTag, got str"
+    for rng in (range(0), range(3, 9)):
+        with pytest.raises(TypeError, match=message):
+            classic_range("daehee", rng)
+    with pytest.raises(TypeError, match=message):
+        classic_sequence("daehee", 3)
 
 
 def test_signed_orders_still_evaluate():

@@ -10,7 +10,8 @@ edge of the module graph, such as one that closes an import cycle, so no
 function body holds one. A module-level private function or class with no
 decorator must be loaded by name (as a name or an attribute) somewhere in
 ``src/`` outside its own definition; a decorated one, such as a registry
-evaluator, is reached through its decorator. No module imports ``inspect``
+evaluator, is reached through its decorator. ``cli.py`` imports no private
+name from the package. No module imports ``inspect``
 and only the registry imports ``dataclasses``, so ``import binomsums``
 loads neither.
 """
@@ -260,6 +261,45 @@ def test_runner_tests_no_exact_core_or_registry_type():
     assert {"Poly", "EgfSeries", "_Unreduced", "IdentityEntry"} <= classes
     runner = (pkg / "audit" / "runner.py").read_text(encoding="utf-8")
     assert foreign_type_tests(runner, classes) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """``line N: name`` of each ``_``-prefixed name imported from the
+    package, by a relative import or one from ``binomsums``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "binomsums"
+        ):
+            found += [
+                f"line {node.lineno}: {a.name}"
+                for a in node.names
+                if a.name.startswith("_")
+            ]
+    return found
+
+
+def test_the_check_sees_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .y6_engine import _sums, bnk\n"
+        "from .audit.registry import build_registry\n"
+        "from binomsums.exact_core import _check_indices as check\n"
+        "from . import _private\n"
+    )
+    assert private_imports(source) == [
+        "line 3: _sums",
+        "line 5: _check_indices",
+        "line 6: _private",
+    ]
+
+
+def test_cli_imports_no_private_name():
+    # the command line reads the library as any user does, so each range it
+    # prints is one that the public API gives
+    cli = (SRC / "binomsums" / "cli.py").read_text(encoding="utf-8")
+    assert private_imports(cli) == []
 
 
 def unloaded_helpers(sources: dict[str, str]) -> list[str]:

@@ -26,7 +26,7 @@ from binomsums.y6_engine import (
     b_ogf,
     bnk,
     franel,
-    franel_recurrence,
+    franel_range,
     moment,
     t_poly,
     y6,
@@ -367,38 +367,36 @@ class TestMomentsAndFranel:
         assert franel(p, m, n, lam) == factorial(n) * y6(m, n, lam, p)
 
 
-class TestFranelRecurrence:
-    """The O(N) kernel against the direct sum; the benchmark's own Franel
-    oracle is the p = 3 recurrence itself, so it cannot check this."""
+def franel_prefix(p: int, stop: int) -> list[int]:
+    """The Franel numbers sum_k C(n,k)^p for n < stop, from ``franel_range``."""
+    return list(franel_range(p, 0, 1, range(stop)))
 
-    @pytest.mark.parametrize("p, stop", [(3, 300), (4, 200)])
+
+class TestFranelRange:
+    """The O(N) kernel against the direct sum; the benchmark's own Franel
+    oracle is the p = 3 recurrence itself, so it cannot check this.  The
+    other orders come from the same function: p = 1 and 2 by the rows for
+    every x, p = 0 and 5 by the direct sum."""
+
+    @pytest.mark.parametrize(
+        "p, stop", [(3, 300), (4, 200), (0, 20), (1, 40), (2, 40), (5, 40)]
+    )
     def test_matches_direct_sum(self, p, stop):
-        assert franel_recurrence(p, stop) == [
+        assert franel_prefix(p, stop) == [
             franel(p, 0, n, Fraction(1)) for n in range(stop)
         ]
 
     @pytest.mark.parametrize("p", [3, 4])
     def test_spot_values(self, p):
-        terms = franel_recurrence(p, 1001)
+        terms = franel_prefix(p, 1001)
         for n in (600, 1000):
             assert terms[n] == sum(comb(n, k) ** p for k in range(n + 1))
 
     def test_prefixes_and_empty(self):
-        assert franel_recurrence(3, 0) == []
-        assert franel_recurrence(4, 1) == [1]
-        assert franel_recurrence(3, 5) == [1, 2, 10, 56, 346]
-        assert franel_recurrence(4, 5) == [1, 2, 18, 164, 1810]
-
-    @pytest.mark.parametrize("p", [0, 1, 2, 5])
-    def test_other_powers_raise(self, p):
-        with pytest.raises(ValueError, match="p = 3, 4"):
-            franel_recurrence(p, 10)
-
-    def test_bad_stop_raises(self):
-        with pytest.raises(ValueError):
-            franel_recurrence(3, -1)
-        with pytest.raises(TypeError, match="must be an int"):
-            franel_recurrence(3, 10.0)
+        assert franel_prefix(3, 0) == []
+        assert franel_prefix(4, 1) == [1]
+        assert franel_prefix(3, 5) == [1, 2, 10, 56, 346]
+        assert franel_prefix(4, 5) == [1, 2, 18, 164, 1810]
 
     def test_inexact_step_raises(self, monkeypatch):
         # c_1(0) = -15 in place of -16: 4 f(2) = 8 f(0) + 15 f(1) = 38
@@ -408,10 +406,10 @@ class TestFranelRecurrence:
         rows = tuple(bad if r is row else r for r in recurrences.ROWS)
         monkeypatch.setattr(recurrences, "ROWS", rows)
         with pytest.raises(ArithmeticError, match="not exact at n = 2"):
-            franel_recurrence(3, 4)
+            franel_prefix(3, 4)
 
     def test_is_public_for_the_tracer(self):
-        assert "franel_recurrence" in y6_engine.__all__
+        assert {"y6_range", "franel_range"} <= set(y6_engine.__all__)
 
 
 class TestEgfPath:
